@@ -201,37 +201,12 @@ class TotalAutomaton:
         self.reachable = frozenset(reachable)
         self._relevant = tuple(relevant)
         self._proj_table = proj_table
-        self._prop_bit = {name: 1 << i for i, name in enumerate(self.props)}
         self._rel_bit = {name: 1 << i for i, name in enumerate(self._relevant)}
         self._sym_cache = {}
-        self.table = self._dense_table() if len(self.props) <= 8 else None
 
     @property
     def states(self):
         return tuple(range(self.n_states))
-
-    def _dense_table(self):
-        n_syms = 1 << len(self.props)
-        table = []
-        for q in range(self.n_states):
-            row = [0] * n_syms
-            for mask in range(n_syms):
-                rel = 0
-                for i, name in enumerate(self.props):
-                    if mask & (1 << i) and name in self._rel_bit:
-                        rel |= self._rel_bit[name]
-                row[mask] = self._proj_table[q][rel]
-            table.append(row)
-        return table
-
-    def symbol_id(self, sym):
-        extra = frozenset(sym) - frozenset(self.props)
-        if extra:
-            raise UnknownSymbolError(extra)
-        mask = 0
-        for name in sym:
-            mask |= self._prop_bit[name]
-        return mask
 
     def _rel_mask(self, sym):
         cached = self._sym_cache.get(sym)

@@ -18,16 +18,16 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 from . import __version__
 from .twtl import TwtlError, parse_formula, propositions, time_bound, format_formula
-from .automaton import AutomatonError, compile_formula, to_dot, to_json as automaton_json
-from .mdp import MdpError
+from .automaton import AutomatonError, accepts, compile_formula, to_dot, to_json as automaton_json
+from .mdp import LabeledIntervalMdp, MdpError
 from .product import ProductError, build_product
 from .reachability import (InfeasibleIntervalError, MultiShotInfeasibleError, MultiShotPlan,
                            ReachabilityError, ShieldBoundaries, check_initial, multi_shot_prune,
-                           one_shot_prune, exact_reach_probability)
+                           one_shot_prune, exact_reach_probability, solve_kappa)
 from .learner import (LearnerConfig, ProductEnv, evaluate, run_multi_shot, run_one_shot,
                       write_episode_csv)
 from .gridworld import (CASE_STUDY_FORMULA, GridError, GridSpec, build_grid_mdp,
@@ -117,22 +117,19 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
 
+    # A grid is a spec file path or an inline spec; replace() re-runs GridSpec's checks.
     grid = doc.get("grid")
-    if isinstance(grid, str):
-        try:
+    try:
+        if isinstance(grid, str):
             with open(grid) as handle:
                 grid = GridSpec.from_json(handle.read())
-        except (OSError, json.JSONDecodeError, GridError, KeyError) as exc:
-            raise ConfigError(f"cannot read grid {doc['grid']}: {exc}")
-    elif isinstance(grid, dict):
-        try:
+        elif grid is not None:
             grid = GridSpec.from_json(json.dumps(grid))
-        except (GridError, KeyError, ValueError) as exc:
-            raise ConfigError(f"bad grid spec: {exc}")
-    if grid is not None and "assumed_uncertainty" in doc:
-        grid.assumed_uncertainty = float(doc["assumed_uncertainty"])
-    if grid is None and "assumed_uncertainty" in doc:
-        grid, _ = canonical_case_study(assumed_uncertainty=float(doc["assumed_uncertainty"]))
+        if "assumed_uncertainty" in doc:
+            grid = replace(grid or canonical_case_study()[0],
+                           assumed_uncertainty=float(doc["assumed_uncertainty"]))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, GridError) as exc:
+        raise ConfigError(f"bad grid spec or assumed_uncertainty: {exc}")
 
     learner_doc = doc.get("learner", {})
     for key in ("episodes", "seed"):
@@ -282,28 +279,28 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     paths = {}
     out = cfg.output_dir
     if out:
-        os.makedirs(out, exist_ok=True)
+        policy = {repr(p): repr(a) for p, a in sorted(result.policy.items(), key=repr)}
+        paths["summary"] = _write(out, "summary.json", _json_text(summary))
+        paths["automaton_json"] = _write(out, "automaton.json", automaton_json(automaton))
+        paths["automaton_dot"] = _write(out, "automaton.dot", to_dot(automaton))
+        paths["product_summary"] = _write(out, "product_summary.json", product.summary_json())
+        paths["policy"] = _write(out, "policy.json", _json_text(policy))
         paths["episodes"] = os.path.join(out, "episodes.csv")
         write_episode_csv(result.logs, paths["episodes"])
-        paths["summary"] = os.path.join(out, "summary.json")
-        with open(paths["summary"], "w") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        paths["automaton_json"] = os.path.join(out, "automaton.json")
-        with open(paths["automaton_json"], "w") as handle:
-            handle.write(automaton_json(automaton))
-        paths["automaton_dot"] = os.path.join(out, "automaton.dot")
-        with open(paths["automaton_dot"], "w") as handle:
-            handle.write(to_dot(automaton))
-        paths["product_summary"] = os.path.join(out, "product_summary.json")
-        with open(paths["product_summary"], "w") as handle:
-            handle.write(product.summary_json())
-        paths["policy"] = os.path.join(out, "policy.json")
-        with open(paths["policy"], "w") as handle:
-            json.dump({repr(p): repr(a) for p, a in sorted(result.policy.items(), key=repr)},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return ReportBundle(summary=summary, paths=paths)
+
+
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write(out, name, text):
+    """Write ``text`` to ``out/name``, creating ``out`` if needed; returns the path."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
+    with open(path, "w") as handle:
+        handle.write(text)
+    return path
 
 
 def _out_dir(args):
@@ -345,11 +342,8 @@ def cmd_compile(args):
     print(f"automaton: {automaton.n_states} states ({len(automaton.reachable)} reachable), "
           f"{len(automaton.accepting)} accepting, trash={automaton.trash}")
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "automaton.json"), "w") as handle:
-            handle.write(automaton_json(automaton))
-        with open(os.path.join(out, "automaton.dot"), "w") as handle:
-            handle.write(to_dot(automaton))
+        _write(out, "automaton.json", automaton_json(automaton))
+        _write(out, "automaton.dot", to_dot(automaton))
         print(f"wrote {out}/automaton.json and {out}/automaton.dot")
     return 0
 
@@ -363,11 +357,8 @@ def cmd_build(args):
           f"{len(product.initial)} initial, {len(product.coerced)} coerced at the boundary")
     out = cfg.output_dir
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "product_summary.json"), "w") as handle:
-            handle.write(product.summary_json())
-        with open(os.path.join(out, "grid.json"), "w") as handle:
-            handle.write(cfg.grid.to_json())
+        _write(out, "product_summary.json", product.summary_json())
+        _write(out, "grid.json", cfg.grid.to_json())
         print(f"wrote {out}/product_summary.json and {out}/grid.json")
     return 0
 
@@ -384,9 +375,7 @@ def cmd_prune(args):
           f"state-actions ({100 * stats['pruned_fraction']:.2f}%)")
     out = cfg.output_dir
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "reachability.json"), "w") as handle:
-            handle.write(product.results_json())
+        _write(out, "reachability.json", product.results_json())
         print(f"wrote {out}/reachability.json")
     if violators:
         print(f"check-initial FAILED for {len(violators)} initial states "
@@ -425,13 +414,23 @@ def cmd_eval(args):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read policy {args.policy}: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(raw, dict):
+        raise ConfigError(f"policy {args.policy} is not a JSON object")
     actions = {repr(a): a for a in product.mdp.actions}
     policy = {}
     for t, layer in enumerate(product.layers[:-1]):
         for s, q in layer:
             p = (s, q, t)
-            key = repr(p)
-            policy[p] = actions[raw[key]] if key in raw else product.pi_c[p]
+            name = raw.get(repr(p))
+            if name is None:
+                policy[p] = product.pi_c[p]
+                continue
+            if not isinstance(name, str) or name not in actions:
+                raise ConfigError(f"policy action {name!r} at {p!r} is not an action of the model")
+            a = policy[p] = actions[name]
+            if product.act_sets[p] and a not in product.act_sets[p]:
+                raise PipelineError("eval", f"policy action {name} at {p!r} is pruned by the "
+                                    f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
     env = ProductEnv(product)
     result = evaluate(policy, product.pi_c, product.act_sets, boundaries, env,
                       cfg.eval_episodes, seed=cfg.learner.seed + 1,
@@ -474,17 +473,11 @@ def cmd_sweep(args):
                       + ("" if r["check_initial_ok"] else "  [check-initial failed]"))
     out = _out_dir(args)
     if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "sweep.json")
-        with open(path, "w") as handle:
-            json.dump(rows, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        csv_path = os.path.join(out, "sweep.csv")
-        with open(csv_path, "w") as handle:
-            handle.write("mode,eps,pr_des,check_initial_ok,learning_sat,testing_sat,avg_reward\n")
-            for r in rows:
-                handle.write(f"{r['mode']},{r['eps']},{r['pr_des']},{int(r['check_initial_ok'])},"
-                             f"{r['learning_sat']!r},{r['testing_sat']!r},{r['avg_reward']!r}\n")
+        path = _write(out, "sweep.json", _json_text(rows))
+        header = "mode,eps,pr_des,check_initial_ok,learning_sat,testing_sat,avg_reward\n"
+        csv_path = _write(out, "sweep.csv", header + "".join(
+            f"{r['mode']},{r['eps']},{r['pr_des']},{int(r['check_initial_ok'])},"
+            f"{r['learning_sat']!r},{r['testing_sat']!r},{r['avg_reward']!r}\n" for r in rows))
         print(f"wrote {path} and {csv_path}")
     return 0
 
@@ -507,7 +500,6 @@ def cmd_verify(args):
         n = time_bound(formula) + 1
         for word in oracle.enumerate_words({"B", "C"}, n):
             checked += 1
-            from .automaton import accepts
             if accepts(automaton, word) != oracle.word_satisfies_brute(formula, word):
                 mismatches += 1
     report("automaton-semantics equivalence", mismatches == 0,
@@ -517,7 +509,6 @@ def cmd_verify(args):
     bad_lp = 0
     for _ in range(args.lp_instances):
         values, los, his = oracle.random_lp_instance(rng)
-        from .reachability import solve_kappa
         exact, _ = solve_kappa(values, los, his)
         approx = oracle.lp_grid_search(values, los, his, 1e-3)
         if abs(exact - approx) > len(values) * 1e-3:
@@ -525,10 +516,9 @@ def cmd_verify(args):
     report("closed-form optimum vs grid search", bad_lp == 0, f"{args.lp_instances} instances")
 
     # worst-case bound dominated by exact reachability under the fallback policy
-    from .mdp import LabeledIntervalMdp
+    spec = oracle.RandomInstanceSpec()
     bad_dom = 0
-    for trial in range(args.instances):
-        spec = oracle.RandomInstanceSpec(seed=trial)
+    for _ in range(args.instances):
         formula = oracle.random_formula(rng, spec.max_horizon)
         model = oracle.random_interval_mdp(rng, spec)
         automaton = compile_formula(formula, {"B", "C"})
@@ -540,8 +530,7 @@ def cmd_verify(args):
         if sim.validate():
             bad_dom += 1
             continue
-        product_sim = build_product(sim, automaton, product.horizon)
-        exact = exact_reach_probability(product_sim, product.pi_c)
+        exact = exact_reach_probability(product, product.pi_c, true_dynamics=dynamics)
         f_values = product.f_values
         if args.corrupt_f:
             f_values = {p: min(1.0, v + 0.05) if 0.0 < v < 1.0 else v
@@ -554,8 +543,7 @@ def cmd_verify(args):
 
     # sampled dynamics validate against their bounds
     bad_sampling = 0
-    for trial in range(50):
-        spec = oracle.RandomInstanceSpec(seed=1000 + trial)
+    for _ in range(50):
         model = oracle.random_interval_mdp(rng, spec)
         dynamics = oracle.sample_true_dynamics(model.bounds, rng)
         sim = LabeledIntervalMdp(model.states, model.actions, model.labels, model.bounds, dynamics)

@@ -1,9 +1,10 @@
 """Labeled MDPs with interval-bounded transition probabilities.
 
 The model separates what the learner may use (states, actions, labels, and
-per-transition probability intervals) from what only the simulator knows
-(the true transition law and the reward source).  Absent interval entries
-mean the transition is impossible ([0, 0]).
+per-transition probability intervals) from what only the simulator
+(:class:`learner.ProductEnv`) reads: the true transition law, sampled through
+:meth:`LabeledIntervalMdp.sample_next`, and the reward source.  Absent
+interval entries mean the transition is impossible ([0, 0]).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 
 FEASIBILITY_TOL = 1e-9
 
@@ -24,21 +24,13 @@ class MissingDynamicsError(MdpError):
     pass
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: object
-    action: object
-    next_state: object
-    reward: float
-
-
 class LabeledIntervalMdp:
     """States, actions, labels, interval bounds, and optional true dynamics.
 
     ``bounds`` maps (s, a, s') to (lo, hi).  ``enabled`` restricts the action
     set per state (walls and one-way doors remove actions outright); states
     not listed keep the full action set.  ``reward_fn`` is only queried by
-    :meth:`step`, never handed to learning code.
+    the simulator, never handed to learning code.
     """
 
     def __init__(self, states, actions, labels, bounds, true_dynamics=None,
@@ -104,14 +96,6 @@ class LabeledIntervalMdp:
         except KeyError:
             raise MdpError(f"no transitions defined for state {s!r} action {a!r}")
         return succs[bisect.bisect_right(cum, rng.random())] if len(succs) > 1 else succs[0]
-
-    def step(self, s, a, rng) -> Transition:
-        """Sample one transition from the true dynamics."""
-        if a not in self.enabled[s]:
-            raise MdpError(f"action {a!r} is not enabled in state {s!r}")
-        s2 = self.sample_next(s, a, rng)
-        reward = float(self.reward_fn(s, a)) if self.reward_fn is not None else 0.0
-        return Transition(s, a, s2, reward)
 
     def validate(self):
         """Check interval and dynamics invariants; returns a list of violations."""

@@ -194,7 +194,6 @@ class RandomInstanceSpec:
     max_actions: int = 3
     max_horizon: int = 6
     interval_width: float = 0.4
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_states * self.max_horizon > 200:

@@ -6,8 +6,8 @@ initial set is {(s, delta(q_init, l(s)), 0)} over all MDP states, and a move
 to s' advances q by delta(q, l(s')).  Only states reachable from the initial
 set are enumerated.
 
-Interval bounds project unchanged onto product edges whose automaton move
-matches the successor's label; all other edges are absent.  Every reachable
+A product edge carries the interval of its MDP edge unchanged, and its
+automaton move is the one the successor's label selects.  Every reachable
 state at the final layer must be accepting or trash; non-accepting leftovers
 (possible only when the horizon undershoots the formula's time bound) are
 coerced to trash and reported in ``coerced``.
@@ -28,7 +28,7 @@ class ProductError(Exception):
 class TimeTotalProductMdp:
     """Reachable layered product with room for reachability results.
 
-    ``f_values``, ``act_sets``, ``pi_c`` and ``kappa`` start empty and are
+    ``f_values``, ``act_sets`` and ``pi_c`` start empty and are
     written exactly once by the pruning pass; afterwards the object is
     treated as read-only.
     """
@@ -39,21 +39,12 @@ class TimeTotalProductMdp:
         self.mdp = mdp
         self.automaton = automaton
         self.horizon = horizon
-        self._label_ok()
         self._q_step = {}
         self._enumerate_layers()
         self.f_values = {}
         self.act_sets = {}
         self.pi_c = {}
-        self.kappa = {}
         self.initial_threshold = None
-
-    def _label_ok(self):
-        for s in self.mdp.states:
-            try:
-                self.automaton.symbol_id(self.mdp.labels[s])
-            except UnknownSymbolError as exc:
-                raise ProductError(f"label of state {s!r} is not in the automaton alphabet: {exc}")
 
     def _after(self, q, s):
         """delta(q, l(s)), cached per (q, s)."""
@@ -66,7 +57,12 @@ class TimeTotalProductMdp:
 
     def _enumerate_layers(self):
         aut = self.automaton
-        start = {(s, self._after(aut.initial, s)) for s in self.mdp.states}
+        start = set()
+        for s in self.mdp.states:
+            try:
+                start.add((s, self._after(aut.initial, s)))
+            except UnknownSymbolError as exc:
+                raise ProductError(f"label of state {s!r} is not in the automaton alphabet: {exc}")
         self.initial = tuple(sorted(((s, q, 0) for s, q in start), key=repr))
         layers = [tuple(sorted(start, key=repr))]
         current = start
@@ -79,7 +75,6 @@ class TimeTotalProductMdp:
             layers.append(tuple(sorted(nxt, key=repr)))
             current = nxt
         self.layers = layers
-        self.layer_sets = [frozenset(layer) for layer in layers]
         accepting = self.automaton.accepting
         self.coerced = frozenset((s, q) for s, q in layers[self.horizon]
                                  if q not in accepting and q != self.automaton.trash)
@@ -139,7 +134,3 @@ class TimeTotalProductMdp:
 def build_product(mdp: LabeledIntervalMdp, automaton: TotalAutomaton, horizon: int) -> TimeTotalProductMdp:
     return TimeTotalProductMdp(mdp, automaton, horizon)
 
-
-def project_bounds(product: TimeTotalProductMdp, p, a):
-    """Successor list of (p', lo, hi); the interval is the MDP edge's interval."""
-    return product.successors(p, a)

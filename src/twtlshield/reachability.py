@@ -18,12 +18,10 @@ prunes each segment against a 0/1 boundary derived from the next segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .mdp import MissingDynamicsError
+from .mdp import FEASIBILITY_TOL, MissingDynamicsError
 from .product import TimeTotalProductMdp
-
-FEASIBILITY_TOL = 1e-9
 
 
 class ReachabilityError(Exception):
@@ -84,13 +82,13 @@ def eq6_boundary(product: TimeTotalProductMdp) -> dict:
             for s, q in product.layers[t]}
 
 
-def _sweep(product, t_hi, t_lo, boundary_f, prune_below=None, store_kappa=False):
-    """Backward recursion from layer ``t_hi`` down to ``t_lo``.
+def _sweep(product, t_hi, t_lo, boundary_f, prune_below):
+    """Backward recursion from layer ``t_hi`` down to ``t_lo``, pruning as it goes.
 
-    Returns (f, act, pi_c, kappa); ``act`` is None unless pruning.  Accepting
-    and trash states keep their 0/1 values and full action sets at every
-    layer.  Pruned actions still get a kappa value, and the maximization for
-    f and pi_c runs over all enabled actions, pruned or not.
+    Returns (f, act, pi_c).  An action is kept where every possible successor
+    has f >= ``prune_below``.  Accepting and trash states keep their 0/1 values
+    and full action sets at every layer.  The maximization for f and pi_c runs
+    over all enabled actions, pruned or not.
     """
     mdp = product.mdp
     accepting = product.automaton.accepting
@@ -98,9 +96,8 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below=None, store_kappa=False)
     after = product._after
     support = mdp.support
     f = {}
-    act = {} if prune_below is not None else None
+    act = {}
     pi_c = {}
-    kappa = {} if store_kappa else None
 
     fnext = {}
     for s, q in product.layers[t_hi]:
@@ -116,15 +113,9 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below=None, store_kappa=False)
             acts = mdp.enabled[s]
             if not acts:
                 raise ReachabilityError(f"state {s!r} has no enabled actions")
-            if q in accepting:
-                value = 1.0
-                if act is not None:
-                    act[p] = tuple(acts)
-                pi_c[p] = acts[0]
-            elif q == trash:
-                value = 0.0
-                if act is not None:
-                    act[p] = tuple(acts)
+            if q in accepting or q == trash:
+                value = 1.0 if q in accepting else 0.0
+                act[p] = tuple(acts)
                 pi_c[p] = acts[0]
             else:
                 keep = []
@@ -140,35 +131,24 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below=None, store_kappa=False)
                         values.append(fv)
                         los.append(lo)
                         his.append(hi)
-                        if prune_below is not None and fv < prune_below:
+                        if fv < prune_below:
                             unsafe = True
                     try:
                         k, _ = solve_kappa(values, los, his)
                     except InfeasibleIntervalError as exc:
                         raise InfeasibleIntervalError(str(exc), state=p, action=a)
-                    if kappa is not None:
-                        kappa[(p, a)] = k
-                    if act is not None and not unsafe:
+                    if not unsafe:
                         keep.append(a)
                     if k > best:
                         best = k
                         best_a = a
                 value = best
-                if act is not None:
-                    act[p] = tuple(keep)
+                act[p] = tuple(keep)
                 pi_c[p] = best_a
             f[p] = value
             fcur[(s, q)] = value
         fnext = fcur
-    return f, act, pi_c, kappa
-
-
-def backward_pass(product, t_start, t_end, boundary_f):
-    """Plain recursion (no pruning) between two layers; returns (f, kappa, pi_c)."""
-    if not (0 <= t_end < t_start <= product.horizon):
-        raise ReachabilityError(f"need 0 <= t_end < t_start <= {product.horizon}")
-    f, _, pi_c, kappa = _sweep(product, t_start, t_end, boundary_f, store_kappa=True)
-    return f, kappa, pi_c
+    return f, act, pi_c
 
 
 @dataclass(frozen=True)
@@ -216,15 +196,11 @@ class ShieldBoundaries:
     """Where the learner's fallback flag resets.
 
     The flag always resets on accepting/trash states; with multi-shot pruning
-    it additionally resets at every state of the interior segment boundaries.
-    ``interior_accept[i]`` / ``interior_trash[i]`` are the boundary splits of
-    segment i+1 (states at t_{i+1} classified by the next segment's bound);
-    the last segment's boundary is the accepting/trash classification itself.
+    it additionally resets at every state of the interior segment boundaries,
+    the layers in ``times``.
     """
 
-    times: frozenset = field(default_factory=frozenset)
-    interior_accept: tuple = ()
-    interior_trash: tuple = ()
+    times: frozenset = frozenset()
 
     def clears(self, product, p) -> bool:
         return product.is_accepting(p) or product.is_trash(p) or p[2] in self.times
@@ -234,28 +210,25 @@ class ShieldBoundaries:
         return cls()
 
 
-def _store(product, f, act, pi_c, kappa, threshold):
+def _store(product, f, act, pi_c, threshold):
     if product.f_values:
         raise ReachabilityError("product already holds pruning results; rebuild it first")
     product.f_values.update(f)
     product.act_sets.update(act)
     product.pi_c.update(pi_c)
-    if kappa:
-        product.kappa.update(kappa)
     product.initial_threshold = threshold
 
 
-def one_shot_prune(product: TimeTotalProductMdp, pr_des, store_kappa=False):
+def one_shot_prune(product: TimeTotalProductMdp, pr_des):
     """Single pruning sweep over the whole horizon (threshold pr_des everywhere)."""
     if not (0.0 < pr_des <= 1.0):
         raise ValueError("pr_des must lie in (0, 1]")
-    f, act, pi_c, kappa = _sweep(product, product.horizon, 0, eq6_boundary(product),
-                                 prune_below=pr_des, store_kappa=store_kappa)
-    _store(product, f, act, pi_c, kappa, pr_des)
+    f, act, pi_c = _sweep(product, product.horizon, 0, eq6_boundary(product), pr_des)
+    _store(product, f, act, pi_c, pr_des)
     return product
 
 
-def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan, store_kappa=False):
+def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
     """Segment-wise pruning; returns (product, boundaries).
 
     Segments are processed last to first.  The last segment uses the terminal
@@ -271,9 +244,6 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan, store_ka
     f_all = {}
     act_all = {}
     pi_all = {}
-    kappa_all = {}
-    interior_accept = []
-    interior_trash = []
 
     boundary = eq6_boundary(product)
     f_seg = None
@@ -285,12 +255,8 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan, store_ka
             accept = frozenset(p for p in boundary_states if f_seg[p] >= plan.thresholds[i])
             if not accept:
                 raise MultiShotInfeasibleError(i)
-            interior_accept.append(accept)
-            interior_trash.append(frozenset(boundary_states) - accept)
             boundary = {p: (1.0 if p in accept else 0.0) for p in boundary_states}
-        f_seg, act, pi_c, kappa = _sweep(product, t_hi, t_lo, boundary,
-                                         prune_below=plan.thresholds[i - 1],
-                                         store_kappa=store_kappa)
+        f_seg, act, pi_c = _sweep(product, t_hi, t_lo, boundary, plan.thresholds[i - 1])
         boundary_states = [(s, q, t_lo) for s, q in product.layers[t_lo]]
         # Keep the segment's own values for t in [t_lo, t_hi); the boundary
         # layer t_hi retains the next segment's (or terminal) values.
@@ -299,16 +265,9 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan, store_ka
                 f_all.setdefault(p, v)
         act_all.update(act)
         pi_all.update(pi_c)
-        if kappa:
-            kappa_all.update(kappa)
 
-    interior_accept.reverse()
-    interior_trash.reverse()
-    boundaries = ShieldBoundaries(times=frozenset(plan.timestamps[1:-1]),
-                                  interior_accept=tuple(interior_accept),
-                                  interior_trash=tuple(interior_trash))
-    _store(product, f_all, act_all, pi_all, kappa_all, plan.thresholds[0])
-    return product, boundaries
+    _store(product, f_all, act_all, pi_all, plan.thresholds[0])
+    return product, ShieldBoundaries(times=frozenset(plan.timestamps[1:-1]))
 
 
 def check_initial(product: TimeTotalProductMdp, pr_des):
@@ -339,7 +298,6 @@ def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics=
     after = product._after
     accepting = product.automaton.accepting
     trash = product.automaton.trash
-    choose = policy if callable(policy) else policy.__getitem__
 
     values = {}
     t = product.horizon
@@ -353,9 +311,8 @@ def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics=
             elif q == trash:
                 values[p] = 0.0
             else:
-                a = choose(p)
                 total = 0.0
-                for s2, pr in rows[(s, a)]:
+                for s2, pr in rows[(s, policy[p])]:
                     total += pr * values[(s2, after(q, s2), t + 1)]
                 values[p] = total
     return values

@@ -352,14 +352,6 @@ def make_word(symbols: Iterable[Iterable[str]]) -> Word:
     return tuple(frozenset(sym) for sym in symbols)
 
 
-def check_word(word: Word, alphabet: Iterable[str]) -> None:
-    alphabet = frozenset(alphabet)
-    for i, sym in enumerate(word):
-        extra = frozenset(sym) - alphabet
-        if extra:
-            raise UnknownPropositionError(sorted(extra)[0])
-
-
 def satisfies(word: Word, formula: Formula) -> bool:
     """Word semantics.
 

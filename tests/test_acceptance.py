@@ -151,8 +151,8 @@ class TestCriterion4LemmaSoundness:
         checked = 0
         worst_gap = 0.0
         failures = 0
-        for trial in range(500):
-            spec = oracle.RandomInstanceSpec(seed=trial)
+        for _ in range(500):
+            spec = oracle.RandomInstanceSpec()
             formula = oracle.random_formula(rng, spec.max_horizon)
             model = oracle.random_interval_mdp(rng, spec)
             automaton = compile_formula(formula, {"B", "C"})
@@ -245,8 +245,8 @@ class TestCriterion7MultiShotConsistency:
 
         rng = random.Random(7)
         random_ok = 0
-        for trial in range(50):
-            spec = oracle.RandomInstanceSpec(seed=500 + trial)
+        for _ in range(50):
+            spec = oracle.RandomInstanceSpec()
             formula = oracle.random_formula(rng, spec.max_horizon)
             model = oracle.random_interval_mdp(rng, spec)
             automaton = compile_formula(formula, {"B", "C"})

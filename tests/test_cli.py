@@ -1,8 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
+from twtlshield import cli
 from twtlshield.cli import ConfigError, load_config, main, run_experiment
+from twtlshield.gridworld import canonical_case_study
+from twtlshield.mdp import LabeledIntervalMdp
 
 
 def fast_overrides(**extra):
@@ -63,6 +67,29 @@ class TestConfig:
     def test_bad_pr(self):
         with pytest.raises(ConfigError):
             load_config(None, {"pr_des": 1.5})
+
+    @pytest.mark.parametrize("field, value", [("labels", {"a": ["P"]}), ("width", "six")])
+    def test_bad_grid_file(self, tmp_path, capsys, field, value):
+        doc = json.loads(canonical_case_study()[0].to_json())
+        doc[field] = value
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build", "--grid", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_bad_assumed_uncertainty(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"assumed_uncertainty": "abc"}))
+        assert main(["build", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_eps_below_real_uncertainty_with_grid_file(self, tmp_path, capsys):
+        # the grid's real uncertainty is 0.03, so an assumed 0.01 is rejected
+        # the same way with and without --grid
+        path = tmp_path / "grid.json"
+        path.write_text(canonical_case_study()[0].to_json())
+        assert main(["build", "--grid", str(path), "--eps", "0.01"]) == 2
+        assert main(["build", "--eps", "0.01"]) == 2
 
     def test_threshold_product_checked(self):
         cfg = load_config(None, {"mode": "multi_shot", "pr_des": 0.9,
@@ -141,6 +168,31 @@ class TestEvalCommand:
                      "--eps", "0.08", "--eval-episodes", "50", "--seed", "5"]) == 0
         assert "satisfaction" in capsys.readouterr().out
 
+    @pytest.fixture(scope="class")
+    def loose_policy(self, tmp_path_factory):
+        """policy.json learned under the looser shield of pr_des 0.5."""
+        out = tmp_path_factory.mktemp("loose")
+        assert main(["learn", "--pr-des", "0.5", "--eps", "0.08", "--episodes", "150",
+                     "--eval-episodes", "10", "--seed", "5", "--output-dir", str(out)]) == 0
+        return json.loads((out / "policy.json").read_text())
+
+    def test_unknown_action_rejected(self, tmp_path, capsys, loose_policy):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({key: "'Fly'" for key in loose_policy}))
+        assert main(["eval", "--policy", str(path), "--pr-des", "0.5", "--eps", "0.08",
+                     "--eval-episodes", "10"]) == 2
+        assert "'Fly'" in capsys.readouterr().err
+
+    def test_pruned_action_refused(self, tmp_path, capsys, loose_policy):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(loose_policy))
+        assert main(["eval", "--policy", str(path), "--pr-des", "0.5", "--eps", "0.08",
+                     "--eval-episodes", "10"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--policy", str(path), "--pr-des", "0.9", "--eps", "0.08",
+                     "--eval-episodes", "10"]) == 3
+        assert "pruned by the shield" in capsys.readouterr().err
+
     def test_missing_policy(self, capsys):
         assert main(["eval", "--policy", "/nonexistent.json", "--pr-des", "0.7",
                      "--eps", "0.08"]) == 2
@@ -179,6 +231,33 @@ class TestVerifyCommand:
         assert main(["verify", "--instances", "5", "--lp-instances", "5",
                      "--corrupt-f", "--seed", "3"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestBenchmarkHooks:
+    # perfbench/worker.py times the pipeline by replacing these names in the
+    # cli module, so run_experiment must reach its layers through them.
+    HOOKS = ("load_config", "run_experiment", "parse_formula", "compile_formula",
+             "build_grid_mdp", "build_product", "one_shot_prune", "multi_shot_prune",
+             "check_initial", "run_one_shot", "run_multi_shot", "evaluate")
+
+    def test_run_experiment_calls_hooked_names(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.HOOKS:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.setattr(LabeledIntervalMdp, "validate",
+                            counting("validate", LabeledIntervalMdp.validate))
+        for mode in ("one_shot", "multi_shot"):
+            cfg = cli.load_config(None, fast_overrides(mode=mode, episodes=20, eval_episodes=10))
+            cli.run_experiment(cfg)
+        assert set(calls) == set(self.HOOKS) | {"validate"}
+        assert cli.CASE_STUDY_TIMESTAMPS[-1] == 35
 
 
 class TestEnvVar:

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import (ACTIONS, CASE_STUDY_PROPS, GridError, GridSpec,
                                   build_grid_mdp, canonical_case_study, render_ascii)
-from twtlshield.twtl import time_bound
+from twtlshield.learner import ProductEnv
+from twtlshield.product import build_product
+from twtlshield.twtl import parse_formula, time_bound
 
 
 def plain_grid(eps_real=0.03, eps=0.08):
@@ -146,13 +149,15 @@ class TestStep:
     def test_empirical_intended_rate(self):
         m = build_grid_mdp(plain_grid())
         rng = random.Random(0)
-        hits = sum(m.step((2, 2), "N", rng).next_state == (2, 3) for _ in range(20000))
+        hits = sum(m.sample_next((2, 2), "N", rng) == (2, 3) for _ in range(20000))
         assert abs(hits / 20000 - 0.97) < 0.005
 
     def test_reward_on_occupancy(self):
         spec, _ = canonical_case_study()
         m = build_grid_mdp(spec)
+        env = ProductEnv(build_product(m, compile_formula(parse_formula("H^0 TRUE"),
+                                                          CASE_STUDY_PROPS), 0))
         rng = random.Random(1)
         cell = max(spec.reward_cells, key=spec.reward_cells.get)
-        assert m.step(cell, "Stay", rng).reward == spec.reward_cells[cell]
-        assert m.step((0, 0), "Stay", rng).reward == 0.0
+        assert env.step(env.reset(cell), "Stay", rng)[1] == spec.reward_cells[cell]
+        assert env.step(env.reset((0, 0)), "Stay", rng)[1] == 0.0

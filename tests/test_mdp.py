@@ -3,7 +3,11 @@ from collections import Counter
 
 import pytest
 
-from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError, mdp_from_json
+from twtlshield.automaton import compile_formula
+from twtlshield.learner import ProductEnv
+from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError, mdp_from_json
+from twtlshield.product import build_product
+from twtlshield.twtl import parse_formula
 from conftest import three_state_mdp
 
 
@@ -51,11 +55,11 @@ class TestStep:
     def test_deterministic_successor(self, labeled_mdp):
         rng = random.Random(0)
         for _ in range(20):
-            assert labeled_mdp.step("s2", "a1", rng).next_state == "s2"
+            assert labeled_mdp.sample_next("s2", "a1", rng) == "s2"
 
     def test_empirical_frequencies(self, labeled_mdp):
         rng = random.Random(123)
-        counts = Counter(labeled_mdp.step("s0", "a1", rng).next_state for _ in range(100000))
+        counts = Counter(labeled_mdp.sample_next("s0", "a1", rng) for _ in range(100000))
         assert abs(counts["s1"] / 100000 - 0.8) < 0.01
         assert abs(counts["s2"] / 100000 - 0.2) < 0.01
 
@@ -65,28 +69,24 @@ class TestStep:
             for a in labeled_mdp.actions:
                 reachable = {s2 for s2, _, hi in labeled_mdp.support(s, a)}
                 for _ in range(50):
-                    assert labeled_mdp.step(s, a, rng).next_state in reachable
+                    assert labeled_mdp.sample_next(s, a, rng) in reachable
 
     def test_missing_dynamics(self):
         m = three_state_mdp()
         blind = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds)
         with pytest.raises(MissingDynamicsError):
-            blind.step("s0", "a1", random.Random(0))
-
-    def test_disabled_action_rejected(self):
-        m = three_state_mdp()
-        restricted = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds,
-                                        m.true_dynamics, None, {"s0": ("a1",)})
-        with pytest.raises(MdpError):
-            restricted.step("s0", "a2", random.Random(0))
+            blind.sample_next("s0", "a1", random.Random(0))
 
     def test_reward_passthrough(self):
         m = three_state_mdp()
         rewarding = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds,
                                        m.true_dynamics, lambda s, a: 2.5 if s == "s0" else 0.0)
+        # rewards are paid by the product simulator, per (state, action) left
+        aut = compile_formula(parse_formula("[H^0 B]^[0,2]"), {"B", "C"})
+        env = ProductEnv(build_product(rewarding, aut, 2))
         rng = random.Random(0)
-        assert rewarding.step("s0", "a1", rng).reward == 2.5
-        assert rewarding.step("s1", "a1", rng).reward == 0.0
+        assert env.step(env.reset("s0"), "a1", rng)[1] == 2.5
+        assert env.step(env.reset("s1"), "a1", rng)[1] == 0.0
 
 
 class TestJson:

@@ -68,8 +68,8 @@ class TestSampledDynamics:
 
     def test_validation_sweep(self):
         rng = random.Random(2)
-        for trial in range(200):
-            model = random_interval_mdp(rng, RandomInstanceSpec(seed=trial))
+        for _ in range(200):
+            model = random_interval_mdp(rng, RandomInstanceSpec())
             dyn = sample_true_dynamics(model.bounds, rng)
             sim = LabeledIntervalMdp(model.states, model.actions, model.labels,
                                      model.bounds, dyn)
@@ -101,8 +101,8 @@ class TestGenerators:
 
     def test_random_mdp_feasible(self):
         rng = random.Random(4)
-        for trial in range(100):
-            model = random_interval_mdp(rng, RandomInstanceSpec(seed=trial))
+        for _ in range(100):
+            model = random_interval_mdp(rng, RandomInstanceSpec())
             assert model.validate() == []
 
     def test_random_lp_feasible(self):

@@ -2,7 +2,7 @@ import pytest
 
 from twtlshield.automaton import compile_formula
 from twtlshield.mdp import LabeledIntervalMdp
-from twtlshield.product import ProductError, build_product, project_bounds
+from twtlshield.product import ProductError, build_product
 
 B = frozenset({"B"})
 E = frozenset()
@@ -33,20 +33,20 @@ class TestBuild:
         q_hold, trash = states["H^0 B"], bc_automaton.trash
         acc = states["TRUE"]
 
-        assert project_bounds(prod, ("s0", q_e, 0), "a1") == (
+        assert prod.successors(("s0", q_e, 0), "a1") == (
             (("s1", q_hold, 1), 0.8, 0.8),
             (("s2", trash, 1), 0.2, 0.2),
         )
-        assert project_bounds(prod, ("s0", q_e, 0), "a2") == (
+        assert prod.successors(("s0", q_e, 0), "a2") == (
             (("s0", trash, 1), 0.5, 0.5),
             (("s2", trash, 1), 0.5, 0.5),
         )
-        assert project_bounds(prod, ("s1", q_b, 0), "a1") == ((("s1", acc, 1), 1.0, 1.0),)
-        assert project_bounds(prod, ("s1", q_b, 0), "a2") == (
+        assert prod.successors(("s1", q_b, 0), "a1") == ((("s1", acc, 1), 1.0, 1.0),)
+        assert prod.successors(("s1", q_b, 0), "a2") == (
             (("s0", trash, 1), 0.6, 0.6),
             (("s2", trash, 1), 0.4, 0.4),
         )
-        assert project_bounds(prod, ("s2", q_e, 0), "a1") == ((("s2", trash, 1), 1.0, 1.0),)
+        assert prod.successors(("s2", q_e, 0), "a1") == ((("s2", trash, 1), 1.0, 1.0),)
 
     def test_all_paths_trash_without_label(self, bc_automaton):
         # single state labeled {} looping on itself: B is never observed
@@ -77,7 +77,7 @@ class TestInvariants:
                 for a in labeled_mdp.enabled[s]:
                     for (s2, q2, t2), lo, hi in prod.successors((s, q, t), a):
                         assert t2 == t + 1
-                        assert (s2, q2) in prod.layer_sets[t + 1]
+                        assert (s2, q2) in set(prod.layers[t + 1])
 
     def test_bound_inheritance(self, labeled_mdp, bc_automaton):
         prod = build_product(labeled_mdp, bc_automaton, 2)

@@ -7,7 +7,7 @@ from twtlshield.automaton import compile_formula
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import build_product
 from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibleError,
-                                     MultiShotPlan, backward_pass,
+                                     MultiShotPlan,
                                      check_initial, eq6_boundary, exact_reach_probability,
                                      multi_shot_prune, one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
@@ -15,6 +15,14 @@ from twtlshield import oracle
 from conftest import worst_case_toy
 
 E = frozenset()
+
+
+def action_kappa(prod, p, a):
+    """Worst-case bound of action a at p, from the stored successor bounds."""
+    succ = prod.successors(p, a)
+    kappa, _ = solve_kappa([prod.f_values[p2] for p2, _, _ in succ],
+                           [lo for _, lo, _ in succ], [hi for _, _, hi in succ])
+    return kappa
 
 
 class TestSolveKappa:
@@ -82,6 +90,9 @@ class TestSolveKappa:
 
 
 class TestBackwardPass:
+    # f and pi_c do not depend on the pruning threshold, so a pruning pass
+    # exposes the plain backward recursion.
+
     def test_eq6_boundary(self, toy_product):
         boundary = eq6_boundary(toy_product)
         for (s, q, t), value in boundary.items():
@@ -89,23 +100,23 @@ class TestBackwardPass:
             assert value == (1.0 if toy_product.is_accepting((s, q, t)) else 0.0)
 
     def test_toy_values(self, toy_product):
-        f, kappa, pi_c = backward_pass(toy_product, 2, 0, eq6_boundary(toy_product))
-        root = next(p for p in toy_product.initial if p[0] == "r")
-        assert kappa[(root, "a")] == pytest.approx(0.9, abs=1e-12)
-        assert kappa[(root, "b")] == pytest.approx(0.5, abs=1e-12)
-        assert f[root] == pytest.approx(0.9, abs=1e-12)
-        assert pi_c[root] == "a"
+        prod = one_shot_prune(toy_product, 0.5)
+        root = next(p for p in prod.initial if p[0] == "r")
+        assert action_kappa(prod, root, "a") == pytest.approx(0.9, abs=1e-12)
+        assert action_kappa(prod, root, "b") == pytest.approx(0.5, abs=1e-12)
+        assert prod.f_values[root] == pytest.approx(0.9, abs=1e-12)
+        assert prod.pi_c[root] == "a"
 
     def test_single_sure_successor(self, toy_product):
         # from the success cell the bound stays one at every layer
-        f, _, _ = backward_pass(toy_product, 2, 0, eq6_boundary(toy_product))
+        f = one_shot_prune(toy_product, 0.5).f_values
         for p, value in f.items():
             if p[0] == "g":
                 assert value == 1.0
             assert 0.0 <= value <= 1.0
 
     def test_absorption_values(self, toy_product):
-        f, _, _ = backward_pass(toy_product, 2, 0, eq6_boundary(toy_product))
+        f = one_shot_prune(toy_product, 0.5).f_values
         for p, value in f.items():
             if toy_product.is_accepting(p):
                 assert value == 1.0
@@ -113,15 +124,15 @@ class TestBackwardPass:
                 assert value == 0.0
 
     def test_matches_grid_search_per_action(self, toy_product):
-        f, kappa, _ = backward_pass(toy_product, 2, 0, eq6_boundary(toy_product))
-        root = next(p for p in toy_product.initial if p[0] == "r")
+        prod = one_shot_prune(toy_product, 0.5)
+        root = next(p for p in prod.initial if p[0] == "r")
         for a in ("a", "b"):
-            succ = toy_product.successors(root, a)
-            values = [f[p2] for p2, _, _ in succ]
+            succ = prod.successors(root, a)
+            values = [prod.f_values[p2] for p2, _, _ in succ]
             los = [lo for _, lo, _ in succ]
             his = [hi for _, _, hi in succ]
             approx = oracle.lp_grid_search(values, los, his, 1e-3)
-            assert abs(kappa[(root, a)] - approx) <= len(values) * 1e-3
+            assert abs(action_kappa(prod, root, a) - approx) <= len(values) * 1e-3
 
 
 class TestOneShot:
@@ -164,8 +175,8 @@ class TestOneShot:
 
     def test_pruning_safety(self):
         rng = random.Random(3)
-        for trial in range(30):
-            spec = oracle.RandomInstanceSpec(seed=trial)
+        for _ in range(30):
+            spec = oracle.RandomInstanceSpec()
             formula = oracle.random_formula(rng, spec.max_horizon)
             model = oracle.random_interval_mdp(rng, spec)
             aut = compile_formula(formula, {"B", "C"})
@@ -228,8 +239,8 @@ class TestMultiShot:
 
     def test_single_segment_equals_one_shot(self):
         rng = random.Random(21)
-        for trial in range(20):
-            spec = oracle.RandomInstanceSpec(seed=100 + trial)
+        for _ in range(20):
+            spec = oracle.RandomInstanceSpec()
             formula = oracle.random_formula(rng, spec.max_horizon)
             model = oracle.random_interval_mdp(rng, spec)
             aut = compile_formula(formula, {"B", "C"})
@@ -248,10 +259,9 @@ class TestMultiShot:
                                             MultiShotPlan((0, 1, 2), (0.9, 0.6)))
         # the only layer-1 state whose second-segment bound clears 0.6 is the
         # success cell; everything else becomes segment trash
-        (accept,) = boundaries.interior_accept
-        assert {p[0] for p in accept} == {"g"}
-        (trash,) = boundaries.interior_trash
-        assert {p[0] for p in trash} == {"l", "m1", "m2"}
+        layer1 = [(s, q, 1) for s, q in prod.layers[1]]
+        assert {p[0] for p in layer1 if prod.f_values[p] >= 0.6} == {"g"}
+        assert {p[0] for p in layer1 if prod.f_values[p] < 0.6} == {"l", "m1", "m2"}
         root = next(p for p in prod.initial if p[0] == "r")
         assert prod.f_values[root] == pytest.approx(0.9, abs=1e-12)
         assert prod.act_sets[root] == ()
@@ -285,8 +295,8 @@ class TestExactReachability:
 
     def test_dominates_worst_case_bound(self):
         rng = random.Random(9)
-        for trial in range(100):
-            spec = oracle.RandomInstanceSpec(seed=trial)
+        for _ in range(100):
+            spec = oracle.RandomInstanceSpec()
             formula = oracle.random_formula(rng, spec.max_horizon)
             model = oracle.random_interval_mdp(rng, spec)
             aut = compile_formula(formula, {"B", "C"})

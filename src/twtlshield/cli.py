@@ -132,12 +132,15 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         raise ConfigError(f"bad grid spec or assumed_uncertainty: {exc}")
 
     learner_doc = doc.get("learner", {})
+    if not isinstance(learner_doc, dict):
+        raise ConfigError(f"learner config must be a JSON object, not {learner_doc!r}")
+    learner_doc = dict(learner_doc)
     for key in ("episodes", "seed"):
         if key in doc:
             learner_doc[key] = doc[key]
-    if "start_state" in learner_doc and learner_doc["start_state"] is not None:
-        learner_doc["start_state"] = tuple(learner_doc["start_state"])
     try:
+        if learner_doc.get("start_state") is not None:
+            learner_doc["start_state"] = tuple(learner_doc["start_state"])
         learner = LearnerConfig(**learner_doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad learner config: {exc}")
@@ -319,11 +322,15 @@ def _config_from_args(args, mode_required=False):
         "grid": getattr(args, "grid", None),
         "output_dir": _out_dir(args),
         "allow_unsafe": True if getattr(args, "allow_unsafe", False) else None,
-        "multishot_timestamps": ([int(x) for x in args.timestamps.split(",")]
-                                 if getattr(args, "timestamps", None) else None),
-        "multishot_thresholds": ([float(x) for x in args.thresholds.split(",")]
-                                 if getattr(args, "thresholds", None) else None),
     }
+    for name, key, parse in (("timestamps", "multishot_timestamps", int),
+                             ("thresholds", "multishot_thresholds", float)):
+        text = getattr(args, name, None)
+        if text:
+            try:
+                overrides[key] = [parse(x) for x in text.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"bad --{name} {text!r}: {exc}")
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -417,20 +424,23 @@ def cmd_eval(args):
     if not isinstance(raw, dict):
         raise ConfigError(f"policy {args.policy} is not a JSON object")
     actions = {repr(a): a for a in product.mdp.actions}
-    policy = {}
-    for t, layer in enumerate(product.layers[:-1]):
-        for s, q in layer:
-            p = (s, q, t)
-            name = raw.get(repr(p))
-            if name is None:
-                policy[p] = product.pi_c[p]
-                continue
-            if not isinstance(name, str) or name not in actions:
-                raise ConfigError(f"policy action {name!r} at {p!r} is not an action of the model")
-            a = policy[p] = actions[name]
-            if product.act_sets[p] and a not in product.act_sets[p]:
-                raise PipelineError("eval", f"policy action {name} at {p!r} is pruned by the "
-                                    f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
+    states = {repr((s, q, t)): (s, q, t)
+              for t, layer in enumerate(product.layers[:-1]) for s, q in layer}
+    stray = sorted(raw.keys() - states.keys())
+    if stray:
+        raise ConfigError(f"policy key {stray[0]!r} is not a state of this product "
+                          f"before its horizon {product.horizon}")
+    policy = dict(product.pi_c)
+    for key, p in states.items():
+        name = raw.get(key)
+        if name is None:
+            continue
+        if not isinstance(name, str) or name not in actions:
+            raise ConfigError(f"policy action {name!r} at {p!r} is not an action of the model")
+        a = policy[p] = actions[name]
+        if product.act_sets[p] and a not in product.act_sets[p]:
+            raise PipelineError("eval", f"policy action {name} at {p!r} is pruned by the "
+                                f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
     env = ProductEnv(product)
     result = evaluate(policy, product.pi_c, product.act_sets, boundaries, env,
                       cfg.eval_episodes, seed=cfg.learner.seed + 1,

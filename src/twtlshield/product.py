@@ -11,6 +11,15 @@ automaton move is the one the successor's label selects.  Every reachable
 state at the final layer must be accepting or trash; non-accepting leftovers
 (possible only when the horizon undershoots the formula's time bound) are
 coerced to trash and reported in ``coerced``.
+
+Where a move can lead depends only on (s, q), never on t.  ``neighbours[s]``
+lists the distinct successors of s over all enabled actions in first-seen
+order, ``support_rows[s]`` gives per enabled action (a, the positions of its
+support in that tuple, lower bounds, upper bounds), and ``next_keys((s, q))``
+gives the successors' (s', q') keys, computed once per (s, q) and shared by
+every layer.  This is exact because the time index only counts steps: it
+changes neither the successors of a state nor the automaton move a label
+selects.
 """
 
 from __future__ import annotations
@@ -40,6 +49,17 @@ class TimeTotalProductMdp:
         self.automaton = automaton
         self.horizon = horizon
         self._q_step = {}
+        self._next_keys = {}
+        self.neighbours = {}
+        self.support_rows = {}
+        for s in mdp.states:
+            seen = {}
+            rows = self.support_rows[s] = []
+            for a in mdp.enabled[s]:
+                entries = mdp.support(s, a)
+                rows.append((a, [seen.setdefault(s2, len(seen)) for s2, _, _ in entries],
+                             [lo for _, lo, _ in entries], [hi for _, _, hi in entries]))
+            self.neighbours[s] = tuple(seen)
         self._enumerate_layers()
         self.f_values = {}
         self.act_sets = {}
@@ -55,6 +75,15 @@ class TimeTotalProductMdp:
             self._q_step[key] = nxt
         return nxt
 
+    def next_keys(self, key):
+        """(s', delta(q, l(s'))) for each s' in neighbours[s], cached per key = (s, q)."""
+        nxt = self._next_keys.get(key)
+        if nxt is None:
+            s, q = key
+            after = self._after
+            nxt = self._next_keys[key] = tuple([(s2, after(q, s2)) for s2 in self.neighbours[s]])
+        return nxt
+
     def _enumerate_layers(self):
         aut = self.automaton
         start = set()
@@ -63,16 +92,21 @@ class TimeTotalProductMdp:
                 start.add((s, self._after(aut.initial, s)))
             except UnknownSymbolError as exc:
                 raise ProductError(f"label of state {s!r} is not in the automaton alphabet: {exc}")
+        reprs = {}
+
+        def by_repr(keys):
+            new = keys - reprs.keys()
+            reprs.update(zip(new, map(repr, new)))
+            return tuple(sorted(keys, key=reprs.__getitem__))
+
         self.initial = tuple(sorted(((s, q, 0) for s, q in start), key=repr))
-        layers = [tuple(sorted(start, key=repr))]
+        layers = [by_repr(start)]
         current = start
         for t in range(self.horizon):
             nxt = set()
-            for s, q in current:
-                for a in self.mdp.enabled[s]:
-                    for s2, _, _ in self.mdp.support(s, a):
-                        nxt.add((s2, self._after(q, s2)))
-            layers.append(tuple(sorted(nxt, key=repr)))
+            for k in current:
+                nxt.update(self.next_keys(k))
+            layers.append(by_repr(nxt))
             current = nxt
         self.layers = layers
         accepting = self.automaton.accepting

@@ -13,6 +13,14 @@ One-shot pruning removes an action wherever some possible successor falls
 below the desired probability; multi-shot splits the horizon into segments
 with per-segment thresholds whose product is the desired probability, and
 prunes each segment against a 0/1 boundary derived from the next segment.
+
+A non-terminal state's bound, kept actions and fallback action depend only on
+its MDP state s, the f-values of its successors (``product.next_keys``) and
+the pruning threshold, so a sweep solves the LPs once per distinct (s,
+successor f-values) and copies that result to every state with the same key.
+The copy is what the same scalar arithmetic would recompute, so results are
+bit-identical; a result is stored only once all its LPs solved, so an
+infeasible row still raises at its first state in layer order.
 """
 
 from __future__ import annotations
@@ -93,11 +101,12 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below):
     mdp = product.mdp
     accepting = product.automaton.accepting
     trash = product.automaton.trash
-    after = product._after
-    support = mdp.support
+    next_keys = product.next_keys
+    support_rows = product.support_rows
     f = {}
     act = {}
     pi_c = {}
+    memo = {}
 
     fnext = {}
     for s, q in product.layers[t_hi]:
@@ -108,7 +117,8 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below):
 
     for t in range(t_hi - 1, t_lo - 1, -1):
         fcur = {}
-        for s, q in product.layers[t]:
+        for key in product.layers[t]:
+            s, q = key
             p = (s, q, t)
             acts = mdp.enabled[s]
             if not acts:
@@ -118,35 +128,27 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below):
                 act[p] = tuple(acts)
                 pi_c[p] = acts[0]
             else:
-                keep = []
-                best = -1.0
-                best_a = acts[0]
-                for a in acts:
-                    values = []
-                    los = []
-                    his = []
-                    unsafe = False
-                    for s2, lo, hi in support(s, a):
-                        fv = fnext[(s2, after(q, s2))]
-                        values.append(fv)
-                        los.append(lo)
-                        his.append(hi)
-                        if fv < prune_below:
-                            unsafe = True
-                    try:
-                        k, _ = solve_kappa(values, los, his)
-                    except InfeasibleIntervalError as exc:
-                        raise InfeasibleIntervalError(str(exc), state=p, action=a)
-                    if not unsafe:
-                        keep.append(a)
-                    if k > best:
-                        best = k
-                        best_a = a
-                value = best
-                act[p] = tuple(keep)
-                pi_c[p] = best_a
+                fvals = tuple([fnext[k] for k in next_keys(key)])
+                hit = memo.get((s, fvals))
+                if hit is None:
+                    keep = []
+                    best = -1.0
+                    best_a = acts[0]
+                    for a, pos, los, his in support_rows[s]:
+                        values = [fvals[i] for i in pos]
+                        try:
+                            k, _ = solve_kappa(values, los, his)
+                        except InfeasibleIntervalError as exc:
+                            raise InfeasibleIntervalError(str(exc), state=p, action=a)
+                        if not any(fv < prune_below for fv in values):
+                            keep.append(a)
+                        if k > best:
+                            best = k
+                            best_a = a
+                    hit = memo[(s, fvals)] = (best, tuple(keep), best_a)
+                value, act[p], pi_c[p] = hit
             f[p] = value
-            fcur[(s, q)] = value
+            fcur[key] = value
         fnext = fcur
     return f, act, pi_c
 

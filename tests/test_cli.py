@@ -83,6 +83,21 @@ class TestConfig:
         assert main(["build", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"learner": [], "episodes": 5}, "learner config must be a JSON object"),
+        ({"learner": {"start_state": 5}}, "bad learner config"),
+    ])
+    def test_bad_learner_block(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--timestamps", "a,b"), ("--thresholds", "x")])
+    def test_bad_multi_shot_flag(self, capsys, flag, value):
+        assert main(["prune", "--mode", "multi_shot", flag, value]) == 2
+        assert f"bad {flag}" in capsys.readouterr().err
+
     def test_eps_below_real_uncertainty_with_grid_file(self, tmp_path, capsys):
         # the grid's real uncertainty is 0.03, so an assumed 0.01 is rejected
         # the same way with and without --grid
@@ -192,6 +207,13 @@ class TestEvalCommand:
         assert main(["eval", "--policy", str(path), "--pr-des", "0.9", "--eps", "0.08",
                      "--eval-episodes", "10"]) == 3
         assert "pruned by the shield" in capsys.readouterr().err
+
+    def test_key_of_no_product_state_rejected(self, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"foo": "N"}))
+        assert main(["eval", "--policy", str(path), "--pr-des", "0.7", "--eps", "0.08",
+                     "--eval-episodes", "10"]) == 2
+        assert "policy key 'foo'" in capsys.readouterr().err
 
     def test_missing_policy(self, capsys):
         assert main(["eval", "--policy", "/nonexistent.json", "--pr-des", "0.7",

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from twtlshield.automaton import compile_formula
+from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import build_product
 from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibleError,
-                                     MultiShotPlan,
+                                     MultiShotPlan, ShieldBoundaries,
                                      check_initial, eq6_boundary, exact_reach_probability,
                                      multi_shot_prune, one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
@@ -23,6 +24,64 @@ def action_kappa(prod, p, a):
     kappa, _ = solve_kappa([prod.f_values[p2] for p2, _, _ in succ],
                            [lo for _, lo, _ in succ], [hi for _, _, hi in succ])
     return kappa
+
+
+def reference_layers(prod):
+    """Reachable (s, q) layers rebuilt through ``prod.successors``, sorted by repr."""
+    aut = prod.automaton
+    layer = {(s, aut.step(aut.initial, prod.mdp.labels[s])) for s in prod.mdp.states}
+    layers = [layer]
+    for t in range(prod.horizon):
+        layer = {p2[:2] for s, q in layer for a in prod.mdp.enabled[s]
+                 for p2, _, _ in prod.successors((s, q, t), a)}
+        layers.append(layer)
+    return [tuple(sorted(layer, key=repr)) for layer in layers]
+
+
+def reference_prune(prod, plan):
+    """Cache-free pruning: one ``solve_kappa`` per (state, action), segment by segment.
+
+    Returns (layers, f, act_sets, pi_c, boundary times) in the layout of
+    ``multi_shot_prune``; a single-segment plan is one-shot pruning.
+    """
+    layers = reference_layers(prod)
+    accepting = prod.automaton.accepting
+    trash = prod.automaton.trash
+    n = plan.n_segments
+    t_end = plan.timestamps[-1]
+    f = {(s, q, t_end): (1.0 if q in accepting else 0.0) for s, q in layers[t_end]}
+    f_all, act, pi_c = {}, {}, {}
+    for i in range(n, 0, -1):
+        t_hi, t_lo = plan.timestamps[i], plan.timestamps[i - 1]
+        if i == n:
+            f_all.update(f)
+        else:
+            threshold = plan.thresholds[i]
+            f = {(s, q, t_hi): (1.0 if f[(s, q, t_hi)] >= threshold else 0.0)
+                 for s, q in layers[t_hi]}
+            if not any(f.values()):
+                raise MultiShotInfeasibleError(i)
+        for t in range(t_hi - 1, t_lo - 1, -1):
+            for s, q in layers[t]:
+                p = (s, q, t)
+                acts = prod.mdp.enabled[s]
+                if q in accepting or q == trash:
+                    f[p] = 1.0 if q in accepting else 0.0
+                    act[p], pi_c[p] = tuple(acts), acts[0]
+                    continue
+                best, best_a, keep = -1.0, acts[0], []
+                for a in acts:
+                    succ = prod.successors(p, a)
+                    values = [f[p2] for p2, _, _ in succ]
+                    kappa, _ = solve_kappa(values, [lo for _, lo, _ in succ],
+                                           [hi for _, _, hi in succ])
+                    if all(v >= plan.thresholds[i - 1] for v in values):
+                        keep.append(a)
+                    if kappa > best:
+                        best, best_a = kappa, a
+                f[p], act[p], pi_c[p] = best, tuple(keep), best_a
+            f_all.update(((s, q, t), f[(s, q, t)]) for s, q in layers[t])
+    return layers, f_all, act, pi_c, frozenset(plan.timestamps[1:-1])
 
 
 class TestSolveKappa:
@@ -194,6 +253,75 @@ class TestOneShot:
     def test_f_in_unit_interval(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
         assert all(0.0 <= v <= 1.0 for v in prod.f_values.values())
+
+
+class TestAgainstReference:
+    """The neighbourhood-cached product and memoized sweep against ``reference_prune``."""
+
+    @staticmethod
+    def assert_same(model, aut, horizon, plan):
+        prod = build_product(model, aut, horizon)
+        try:
+            expected = reference_prune(prod, plan)
+        except MultiShotInfeasibleError as exc:
+            with pytest.raises(MultiShotInfeasibleError) as err:
+                multi_shot_prune(prod, plan)
+            assert err.value.segment == exc.segment
+            return
+        if plan.n_segments == 1:
+            one_shot_prune(prod, plan.thresholds[0])
+            times = ShieldBoundaries.one_shot().times
+        else:
+            times = multi_shot_prune(prod, plan)[1].times
+        layers, f, act, pi_c, ref_times = expected
+        assert list(prod.layers) == layers
+        assert prod.initial == tuple(sorted(((s, q, 0) for s, q in layers[0]), key=repr))
+        assert prod.f_values == f
+        assert prod.act_sets == act
+        assert prod.pi_c == pi_c
+        assert times == ref_times
+
+    def test_case_study_both_modes(self):
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+        model = build_grid_mdp(spec)
+        aut = compile_formula(formula, sorted(spec.alphabet()))
+        horizon = time_bound(formula)
+        self.assert_same(model, aut, horizon, MultiShotPlan((0, horizon), (0.9,)))
+        self.assert_same(model, aut, horizon, MultiShotPlan.even(0.9, (0, 8, 15, 22, 35)))
+
+    def test_random_instances(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            spec = oracle.RandomInstanceSpec()
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            aut = compile_formula(formula, {"B", "C"})
+            horizon = time_bound(formula)
+            pr = rng.uniform(0.2, 0.95)
+            self.assert_same(model, aut, horizon, MultiShotPlan((0, horizon), (pr,)))
+            if horizon >= 2:
+                cut = rng.randint(1, horizon - 1)
+                self.assert_same(model, aut, horizon,
+                                 MultiShotPlan.even(pr, (0, cut, horizon)))
+
+    def test_infeasible_row_named_at_first_state(self):
+        # u's action b has lower bounds summing to 2.4; layer 1 holds three
+        # non-terminal states over u, and the sweep meets ('u', 5, 1) first
+        formula = parse_formula("[H^0 B]^[0,2] & [H^0 C]^[0,2]")
+        aut = compile_formula(formula, {"B", "C"})
+        states = ["x", "b", "c", "u"]
+        bounds = {(s, a, s2): ((0.6, 1.0) if (s, a) == ("u", "b") else (0.1, 0.5))
+                  for s in states for a in ("a", "b") for s2 in states}
+        model = LabeledIntervalMdp(states, ["a", "b"], {"b": {"B"}, "c": {"C"}}, bounds)
+        prod = build_product(model, aut, time_bound(formula))
+        terminal = aut.accepting | {aut.trash}
+        at_u = [(s, q, 1) for s, q in prod.layers[1] if s == "u" and q not in terminal]
+        assert len(at_u) >= 2
+        assert not any(s == "u" and q not in terminal for s, q in prod.layers[2])
+        with pytest.raises(InfeasibleIntervalError) as err:
+            one_shot_prune(prod, 0.5)
+        assert err.value.state == at_u[0] == ("u", 5, 1)
+        assert err.value.action == "b"
 
 
 class TestCheckInitial:

@@ -26,16 +26,20 @@ from .automaton import AutomatonError, accepts, compile_formula, to_dot, to_json
 from .mdp import LabeledIntervalMdp, MdpError
 from .product import ProductError, build_product
 from .reachability import (InfeasibleIntervalError, MultiShotInfeasibleError, MultiShotPlan,
-                           ReachabilityError, ShieldBoundaries, check_initial, multi_shot_prune,
+                           ReachabilityError, check_initial, multi_shot_prune,
                            one_shot_prune, exact_reach_probability, solve_kappa)
-from .learner import (LearnerConfig, ProductEnv, evaluate, run_multi_shot, run_one_shot,
-                      write_episode_csv)
+from .learner import LearnerConfig, evaluate, learn, write_episode_csv
 from .gridworld import (CASE_STUDY_FORMULA, GridError, GridSpec, build_grid_mdp,
                         canonical_case_study, render_ascii)
 from . import oracle
 
 OUTPUT_ENV_VAR = "TWTLSHIELD_OUTPUT_DIR"
 CASE_STUDY_TIMESTAMPS = (0, 8, 15, 22, 35)
+
+# One learner serves both modes.  run_experiment still calls it under a
+# per-mode name because perfbench/worker.py times learning by replacing
+# exactly these two names (tests/test_cli.py::TestBenchmarkHooks checks both).
+run_one_shot = run_multi_shot = learn
 
 
 class ConfigError(Exception):
@@ -69,6 +73,14 @@ class ExperimentConfig:
             self.grid, _ = canonical_case_study()
         if self.formula == CASE_STUDY_FORMULA and self.multishot_timestamps is None:
             self.multishot_timestamps = CASE_STUDY_TIMESTAMPS
+        if not isinstance(self.formula, str):
+            raise ConfigError(f"formula must be a string, not {self.formula!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
+        if not isinstance(self.allow_unsafe, bool):
+            raise ConfigError(f"allow_unsafe must be true or false, not {self.allow_unsafe!r}")
+        if self.eval_episodes < 0:
+            raise ConfigError("eval_episodes must be nonnegative")
         if not (0.0 < self.pr_des <= 1.0):
             raise ConfigError("pr_des must lie in (0, 1]")
         if self.mode not in ("one_shot", "multi_shot"):
@@ -156,7 +168,7 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
             learner=learner,
             eval_episodes=int(doc.get("eval_episodes", 10000)),
             output_dir=doc.get("output_dir"),
-            allow_unsafe=bool(doc.get("allow_unsafe", False)),
+            allow_unsafe=doc.get("allow_unsafe", False),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
@@ -195,19 +207,15 @@ def _pipeline_assets(cfg: ExperimentConfig):
 
 
 def _prune(cfg: ExperimentConfig, product):
+    """Write the shield onto ``product``; returns the initial states that fail its check."""
     try:
         if cfg.mode == "one_shot":
             one_shot_prune(product, cfg.pr_des)
-            boundaries = ShieldBoundaries.one_shot()
-            threshold = cfg.pr_des
         else:
-            plan = cfg.plan(product.horizon)
-            product, boundaries = multi_shot_prune(product, plan)
-            threshold = plan.thresholds[0]
+            multi_shot_prune(product, cfg.plan(product.horizon))
     except (InfeasibleIntervalError, MultiShotInfeasibleError, ReachabilityError, ValueError) as exc:
         raise PipelineError("prune", exc)
-    violators = check_initial(product, threshold)
-    return product, boundaries, threshold, violators
+    return check_initial(product, product.initial_threshold)
 
 
 def _prune_stats(product):
@@ -227,7 +235,8 @@ def _prune_stats(product):
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     """parse -> compile -> grid -> product -> prune -> check -> learn -> evaluate."""
     formula, automaton, model, product = _pipeline_assets(cfg)
-    product, boundaries, threshold, violators = _prune(cfg, product)
+    violators = _prune(cfg, product)
+    threshold = product.initial_threshold
 
     check_ok = not violators
     if violators and not cfg.allow_unsafe:
@@ -240,17 +249,13 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     learner_cfg = cfg.learner
     if cfg.allow_unsafe and not check_ok:
         learner_cfg = LearnerConfig(**{**asdict(learner_cfg), "enforce_initial": False})
-    env = ProductEnv(product)
+    run = run_one_shot if cfg.mode == "one_shot" else run_multi_shot
     try:
-        if cfg.mode == "one_shot":
-            result = run_one_shot(product, product.pi_c, env, learner_cfg)
-        else:
-            result = run_multi_shot(product, product.pi_c, boundaries, env, learner_cfg)
+        result = run(product, learner_cfg)
     except Exception as exc:
         raise PipelineError("learn", exc)
 
-    eval_result = evaluate(result.policy, product.pi_c, product.act_sets, boundaries, env,
-                           cfg.eval_episodes, seed=learner_cfg.seed + 1,
+    eval_result = evaluate(product, result.policy, cfg.eval_episodes, seed=learner_cfg.seed + 1,
                            start_state=learner_cfg.start_state,
                            reset_mode=learner_cfg.reset_mode)
 
@@ -310,7 +315,15 @@ def _out_dir(args):
     return args.output_dir or os.environ.get(OUTPUT_ENV_VAR)
 
 
-def _config_from_args(args, mode_required=False):
+def _parse_list(flag, text, parse):
+    """Comma-separated values given to ``flag``; a bad item is a config error."""
+    try:
+        return [parse(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} {text!r}: {exc}")
+
+
+def _config_from_args(args):
     overrides = {
         "pr_des": getattr(args, "pr_des", None),
         "mode": getattr(args, "mode", None),
@@ -327,10 +340,7 @@ def _config_from_args(args, mode_required=False):
                              ("thresholds", "multishot_thresholds", float)):
         text = getattr(args, name, None)
         if text:
-            try:
-                overrides[key] = [parse(x) for x in text.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"bad --{name} {text!r}: {exc}")
+            overrides[key] = _parse_list(f"--{name}", text, parse)
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -373,10 +383,10 @@ def cmd_build(args):
 def cmd_prune(args):
     cfg = _config_from_args(args)
     _, _, _, product = _pipeline_assets(cfg)
-    product, boundaries, threshold, violators = _prune(cfg, product)
+    violators = _prune(cfg, product)
     stats = _prune_stats(product)
     f0 = [product.f_values[p] for p in product.initial]
-    print(f"mode: {cfg.mode}, threshold at t=0: {threshold:.6f}")
+    print(f"mode: {cfg.mode}, threshold at t=0: {product.initial_threshold:.6f}")
     print(f"initial bound: min {min(f0):.6f}, mean {math.fsum(f0)/len(f0):.6f}")
     print(f"pruned {stats['pruned_actions']} of {stats['candidate_state_actions']} "
           f"state-actions ({100 * stats['pruned_fraction']:.2f}%)")
@@ -411,7 +421,7 @@ def cmd_learn(args):
 def cmd_eval(args):
     cfg = _config_from_args(args)
     _, _, _, product = _pipeline_assets(cfg)
-    product, boundaries, threshold, violators = _prune(cfg, product)
+    violators = _prune(cfg, product)
     if violators and not cfg.allow_unsafe:
         print(f"check-initial FAILED for {len(violators)} initial states", file=sys.stderr)
         return 3
@@ -441,9 +451,7 @@ def cmd_eval(args):
         if product.act_sets[p] and a not in product.act_sets[p]:
             raise PipelineError("eval", f"policy action {name} at {p!r} is pruned by the "
                                 f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
-    env = ProductEnv(product)
-    result = evaluate(policy, product.pi_c, product.act_sets, boundaries, env,
-                      cfg.eval_episodes, seed=cfg.learner.seed + 1,
+    result = evaluate(product, policy, cfg.eval_episodes, seed=cfg.learner.seed + 1,
                       start_state=cfg.learner.start_state, reset_mode=cfg.learner.reset_mode)
     print(f"satisfaction: {result.satisfaction_rate:.4f} +/- {result.ci_halfwidth:.4f} "
           f"over {result.episodes} episodes, avg reward {result.avg_reward:.3f}")
@@ -451,8 +459,8 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    eps_values = [float(x) for x in args.eps_list.split(",")]
-    pr_values = [float(x) for x in args.pr_list.split(",")]
+    eps_values = _parse_list("--eps-list", args.eps_list, float)
+    pr_values = _parse_list("--pr-list", args.pr_list, float)
     modes = args.modes.split(",")
     rows = []
     for i_mode, mode in enumerate(modes):

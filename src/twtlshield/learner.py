@@ -6,7 +6,9 @@ the set is empty (or the flag is up) the agent takes the worst-case-optimal
 fallback action and keeps doing so until the flag resets.  The flag resets on
 accepting and trash states, and additionally on every interior segment
 boundary when multi-shot pruning was used, which is what re-enables
-exploration between sub-tasks.
+exploration between sub-tasks.  The whole shield (pruned sets, fallback
+policy, initial threshold and reset layers) lives on the pruned product, so
+``learn`` and ``evaluate`` take only the product.
 
 Episodes reset by carrying the final environment state into the next start
 (the automaton restarts, the world does not); a fixed start state is
@@ -21,7 +23,6 @@ import random
 from dataclasses import dataclass
 
 from .product import TimeTotalProductMdp
-from .reachability import ShieldBoundaries
 
 
 class LearnerError(Exception):
@@ -53,6 +54,8 @@ class LearnerConfig:
     enforce_initial: bool = True
 
     def __post_init__(self):
+        if self.episodes < 0:
+            raise ValueError("episodes must be nonnegative")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
         if self.alpha_mode not in ("constant", "inverse_visit"):
@@ -113,9 +116,7 @@ class ProductEnv:
     def __init__(self, product: TimeTotalProductMdp):
         if product.mdp.true_dynamics is None:
             raise LearnerError("the environment needs true dynamics to simulate")
-        self.product = product
         self.mdp = product.mdp
-        self.horizon = product.horizon
         self._after = product._after
         self._q_init = product.automaton.initial
 
@@ -151,15 +152,19 @@ def _next_value(q, p2, enabled):
     return best
 
 
-def _run(product, pi_c, env, cfg, boundaries):
+def learn(product, cfg: LearnerConfig) -> RunResult:
+    """Shielded Q-learning on a pruned product; the flag resets where ``product.resets_flag``."""
     mdp = product.mdp
     horizon = product.horizon
     act_sets = product.act_sets
-    act_fsets = {p: frozenset(acts) for p, acts in act_sets.items()}
+    pi_c = product.pi_c
+    resets_flag = product.resets_flag
     threshold = product.initial_threshold
     f_values = product.f_values
     if not act_sets:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
+    act_fsets = {p: frozenset(acts) for p, acts in act_sets.items()}
+    env = ProductEnv(product)
 
     rng = random.Random(cfg.seed)
     q = {}
@@ -223,7 +228,7 @@ def _run(product, pi_c, env, cfg, boundaries):
             row[a] = (1.0 - alpha) * row.get(a, 0.0) + alpha * target
 
             p = p2
-            if boundaries.clears(product, p):
+            if resets_flag(p):
                 flag = False
 
         logs.append(EpisodeLog(
@@ -240,41 +245,32 @@ def _run(product, pi_c, env, cfg, boundaries):
         s0 = p[0] if cfg.reset_mode == "carry_state" else start
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
-    policy = extract_policy(product, pi_c, q)
+    policy = extract_policy(product, q)
     return RunResult(policy=policy, logs=logs, q=q, legality_violations=total_violations)
 
 
-def extract_policy(product, pi_c, q):
+def extract_policy(product, q):
     """Greedy policy: argmax Q over the pruned set, fallback where it is empty."""
     policy = {}
     for t, layer in enumerate(product.layers[:-1]):
         for s, qa in layer:
             p = (s, qa, t)
             acts = product.act_sets[p]
-            policy[p] = _greedy(q.get(p), acts) if acts else pi_c[p]
+            policy[p] = _greedy(q.get(p), acts) if acts else product.pi_c[p]
     return policy
 
 
-def run_one_shot(product, pi_c, env, cfg: LearnerConfig) -> RunResult:
-    """Alg-1b-style learning: the fallback flag resets only on accepting/trash."""
-    return _run(product, pi_c, env, cfg, ShieldBoundaries.one_shot())
-
-
-def run_multi_shot(product, pi_c, boundaries: ShieldBoundaries, env, cfg: LearnerConfig) -> RunResult:
-    """Like one-shot learning, but the flag also resets at segment boundaries."""
-    return _run(product, pi_c, env, cfg, boundaries)
-
-
-def evaluate(policy, pi_c, act_sets, boundaries, env, n_episodes, seed,
-             start_state=None, reset_mode="carry_state") -> EvalResult:
+def evaluate(product, policy, n_episodes, seed, start_state=None,
+             reset_mode="carry_state") -> EvalResult:
     """Greedy rollout with the shield active but no exploration or updates.
 
     Reports the satisfaction rate with a Wilson 95% interval half-width.
     """
-    product = env.product
-    horizon = env.horizon
+    env = ProductEnv(product)
+    act_sets = product.act_sets
+    pi_c = product.pi_c
     rng = random.Random(seed)
-    start = start_state if start_state is not None else env.mdp.states[0]
+    start = start_state if start_state is not None else product.mdp.states[0]
     s0 = start
     flag = False
     successes = 0
@@ -282,7 +278,7 @@ def evaluate(policy, pi_c, act_sets, boundaries, env, n_episodes, seed,
 
     for _ in range(n_episodes):
         p = env.reset(s0)
-        for t in range(horizon):
+        for t in range(product.horizon):
             shielded = flag or not act_sets[p]
             if shielded:
                 a = pi_c[p]
@@ -291,7 +287,7 @@ def evaluate(policy, pi_c, act_sets, boundaries, env, n_episodes, seed,
                 a = policy[p]
             p, r = env.step(p, a, rng)
             total_reward += r
-            if boundaries.clears(product, p):
+            if product.resets_flag(p):
                 flag = False
         if product.is_accepting(p):
             successes += 1

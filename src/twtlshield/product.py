@@ -35,11 +35,12 @@ class ProductError(Exception):
 
 
 class TimeTotalProductMdp:
-    """Reachable layered product with room for reachability results.
+    """Reachable layered product with room for the shield.
 
-    ``f_values``, ``act_sets`` and ``pi_c`` start empty and are
-    written exactly once by the pruning pass; afterwards the object is
-    treated as read-only.
+    The pruning pass writes the shield exactly once: ``f_values``,
+    ``act_sets``, ``pi_c``, ``initial_threshold`` and ``reset_times`` (the
+    interior segment layers where the fallback flag resets; empty for
+    one-shot).  Afterwards the object is treated as read-only.
     """
 
     def __init__(self, mdp: LabeledIntervalMdp, automaton: TotalAutomaton, horizon: int):
@@ -65,6 +66,7 @@ class TimeTotalProductMdp:
         self.act_sets = {}
         self.pi_c = {}
         self.initial_threshold = None
+        self.reset_times = frozenset()
 
     def _after(self, q, s):
         """delta(q, l(s)), cached per (q, s)."""
@@ -121,6 +123,12 @@ class TimeTotalProductMdp:
         if q == self.automaton.trash:
             return True
         return t == self.horizon and q not in self.automaton.accepting
+
+    def resets_flag(self, p) -> bool:
+        """Whether the fallback flag resets on reaching p: accepting, trash, or a reset layer."""
+        _, q, t = p
+        return (q in self.automaton.accepting or q == self.automaton.trash
+                or t == self.horizon or t in self.reset_times)
 
     def successors(self, p, a):
         """Eligible successors of p under a, as ((s', q', t+1), lo, hi)."""

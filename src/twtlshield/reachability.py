@@ -193,32 +193,14 @@ class MultiShotPlan:
         return cls(tuple(timestamps), (pr_des ** (1.0 / n),) * n)
 
 
-@dataclass(frozen=True)
-class ShieldBoundaries:
-    """Where the learner's fallback flag resets.
-
-    The flag always resets on accepting/trash states; with multi-shot pruning
-    it additionally resets at every state of the interior segment boundaries,
-    the layers in ``times``.
-    """
-
-    times: frozenset = frozenset()
-
-    def clears(self, product, p) -> bool:
-        return product.is_accepting(p) or product.is_trash(p) or p[2] in self.times
-
-    @classmethod
-    def one_shot(cls):
-        return cls()
-
-
-def _store(product, f, act, pi_c, threshold):
+def _store(product, f, act, pi_c, threshold, reset_times=frozenset()):
     if product.f_values:
         raise ReachabilityError("product already holds pruning results; rebuild it first")
     product.f_values.update(f)
     product.act_sets.update(act)
     product.pi_c.update(pi_c)
     product.initial_threshold = threshold
+    product.reset_times = reset_times
 
 
 def one_shot_prune(product: TimeTotalProductMdp, pr_des):
@@ -231,13 +213,14 @@ def one_shot_prune(product: TimeTotalProductMdp, pr_des):
 
 
 def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
-    """Segment-wise pruning; returns (product, boundaries).
+    """Segment-wise pruning; returns (product, product.reset_times).
 
     Segments are processed last to first.  The last segment uses the terminal
     0/1 boundary; each earlier segment treats the next segment's boundary
     states as accepting (1) where the next segment's bound meets its
     threshold and trash (0) elsewhere.  Action sets and the fallback policy
-    concatenate across segments.
+    concatenate across segments; the interior timestamps become the product's
+    ``reset_times``.
     """
     if plan.timestamps[-1] != product.horizon:
         raise ValueError(f"plan must end at the product horizon {product.horizon}, "
@@ -268,8 +251,8 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
         act_all.update(act)
         pi_all.update(pi_c)
 
-    _store(product, f_all, act_all, pi_all, plan.thresholds[0])
-    return product, ShieldBoundaries(times=frozenset(plan.timestamps[1:-1]))
+    _store(product, f_all, act_all, pi_all, plan.thresholds[0], frozenset(plan.timestamps[1:-1]))
+    return product, product.reset_times
 
 
 def check_initial(product: TimeTotalProductMdp, pr_des):

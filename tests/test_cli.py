@@ -7,6 +7,8 @@ from twtlshield import cli
 from twtlshield.cli import ConfigError, load_config, main, run_experiment
 from twtlshield.gridworld import canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
+from twtlshield.reachability import MultiShotPlan
+from conftest import worst_case_toy
 
 
 def fast_overrides(**extra):
@@ -97,6 +99,21 @@ class TestConfig:
     def test_bad_multi_shot_flag(self, capsys, flag, value):
         assert main(["prune", "--mode", "multi_shot", flag, value]) == 2
         assert f"bad {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"formula": 5}, "formula must be a string"),
+        ({"output_dir": 5}, "output_dir must be a string"),
+        ({"episodes": -1}, "episodes must be nonnegative"),
+        ({"eval_episodes": -1}, "eval_episodes must be nonnegative"),
+        # bool("false") is True, so a string would silently void the per-episode guarantee
+        ({"allow_unsafe": "false"}, "allow_unsafe must be true or false"),
+        ({"allow_unsafe": 0}, "allow_unsafe must be true or false"),
+    ])
+    def test_bad_field_type_or_value(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_eps_below_real_uncertainty_with_grid_file(self, tmp_path, capsys):
         # the grid's real uncertainty is 0.03, so an assumed 0.01 is rejected
@@ -221,6 +238,11 @@ class TestEvalCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("flag", ["--eps-list", "--pr-list"])
+    def test_bad_list_item(self, capsys, flag):
+        assert main(["sweep", flag, "a", "--episodes", "1", "--eval-episodes", "1"]) == 2
+        assert f"bad {flag} 'a'" in capsys.readouterr().err
+
     def test_tiny_sweep_table(self, tmp_path, capsys):
         code = main(["sweep", "--eps-list", "0.08", "--pr-list", "0.5,0.7",
                      "--modes", "one_shot,multi_shot", "--episodes", "60",
@@ -280,6 +302,16 @@ class TestBenchmarkHooks:
             cli.run_experiment(cfg)
         assert set(calls) == set(self.HOOKS) | {"validate"}
         assert cli.CASE_STUDY_TIMESTAMPS[-1] == 35
+
+    def test_directly_called_shapes(self):
+        # the worker also calls these itself: `product, _ = multi_shot_prune(...)`,
+        # `one_shot_prune(product, pr_des)` and `check_initial(product, threshold)`
+        prod = worst_case_toy()
+        pair = cli.multi_shot_prune(prod, MultiShotPlan((0, 1, 2), (0.9, 0.5)))
+        assert isinstance(pair, tuple) and len(pair) == 2 and pair[0] is prod
+        prod = worst_case_toy()
+        assert cli.one_shot_prune(prod, 0.5) is prod
+        assert [(p[0], f) for p, f in cli.check_initial(prod, 0.5)] == [("l", 0.0)]
 
 
 class TestEnvVar:

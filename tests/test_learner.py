@@ -6,11 +6,10 @@ import pytest
 from twtlshield.automaton import compile_formula
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import build_product
-from twtlshield.reachability import (MultiShotPlan, ShieldBoundaries, exact_reach_probability,
-                                     multi_shot_prune, one_shot_prune)
+from twtlshield.reachability import (MultiShotPlan, exact_reach_probability, multi_shot_prune,
+                                     one_shot_prune)
 from twtlshield.learner import (CSV_COLUMNS, LearnerConfig, ProductEnv, UnsafeStartError,
-                                evaluate, run_multi_shot, run_one_shot, wilson_halfwidth,
-                                write_episode_csv)
+                                evaluate, learn, wilson_halfwidth, write_episode_csv)
 from twtlshield.twtl import parse_formula
 from conftest import worst_case_toy
 
@@ -62,7 +61,7 @@ def replay_q(product, logs, cfg):
     return q
 
 
-def audit_shield_protocol(product, boundaries, pi_c, logs):
+def audit_shield_protocol(product, logs):
     """Re-derive the expected flag sequence and count protocol violations."""
     violations = 0
     flag = False
@@ -73,13 +72,13 @@ def audit_shield_protocol(product, boundaries, pi_c, logs):
             if shielded != expected:
                 violations += 1
             if shielded:
-                if a != pi_c[p]:
+                if a != product.pi_c[p]:
                     violations += 1
             elif a not in product.act_sets[p]:
                 violations += 1
             flag = expected
             landing = steps[i + 1][0] if i + 1 < len(steps) else log.final_state
-            if boundaries.clears(product, landing):
+            if product.resets_flag(landing):
                 flag = False
     return violations
 
@@ -87,38 +86,31 @@ def audit_shield_protocol(product, boundaries, pi_c, logs):
 class TestGuarantees:
     def test_certain_threshold_means_every_episode_satisfies(self):
         prod = corridor_product(1.0)
-        env = ProductEnv(prod)
         cfg = LearnerConfig(episodes=500, seed=1, epsilon=0.5)
-        result = run_one_shot(prod, prod.pi_c, env, cfg)
+        result = learn(prod, cfg)
         assert result.satisfaction_rate == 1.0
         assert all(log.satisfied for log in result.logs)
 
     def test_satisfied_matches_final_automaton_state(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        env = ProductEnv(prod)
-        result = run_one_shot(prod, prod.pi_c, env,
-                              LearnerConfig(episodes=300, seed=2, enforce_initial=False))
+        result = learn(prod, LearnerConfig(episodes=300, seed=2, enforce_initial=False))
         for log in result.logs:
             assert log.satisfied == prod.is_accepting(log.final_state)
 
     def test_trajectory_length_is_horizon(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        env = ProductEnv(prod)
-        result = run_one_shot(prod, prod.pi_c, env,
-                              LearnerConfig(episodes=20, seed=3, log_trajectories=True,
-                                            enforce_initial=False))
+        result = learn(prod, LearnerConfig(episodes=20, seed=3, log_trajectories=True,
+                                           enforce_initial=False))
         assert all(len(log.trajectory) == prod.horizon for log in result.logs)
 
 
 class TestShieldProtocol:
     def test_flag_holds_until_terminal(self):
         prod = one_shot_prune(worst_case_toy(), 0.6)   # everything pruned at the root
-        env = ProductEnv(prod)
-        result = run_one_shot(prod, prod.pi_c, env,
-                              LearnerConfig(episodes=200, seed=4, log_trajectories=True,
-                                            enforce_initial=False))
-        boundaries = ShieldBoundaries.one_shot()
-        assert audit_shield_protocol(prod, boundaries, prod.pi_c, result.logs) == 0
+        result = learn(prod, LearnerConfig(episodes=200, seed=4, log_trajectories=True,
+                                           enforce_initial=False))
+        assert prod.reset_times == frozenset()
+        assert audit_shield_protocol(prod, result.logs) == 0
         assert result.legality_violations == 0
         # once shielded, the fallback action is taken through to a terminal state
         for log in result.logs:
@@ -133,18 +125,30 @@ class TestShieldProtocol:
                 landing_t = p[2] + 1
                 if landing_t >= prod.horizon:
                     break
-                active = not boundaries.clears(
-                    prod, log.trajectory[landing_t][0] if landing_t < len(log.trajectory)
+                active = not prod.resets_flag(
+                    log.trajectory[landing_t][0] if landing_t < len(log.trajectory)
                     else log.final_state)
 
+    def test_reset_states(self):
+        # the flag resets on accepting and trash states (the final layer counts as
+        # trash where not accepting) and, after multi-shot pruning, on interior boundaries
+        one = one_shot_prune(worst_case_toy(), 0.5)
+        multi, _ = multi_shot_prune(worst_case_toy(), MultiShotPlan((0, 1, 2), (0.9, 0.6)))
+        short = build_product(one.mdp, one.automaton, 1)    # horizon below the time bound
+        assert short.coerced
+        one_shot_prune(short, 0.5)
+        for prod, boundary in ((one, None), (multi, 1), (short, None)):
+            for t, layer in enumerate(prod.layers):
+                for s, q in layer:
+                    p = (s, q, t)
+                    expected = prod.is_accepting(p) or prod.is_trash(p) or t == boundary
+                    assert prod.resets_flag(p) == expected, p
+
     def test_multi_shot_flag_releases_at_boundary(self):
-        prod, boundaries = multi_shot_prune(worst_case_toy(),
-                                            MultiShotPlan((0, 1, 2), (0.9, 0.6)))
-        env = ProductEnv(prod)
-        result = run_multi_shot(prod, prod.pi_c, boundaries, env,
-                                LearnerConfig(episodes=300, seed=5, log_trajectories=True,
-                                              enforce_initial=False))
-        assert audit_shield_protocol(prod, boundaries, prod.pi_c, result.logs) == 0
+        prod, _ = multi_shot_prune(worst_case_toy(), MultiShotPlan((0, 1, 2), (0.9, 0.6)))
+        result = learn(prod, LearnerConfig(episodes=300, seed=5, log_trajectories=True,
+                                           enforce_initial=False))
+        assert audit_shield_protocol(prod, result.logs) == 0
         # episodes that reach the success cell at the boundary explore again
         toggles = [log for log in result.logs
                    if log.trajectory[0][3] and not log.trajectory[1][3]]
@@ -152,13 +156,11 @@ class TestShieldProtocol:
 
     def test_single_segment_plan_equals_one_shot_run(self):
         prod_a = one_shot_prune(worst_case_toy(), 0.5)
-        env_a = ProductEnv(prod_a)
         cfg = LearnerConfig(episodes=400, seed=6, log_trajectories=True, enforce_initial=False)
-        one = run_one_shot(prod_a, prod_a.pi_c, env_a, cfg)
+        one = learn(prod_a, cfg)
 
-        prod_b, boundaries = multi_shot_prune(worst_case_toy(), MultiShotPlan((0, 2), (0.5,)))
-        env_b = ProductEnv(prod_b)
-        multi = run_multi_shot(prod_b, prod_b.pi_c, boundaries, env_b, cfg)
+        prod_b, _ = multi_shot_prune(worst_case_toy(), MultiShotPlan((0, 2), (0.5,)))
+        multi = learn(prod_b, cfg)
         assert one.logs == multi.logs
         assert one.q == multi.q
         assert one.policy == multi.policy
@@ -168,26 +170,23 @@ class TestQLearning:
     @pytest.mark.parametrize("alpha_mode", ["constant", "inverse_visit"])
     def test_replay_reproduces_q_table(self, alpha_mode):
         prod = one_shot_prune(worst_case_toy(), 0.4)
-        env = ProductEnv(prod)
         cfg = LearnerConfig(episodes=250, seed=7, alpha_mode=alpha_mode,
                             log_trajectories=True, enforce_initial=False)
-        result = run_one_shot(prod, prod.pi_c, env, cfg)
+        result = learn(prod, cfg)
         assert replay_q(prod, result.logs, cfg) == result.q
 
     def test_same_seed_same_logs(self):
         prod_a = one_shot_prune(worst_case_toy(), 0.5)
         prod_b = one_shot_prune(worst_case_toy(), 0.5)
         cfg = LearnerConfig(episodes=300, seed=8, log_trajectories=True, enforce_initial=False)
-        a = run_one_shot(prod_a, prod_a.pi_c, ProductEnv(prod_a), cfg)
-        b = run_one_shot(prod_b, prod_b.pi_c, ProductEnv(prod_b), cfg)
+        a = learn(prod_a, cfg)
+        b = learn(prod_b, cfg)
         assert a.logs == b.logs
         assert a.q == b.q
 
     def test_policy_respects_pruned_sets(self):
         prod = one_shot_prune(worst_case_toy(), 0.4)
-        env = ProductEnv(prod)
-        result = run_one_shot(prod, prod.pi_c, env,
-                              LearnerConfig(episodes=200, seed=9, enforce_initial=False))
+        result = learn(prod, LearnerConfig(episodes=200, seed=9, enforce_initial=False))
         for p, a in result.policy.items():
             acts = prod.act_sets[p]
             assert a in acts or (not acts and a == prod.pi_c[p])
@@ -195,8 +194,7 @@ class TestQLearning:
     def test_rewards_accumulate(self):
         prod = corridor_product(1.0)
         prod.mdp.reward_fn = lambda s, a: 1.0 if s == "g" else 0.0
-        env = ProductEnv(prod)
-        result = run_one_shot(prod, prod.pi_c, env, LearnerConfig(episodes=50, seed=10))
+        result = learn(prod, LearnerConfig(episodes=50, seed=10))
         assert all(0.0 <= log.cumulative_reward <= prod.horizon for log in result.logs)
         assert result.average_reward > 0.0
 
@@ -216,57 +214,47 @@ class TestQLearning:
 class TestResets:
     def test_carry_state_start(self):
         prod = one_shot_prune(worst_case_toy(), 1e-9)
-        env = ProductEnv(prod)
         cfg = LearnerConfig(episodes=100, seed=11, log_trajectories=True,
                             enforce_initial=False, reset_mode="carry_state")
-        result = run_one_shot(prod, prod.pi_c, env, cfg)
+        result = learn(prod, cfg)
         for prev, nxt in zip(result.logs, result.logs[1:]):
             assert nxt.trajectory[0][0][0] == prev.final_state[0]
             assert nxt.trajectory[0][0][2] == 0
 
     def test_fixed_start(self):
         prod = one_shot_prune(worst_case_toy(), 1e-9)
-        env = ProductEnv(prod)
         cfg = LearnerConfig(episodes=100, seed=12, log_trajectories=True,
                             enforce_initial=False, reset_mode="fixed_start", start_state="r")
-        result = run_one_shot(prod, prod.pi_c, env, cfg)
+        result = learn(prod, cfg)
         assert all(log.trajectory[0][0][0] == "r" for log in result.logs)
 
     def test_unsafe_start_aborts(self):
         prod = one_shot_prune(worst_case_toy(), 0.9)
-        env = ProductEnv(prod)
         with pytest.raises(UnsafeStartError):
-            run_one_shot(prod, prod.pi_c, env,
-                         LearnerConfig(episodes=10, seed=13, start_state="m1"))
+            learn(prod, LearnerConfig(episodes=10, seed=13, start_state="m1"))
         # the exploratory escape hatch proceeds
-        run_one_shot(prod, prod.pi_c, env,
-                     LearnerConfig(episodes=10, seed=13, start_state="m1",
-                                   enforce_initial=False))
+        learn(prod, LearnerConfig(episodes=10, seed=13, start_state="m1", enforce_initial=False))
 
 
 class TestEvaluate:
     def test_deterministic_always_satisfying(self):
         prod = corridor_product(1.0)
-        env = ProductEnv(prod)
-        result = evaluate(prod.pi_c, prod.pi_c, prod.act_sets, ShieldBoundaries.one_shot(),
-                          env, 500, seed=14)
+        result = evaluate(prod, prod.pi_c, 500, seed=14)
         assert result.satisfaction_rate == 1.0
         assert result.ci_halfwidth == 0.0
 
     def test_rate_is_success_fraction(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        env = ProductEnv(prod)
-        result = evaluate(prod.pi_c, prod.pi_c, prod.act_sets, ShieldBoundaries.one_shot(),
-                          env, 1000, seed=15, start_state="r", reset_mode="fixed_start")
+        result = evaluate(prod, prod.pi_c, 1000, seed=15, start_state="r",
+                          reset_mode="fixed_start")
         assert result.satisfaction_rate * 1000 == int(result.satisfaction_rate * 1000)
 
     def test_matches_exact_reachability(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        env = ProductEnv(prod)
         exact = exact_reach_probability(prod, prod.pi_c)
         root = next(p for p in prod.initial if p[0] == "r")
-        result = evaluate(prod.pi_c, prod.pi_c, prod.act_sets, ShieldBoundaries.one_shot(),
-                          env, 5000, seed=16, start_state="r", reset_mode="fixed_start")
+        result = evaluate(prod, prod.pi_c, 5000, seed=16, start_state="r",
+                          reset_mode="fixed_start")
         assert abs(result.satisfaction_rate - exact[root]) <= result.ci_halfwidth + 0.005
 
     def test_wilson_halfwidth_values(self):
@@ -279,9 +267,7 @@ class TestEvaluate:
 class TestCsv:
     def test_columns_and_rows(self, tmp_path):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        env = ProductEnv(prod)
-        result = run_one_shot(prod, prod.pi_c, env,
-                              LearnerConfig(episodes=25, seed=17, enforce_initial=False))
+        result = learn(prod, LearnerConfig(episodes=25, seed=17, enforce_initial=False))
         path = tmp_path / "episodes.csv"
         write_episode_csv(result.logs, path)
         with open(path) as handle:

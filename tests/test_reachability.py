@@ -8,8 +8,7 @@ from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import build_product
 from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibleError,
-                                     MultiShotPlan, ShieldBoundaries,
-                                     check_initial, eq6_boundary, exact_reach_probability,
+                                     MultiShotPlan, check_initial, eq6_boundary, exact_reach_probability,
                                      multi_shot_prune, one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
@@ -212,6 +211,13 @@ class TestOneShot:
         # the fallback maximizes the bound over all actions, pruned included
         assert prod.pi_c[root] == "a"
 
+    def test_successor_at_threshold_is_kept(self):
+        # m1 and m2 have f exactly 0.5: an action is pruned only strictly below pr_des
+        prod = one_shot_prune(worst_case_toy(), 0.5)
+        root = next(p for p in prod.initial if p[0] == "r")
+        assert {prod.f_values[(s, q, 1)] for s, q in prod.layers[1] if s in ("m1", "m2")} == {0.5}
+        assert prod.act_sets[root] == ("b",)
+
     def test_pr_one_keeps_only_surely_accepting(self, labeled_mdp):
         aut = compile_formula(parse_formula("[H^1 B]^[0,2]", {"B"}), {"B", "C"})
         prod = one_shot_prune(build_product(labeled_mdp, aut, 2), 1.0)
@@ -270,16 +276,15 @@ class TestAgainstReference:
             return
         if plan.n_segments == 1:
             one_shot_prune(prod, plan.thresholds[0])
-            times = ShieldBoundaries.one_shot().times
         else:
-            times = multi_shot_prune(prod, plan)[1].times
+            assert multi_shot_prune(prod, plan)[1] is prod.reset_times
         layers, f, act, pi_c, ref_times = expected
         assert list(prod.layers) == layers
         assert prod.initial == tuple(sorted(((s, q, 0) for s, q in layers[0]), key=repr))
         assert prod.f_values == f
         assert prod.act_sets == act
         assert prod.pi_c == pi_c
-        assert times == ref_times
+        assert prod.reset_times == ref_times
 
     def test_case_study_both_modes(self):
         spec, formula = canonical_case_study(assumed_uncertainty=0.08)
@@ -375,16 +380,16 @@ class TestMultiShot:
             pr = rng.uniform(0.2, 0.95)
             horizon = time_bound(formula)
             one = one_shot_prune(build_product(model, aut, horizon), pr)
-            multi, boundaries = multi_shot_prune(
+            multi, reset_times = multi_shot_prune(
                 build_product(model, aut, horizon), MultiShotPlan((0, horizon), (pr,)))
             assert one.f_values == multi.f_values
             assert one.act_sets == multi.act_sets
             assert one.pi_c == multi.pi_c
-            assert boundaries.times == frozenset()
+            assert reset_times == frozenset() == multi.reset_times
 
     def test_toy_two_segments(self):
-        prod, boundaries = multi_shot_prune(worst_case_toy(),
-                                            MultiShotPlan((0, 1, 2), (0.9, 0.6)))
+        prod, reset_times = multi_shot_prune(worst_case_toy(),
+                                             MultiShotPlan((0, 1, 2), (0.9, 0.6)))
         # the only layer-1 state whose second-segment bound clears 0.6 is the
         # success cell; everything else becomes segment trash
         layer1 = [(s, q, 1) for s, q in prod.layers[1]]
@@ -393,7 +398,14 @@ class TestMultiShot:
         root = next(p for p in prod.initial if p[0] == "r")
         assert prod.f_values[root] == pytest.approx(0.9, abs=1e-12)
         assert prod.act_sets[root] == ()
-        assert boundaries.times == frozenset({1})
+        assert reset_times == frozenset({1}) == prod.reset_times
+
+    def test_boundary_state_at_threshold_accepts(self):
+        # m1 and m2 meet the second segment's 0.5 exactly, so they count as
+        # accepting for the first segment and the coin-flip action survives
+        prod, _ = multi_shot_prune(worst_case_toy(), MultiShotPlan((0, 1, 2), (0.9, 0.5)))
+        root = next(p for p in prod.initial if p[0] == "r")
+        assert prod.act_sets[root] == ("b",)
 
     def test_empty_segment_boundary_raises(self, window_formula):
         aut = compile_formula(window_formula, {"B"})

@@ -18,7 +18,8 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, asdict, replace
+import typing
+from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
 
 from . import __version__
 from .twtl import TwtlError, parse_formula, propositions, time_bound, format_formula
@@ -57,12 +58,21 @@ class PipelineError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """One run's inputs.
+
+    Each field's annotation is also its JSON type in a config file, and so is
+    each annotation of :class:`LearnerConfig` in the ``learner`` block: an int
+    field takes an integer, a float field any finite number, a bool field only
+    true/false, a tuple field an array of its element type, and null is
+    allowed only where the default is None.
+    """
+
     grid: GridSpec = None
     formula: str = CASE_STUDY_FORMULA
     pr_des: float = 0.9
     mode: str = "one_shot"                      # "one_shot" | "multi_shot"
-    multishot_timestamps: tuple = None
-    multishot_thresholds: tuple = None          # default: even N-th roots of pr_des
+    multishot_timestamps: tuple[int, ...] = None
+    multishot_thresholds: tuple[float, ...] = None  # default: even N-th roots of pr_des
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     eval_episodes: int = 10000
     output_dir: str = None
@@ -73,12 +83,6 @@ class ExperimentConfig:
             self.grid, _ = canonical_case_study()
         if self.formula == CASE_STUDY_FORMULA and self.multishot_timestamps is None:
             self.multishot_timestamps = CASE_STUDY_TIMESTAMPS
-        if not isinstance(self.formula, str):
-            raise ConfigError(f"formula must be a string, not {self.formula!r}")
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
-        if not isinstance(self.allow_unsafe, bool):
-            raise ConfigError(f"allow_unsafe must be true or false, not {self.allow_unsafe!r}")
         if self.eval_episodes < 0:
             raise ConfigError("eval_episodes must be nonnegative")
         if not (0.0 < self.pr_des <= 1.0):
@@ -89,33 +93,69 @@ class ExperimentConfig:
             raise ConfigError("multi_shot mode needs multishot_timestamps")
 
     def plan(self, horizon):
-        if self.multishot_timestamps[-1] != horizon:
+        if not self.multishot_timestamps or self.multishot_timestamps[-1] != horizon:
             raise ConfigError(f"multishot timestamps must end at the time bound {horizon}")
         try:
             if self.multishot_thresholds is not None:
-                plan = MultiShotPlan(tuple(self.multishot_timestamps),
-                                     tuple(self.multishot_thresholds))
+                plan = MultiShotPlan(self.multishot_timestamps, self.multishot_thresholds)
                 plan.check_product(self.pr_des)
                 return plan
-            return MultiShotPlan.even(self.pr_des, tuple(self.multishot_timestamps))
+            return MultiShotPlan.even(self.pr_des, self.multishot_timestamps)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
     def echo(self):
-        doc = {
-            "formula": self.formula,
-            "pr_des": self.pr_des,
-            "mode": self.mode,
-            "multishot_timestamps": list(self.multishot_timestamps) if self.multishot_timestamps else None,
-            "multishot_thresholds": list(self.multishot_thresholds) if self.multishot_thresholds else None,
-            "eval_episodes": self.eval_episodes,
-            "allow_unsafe": self.allow_unsafe,
-            "learner": {k: v for k, v in asdict(self.learner).items()},
-            "grid": json.loads(self.grid.to_json()),
-        }
-        doc["learner"]["start_state"] = (list(self.learner.start_state)
-                                         if self.learner.start_state is not None else None)
-        return doc
+        doc = {k: v for k, v in asdict(self).items() if k != "output_dir"}
+        return {**doc, "grid": json.loads(self.grid.to_json())}
+
+
+_JSON_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), bool: ("true or false", "booleans")}
+
+
+def _schema(cls):
+    """Field name -> (annotation, whether null is allowed) of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is None) for f in fields(cls)}
+
+
+def _checked(doc, schema):
+    """The JSON object ``doc`` with every value checked against its key's declared type."""
+    unknown = doc.keys() - schema.keys()
+    if unknown:
+        raise ConfigError(f"unknown key {min(unknown)!r}")
+    return {key: _as_declared(key, value, *schema[key]) for key, value in doc.items()}
+
+
+def _as_declared(name, value, hint, nullable):
+    """``value`` as the annotation ``hint`` declares it; a ConfigError names ``name`` if it is not."""
+    if value is None and nullable:
+        return None
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} config must be a JSON object, not {value!r}")
+        try:
+            return _checked(value, _schema(hint))
+        except ConfigError as exc:
+            raise ConfigError(f"bad {name} config: {exc}")
+    if typing.get_origin(hint) is tuple:
+        kind, *rest = typing.get_args(hint)
+        size = "" if rest == [Ellipsis] else f"{len(rest) + 1} "
+        if (isinstance(value, (list, tuple)) and (not size or len(value) == len(rest) + 1)
+                and all(_is_json(v, kind) for v in value)):
+            return tuple(map(kind, value))
+        expected = f"an array of {size}{_JSON_NAMES[kind][1]}"
+    elif _is_json(value, hint):
+        return hint(value)
+    else:
+        expected = _JSON_NAMES[hint][0]
+    raise ConfigError(f"{name} must be {expected}{' or null' if nullable else ''}, not {value!r}")
+
+
+def _is_json(value, kind):
+    """Whether ``value`` is a JSON ``kind``: a bool is no int, and a float is any finite number."""
+    return (type(value) is kind if kind is not float
+            else type(value) in (int, float) and abs(value) <= sys.float_info.max)
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
@@ -124,54 +164,45 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         try:
             with open(path) as handle:
                 doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
-    if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must be a JSON object, not {doc!r}")
+    doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
 
-    # A grid is a spec file path or an inline spec; replace() re-runs GridSpec's checks.
-    grid = doc.get("grid")
+    # A grid is a spec file path or an inline spec; GridSpec.from_json checks it.
+    grid = doc.pop("grid", None)
     try:
         if isinstance(grid, str):
             with open(grid) as handle:
-                grid = GridSpec.from_json(handle.read())
-        elif grid is not None:
-            grid = GridSpec.from_json(json.dumps(grid))
-        if "assumed_uncertainty" in doc:
-            grid = replace(grid or canonical_case_study()[0],
-                           assumed_uncertainty=float(doc["assumed_uncertainty"]))
+                grid = handle.read()
+        if grid is not None:
+            grid = GridSpec.from_json(grid if isinstance(grid, str) else json.dumps(grid))
     except (OSError, ValueError, TypeError, KeyError, AttributeError, GridError) as exc:
-        raise ConfigError(f"bad grid spec or assumed_uncertainty: {exc}")
+        raise ConfigError(f"bad grid spec: {exc}")
 
-    learner_doc = doc.get("learner", {})
-    if not isinstance(learner_doc, dict):
-        raise ConfigError(f"learner config must be a JSON object, not {learner_doc!r}")
-    learner_doc = dict(learner_doc)
-    for key in ("episodes", "seed"):
-        if key in doc:
-            learner_doc[key] = doc[key]
+    # The top level also sets the learner's episodes and seed and the grid's assumed_uncertainty.
+    shortcuts = {**_schema(LearnerConfig), **_schema(GridSpec)}
+    values = _checked(doc, {**_schema(ExperimentConfig), **{
+        key: shortcuts[key] for key in ("episodes", "seed", "assumed_uncertainty")}})
+    learner = values.pop("learner", {})
+    learner.update((key, values.pop(key)) for key in ("episodes", "seed") if key in values)
+    if "assumed_uncertainty" in values:
+        # replace() re-runs GridSpec's checks
+        try:
+            grid = replace(grid or canonical_case_study()[0],
+                           assumed_uncertainty=values.pop("assumed_uncertainty"))
+        except GridError as exc:
+            raise ConfigError(f"bad assumed_uncertainty: {exc}")
     try:
-        if learner_doc.get("start_state") is not None:
-            learner_doc["start_state"] = tuple(learner_doc["start_state"])
-        learner = LearnerConfig(**learner_doc)
-    except (TypeError, ValueError) as exc:
+        values["learner"] = LearnerConfig(**learner)
+    except ValueError as exc:
         raise ConfigError(f"bad learner config: {exc}")
-
-    try:
-        return ExperimentConfig(
-            grid=grid,
-            formula=doc.get("formula", CASE_STUDY_FORMULA),
-            pr_des=float(doc.get("pr_des", 0.9)),
-            mode=doc.get("mode", "one_shot"),
-            multishot_timestamps=tuple(doc["multishot_timestamps"]) if doc.get("multishot_timestamps") else None,
-            multishot_thresholds=tuple(doc["multishot_thresholds"]) if doc.get("multishot_thresholds") else None,
-            learner=learner,
-            eval_episodes=int(doc.get("eval_episodes", 10000)),
-            output_dir=doc.get("output_dir"),
-            allow_unsafe=doc.get("allow_unsafe", False),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
+    cfg = ExperimentConfig(grid=grid, **values)
+    start = cfg.learner.start_state
+    if start is not None and not cfg.grid.in_bounds(start):
+        raise ConfigError(f"bad learner config: start_state {list(start)} is not a grid cell")
+    return cfg
 
 
 @dataclass
@@ -248,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
 
     learner_cfg = cfg.learner
     if cfg.allow_unsafe and not check_ok:
-        learner_cfg = LearnerConfig(**{**asdict(learner_cfg), "enforce_initial": False})
+        learner_cfg = replace(learner_cfg, enforce_initial=False)
     run = run_one_shot if cfg.mode == "one_shot" else run_multi_shot
     try:
         result = run(product, learner_cfg)
@@ -461,9 +492,8 @@ def cmd_eval(args):
 def cmd_sweep(args):
     eps_values = _parse_list("--eps-list", args.eps_list, float)
     pr_values = _parse_list("--pr-list", args.pr_list, float)
-    modes = args.modes.split(",")
-    rows = []
-    for i_mode, mode in enumerate(modes):
+    cells = []      # every cell's config is loaded before the first one runs
+    for i_mode, mode in enumerate(args.modes.split(",")):
         for i_eps, eps in enumerate(eps_values):
             for i_pr, pr in enumerate(pr_values):
                 overrides = {
@@ -477,27 +507,37 @@ def cmd_sweep(args):
                 }
                 cfg = load_config(getattr(args, "config", None), overrides)
                 cfg.output_dir = None
-                bundle = run_experiment(cfg)
-                rows.append({
-                    "mode": mode, "eps": eps, "pr_des": pr,
-                    "check_initial_ok": bundle.summary["check_initial"]["ok"],
-                    "learning_sat": bundle.summary["learning"]["satisfaction_rate"],
-                    "testing_sat": bundle.summary["testing"]["satisfaction_rate"],
-                    "avg_reward": bundle.summary["testing"]["average_reward"],
-                })
-                r = rows[-1]
-                print(f"{mode:10s} eps={eps:<5} pr={pr:<4}: learn {r['learning_sat']:.4f} "
-                      f"test {r['testing_sat']:.4f} reward {r['avg_reward']:.2f}"
-                      + ("" if r["check_initial_ok"] else "  [check-initial failed]"))
+                cells.append(({"mode": mode, "eps": eps, "pr_des": pr}, cfg))
+    rows = [row for row, _ in cells]
+    for row, cfg in cells:
+        label = f"{row['mode']:10s} eps={row['eps']:<5} pr={row['pr_des']:<4}:"
+        try:
+            summary = run_experiment(cfg).summary
+        except PipelineError as exc:
+            if exc.stage != "check-initial":
+                raise
+            # the cell stays as an unlearned row; the sweep goes on and exits 3 at the end
+            row.update(check_initial_ok=False, learning_sat=None, testing_sat=None, avg_reward=None)
+            print(f"{label} not learned: {exc}", file=sys.stderr)
+            continue
+        row.update(check_initial_ok=summary["check_initial"]["ok"],
+                   learning_sat=summary["learning"]["satisfaction_rate"],
+                   testing_sat=summary["testing"]["satisfaction_rate"],
+                   avg_reward=summary["testing"]["average_reward"])
+        print(f"{label} learn {row['learning_sat']:.4f} test {row['testing_sat']:.4f} "
+              f"reward {row['avg_reward']:.2f}"
+              + ("" if row["check_initial_ok"] else "  [check-initial failed]"))
     out = _out_dir(args)
     if out:
         path = _write(out, "sweep.json", _json_text(rows))
         header = "mode,eps,pr_des,check_initial_ok,learning_sat,testing_sat,avg_reward\n"
         csv_path = _write(out, "sweep.csv", header + "".join(
             f"{r['mode']},{r['eps']},{r['pr_des']},{int(r['check_initial_ok'])},"
-            f"{r['learning_sat']!r},{r['testing_sat']!r},{r['avg_reward']!r}\n" for r in rows))
+            + ",".join("" if r[k] is None else repr(r[k])
+                       for k in ("learning_sat", "testing_sat", "avg_reward")) + "\n"
+            for r in rows))
         print(f"wrote {path} and {csv_path}")
-    return 0
+    return 3 if any(r["learning_sat"] is None for r in rows) else 0
 
 
 def cmd_verify(args):

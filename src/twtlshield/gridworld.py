@@ -43,7 +43,6 @@ class GridSpec:
     labels: dict = field(default_factory=dict)        # (x, y) -> iterable of propositions
     reward_cells: dict = field(default_factory=dict)  # (x, y) -> bonus per occupied step
     one_way_doors: dict = field(default_factory=dict) # (x, y) -> forbidden actions there
-    start_cell: tuple = (0, 0)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -52,7 +51,7 @@ class GridSpec:
             raise GridError("real uncertainty must lie in [0, 1)")
         if self.assumed_uncertainty < self.real_uncertainty:
             raise GridError("assumed uncertainty must dominate the real uncertainty")
-        for cell in list(self.labels) + list(self.reward_cells) + list(self.one_way_doors) + [self.start_cell]:
+        for cell in list(self.labels) + list(self.reward_cells) + list(self.one_way_doors):
             if not self.in_bounds(cell):
                 raise GridError(f"cell {cell} is outside the {self.width}x{self.height} grid")
         for cell, forbidden in self.one_way_doors.items():
@@ -96,7 +95,6 @@ class GridSpec:
             "labels": {f"{x},{y}": sorted(props) for (x, y), props in sorted(self.labels.items())},
             "reward_cells": {f"{x},{y}": value for (x, y), value in sorted(self.reward_cells.items())},
             "one_way_doors": {f"{x},{y}": sorted(acts) for (x, y), acts in sorted(self.one_way_doors.items())},
-            "start_cell": list(self.start_cell),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -116,7 +114,6 @@ class GridSpec:
             labels={cell(k): frozenset(v) for k, v in doc.get("labels", {}).items()},
             reward_cells={cell(k): float(v) for k, v in doc.get("reward_cells", {}).items()},
             one_way_doors={cell(k): frozenset(v) for k, v in doc.get("one_way_doors", {}).items()},
-            start_cell=tuple(doc.get("start_cell", [0, 0])),
         )
 
 
@@ -189,7 +186,6 @@ def canonical_case_study(real_uncertainty=0.03, assumed_uncertainty=0.08):
         labels={cell: frozenset(props) for cell, props in _CASE_LABELS.items()},
         reward_cells=dict(_CASE_REWARDS),
         one_way_doors={cell: frozenset(acts) for cell, acts in _CASE_DOORS.items()},
-        start_cell=(0, 0),
     )
     formula = parse_formula(CASE_STUDY_FORMULA, CASE_STUDY_PROPS)
     return spec, formula

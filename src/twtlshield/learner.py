@@ -49,7 +49,7 @@ class LearnerConfig:
     epsilon_floor: float = 0.02
     seed: int = 0
     reset_mode: str = "carry_state"     # "carry_state" | "fixed_start"
-    start_state: object = None          # MDP state; defaults to the first one
+    start_state: tuple[int, int] = None  # a grid cell in configs; None: the first MDP state
     log_trajectories: bool = False
     enforce_initial: bool = True
 

@@ -10,7 +10,6 @@ interval entries mean the transition is impossible ([0, 0]).
 from __future__ import annotations
 
 import bisect
-import json
 import math
 
 FEASIBILITY_TOL = 1e-9
@@ -132,41 +131,3 @@ class LabeledIntervalMdp:
                     if abs(total - 1.0) > FEASIBILITY_TOL:
                         problems.append(f"true dynamics at ({s!r},{a!r}) sum to {total!r}, not 1")
         return problems
-
-    def to_json(self) -> str:
-        doc = {
-            "states": [repr(s) for s in self.states],
-            "actions": [repr(a) for a in self.actions],
-            "labels": {repr(s): sorted(self.labels[s]) for s in self.states},
-            "bounds": [[repr(s), repr(a), repr(s2), lo, hi]
-                       for (s, a, s2), (lo, hi) in sorted(self.bounds.items(), key=repr)],
-            "enabled": {repr(s): [repr(a) for a in acts] for s, acts in self.enabled.items()},
-        }
-        if self.true_dynamics is not None:
-            doc["dynamics"] = [[repr(s), repr(a), repr(s2), p]
-                               for (s, a, s2), p in sorted(self.true_dynamics.items(), key=repr)]
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def mdp_from_json(text: str, reward_values=None) -> LabeledIntervalMdp:
-    """Load a model from the JSON layout produced by :meth:`to_json`.
-
-    States and actions are kept as the literal strings from the document.
-    ``reward_values`` optionally maps state strings to per-step bonuses.
-    """
-    doc = json.loads(text)
-    states = list(doc["states"])
-    actions = list(doc["actions"])
-    labels = {s: frozenset(props) for s, props in doc.get("labels", {}).items()}
-    bounds = {(s, a, s2): (float(lo), float(hi)) for s, a, s2, lo, hi in doc.get("bounds", [])}
-    dynamics = None
-    if "dynamics" in doc:
-        dynamics = {(s, a, s2): float(p) for s, a, s2, p in doc["dynamics"]}
-    enabled = doc.get("enabled")
-    reward_fn = None
-    if reward_values is None:
-        reward_values = doc.get("rewards")
-    if reward_values:
-        table = dict(reward_values)
-        reward_fn = lambda s, a: table.get(s, 0.0)
-    return LabeledIntervalMdp(states, actions, labels, bounds, dynamics, reward_fn, enabled)

@@ -162,6 +162,8 @@ class MultiShotPlan:
 
     def __post_init__(self):
         ts = tuple(int(t) for t in self.timestamps)
+        if ts != tuple(self.timestamps):
+            raise ValueError(f"timestamps must be integers, not {self.timestamps!r}")
         th = tuple(float(x) for x in self.thresholds)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "thresholds", th)
@@ -190,7 +192,7 @@ class MultiShotPlan:
     def even(cls, pr_des, timestamps):
         """Equal per-segment thresholds: the N-th root of the target probability."""
         n = len(timestamps) - 1
-        return cls(tuple(timestamps), (pr_des ** (1.0 / n),) * n)
+        return cls(tuple(timestamps), (pr_des ** (1.0 / max(n, 1)),) * n)
 
 
 def _store(product, f, act, pi_c, threshold, reset_times=frozenset()):

@@ -1,11 +1,14 @@
 import json
+import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from twtlshield import cli
-from twtlshield.cli import ConfigError, load_config, main, run_experiment
+from twtlshield.cli import ConfigError, ExperimentConfig, load_config, main, run_experiment
 from twtlshield.gridworld import canonical_case_study
+from twtlshield.learner import LearnerConfig
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.reachability import MultiShotPlan
 from conftest import worst_case_toy
@@ -114,6 +117,122 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert main(["build", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"seed": "abc"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"eval_episodes": 2.7}, "eval_episodes must be an integer"),
+        ({"eval_episodes": None}, "eval_episodes must be an integer"),
+        ({"episodes": 2.5}, "episodes must be an integer"),
+        ({"pr_des": "0.5"}, "pr_des must be a number"),
+        ({"pr_des": None}, "pr_des must be a number"),
+        ({"assumed_uncertainty": True}, "assumed_uncertainty must be a number"),
+        ({"learner": {"gamma": "0.5"}}, "gamma must be a number"),
+        ({"learner": {"alpha": float("nan")}}, "alpha must be a number"),
+        ({"learner": {"log_trajectories": "no"}}, "log_trajectories must be true or false"),
+        ({"multishot_timestamps": [0, 8.5, 15, 22, 35]},
+         "multishot_timestamps must be an array of integers"),
+        ({"prdes": 0.5}, "unknown key 'prdes'"),
+        ({"learner": {"gama": 0.5}}, "unknown key 'gama'"),
+        ([1, 2], "must be a JSON object"),
+        ({"learner": {"start_state": [1, 2, 3]}}, "start_state must be an array of 2 integers"),
+        ({"learner": {"start_state": [99, 99]}}, "start_state [99, 99] is not a grid cell"),
+    ])
+    def test_value_not_of_declared_type(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    # The JSON kind each config key takes; a trailing "?" also allows null.
+    KINDS = {"formula": "string", "pr_des": "number", "mode": "string",
+             "multishot_timestamps": "integers?", "multishot_thresholds": "numbers?",
+             "eval_episodes": "integer", "output_dir": "string?", "allow_unsafe": "boolean",
+             "grid": "grid?", "assumed_uncertainty": "number", "episodes": "integer",
+             "seed": "integer", "learner": "object"}
+    LEARNER_KINDS = {"episodes": "integer", "alpha": "number", "alpha_mode": "string",
+                     "gamma": "number", "epsilon": "number", "epsilon_decay": "number",
+                     "epsilon_floor": "number", "seed": "integer", "reset_mode": "string",
+                     "start_state": "cell?", "log_trajectories": "boolean",
+                     "enforce_initial": "boolean"}
+
+    @staticmethod
+    def is_kind(value, kind):
+        if value is None:
+            return kind.endswith("?")
+        kind = kind.rstrip("?")
+        if kind in ("integers", "numbers", "cell"):
+            element = "number" if kind == "numbers" else "integer"
+            return (isinstance(value, list) and (kind != "cell" or len(value) == 2)
+                    and all(TestConfig.is_kind(v, element) for v in value))
+        return {"integer": type(value) is int, "number": type(value) in (int, float),
+                "string": type(value) is str, "boolean": type(value) is bool,
+                "object": isinstance(value, dict), "grid": isinstance(value, (str, dict))}[kind]
+
+    @staticmethod
+    def random_json(rng, depth=0):
+        pick = rng.randrange(7 if depth == 0 else 5)
+        if pick == 0:
+            return None
+        if pick == 1:
+            return rng.random() < 0.5
+        if pick == 2:
+            return rng.randint(-3, 40)
+        if pick == 3:
+            return rng.choice([0.5, 2.7, -1.25, 35.0, 1e300])
+        if pick == 4:
+            return rng.choice(["", "abc", "0.5", "true", "null"])
+        items = [TestConfig.random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+        return items if pick == 5 else {f"k{i}": v for i, v in enumerate(items)}
+
+    def test_wrong_json_types_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # a string grid names no file here
+        assert set(self.LEARNER_KINDS) == {f.name for f in fields(LearnerConfig)}
+        assert set(self.KINDS) >= {f.name for f in fields(ExperimentConfig)}
+        rng = random.Random(7)
+        docs = []
+        for kinds, wrap in ((self.KINDS, lambda d: d), (self.LEARNER_KINDS, lambda d: {"learner": d})):
+            for key, kind in kinds.items():
+                wrong = []
+                while len(wrong) < 8:
+                    value = self.random_json(rng)
+                    if not self.is_kind(value, kind):
+                        wrong.append(value)
+                docs += [wrap({key: value}) for value in wrong]
+        path = tmp_path / "cfg.json"
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError):
+                load_config(str(path))
+                pytest.fail(f"{doc!r} was accepted")
+
+    def test_every_field_set(self, tmp_path):
+        grid = {"width": 4, "height": 3, "real_uncertainty": 0.02, "assumed_uncertainty": 0.05,
+                "labels": {"1,1": ["P"], "2,2": ["D1"]}, "reward_cells": {"3,0": 2.0},
+                "one_way_doors": {"0,1": ["N"]}}
+        learner = {"episodes": 11, "alpha": 0.2, "alpha_mode": "inverse_visit", "gamma": 0.9,
+                   "epsilon": 0.5, "epsilon_decay": 0.99, "epsilon_floor": 0.1, "seed": 3,
+                   "reset_mode": "fixed_start", "start_state": [1, 2],
+                   "log_trajectories": True, "enforce_initial": False}
+        doc = {"grid": grid, "formula": "[H^1 P]^[0,4] . [H^1 D1]^[0,5]", "pr_des": 0.8,
+               "mode": "multi_shot", "multishot_timestamps": [0, 5, 11],
+               "multishot_thresholds": [0.8, 1], "learner": learner, "eval_episodes": 7,
+               "output_dir": "out", "allow_unsafe": True}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(str(path))
+        default = ExperimentConfig()
+        for f in fields(ExperimentConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for f in fields(LearnerConfig):
+            assert getattr(cfg.learner, f.name) != getattr(default.learner, f.name), f.name
+        assert cfg.output_dir == "out"
+        assert cfg.multishot_thresholds == (0.8, 1.0)
+        echo = json.loads(json.dumps(cfg.echo()))
+        expected = {k: v for k, v in doc.items() if k != "output_dir"}
+        expected["multishot_thresholds"] = [0.8, 1.0]
+        assert echo == expected
 
     def test_eps_below_real_uncertainty_with_grid_file(self, tmp_path, capsys):
         # the grid's real uncertainty is 0.03, so an assumed 0.01 is rejected
@@ -242,6 +361,29 @@ class TestSweepCommand:
     def test_bad_list_item(self, capsys, flag):
         assert main(["sweep", flag, "a", "--episodes", "1", "--eval-episodes", "1"]) == 2
         assert f"bad {flag} 'a'" in capsys.readouterr().err
+
+    def test_bad_mode_fails_before_any_cell(self, capsys):
+        assert main(["sweep", "--modes", "one_shot,bogus", "--eps-list", "0.08",
+                     "--pr-list", "0.5", "--episodes", "1", "--eval-episodes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown mode 'bogus'" in captured.err
+
+    def test_failed_initial_check_recorded(self, tmp_path, capsys):
+        # multi-shot at eps 0.13, pr_des 0.9 fails its initial check; the cell
+        # before it is kept and both files are written
+        code = main(["sweep", "--eps-list", "0.08,0.13", "--pr-list", "0.9",
+                     "--modes", "multi_shot", "--episodes", "20", "--eval-episodes", "10",
+                     "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "check-initial" in capsys.readouterr().err
+        ok, failed = json.loads((tmp_path / "sweep.json").read_text())
+        assert ok["check_initial_ok"] is True and ok["testing_sat"] is not None
+        assert failed == {"mode": "multi_shot", "eps": 0.13, "pr_des": 0.9,
+                          "check_initial_ok": False, "learning_sat": None,
+                          "testing_sat": None, "avg_reward": None}
+        csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert csv_lines[2] == "multi_shot,0.13,0.9,0,,,"
 
     def test_tiny_sweep_table(self, tmp_path, capsys):
         code = main(["sweep", "--eps-list", "0.08", "--pr-list", "0.5,0.7",

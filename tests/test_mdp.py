@@ -5,7 +5,7 @@ import pytest
 
 from twtlshield.automaton import compile_formula
 from twtlshield.learner import ProductEnv
-from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError, mdp_from_json
+from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.twtl import parse_formula
 from conftest import three_state_mdp
@@ -87,18 +87,3 @@ class TestStep:
         rng = random.Random(0)
         assert env.step(env.reset("s0"), "a1", rng)[1] == 2.5
         assert env.step(env.reset("s1"), "a1", rng)[1] == 0.0
-
-
-class TestJson:
-    def test_round_trip(self, labeled_mdp):
-        text = labeled_mdp.to_json()
-        loaded = mdp_from_json(text)
-        assert loaded.validate() == []
-        assert len(loaded.states) == 3
-        assert len(loaded.bounds) == len(labeled_mdp.bounds)
-        assert loaded.labels["'s1'"] == frozenset({"B"})
-
-    def test_reward_spec(self, labeled_mdp):
-        text = labeled_mdp.to_json()
-        loaded = mdp_from_json(text, reward_values={"'s0'": 3.0})
-        assert loaded.reward_fn("'s0'", "'a1'") == 3.0

@@ -370,6 +370,14 @@ class TestMultiShot:
         with pytest.raises(ValueError):
             plan.check_product(0.8)
 
+    def test_non_integral_timestamp_rejected(self):
+        # int() would silently move the boundary from 8.5 to 8
+        with pytest.raises(ValueError, match="timestamps must be integers"):
+            MultiShotPlan((0, 8.5, 35), (0.9, 1.0))
+        assert MultiShotPlan((0, 8.0, 35), (0.9, 1.0)).timestamps == (0, 8, 35)
+        with pytest.raises(ValueError, match="at least one segment"):
+            MultiShotPlan.even(0.9, (35,))
+
     def test_single_segment_equals_one_shot(self):
         rng = random.Random(21)
         for _ in range(20):

@@ -19,7 +19,7 @@ import os
 import random
 import sys
 import typing
-from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass, replace
 
 from . import __version__
 from .twtl import TwtlError, parse_formula, propositions, time_bound, format_formula
@@ -61,10 +61,11 @@ class ExperimentConfig:
     """One run's inputs.
 
     Each field's annotation is also its JSON type in a config file, and so is
-    each annotation of :class:`LearnerConfig` in the ``learner`` block: an int
-    field takes an integer, a float field any finite number, a bool field only
-    true/false, a tuple field an array of its element type, and null is
-    allowed only where the default is None.
+    each annotation of :class:`LearnerConfig` in the ``learner`` block and of
+    :class:`GridSpec` in the ``grid``: an int field takes an integer, a float
+    field any finite number, a bool field only true/false, a tuple or frozenset
+    field an array of its element type, a dict keyed by cells an object keyed
+    by ``"x,y"``, and null is allowed only where the default is None.
     """
 
     grid: GridSpec = None
@@ -105,8 +106,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc))
 
     def echo(self):
-        doc = {k: v for k, v in asdict(self).items() if k != "output_dir"}
-        return {**doc, "grid": json.loads(self.grid.to_json())}
+        return {k: v for k, v in _as_json(self).items() if k != "output_dir"}
 
 
 _JSON_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
@@ -135,15 +135,25 @@ def _as_declared(name, value, hint, nullable):
         if not isinstance(value, dict):
             raise ConfigError(f"{name} config must be a JSON object, not {value!r}")
         try:
+            for f in fields(hint):
+                if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                    raise ConfigError(f"missing key {f.name!r}")
             return _checked(value, _schema(hint))
         except ConfigError as exc:
             raise ConfigError(f"bad {name} config: {exc}")
-    if typing.get_origin(hint) is tuple:
+    origin = typing.get_origin(hint)
+    if origin is dict:
+        if isinstance(value, dict):
+            kind = typing.get_args(hint)[1]
+            return {_cell(name, key): _as_declared(f"{name}[{key!r}]", item, kind, False)
+                    for key, item in value.items()}
+        expected = 'an object keyed by "x,y" cells'
+    elif origin in (tuple, frozenset):
         kind, *rest = typing.get_args(hint)
-        size = "" if rest == [Ellipsis] else f"{len(rest) + 1} "
+        size = "" if rest in ([], [Ellipsis]) else f"{len(rest) + 1} "
         if (isinstance(value, (list, tuple)) and (not size or len(value) == len(rest) + 1)
                 and all(_is_json(v, kind) for v in value)):
-            return tuple(map(kind, value))
+            return origin(map(kind, value))
         expected = f"an array of {size}{_JSON_NAMES[kind][1]}"
     elif _is_json(value, hint):
         return hint(value)
@@ -158,28 +168,44 @@ def _is_json(value, kind):
             else type(value) in (int, float) and abs(value) <= sys.float_info.max)
 
 
+def _cell(name, key):
+    """The cell that the object key ``"x,y"`` names; a ConfigError names ``name`` if it is none."""
+    cell = tuple(int(part) for part in key.split(",") if part.removeprefix("-").isdecimal())
+    if len(cell) != 2 or ",".join(map(str, cell)) != key:
+        raise ConfigError(f'{name} key {key!r} is not an "x,y" cell')
+    return cell
+
+
+def _as_json(value):
+    """The JSON form of ``value`` that ``_as_declared`` reads back: cell keys become "x,y"."""
+    if is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {",".join(map(str, key)): _as_json(item) for key, item in value.items()}
+    return sorted(value) if isinstance(value, frozenset) else value
+
+
+def _read_json(path, what):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    doc = {}
-    if path is not None:
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must be a JSON object, not {doc!r}")
+    doc = {} if path is None else _read_json(path, "config")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object, not {doc!r}")
     doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
 
-    # A grid is a spec file path or an inline spec; GridSpec.from_json checks it.
-    grid = doc.pop("grid", None)
-    try:
-        if isinstance(grid, str):
-            with open(grid) as handle:
-                grid = handle.read()
-        if grid is not None:
-            grid = GridSpec.from_json(grid if isinstance(grid, str) else json.dumps(grid))
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, GridError) as exc:
-        raise ConfigError(f"bad grid spec: {exc}")
+    # A grid is a spec file path or an inline spec; keys GridSpec does not declare are ignored.
+    grid = doc.get("grid")
+    if isinstance(grid, str):
+        grid = _read_json(grid, "grid")
+    if isinstance(grid, dict):
+        grid = {f.name: grid[f.name] for f in fields(GridSpec) if f.name in grid}
+    doc["grid"] = grid
 
     # The top level also sets the learner's episodes and seed and the grid's assumed_uncertainty.
     shortcuts = {**_schema(LearnerConfig), **_schema(GridSpec)}
@@ -187,13 +213,13 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         key: shortcuts[key] for key in ("episodes", "seed", "assumed_uncertainty")}})
     learner = values.pop("learner", {})
     learner.update((key, values.pop(key)) for key in ("episodes", "seed") if key in values)
+    grid = values.pop("grid") or asdict(canonical_case_study()[0])
     if "assumed_uncertainty" in values:
-        # replace() re-runs GridSpec's checks
-        try:
-            grid = replace(grid or canonical_case_study()[0],
-                           assumed_uncertainty=values.pop("assumed_uncertainty"))
-        except GridError as exc:
-            raise ConfigError(f"bad assumed_uncertainty: {exc}")
+        grid["assumed_uncertainty"] = values.pop("assumed_uncertainty")
+    try:
+        grid = GridSpec(**grid)
+    except GridError as exc:
+        raise ConfigError(f"bad grid config: {exc}")
     try:
         values["learner"] = LearnerConfig(**learner)
     except ValueError as exc:
@@ -406,7 +432,7 @@ def cmd_build(args):
     out = cfg.output_dir
     if out:
         _write(out, "product_summary.json", product.summary_json())
-        _write(out, "grid.json", cfg.grid.to_json())
+        _write(out, "grid.json", json.dumps(_as_json(cfg.grid), indent=2, sort_keys=True))
         print(f"wrote {out}/product_summary.json and {out}/grid.json")
     return 0
 

@@ -15,7 +15,6 @@ rational arithmetic before conversion to float.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,9 +39,10 @@ class GridSpec:
     height: int
     real_uncertainty: float
     assumed_uncertainty: float
-    labels: dict = field(default_factory=dict)        # (x, y) -> iterable of propositions
-    reward_cells: dict = field(default_factory=dict)  # (x, y) -> bonus per occupied step
-    one_way_doors: dict = field(default_factory=dict) # (x, y) -> forbidden actions there
+    # keyed by cell (x, y): its propositions, bonus per occupied step, forbidden actions
+    labels: dict[tuple[int, int], frozenset[str]] = field(default_factory=dict)
+    reward_cells: dict[tuple[int, int], float] = field(default_factory=dict)
+    one_way_doors: dict[tuple[int, int], frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -51,14 +51,15 @@ class GridSpec:
             raise GridError("real uncertainty must lie in [0, 1)")
         if self.assumed_uncertainty < self.real_uncertainty:
             raise GridError("assumed uncertainty must dominate the real uncertainty")
+        if self.assumed_uncertainty > 1.0:
+            raise GridError("assumed uncertainty must be at most 1")
         for cell in list(self.labels) + list(self.reward_cells) + list(self.one_way_doors):
             if not self.in_bounds(cell):
                 raise GridError(f"cell {cell} is outside the {self.width}x{self.height} grid")
         for cell, forbidden in self.one_way_doors.items():
-            forbidden = frozenset(forbidden)
-            if "Stay" in forbidden:
-                raise GridError(f"Stay cannot be forbidden (cell {cell})")
-            self.one_way_doors[cell] = forbidden
+            for action in sorted(forbidden):
+                if action not in MOVES or action == "Stay":
+                    raise GridError(f"the door at cell {cell} cannot forbid {action!r}")
 
     def in_bounds(self, cell):
         x, y = cell
@@ -85,36 +86,6 @@ class GridSpec:
         for values in self.labels.values():
             props.update(values)
         return frozenset(props)
-
-    def to_json(self) -> str:
-        doc = {
-            "width": self.width,
-            "height": self.height,
-            "real_uncertainty": self.real_uncertainty,
-            "assumed_uncertainty": self.assumed_uncertainty,
-            "labels": {f"{x},{y}": sorted(props) for (x, y), props in sorted(self.labels.items())},
-            "reward_cells": {f"{x},{y}": value for (x, y), value in sorted(self.reward_cells.items())},
-            "one_way_doors": {f"{x},{y}": sorted(acts) for (x, y), acts in sorted(self.one_way_doors.items())},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-
-        def cell(key):
-            x, y = key.split(",")
-            return (int(x), int(y))
-
-        return cls(
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-            real_uncertainty=float(doc["real_uncertainty"]),
-            assumed_uncertainty=float(doc["assumed_uncertainty"]),
-            labels={cell(k): frozenset(v) for k, v in doc.get("labels", {}).items()},
-            reward_cells={cell(k): float(v) for k, v in doc.get("reward_cells", {}).items()},
-            one_way_doors={cell(k): frozenset(v) for k, v in doc.get("one_way_doors", {}).items()},
-        )
 
 
 def build_grid_mdp(spec: GridSpec) -> LabeledIntervalMdp:

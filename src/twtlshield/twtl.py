@@ -343,7 +343,7 @@ def parse_formula(text: str, alphabet: Iterable[str] | None = None) -> Formula:
         alphabet = frozenset(alphabet)
         for name in alphabet:
             if not PROP_RE.match(name) or name == "TRUE":
-                raise ValueError(f"invalid proposition name in alphabet: {name!r}")
+                raise TwtlError(f"invalid proposition name in alphabet: {name!r}")
     return _Parser(_tokenize(text), alphabet).parse()
 
 

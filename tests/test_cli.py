@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import fields
 
@@ -48,6 +49,11 @@ class TestCompileCommand:
     def test_unknown_prop(self, capsys):
         assert main(["compile", "--formula", "H^0 Z", "--props", "B"]) == 2
 
+    @pytest.mark.parametrize("props", ["B,bad name", "B,TRUE"])
+    def test_bad_prop_name(self, capsys, props):
+        assert main(["compile", "--formula", "H^0 B", "--props", props]) == 2
+        assert "invalid proposition name" in capsys.readouterr().err
+
 
 class TestConfig:
     def test_defaults(self):
@@ -73,14 +79,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, {"pr_des": 1.5})
 
-    @pytest.mark.parametrize("field, value", [("labels", {"a": ["P"]}), ("width", "six")])
+    # 6.7, "0.03" and "Base" were once read as 6, 0.03 and the propositions B, a, s, e
+    @pytest.mark.parametrize("field, value", [
+        ("labels", {"a": ["P"]}), ("width", "six"), ("width", 6.7), ("real_uncertainty", "0.03"),
+        ("labels", {"1,3": "Base"}), ("height", None)])
     def test_bad_grid_file(self, tmp_path, capsys, field, value):
-        doc = json.loads(canonical_case_study()[0].to_json())
+        doc = cli._as_json(canonical_case_study()[0])
         doc[field] = value
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(doc))
         assert main(["build", "--grid", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
 
     def test_bad_assumed_uncertainty(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -162,8 +172,12 @@ class TestConfig:
         if value is None:
             return kind.endswith("?")
         kind = kind.rstrip("?")
-        if kind in ("integers", "numbers", "cell"):
-            element = "number" if kind == "numbers" else "integer"
+        if kind.startswith("{"):
+            return isinstance(value, dict) and all(
+                re.fullmatch("[0-9]+,[0-9]+", key) and TestConfig.is_kind(item, kind[1:-1])
+                for key, item in value.items())
+        if kind in ("integers", "numbers", "strings", "cell"):
+            element = {"numbers": "number", "strings": "string"}.get(kind, "integer")
             return (isinstance(value, list) and (kind != "cell" or len(value) == 2)
                     and all(TestConfig.is_kind(v, element) for v in value))
         return {"integer": type(value) is int, "number": type(value) in (int, float),
@@ -238,7 +252,7 @@ class TestConfig:
         # the grid's real uncertainty is 0.03, so an assumed 0.01 is rejected
         # the same way with and without --grid
         path = tmp_path / "grid.json"
-        path.write_text(canonical_case_study()[0].to_json())
+        path.write_text(json.dumps(cli._as_json(canonical_case_study()[0])))
         assert main(["build", "--grid", str(path), "--eps", "0.01"]) == 2
         assert main(["build", "--eps", "0.01"]) == 2
 
@@ -247,6 +261,74 @@ class TestConfig:
                                  "multishot_thresholds": [0.9, 0.9, 0.9, 0.9]})
         with pytest.raises(ConfigError):
             cfg.plan(35)
+
+
+class TestGridSchema:
+    # The JSON kind each GridSpec key takes; "{k}" is an object from "x,y" cells to k.
+    KINDS = {"width": "integer", "height": "integer", "real_uncertainty": "number",
+             "assumed_uncertainty": "number", "labels": "{strings}", "reward_cells": "{number}",
+             "one_way_doors": "{strings}"}
+    SMALL = {"width": 4, "height": 3, "real_uncertainty": 0.02, "assumed_uncertainty": 0.05}
+
+    def write_grid(self, path, **changes):
+        doc = {**cli._as_json(canonical_case_study()[0]), **changes}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_missing_key_rejected(self):
+        with pytest.raises(ConfigError, match="missing key 'height'"):
+            load_config(None, {"grid": {"width": 4, "real_uncertainty": 0.0,
+                                        "assumed_uncertainty": 0.1}})
+
+    def test_bad_label_name_exits_2(self, tmp_path, capsys):
+        path = self.write_grid(tmp_path / "grid.json", labels={"1,3": ["bad name"]})
+        assert main(["build", "--grid", path]) == 2
+        assert "invalid proposition name" in capsys.readouterr().err
+
+    def test_out_of_range_grid_value_is_config_error(self, tmp_path, capsys):
+        # eps 1.5 used to fail as an infeasibility, and an unknown door action was skipped
+        assert main(["build", "--eps", "1.5"]) == 2
+        doors = self.write_grid(tmp_path / "grid.json", one_way_doors={"2,2": ["north"]})
+        assert main(["build", "--grid", doors]) == 2
+        assert capsys.readouterr().err.count("config error") == 2
+
+    def test_wrong_json_types_rejected(self, tmp_path):
+        assert set(self.KINDS) == {f.name for f in fields(cli.GridSpec)}
+        rng = random.Random(11)
+        grids = []
+        for key, kind in self.KINDS.items():
+            wrong = []
+            while len(wrong) < 8:
+                value = TestConfig.random_json(rng)
+                if kind.startswith("{") and rng.random() < 0.5:
+                    value = {"1,1": value}
+                if not TestConfig.is_kind(value, kind):
+                    wrong.append(value)
+            grids += [{**self.SMALL, key: value} for value in wrong]
+        path = tmp_path / "grid.json"
+        for grid in grids:
+            path.write_text(json.dumps(grid))
+            for source in (grid, str(path)):
+                with pytest.raises(ConfigError):
+                    load_config(None, {"grid": source})
+                    pytest.fail(f"{grid!r} was accepted")
+
+    @pytest.mark.parametrize("key", ["1, 3", "x", "1.5,3", "01,3", "1,3,0", ""])
+    def test_bad_cell_key_rejected(self, key):
+        with pytest.raises(ConfigError, match="is not an \"x,y\" cell"):
+            load_config(None, {"grid": {**self.SMALL, "labels": {key: ["P"]}}})
+
+    def test_unknown_grid_keys_ignored(self, tmp_path):
+        path = self.write_grid(tmp_path / "grid.json", start_cell=[0, 0], colour="red")
+        assert load_config(None, {"grid": path}).grid == canonical_case_study()[0]
+
+    def test_build_rewrites_its_grid_file_unchanged(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["build", "--eps", "0.13", "--output-dir", str(first)]) == 0
+        assert main(["build", "--grid", str(first / "grid.json"),
+                     "--output-dir", str(second)]) == 0
+        assert (first / "grid.json").read_bytes() == (second / "grid.json").read_bytes()
+        assert json.loads((second / "grid.json").read_text())["assumed_uncertainty"] == 0.13
 
 
 class TestRunExperiment:

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from twtlshield.cli import _as_json, load_config
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import (ACTIONS, CASE_STUDY_PROPS, GridError, GridSpec,
                                   build_grid_mdp, canonical_case_study, render_ascii)
@@ -70,6 +72,11 @@ class TestDynamics:
         with pytest.raises(GridError):
             plain_grid(eps_real=0.08, eps=0.03)
 
+    def test_assumed_uncertainty_at_most_one(self):
+        assert build_grid_mdp(plain_grid(eps=1.0)).validate() == []
+        with pytest.raises(GridError, match="at most 1"):
+            plain_grid(eps=1.5)
+
 
 class TestDoors:
     def test_door_removes_actions(self):
@@ -94,6 +101,12 @@ class TestDoors:
         with pytest.raises(GridError):
             GridSpec(width=3, height=3, real_uncertainty=0.0, assumed_uncertainty=0.1,
                      one_way_doors={(1, 1): frozenset({"Stay"})})
+
+    def test_unknown_action_cannot_be_forbidden(self):
+        # feasible_moves would skip a name it does not know, so the door would not exist
+        with pytest.raises(GridError, match="cannot forbid 'north'"):
+            GridSpec(width=3, height=3, real_uncertainty=0.0, assumed_uncertainty=0.1,
+                     one_way_doors={(1, 1): frozenset({"north"})})
 
 
 class TestCanonicalCaseStudy:
@@ -128,7 +141,7 @@ class TestCanonicalCaseStudy:
 class TestSerialization:
     def test_json_round_trip(self):
         spec, _ = canonical_case_study()
-        loaded = GridSpec.from_json(spec.to_json())
+        loaded = load_config(None, {"grid": json.loads(json.dumps(_as_json(spec)))}).grid
         assert loaded.labels == spec.labels
         assert loaded.reward_cells == spec.reward_cells
         assert loaded.one_way_doors == spec.one_way_doors

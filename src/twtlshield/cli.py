@@ -19,7 +19,7 @@ import os
 import random
 import sys
 import typing
-from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 
 from . import __version__
 from .twtl import TwtlError, parse_formula, propositions, time_bound, format_formula
@@ -295,7 +295,6 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     violators = _prune(cfg, product)
     threshold = product.initial_threshold
 
-    check_ok = not violators
     if violators and not cfg.allow_unsafe:
         worst = min(violators, key=lambda pv: pv[1])
         raise PipelineError(
@@ -303,18 +302,14 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             f"{len(violators)} initial states fall below the required {threshold:.6f} "
             f"(worst {worst[0]!r} at {worst[1]:.6f}); rerun with --allow-unsafe to proceed")
 
-    learner_cfg = cfg.learner
-    if cfg.allow_unsafe and not check_ok:
-        learner_cfg = replace(learner_cfg, enforce_initial=False)
     run = run_one_shot if cfg.mode == "one_shot" else run_multi_shot
     try:
-        result = run(product, learner_cfg)
+        result = run(product, cfg.learner)
     except Exception as exc:
         raise PipelineError("learn", exc)
 
-    eval_result = evaluate(product, result.policy, cfg.eval_episodes, seed=learner_cfg.seed + 1,
-                           start_state=learner_cfg.start_state,
-                           reset_mode=learner_cfg.reset_mode)
+    eval_result = evaluate(product, result.policy, cfg.eval_episodes, seed=cfg.learner.seed + 1,
+                           start_state=cfg.learner.start_state, reset_mode=cfg.learner.reset_mode)
 
     f0 = [product.f_values[p] for p in product.initial]
     summary = {
@@ -325,10 +320,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         "product": product.summary(),
         "initial_bound": {"threshold": threshold, "min": min(f0), "max": max(f0),
                           "mean": math.fsum(f0) / len(f0)},
-        "check_initial": {"ok": check_ok, "violators": len(violators)},
+        "check_initial": {"ok": not violators, "violators": len(violators)},
         "pruning": _prune_stats(product),
         "learning": {
-            "episodes": learner_cfg.episodes,
+            "episodes": cfg.learner.episodes,
             "satisfaction_rate": result.satisfaction_rate,
             "average_reward": result.average_reward,
             "legality_violations": result.legality_violations,
@@ -340,6 +335,11 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             "wilson_ci_halfwidth": eval_result.ci_halfwidth,
         },
     }
+    for part in ("learning", "testing"):
+        for key, value in summary[part].items():
+            if not math.isfinite(value):
+                raise PipelineError("report", f"{part} {key} is {value}, not a finite number; "
+                                    "check the grid's reward_cells", exit_code=2)
 
     paths = {}
     out = cfg.output_dir
@@ -356,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
 
 
 def _json_text(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(out, name, text):
@@ -482,12 +482,7 @@ def cmd_eval(args):
     if violators and not cfg.allow_unsafe:
         print(f"check-initial FAILED for {len(violators)} initial states", file=sys.stderr)
         return 3
-    try:
-        with open(args.policy) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read policy {args.policy}: {exc}", file=sys.stderr)
-        return 2
+    raw = _read_json(args.policy, "policy")
     if not isinstance(raw, dict):
         raise ConfigError(f"policy {args.policy} is not a JSON object")
     actions = {repr(a): a for a in product.mdp.actions}
@@ -567,6 +562,9 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    for flag, count in (("--instances", args.instances), ("--lp-instances", args.lp_instances)):
+        if count < 0:
+            raise ConfigError(f"{flag} must be nonnegative, not {count}")
     rng = random.Random(args.seed)
     failures = []
 

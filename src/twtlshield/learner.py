@@ -10,6 +10,9 @@ exploration between sub-tasks.  The whole shield (pruned sets, fallback
 policy, initial threshold and reset layers) lives on the pruned product, so
 ``learn`` and ``evaluate`` take only the product.
 
+Both loops step the product themselves (true dynamics, automaton move,
+``reward_fn``).  Every episode starts at (s0, delta(q_init, l(s0)), 0), a state
+of ``product.initial``, all of which the pipeline checks once before learning.
 Episodes reset by carrying the final environment state into the next start
 (the automaton restarts, the world does not); a fixed start state is
 available as an option.  Q-values default to zero for unseen pairs.
@@ -22,20 +25,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .product import TimeTotalProductMdp
-
 
 class LearnerError(Exception):
     pass
-
-
-class UnsafeStartError(LearnerError):
-    def __init__(self, state, bound, threshold):
-        super().__init__(
-            f"episode start {state!r} has worst-case bound {bound:.6f} below the "
-            f"required {threshold:.6f}; the per-episode guarantee would not hold "
-            f"(disable enforce_initial only for exploratory runs)")
-        self.state = state
 
 
 @dataclass
@@ -50,8 +42,6 @@ class LearnerConfig:
     seed: int = 0
     reset_mode: str = "carry_state"     # "carry_state" | "fixed_start"
     start_state: tuple[int, int] = None  # a grid cell in configs; None: the first MDP state
-    log_trajectories: bool = False
-    enforce_initial: bool = True
 
     def __post_init__(self):
         if self.episodes < 0:
@@ -75,7 +65,6 @@ class EpisodeLog:
     steps_shielded: int
     legality_violations: int
     final_state: tuple
-    trajectory: list | None = None      # entries: (state, action, reward, shield_active)
 
 
 @dataclass
@@ -106,30 +95,6 @@ class EvalResult:
     episodes: int
 
 
-class ProductEnv:
-    """Simulator: samples true dynamics, advances the automaton, pays rewards.
-
-    The reward source and transition law stay inside; learning code only sees
-    sampled transitions.
-    """
-
-    def __init__(self, product: TimeTotalProductMdp):
-        if product.mdp.true_dynamics is None:
-            raise LearnerError("the environment needs true dynamics to simulate")
-        self.mdp = product.mdp
-        self._after = product._after
-        self._q_init = product.automaton.initial
-
-    def reset(self, s0):
-        return (s0, self._after(self._q_init, s0), 0)
-
-    def step(self, p, a, rng):
-        s, q, t = p
-        s2 = self.mdp.sample_next(s, a, rng)
-        reward = float(self.mdp.reward_fn(s, a)) if self.mdp.reward_fn is not None else 0.0
-        return (s2, self._after(q, s2), t + 1), reward
-
-
 def _greedy(row, actions):
     """First maximizer over ``actions`` with unseen pairs worth 0."""
     best_a = actions[0]
@@ -155,16 +120,17 @@ def _next_value(q, p2, enabled):
 def learn(product, cfg: LearnerConfig) -> RunResult:
     """Shielded Q-learning on a pruned product; the flag resets where ``product.resets_flag``."""
     mdp = product.mdp
+    sample_next = mdp.sample_next
+    reward = mdp.reward_fn
+    after = product._after
+    q_init = product.automaton.initial
     horizon = product.horizon
     act_sets = product.act_sets
     pi_c = product.pi_c
     resets_flag = product.resets_flag
-    threshold = product.initial_threshold
-    f_values = product.f_values
     if not act_sets:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
     act_fsets = {p: frozenset(acts) for p, acts in act_sets.items()}
-    env = ProductEnv(product)
 
     rng = random.Random(cfg.seed)
     q = {}
@@ -180,14 +146,11 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
     epsilon = cfg.epsilon
 
     for episode in range(cfg.episodes):
-        p = env.reset(s0)
-        if cfg.enforce_initial and threshold is not None and f_values.get(p, 0.0) < threshold:
-            raise UnsafeStartError(p, f_values.get(p, 0.0), threshold)
+        p = (s0, after(q_init, s0), 0)
         cumulative = 0.0
         shield_entry = None
         steps_shielded = 0
         violations = 0
-        trajectory = [] if cfg.log_trajectories else None
 
         for t in range(horizon):
             acts = act_sets[p]
@@ -209,10 +172,11 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
             elif a not in act_fsets[p]:
                 violations += 1
 
-            p2, r = env.step(p, a, rng)
+            s, q_aut, _ = p
+            s2 = sample_next(s, a, rng)
+            p2 = (s2, after(q_aut, s2), t + 1)
+            r = reward(s, a)
             cumulative += r
-            if trajectory is not None:
-                trajectory.append((p, a, r, shielded))
 
             if visits is not None:
                 count = visits.get((p, a), 0) + 1
@@ -239,7 +203,6 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
             steps_shielded=steps_shielded,
             legality_violations=violations,
             final_state=p,
-            trajectory=trajectory,
         ))
         total_violations += violations
         s0 = p[0] if cfg.reset_mode == "carry_state" else start
@@ -266,7 +229,10 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
 
     Reports the satisfaction rate with a Wilson 95% interval half-width.
     """
-    env = ProductEnv(product)
+    sample_next = product.mdp.sample_next
+    reward = product.mdp.reward_fn
+    after = product._after
+    q_init = product.automaton.initial
     act_sets = product.act_sets
     pi_c = product.pi_c
     rng = random.Random(seed)
@@ -277,7 +243,7 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
     total_reward = 0.0
 
     for _ in range(n_episodes):
-        p = env.reset(s0)
+        p = (s0, after(q_init, s0), 0)
         for t in range(product.horizon):
             shielded = flag or not act_sets[p]
             if shielded:
@@ -285,8 +251,10 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
                 flag = True
             else:
                 a = policy[p]
-            p, r = env.step(p, a, rng)
-            total_reward += r
+            s, q_aut, _ = p
+            s2 = sample_next(s, a, rng)
+            p = (s2, after(q_aut, s2), t + 1)
+            total_reward += reward(s, a)
             if product.resets_flag(p):
                 flag = False
         if product.is_accepting(p):

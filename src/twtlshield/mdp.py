@@ -1,9 +1,9 @@
 """Labeled MDPs with interval-bounded transition probabilities.
 
-The model separates what the learner may use (states, actions, labels, and
-per-transition probability intervals) from what only the simulator
-(:class:`learner.ProductEnv`) reads: the true transition law, sampled through
-:meth:`LabeledIntervalMdp.sample_next`, and the reward source.  Absent
+The model separates what the shield may use (states, actions, labels, and
+per-transition probability intervals) from what only the episode loops in
+:mod:`learner` read: the true transition law, sampled through
+:meth:`LabeledIntervalMdp.sample_next`, and the reward ``reward_fn``.  Absent
 interval entries mean the transition is impossible ([0, 0]).
 """
 
@@ -23,13 +23,17 @@ class MissingDynamicsError(MdpError):
     pass
 
 
+def _no_reward(s, a):
+    return 0.0      # a module function, not a lambda, so that models pickle
+
+
 class LabeledIntervalMdp:
     """States, actions, labels, interval bounds, and optional true dynamics.
 
     ``bounds`` maps (s, a, s') to (lo, hi).  ``enabled`` restricts the action
     set per state (walls and one-way doors remove actions outright); states
-    not listed keep the full action set.  ``reward_fn`` is only queried by
-    the simulator, never handed to learning code.
+    not listed keep the full action set.  ``reward_fn(s, a)`` is read only by
+    the episode loops; a model without one pays 0.0.
     """
 
     def __init__(self, states, actions, labels, bounds, true_dynamics=None,
@@ -39,7 +43,7 @@ class LabeledIntervalMdp:
         self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
         self.bounds = dict(bounds)
         self.true_dynamics = dict(true_dynamics) if true_dynamics is not None else None
-        self.reward_fn = reward_fn
+        self.reward_fn = reward_fn or _no_reward
         state_set = set(self.states)
         full = tuple(self.actions)
         self.enabled = {s: full for s in self.states}

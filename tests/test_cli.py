@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -139,7 +140,7 @@ class TestConfig:
         ({"assumed_uncertainty": True}, "assumed_uncertainty must be a number"),
         ({"learner": {"gamma": "0.5"}}, "gamma must be a number"),
         ({"learner": {"alpha": float("nan")}}, "alpha must be a number"),
-        ({"learner": {"log_trajectories": "no"}}, "log_trajectories must be true or false"),
+        ({"learner": {"log_trajectories": False}}, "unknown key 'log_trajectories'"),
         ({"multishot_timestamps": [0, 8.5, 15, 22, 35]},
          "multishot_timestamps must be an array of integers"),
         ({"prdes": 0.5}, "unknown key 'prdes'"),
@@ -147,6 +148,7 @@ class TestConfig:
         ([1, 2], "must be a JSON object"),
         ({"learner": {"start_state": [1, 2, 3]}}, "start_state must be an array of 2 integers"),
         ({"learner": {"start_state": [99, 99]}}, "start_state [99, 99] is not a grid cell"),
+        ({"learner": {"enforce_initial": True}}, "unknown key 'enforce_initial'"),
     ])
     def test_value_not_of_declared_type(self, tmp_path, capsys, doc, message):
         path = tmp_path / "cfg.json"
@@ -164,8 +166,7 @@ class TestConfig:
     LEARNER_KINDS = {"episodes": "integer", "alpha": "number", "alpha_mode": "string",
                      "gamma": "number", "epsilon": "number", "epsilon_decay": "number",
                      "epsilon_floor": "number", "seed": "integer", "reset_mode": "string",
-                     "start_state": "cell?", "log_trajectories": "boolean",
-                     "enforce_initial": "boolean"}
+                     "start_state": "cell?"}
 
     @staticmethod
     def is_kind(value, kind):
@@ -227,8 +228,7 @@ class TestConfig:
                 "one_way_doors": {"0,1": ["N"]}}
         learner = {"episodes": 11, "alpha": 0.2, "alpha_mode": "inverse_visit", "gamma": 0.9,
                    "epsilon": 0.5, "epsilon_decay": 0.99, "epsilon_floor": 0.1, "seed": 3,
-                   "reset_mode": "fixed_start", "start_state": [1, 2],
-                   "log_trajectories": True, "enforce_initial": False}
+                   "reset_mode": "fixed_start", "start_state": [1, 2]}
         doc = {"grid": grid, "formula": "[H^1 P]^[0,4] . [H^1 D1]^[0,5]", "pr_des": 0.8,
                "mode": "multi_shot", "multishot_timestamps": [0, 5, 11],
                "multishot_thresholds": [0.8, 1], "learner": learner, "eval_episodes": 7,
@@ -247,6 +247,11 @@ class TestConfig:
         expected = {k: v for k, v in doc.items() if k != "output_dir"}
         expected["multishot_thresholds"] = [0.8, 1.0]
         assert echo == expected
+
+    def test_readme_lists_every_learner_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"a `learner` block\s*\((.*?)\)", readme, re.DOTALL).group(1)
+        assert re.findall(r"`(\w+)`", block) == [f.name for f in fields(LearnerConfig)]
 
     def test_eps_below_real_uncertainty_with_grid_file(self, tmp_path, capsys):
         # the grid's real uncertainty is 0.03, so an assumed 0.01 is rejected
@@ -376,6 +381,37 @@ class TestRunExperiment:
         assert code == 0
 
 
+def overflowing_reward_config(tmp_path):
+    """A finite reward of 1e308 that sums to infinity within one episode."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "grid": {"width": 2, "height": 1, "real_uncertainty": 0.0, "assumed_uncertainty": 0.0,
+                 "labels": {"1,0": ["B"]}, "reward_cells": {"0,0": 1e308}},
+        "formula": "[H^0 B]^[0,2]", "pr_des": 0.5}))
+    return str(path)
+
+
+class TestNonFiniteFigures:
+    def test_learn_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["learn", "--config", overflowing_reward_config(tmp_path), "--episodes", "5",
+                     "--eval-episodes", "5", "--output-dir", str(out)]) == 2
+        assert "average_reward is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", overflowing_reward_config(tmp_path), "--eps-list", "0",
+                     "--pr-list", "0.5", "--modes", "one_shot", "--episodes", "5",
+                     "--eval-episodes", "5", "--output-dir", str(out)]) == 2
+        assert "average_reward is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_text_is_strict(self):
+        with pytest.raises(ValueError):
+            cli._json_text({"average_reward": float("inf")})
+
+
 class TestPruneCommand:
     def test_safe_config(self, capsys):
         assert main(["prune", "--pr-des", "0.9", "--eps", "0.08"]) == 0
@@ -437,6 +473,13 @@ class TestEvalCommand:
         assert main(["eval", "--policy", "/nonexistent.json", "--pr-des", "0.7",
                      "--eps", "0.08"]) == 2
 
+    def test_non_utf8_policy(self, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["eval", "--policy", str(path), "--pr-des", "0.7", "--eps", "0.08",
+                     "--eval-episodes", "10"]) == 2
+        assert f"cannot read policy {path}" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     @pytest.mark.parametrize("flag", ["--eps-list", "--pr-list"])
@@ -494,6 +537,17 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         main(["verify", "--instances", "5", "--lp-instances", "10", "--seed", "4"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flag", ["--instances", "--lp-instances"])
+    def test_negative_count_rejected(self, capsys, flag):
+        assert main(["verify", flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be nonnegative" in captured.err
+
+    def test_zero_counts_allowed(self, capsys):
+        assert main(["verify", "--instances", "0", "--lp-instances", "0"]) == 0
+        assert "(0 instances)" in capsys.readouterr().out
 
     def test_corrupted_bound_detected(self, capsys):
         assert main(["verify", "--instances", "5", "--lp-instances", "5",

@@ -5,12 +5,9 @@ import random
 import pytest
 
 from twtlshield.cli import _as_json, load_config
-from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import (ACTIONS, CASE_STUDY_PROPS, GridError, GridSpec,
                                   build_grid_mdp, canonical_case_study, render_ascii)
-from twtlshield.learner import ProductEnv
-from twtlshield.product import build_product
-from twtlshield.twtl import parse_formula, time_bound
+from twtlshield.twtl import time_bound
 
 
 def plain_grid(eps_real=0.03, eps=0.08):
@@ -169,9 +166,6 @@ class TestStep:
     def test_reward_on_occupancy(self):
         spec, _ = canonical_case_study()
         m = build_grid_mdp(spec)
-        env = ProductEnv(build_product(m, compile_formula(parse_formula("H^0 TRUE"),
-                                                          CASE_STUDY_PROPS), 0))
-        rng = random.Random(1)
         cell = max(spec.reward_cells, key=spec.reward_cells.get)
-        assert env.step(env.reset(cell), "Stay", rng)[1] == spec.reward_cells[cell]
-        assert env.step(env.reset((0, 0)), "Stay", rng)[1] == 0.0
+        assert m.reward_fn(cell, "Stay") == spec.reward_cells[cell]
+        assert m.reward_fn((0, 0), "Stay") == 0.0

@@ -1,13 +1,10 @@
+import pickle
 import random
 from collections import Counter
 
 import pytest
 
-from twtlshield.automaton import compile_formula
-from twtlshield.learner import ProductEnv
 from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError
-from twtlshield.product import build_product
-from twtlshield.twtl import parse_formula
 from conftest import three_state_mdp
 
 
@@ -79,11 +76,10 @@ class TestStep:
 
     def test_reward_passthrough(self):
         m = three_state_mdp()
+        pays = lambda s, a: 2.5 if s == "s0" else 0.0
         rewarding = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds,
-                                       m.true_dynamics, lambda s, a: 2.5 if s == "s0" else 0.0)
-        # rewards are paid by the product simulator, per (state, action) left
-        aut = compile_formula(parse_formula("[H^0 B]^[0,2]"), {"B", "C"})
-        env = ProductEnv(build_product(rewarding, aut, 2))
-        rng = random.Random(0)
-        assert env.step(env.reset("s0"), "a1", rng)[1] == 2.5
-        assert env.step(env.reset("s1"), "a1", rng)[1] == 0.0
+                                       m.true_dynamics, pays)
+        assert rewarding.reward_fn is pays
+        # a model without a reward source pays nothing, and still pickles
+        assert all(m.reward_fn(s, a) == 0.0 for s in m.states for a in m.actions)
+        assert pickle.loads(pickle.dumps(m)).reward_fn("s0", "a1") == 0.0

@@ -328,18 +328,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             "average_reward": result.average_reward,
             "legality_violations": result.legality_violations,
         },
-        "testing": {
-            "episodes": eval_result.episodes,
-            "satisfaction_rate": eval_result.satisfaction_rate,
-            "average_reward": eval_result.avg_reward,
-            "wilson_ci_halfwidth": eval_result.ci_halfwidth,
-        },
+        "testing": _testing(eval_result),
     }
     for part in ("learning", "testing"):
-        for key, value in summary[part].items():
-            if not math.isfinite(value):
-                raise PipelineError("report", f"{part} {key} is {value}, not a finite number; "
-                                    "check the grid's reward_cells", exit_code=2)
+        _check_finite(part, summary[part])
 
     paths = {}
     out = cfg.output_dir
@@ -353,6 +345,19 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         paths["episodes"] = os.path.join(out, "episodes.csv")
         write_episode_csv(result.logs, paths["episodes"])
     return ReportBundle(summary=summary, paths=paths)
+
+
+def _testing(result):
+    return {"episodes": result.episodes, "satisfaction_rate": result.satisfaction_rate,
+            "average_reward": result.avg_reward, "wilson_ci_halfwidth": result.ci_halfwidth}
+
+
+def _check_finite(part, figures):
+    """Refuse to report a figure that is not a finite number (strict JSON has none)."""
+    for key, value in figures.items():
+        if not math.isfinite(value):
+            raise PipelineError("report", f"{part} {key} is {value}, not a finite number; "
+                                "check the grid's reward_cells", exit_code=2)
 
 
 def _json_text(doc):
@@ -505,6 +510,7 @@ def cmd_eval(args):
                                 f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
     result = evaluate(product, policy, cfg.eval_episodes, seed=cfg.learner.seed + 1,
                       start_state=cfg.learner.start_state, reset_mode=cfg.learner.reset_mode)
+    _check_finite("testing", _testing(result))
     print(f"satisfaction: {result.satisfaction_rate:.4f} +/- {result.ci_halfwidth:.4f} "
           f"over {result.episodes} episodes, avg reward {result.avg_reward:.3f}")
     return 0

@@ -10,9 +10,23 @@ exploration between sub-tasks.  The whole shield (pruned sets, fallback
 policy, initial threshold and reset layers) lives on the pruned product, so
 ``learn`` and ``evaluate`` take only the product.
 
-Both loops step the product themselves (true dynamics, automaton move,
-``reward_fn``).  Every episode starts at (s0, delta(q_init, l(s0)), 0), a state
-of ``product.initial``, all of which the pipeline checks once before learning.
+Both loops step the product themselves, on a numbered view of it built at
+the start of each call: every state of ``product.layers`` gets an integer id,
+layer by layer, and the pruned set, fallback action, flag reset, acceptance
+and enabled-action count of each id sit in lists.  The first time action a is
+taken at id i, its row is made: the ids of (s', delta(q, l(s')), t+1) for the
+successors s' of the model's sampler at (s, a), that sampler's cumulative
+table (shared, not copied) and ``reward_fn(s, a)``.  This is exact: a
+successor's automaton state and time depend only on (q, s', t), a validated
+model's true successors lie in the product's layers, the reward is a function
+of (s, a), and the loops make the same random draws as sampling by state
+(``rng.random()`` only where a row has several successors).  Q rows stay
+dicts by action, so the greedy first maximizer in pruned-set order, unseen
+pairs worth 0 and the bootstrap rule are unchanged, and ``RunResult.q`` is
+keyed by product state.
+
+Every episode starts at (s0, delta(q_init, l(s0)), 0), a state of
+``product.initial``, all of which the pipeline checks once before learning.
 Episodes reset by carrying the final environment state into the next start
 (the automaton restarts, the world does not); a fixed start state is
 available as an option.  Q-values default to zero for unseen pairs.
@@ -23,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -107,120 +122,125 @@ def _greedy(row, actions):
     return best_a
 
 
-def _next_value(q, p2, enabled):
-    row = q.get(p2)
-    if not row:
-        return 0.0
-    best = max(row.values())
-    if len(row) < len(enabled) and best < 0.0:
-        return 0.0
-    return best
+class _Numbered:
+    """The pruned product with its states numbered layer by layer (module docstring)."""
+
+    def __init__(self, product):
+        mdp = product.mdp
+        self.product = product
+        self.states = [(s, q, t) for t, layer in enumerate(product.layers) for s, q in layer]
+        self.index = {p: i for i, p in enumerate(self.states)}
+        inner = self.states[:len(self.states) - len(product.layers[-1])]
+        self.acts = [product.act_sets[p] for p in inner]
+        self.pi_c = [product.pi_c[p] for p in inner]
+        self.resets = [product.resets_flag(p) for p in self.states]
+        self.accepting = [product.is_accepting(p) for p in self.states]
+        self.n_enabled = [len(mdp.enabled[p[0]]) for p in self.states]
+        self.rows = [{} for _ in inner]
+
+    def start(self, s0):
+        product = self.product
+        return self.index[(s0, product._after(product.automaton.initial, s0), 0)]
+
+    def row(self, i, a):
+        """(successor ids, cumulative probabilities, reward) of action a at state i."""
+        s, q, t = self.states[i]
+        mdp = self.product.mdp
+        after = self.product._after
+        succs, cum = mdp.sampler(s, a)
+        row = self.rows[i][a] = ([self.index[(s2, after(q, s2), t + 1)] for s2 in succs],
+                                 cum, mdp.reward_fn(s, a))
+        return row
 
 
 def learn(product, cfg: LearnerConfig) -> RunResult:
     """Shielded Q-learning on a pruned product; the flag resets where ``product.resets_flag``."""
-    mdp = product.mdp
-    sample_next = mdp.sample_next
-    reward = mdp.reward_fn
-    after = product._after
-    q_init = product.automaton.initial
-    horizon = product.horizon
-    act_sets = product.act_sets
-    pi_c = product.pi_c
-    resets_flag = product.resets_flag
-    if not act_sets:
+    if not product.act_sets:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
-    act_fsets = {p: frozenset(acts) for p, acts in act_sets.items()}
+    view = _Numbered(product)
+    states, act_sets, pi_c, rows = view.states, view.acts, view.pi_c, view.rows
+    resets, n_enabled, new_row = view.resets, view.n_enabled, view.row
+    horizon = product.horizon
 
     rng = random.Random(cfg.seed)
-    q = {}
+    rand, randrange = rng.random, rng.randrange
+    qs = [None] * len(states)
     visits = {} if cfg.alpha_mode == "inverse_visit" else None
     logs = []
     total_violations = 0
     gamma = cfg.gamma
-    alpha_const = cfg.alpha
+    alpha = cfg.alpha
 
-    start = cfg.start_state if cfg.start_state is not None else mdp.states[0]
+    start = cfg.start_state if cfg.start_state is not None else product.mdp.states[0]
     s0 = start
     flag = False
     epsilon = cfg.epsilon
 
     for episode in range(cfg.episodes):
-        p = (s0, after(q_init, s0), 0)
+        i = view.start(s0)
         cumulative = 0.0
         shield_entry = None
         steps_shielded = 0
         violations = 0
 
         for t in range(horizon):
-            acts = act_sets[p]
-            shielded = flag or not acts
-            if shielded:
-                a = pi_c[p]
+            acts = act_sets[i]
+            row = qs[i]
+            if flag or not acts:
+                a = pi_c[i]
                 flag = True
-            elif rng.random() < epsilon:
-                a = acts[rng.randrange(len(acts))]
-            else:
-                a = _greedy(q.get(p), acts)
-
-            if shielded:
                 steps_shielded += 1
                 if shield_entry is None:
                     shield_entry = t
-                if a != pi_c[p]:
+            else:
+                if rand() < epsilon:
+                    a = acts[randrange(len(acts))]
+                else:                   # _greedy(row, acts), inlined
+                    a = acts[0]
+                    if row:
+                        best = row.get(a, 0.0)
+                        for b in acts:
+                            v = row.get(b, 0.0)
+                            if v > best:
+                                best = v
+                                a = b
+                if a not in acts:
                     violations += 1
-            elif a not in act_fsets[p]:
-                violations += 1
 
-            s, q_aut, _ = p
-            s2 = sample_next(s, a, rng)
-            p2 = (s2, after(q_aut, s2), t + 1)
-            r = reward(s, a)
+            succ, cum, r = rows[i].get(a) or new_row(i, a)
+            j = succ[bisect_right(cum, rand())] if len(succ) > 1 else succ[0]
             cumulative += r
 
             if visits is not None:
-                count = visits.get((p, a), 0) + 1
-                visits[(p, a)] = count
+                count = visits[i, a] = visits.get((i, a), 0) + 1
                 alpha = 1.0 / count
-            else:
-                alpha = alpha_const
-            row = q.get(p)
             if row is None:
-                row = {}
-                q[p] = row
-            target = r + gamma * _next_value(q, p2, mdp.enabled[p2[0]])
-            row[a] = (1.0 - alpha) * row.get(a, 0.0) + alpha * target
+                row = qs[i] = {}
+            nxt = qs[j]
+            if nxt:
+                best = max(nxt.values())
+                if best < 0.0 and len(nxt) < n_enabled[j]:
+                    best = 0.0
+            else:
+                best = 0.0
+            row[a] = (1.0 - alpha) * row.get(a, 0.0) + alpha * (r + gamma * best)
 
-            p = p2
-            if resets_flag(p):
+            i = j
+            if resets[i]:
                 flag = False
 
-        logs.append(EpisodeLog(
-            index=episode,
-            satisfied=product.is_accepting(p),
-            cumulative_reward=cumulative,
-            shield_entry_time=shield_entry,
-            steps_shielded=steps_shielded,
-            legality_violations=violations,
-            final_state=p,
-        ))
+        final = states[i]
+        logs.append(EpisodeLog(episode, view.accepting[i], cumulative, shield_entry,
+                               steps_shielded, violations, final))
         total_violations += violations
-        s0 = p[0] if cfg.reset_mode == "carry_state" else start
+        s0 = final[0] if cfg.reset_mode == "carry_state" else start
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
-    policy = extract_policy(product, q)
+    # the greedy policy: argmax Q over the pruned set, fallback where it is empty
+    policy = {states[i]: _greedy(qs[i], acts) if acts else pi_c[i]
+              for i, acts in enumerate(act_sets)}
+    q = {states[i]: row for i, row in enumerate(qs) if row is not None}
     return RunResult(policy=policy, logs=logs, q=q, legality_violations=total_violations)
-
-
-def extract_policy(product, q):
-    """Greedy policy: argmax Q over the pruned set, fallback where it is empty."""
-    policy = {}
-    for t, layer in enumerate(product.layers[:-1]):
-        for s, qa in layer:
-            p = (s, qa, t)
-            acts = product.act_sets[p]
-            policy[p] = _greedy(q.get(p), acts) if acts else product.pi_c[p]
-    return policy
 
 
 def evaluate(product, policy, n_episodes, seed, start_state=None,
@@ -229,13 +249,11 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
 
     Reports the satisfaction rate with a Wilson 95% interval half-width.
     """
-    sample_next = product.mdp.sample_next
-    reward = product.mdp.reward_fn
-    after = product._after
-    q_init = product.automaton.initial
-    act_sets = product.act_sets
-    pi_c = product.pi_c
-    rng = random.Random(seed)
+    view = _Numbered(product)
+    states, act_sets, pi_c, rows = view.states, view.acts, view.pi_c, view.rows
+    resets, new_row = view.resets, view.row
+    chosen = [None] * len(act_sets)     # policy[p] per id, read on first use
+    rand = random.Random(seed).random
     start = start_state if start_state is not None else product.mdp.states[0]
     s0 = start
     flag = False
@@ -243,23 +261,23 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
     total_reward = 0.0
 
     for _ in range(n_episodes):
-        p = (s0, after(q_init, s0), 0)
-        for t in range(product.horizon):
-            shielded = flag or not act_sets[p]
-            if shielded:
-                a = pi_c[p]
+        i = view.start(s0)
+        for _ in range(product.horizon):
+            if flag or not act_sets[i]:
+                a = pi_c[i]
                 flag = True
             else:
-                a = policy[p]
-            s, q_aut, _ = p
-            s2 = sample_next(s, a, rng)
-            p = (s2, after(q_aut, s2), t + 1)
-            total_reward += reward(s, a)
-            if product.resets_flag(p):
+                a = chosen[i]
+                if a is None:
+                    a = chosen[i] = policy[states[i]]
+            succ, cum, r = rows[i].get(a) or new_row(i, a)
+            i = succ[bisect_right(cum, rand())] if len(succ) > 1 else succ[0]
+            total_reward += r
+            if resets[i]:
                 flag = False
-        if product.is_accepting(p):
+        if view.accepting[i]:
             successes += 1
-        s0 = p[0] if reset_mode == "carry_state" else start
+        s0 = states[i][0] if reset_mode == "carry_state" else start
 
     rate = successes / n_episodes if n_episodes else 0.0
     return EvalResult(rate, total_reward / n_episodes if n_episodes else 0.0,

@@ -2,9 +2,10 @@
 
 The model separates what the shield may use (states, actions, labels, and
 per-transition probability intervals) from what only the episode loops in
-:mod:`learner` read: the true transition law, sampled through
-:meth:`LabeledIntervalMdp.sample_next`, and the reward ``reward_fn``.  Absent
-interval entries mean the transition is impossible ([0, 0]).
+:mod:`learner` read: the true transition law, as cumulative tables from
+:meth:`LabeledIntervalMdp.sampler` (``sample_next`` draws from one), and the
+reward ``reward_fn``.  Absent interval entries mean the transition is
+impossible ([0, 0]).
 """
 
 from __future__ import annotations
@@ -91,13 +92,17 @@ class LabeledIntervalMdp:
             samplers[key] = (succs, cum)
         return samplers
 
-    def sample_next(self, s, a, rng):
+    def sampler(self, s, a):
+        """The true law at (s, a): successors and their cumulative probabilities."""
         if self.true_dynamics is None:
             raise MissingDynamicsError("this model has no true dynamics to simulate")
         try:
-            succs, cum = self._samplers[(s, a)]
+            return self._samplers[(s, a)]
         except KeyError:
             raise MdpError(f"no transitions defined for state {s!r} action {a!r}")
+
+    def sample_next(self, s, a, rng):
+        succs, cum = self.sampler(s, a)
         return succs[bisect.bisect_right(cum, rng.random())] if len(succs) > 1 else succs[0]
 
     def validate(self):

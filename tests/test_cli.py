@@ -407,6 +407,15 @@ class TestNonFiniteFigures:
         assert "average_reward is inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_rejects_like_learn(self, tmp_path, capsys):
+        policy = tmp_path / "empty.json"
+        policy.write_text("{}")
+        assert main(["eval", "--config", overflowing_reward_config(tmp_path), "--policy",
+                     str(policy), "--eval-episodes", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "[report] testing average_reward is inf, not a finite number" in captured.err
+        assert "satisfaction" not in captured.out
+
     def test_json_text_is_strict(self):
         with pytest.raises(ValueError):
             cli._json_text({"average_reward": float("inf")})

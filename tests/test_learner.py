@@ -1,23 +1,204 @@
 import csv
+import random
 
 import pytest
 
+from twtlshield import cli
 from twtlshield.automaton import compile_formula
-from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError
+from twtlshield.gridworld import build_grid_mdp, canonical_case_study
+from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import (MultiShotPlan, check_initial, exact_reach_probability,
                                      multi_shot_prune, one_shot_prune)
-from twtlshield.learner import (CSV_COLUMNS, LearnerConfig, evaluate, learn, wilson_halfwidth,
-                                write_episode_csv)
-from twtlshield.twtl import parse_formula
+from twtlshield.learner import (CSV_COLUMNS, EpisodeLog, EvalResult, LearnerConfig, LearnerError,
+                                RunResult, evaluate, learn, wilson_halfwidth, write_episode_csv)
+from twtlshield.twtl import parse_formula, time_bound
 from conftest import worst_case_toy
 
 E = frozenset()
 G = frozenset({"G"})
 
 
-def corridor_product(pr_des=1.0):
-    """Two-cell world where the goal is reachable deterministically."""
+# Slow, independent oracle for the numbered loops of ``learner``: the same episode
+# loops written over (s, q, t) product keys, stepping the model with ``sample_next``
+# and calling ``reward_fn`` on every step.
+
+def reference_greedy(row, actions):
+    """First maximizer over ``actions`` with unseen pairs worth 0."""
+    best_a = actions[0]
+    best = row.get(best_a, 0.0) if row else 0.0
+    for a in actions[1:]:
+        v = row.get(a, 0.0) if row else 0.0
+        if v > best:
+            best = v
+            best_a = a
+    return best_a
+
+
+def reference_next_value(q, p2, enabled):
+    row = q.get(p2)
+    if not row:
+        return 0.0
+    best = max(row.values())
+    if len(row) < len(enabled) and best < 0.0:
+        return 0.0
+    return best
+
+
+def reference_learn(product, cfg: LearnerConfig) -> RunResult:
+    """Shielded Q-learning stepping the product by (s, q, t) keys and ``mdp.sample_next``."""
+    mdp = product.mdp
+    sample_next = mdp.sample_next
+    reward = mdp.reward_fn
+    after = product._after
+    q_init = product.automaton.initial
+    horizon = product.horizon
+    act_sets = product.act_sets
+    pi_c = product.pi_c
+    resets_flag = product.resets_flag
+    if not act_sets:
+        raise LearnerError("product has no pruned action sets; run a pruning pass first")
+    act_fsets = {p: frozenset(acts) for p, acts in act_sets.items()}
+
+    rng = random.Random(cfg.seed)
+    q = {}
+    visits = {} if cfg.alpha_mode == "inverse_visit" else None
+    logs = []
+    total_violations = 0
+    gamma = cfg.gamma
+    alpha_const = cfg.alpha
+
+    start = cfg.start_state if cfg.start_state is not None else mdp.states[0]
+    s0 = start
+    flag = False
+    epsilon = cfg.epsilon
+
+    for episode in range(cfg.episodes):
+        p = (s0, after(q_init, s0), 0)
+        cumulative = 0.0
+        shield_entry = None
+        steps_shielded = 0
+        violations = 0
+
+        for t in range(horizon):
+            acts = act_sets[p]
+            shielded = flag or not acts
+            if shielded:
+                a = pi_c[p]
+                flag = True
+            elif rng.random() < epsilon:
+                a = acts[rng.randrange(len(acts))]
+            else:
+                a = reference_greedy(q.get(p), acts)
+
+            if shielded:
+                steps_shielded += 1
+                if shield_entry is None:
+                    shield_entry = t
+                if a != pi_c[p]:
+                    violations += 1
+            elif a not in act_fsets[p]:
+                violations += 1
+
+            s, q_aut, _ = p
+            s2 = sample_next(s, a, rng)
+            p2 = (s2, after(q_aut, s2), t + 1)
+            r = reward(s, a)
+            cumulative += r
+
+            if visits is not None:
+                count = visits.get((p, a), 0) + 1
+                visits[(p, a)] = count
+                alpha = 1.0 / count
+            else:
+                alpha = alpha_const
+            row = q.get(p)
+            if row is None:
+                row = {}
+                q[p] = row
+            target = r + gamma * reference_next_value(q, p2, mdp.enabled[p2[0]])
+            row[a] = (1.0 - alpha) * row.get(a, 0.0) + alpha * target
+
+            p = p2
+            if resets_flag(p):
+                flag = False
+
+        logs.append(EpisodeLog(
+            index=episode,
+            satisfied=product.is_accepting(p),
+            cumulative_reward=cumulative,
+            shield_entry_time=shield_entry,
+            steps_shielded=steps_shielded,
+            legality_violations=violations,
+            final_state=p,
+        ))
+        total_violations += violations
+        s0 = p[0] if cfg.reset_mode == "carry_state" else start
+        epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
+
+    policy = reference_policy(product, q)
+    return RunResult(policy=policy, logs=logs, q=q, legality_violations=total_violations)
+
+
+def reference_policy(product, q):
+    """Greedy policy: argmax Q over the pruned set, fallback where it is empty."""
+    policy = {}
+    for t, layer in enumerate(product.layers[:-1]):
+        for s, qa in layer:
+            p = (s, qa, t)
+            acts = product.act_sets[p]
+            policy[p] = reference_greedy(q.get(p), acts) if acts else product.pi_c[p]
+    return policy
+
+
+def reference_evaluate(product, policy, n_episodes, seed, start_state=None,
+                       reset_mode="carry_state") -> EvalResult:
+    """Greedy rollout with the shield active, stepping the product by (s, q, t) keys."""
+    sample_next = product.mdp.sample_next
+    reward = product.mdp.reward_fn
+    after = product._after
+    q_init = product.automaton.initial
+    act_sets = product.act_sets
+    pi_c = product.pi_c
+    rng = random.Random(seed)
+    start = start_state if start_state is not None else product.mdp.states[0]
+    s0 = start
+    flag = False
+    successes = 0
+    total_reward = 0.0
+
+    for _ in range(n_episodes):
+        p = (s0, after(q_init, s0), 0)
+        for t in range(product.horizon):
+            shielded = flag or not act_sets[p]
+            if shielded:
+                a = pi_c[p]
+                flag = True
+            else:
+                a = policy[p]
+            s, q_aut, _ = p
+            s2 = sample_next(s, a, rng)
+            p = (s2, after(q_aut, s2), t + 1)
+            total_reward += reward(s, a)
+            if product.resets_flag(p):
+                flag = False
+        if product.is_accepting(p):
+            successes += 1
+        s0 = p[0] if reset_mode == "carry_state" else start
+
+    rate = successes / n_episodes if n_episodes else 0.0
+    return EvalResult(rate, total_reward / n_episodes if n_episodes else 0.0,
+                      wilson_halfwidth(successes, n_episodes), n_episodes)
+
+
+
+
+def corridor_product(pr_des=1.0, missing=()):
+    """Two-cell world where the goal is reachable deterministically.
+
+    ``missing`` lists (s, a, s') entries left out of the true dynamics; the model is
+    never validated, so those (s, a) rows are absent.
+    """
     states = ["r", "g"]
     actions = ["go", "stay"]
     labels = {"r": E, "g": G}
@@ -25,11 +206,56 @@ def corridor_product(pr_des=1.0):
         ("r", "go", "g"): (1.0, 1.0), ("r", "stay", "r"): (1.0, 1.0),
         ("g", "go", "g"): (1.0, 1.0), ("g", "stay", "g"): (1.0, 1.0),
     }
-    dynamics = {key: 1.0 for key in bounds}
+    dynamics = {key: 1.0 for key in bounds if key not in missing}
     enabled = {"r": ("go", "stay"), "g": ("go", "stay")}
     mdp = LabeledIntervalMdp(states, actions, labels, bounds, dynamics, None, enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
     return one_shot_prune(build_product(mdp, aut, 2), pr_des)
+
+
+def assert_same_run(result, expected):
+    assert dict(result.q) == expected.q
+    assert result.logs == expected.logs
+    assert result.policy == expected.policy
+    assert result.legality_violations == expected.legality_violations
+
+
+def learned_and_recorded(product, cfg):
+    """``reference_learn``'s run and every step it sampled; ``learn`` must give the same run."""
+    steps = record_steps(product)
+    expected = reference_learn(product, cfg)
+    assert_same_run(learn(product, cfg), expected)
+    return steps, expected
+
+
+def bootstrap_toy(reward_b, x_actions=("a", "b")):
+    """Root r moves to x, and x moves to the goal g; only the step (x, "b") pays.
+
+    The shield is written by hand: the root's pruned set is empty, so the flag
+    rises at t=0 and stays up at x (t=1, not a reset state), where the agent
+    takes the fallback "b", which x's pruned set leaves out.  Returns the
+    product and the root and x states.
+    """
+    states = ["r", "x", "g"]
+    bounds = {("r", "go", "x"): (1.0, 1.0), ("x", "a", "g"): (1.0, 1.0),
+              ("x", "b", "g"): (1.0, 1.0), ("g", "a", "g"): (1.0, 1.0)}
+    enabled = {"r": ("go",), "x": x_actions, "g": ("a",)}
+    mdp = LabeledIntervalMdp(states, ["go", "a", "b"], {"g": G}, bounds,
+                             {key: 1.0 for key in bounds},
+                             lambda s, a: reward_b if (s, a) == ("x", "b") else 0.0, enabled)
+    aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
+    prod = build_product(mdp, aut, 2)
+    for t, layer in enumerate(prod.layers[:-1]):
+        for s, q in layer:
+            prod.act_sets[s, q, t] = mdp.enabled[s]
+            prod.pi_c[s, q, t] = mdp.enabled[s][0]
+    root = next(p for p in prod.initial if p[0] == "r")
+    x = ("x", prod._after(root[1], "x"), 1)
+    assert not prod.resets_flag(x)
+    prod.act_sets[root] = ()
+    prod.act_sets[x] = tuple(a for a in x_actions if a != "b")
+    prod.pi_c[x] = "b"
+    return prod, root, x
 
 
 def record_steps(product):
@@ -139,8 +365,7 @@ class TestGuarantees:
 
     def test_trajectory_length_is_horizon(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=20, seed=3))
+        steps, result = learned_and_recorded(prod, LearnerConfig(episodes=20, seed=3))
         assert len(steps) == 20 * prod.horizon
         rebuilt = episodes(prod, steps)
         assert [final for _, final in rebuilt] == [log.final_state for log in result.logs]
@@ -158,8 +383,7 @@ class TestGuarantees:
 class TestShieldProtocol:
     def test_flag_holds_until_terminal(self):
         prod = one_shot_prune(worst_case_toy(), 0.6)   # everything pruned at the root
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=200, seed=4))
+        steps, result = learned_and_recorded(prod, LearnerConfig(episodes=200, seed=4))
         assert prod.reset_times == frozenset()
         assert audit_shield_protocol(prod, steps, result.logs) == 0
         assert result.legality_violations == 0
@@ -190,8 +414,7 @@ class TestShieldProtocol:
 
     def test_multi_shot_flag_releases_at_boundary(self):
         prod, _ = multi_shot_prune(worst_case_toy(), MultiShotPlan((0, 1, 2), (0.9, 0.6)))
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=300, seed=5))
+        steps, result = learned_and_recorded(prod, LearnerConfig(episodes=300, seed=5))
         assert audit_shield_protocol(prod, steps, result.logs) == 0
         # episodes that reach the success cell at the boundary explore again
         toggles = [log for log in result.logs
@@ -200,9 +423,9 @@ class TestShieldProtocol:
 
     def test_exploration_stays_in_pruned_set(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)    # the root keeps only "b"
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=200, seed=18, epsilon=1.0, epsilon_decay=1.0,
-                                           reset_mode="fixed_start", start_state="r"))
+        steps, result = learned_and_recorded(prod, LearnerConfig(
+            episodes=200, seed=18, epsilon=1.0, epsilon_decay=1.0, reset_mode="fixed_start",
+            start_state="r"))
         assert audit_shield_protocol(prod, steps, result.logs) == 0
         assert {a for s, a, _ in steps if s == "r"} == {"b"}
 
@@ -223,8 +446,7 @@ class TestQLearning:
     def test_replay_reproduces_q_table(self, alpha_mode):
         prod = one_shot_prune(worst_case_toy(), 0.4)
         cfg = LearnerConfig(episodes=250, seed=7, alpha_mode=alpha_mode)
-        steps = record_steps(prod)
-        result = learn(prod, cfg)
+        steps, result = learned_and_recorded(prod, cfg)
         assert replay_q(prod, steps, cfg) == result.q
         assert audit_shield_protocol(prod, steps, result.logs) == 0
 
@@ -255,8 +477,8 @@ class TestQLearning:
         # the product never alters rewards: each step pays exactly R(s, a)
         prod = corridor_product(1.0)
         prod.mdp.reward_fn = lambda s, a: {"r": 0.25, "g": 2.0}[s] + (0.5 if a == "go" else 0.0)
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=50, seed=10, epsilon=0.5))
+        steps, result = learned_and_recorded(prod, LearnerConfig(episodes=50, seed=10,
+                                                                 epsilon=0.5))
         for log, i in zip(result.logs, range(0, len(steps), prod.horizon)):
             paid = 0.0
             for s, a, _ in steps[i:i + prod.horizon]:
@@ -268,8 +490,8 @@ class TestQLearning:
 class TestResets:
     def test_carry_state_start(self):
         prod = one_shot_prune(worst_case_toy(), 1e-9)
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=100, seed=11, reset_mode="carry_state"))
+        steps, result = learned_and_recorded(prod, LearnerConfig(episodes=100, seed=11,
+                                                                 reset_mode="carry_state"))
         starts = [taken[0][0] for taken, _ in episodes(prod, steps)]
         assert all(p in prod.initial and p in result.q for p in starts)
         for prev, start in zip(result.logs, starts[1:]):
@@ -277,9 +499,8 @@ class TestResets:
 
     def test_fixed_start(self):
         prod = one_shot_prune(worst_case_toy(), 1e-9)
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=100, seed=12, reset_mode="fixed_start",
-                                           start_state="r"))
+        steps, result = learned_and_recorded(prod, LearnerConfig(
+            episodes=100, seed=12, reset_mode="fixed_start", start_state="r"))
         starts = {taken[0][0] for taken, _ in episodes(prod, steps)}
         assert len(starts) == 1
         assert all(p[0] == "r" and p in prod.initial and p in result.q for p in starts)
@@ -288,10 +509,92 @@ class TestResets:
         # the pipeline's initial check is the only gate; --allow-unsafe relies on learn running
         prod = one_shot_prune(worst_case_toy(), 0.9)
         assert any(p[0] == "m1" for p, _ in check_initial(prod, prod.initial_threshold))
-        steps = record_steps(prod)
-        result = learn(prod, LearnerConfig(episodes=10, seed=13, start_state="m1"))
+        steps, result = learned_and_recorded(prod, LearnerConfig(episodes=10, seed=13,
+                                                                 start_state="m1"))
         assert len(result.logs) == 10
         assert audit_shield_protocol(prod, steps, result.logs) == 0
+
+
+class TestBootstrapRule:
+    """The bootstrap target maxes over the whole next Q row; unseen actions count 0 only
+    when they could raise a negative maximum."""
+
+    CFG = LearnerConfig(episodes=2, seed=0, alpha=0.1, gamma=0.95, reset_mode="fixed_start",
+                        start_state="r")
+
+    @staticmethod
+    def updated(value, target, alpha=0.1):
+        return (1.0 - alpha) * value + alpha * target
+
+    @pytest.mark.parametrize("run", [learn, reference_learn])
+    def test_fallback_action_outside_pruned_set_is_bootstrapped(self, run):
+        prod, root, x = bootstrap_toy(10.0)
+        result = run(prod, self.CFG)
+        q_x = self.updated(0.0, 10.0 + 0.95 * 0.0)
+        assert result.q[x] == {"b": self.updated(q_x, 10.0 + 0.95 * 0.0)}
+        # episode 2 bootstraps the root from x's row, whose only entry is the fallback
+        assert result.q[root] == {"go": self.updated(0.0, 0.0 + 0.95 * q_x)}
+        assert result.q[root]["go"] > 0.0
+
+    @pytest.mark.parametrize("run", [learn, reference_learn])
+    def test_negative_row_with_unseen_actions_bootstraps_zero(self, run):
+        prod, root, x = bootstrap_toy(-10.0)
+        result = run(prod, self.CFG)
+        assert list(result.q[x]) == ["b"] and result.q[x]["b"] < 0.0
+        assert result.q[root] == {"go": 0.0}
+        # with every enabled action seen, the negative maximum is the target
+        prod, root, x = bootstrap_toy(-10.0, x_actions=("b",))
+        result = run(prod, self.CFG)
+        q_x = self.updated(0.0, -10.0 + 0.95 * 0.0)
+        assert result.q[root] == {"go": self.updated(0.0, 0.0 + 0.95 * q_x)}
+        assert result.q[root]["go"] < 0.0
+
+
+@pytest.fixture(scope="module")
+def case_products():
+    """The 6x6 case study at eps 0.08 and pr_des 0.9, pruned in each mode."""
+    spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+    aut = compile_formula(formula, sorted(spec.alphabet()))
+    horizon = time_bound(formula)
+    one = one_shot_prune(build_product(build_grid_mdp(spec), aut, horizon), 0.9)
+    multi, _ = multi_shot_prune(build_product(build_grid_mdp(spec), aut, horizon),
+                                MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
+    return {"one_shot": one, "multi_shot": multi}
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+    @pytest.mark.parametrize("alpha_mode", ["constant", "inverse_visit"])
+    @pytest.mark.parametrize("reset_mode", ["carry_state", "fixed_start"])
+    def test_case_study(self, case_products, mode, alpha_mode, reset_mode):
+        prod = case_products[mode]
+        start = prod.mdp.states[7] if reset_mode == "fixed_start" else None
+        cfg = LearnerConfig(episodes=300, seed=23, epsilon=0.5, epsilon_decay=0.99,
+                            alpha_mode=alpha_mode, reset_mode=reset_mode, start_state=start)
+        expected = reference_learn(prod, cfg)
+        assert_same_run(learn(prod, cfg), expected)
+        assert expected.legality_violations == 0 and 0.0 < expected.satisfaction_rate
+        for policy in (expected.policy, prod.pi_c):
+            assert (evaluate(prod, policy, 300, 24, start, reset_mode)
+                    == reference_evaluate(prod, policy, 300, 24, start, reset_mode))
+
+    def test_missing_dynamics_row_names_state_and_action(self):
+        prod = corridor_product(1.0, missing=[("r", "stay", "r")])
+        assert prod.mdp.validate()     # the missing row is a validation problem
+        root = next(p for p in prod.initial if p[0] == "r")
+        assert "stay" in prod.act_sets[root]
+        cfg = LearnerConfig(episodes=50, seed=20, epsilon=1.0, epsilon_decay=1.0,
+                            reset_mode="fixed_start", start_state="r")
+        for run in (learn, reference_learn):
+            with pytest.raises(MdpError, match="state 'r' action 'stay'") as err:
+                run(prod, cfg)
+            assert not isinstance(err.value, MissingDynamicsError)
+        policy = dict(prod.pi_c)
+        policy[root] = "stay"
+        for run in (evaluate, reference_evaluate):
+            with pytest.raises(MdpError, match="state 'r' action 'stay'") as err:
+                run(prod, policy, 1, seed=20, start_state="r", reset_mode="fixed_start")
+            assert not isinstance(err.value, MissingDynamicsError)
 
 
 class TestEvaluate:

@@ -310,6 +310,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
 
     eval_result = evaluate(product, result.policy, cfg.eval_episodes, seed=cfg.learner.seed + 1,
                            start_state=cfg.learner.start_state, reset_mode=cfg.learner.reset_mode)
+    product.numbered = None     # no rollouts follow: free the learner's view before writing
 
     f0 = [product.f_values[p] for p in product.initial]
     summary = {

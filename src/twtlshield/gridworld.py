@@ -92,6 +92,8 @@ def build_grid_mdp(spec: GridSpec) -> LabeledIntervalMdp:
     """Interval MDP over grid cells with exact true dynamics inside the bounds."""
     eps_real = Fraction(spec.real_uncertainty).limit_denominator(10 ** 9)
     eps = spec.assumed_uncertainty
+    p_intended = float(1 - eps_real)
+    shares = [float(eps_real / n) if n else 0.0 for n in range(len(ACTIONS))]
     states = [(x, y) for y in range(spec.height) for x in range(spec.width)]
     labels = {cell: frozenset(spec.labels.get(cell, ())) for cell in states}
     bounds = {}
@@ -107,12 +109,12 @@ def build_grid_mdp(spec: GridSpec) -> LabeledIntervalMdp:
                 continue
             intended = spec.target(cell, a)
             alternatives = [spec.target(cell, other) for other in moves if other != a]
-            share = eps_real / len(alternatives) if alternatives else Fraction(0)
+            share = shares[len(alternatives)]
             bounds[(cell, a, intended)] = (1.0 - eps, 1.0)
-            dynamics[(cell, a, intended)] = float(1 - eps_real)
+            dynamics[(cell, a, intended)] = p_intended
             for other in alternatives:
                 bounds[(cell, a, other)] = (0.0, eps)
-                dynamics[(cell, a, other)] = float(share)
+                dynamics[(cell, a, other)] = share
 
     rewards = dict(spec.reward_cells)
     reward_fn = lambda s, a: rewards.get(s, 0.0)

@@ -10,8 +10,8 @@ exploration between sub-tasks.  The whole shield (pruned sets, fallback
 policy, initial threshold and reset layers) lives on the pruned product, so
 ``learn`` and ``evaluate`` take only the product.
 
-Both loops step the product themselves, on a numbered view of it built at
-the start of each call: every state of ``product.layers`` gets an integer id,
+Both loops step the product themselves, on a numbered view of it built
+once per product: every state of ``product.layers`` gets an integer id,
 layer by layer, and the pruned set, fallback action, flag reset, acceptance
 and enabled-action count of each id sit in lists.  The first time action a is
 taken at id i, its row is made: the ids of (s', delta(q, l(s')), t+1) for the
@@ -23,7 +23,12 @@ of (s, a), and the loops make the same random draws as sampling by state
 (``rng.random()`` only where a row has several successors).  Q rows stay
 dicts by action, so the greedy first maximizer in pruned-set order, unseen
 pairs worth 0 and the bootstrap rule are unchanged, and ``RunResult.q`` is
-keyed by product state.
+keyed by product state.  Later calls reuse the view (``product.numbered``;
+the product is read-only, a row depends only on (id, action)), which shares
+the product's state tuples and holds the product weakly, so no cycle outlives
+it.  ``legality_violations`` is 0 by construction (exploring actions come
+from the pruned set); ``tests/test_learner.py::audit_shield_protocol`` audits
+the shield protocol over recorded steps.
 
 Every episode starts at (s0, delta(q_init, l(s0)), 0), a state of
 ``product.initial``, all of which the pipeline checks once before learning.
@@ -37,8 +42,10 @@ from __future__ import annotations
 import csv
 import math
 import random
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class LearnerError(Exception):
@@ -125,18 +132,21 @@ def _greedy(row, actions):
 class _Numbered:
     """The pruned product with its states numbered layer by layer (module docstring)."""
 
+    UNSEEN = MappingProxyType({})       # the rows of every state not yet acted at
+
     def __init__(self, product):
-        mdp = product.mdp
-        self.product = product
-        self.states = [(s, q, t) for t, layer in enumerate(product.layers) for s, q in layer]
+        self.product = weakref.proxy(product)
+        own = {p: p for p in product.f_values}
+        self.states = [own.get(p, p) for p in
+                       [(s, q, t) for t, layer in enumerate(product.layers) for s, q in layer]]
         self.index = {p: i for i, p in enumerate(self.states)}
         inner = self.states[:len(self.states) - len(product.layers[-1])]
         self.acts = [product.act_sets[p] for p in inner]
         self.pi_c = [product.pi_c[p] for p in inner]
         self.resets = [product.resets_flag(p) for p in self.states]
         self.accepting = [product.is_accepting(p) for p in self.states]
-        self.n_enabled = [len(mdp.enabled[p[0]]) for p in self.states]
-        self.rows = [{} for _ in inner]
+        self.n_enabled = [len(product.mdp.enabled[p[0]]) for p in self.states]
+        self.rows = [self.UNSEEN] * len(inner)
 
     def start(self, s0):
         product = self.product
@@ -148,6 +158,8 @@ class _Numbered:
         mdp = self.product.mdp
         after = self.product._after
         succs, cum = mdp.sampler(s, a)
+        if self.rows[i] is self.UNSEEN:
+            self.rows[i] = {}
         row = self.rows[i][a] = ([self.index[(s2, after(q, s2), t + 1)] for s2 in succs],
                                  cum, mdp.reward_fn(s, a))
         return row
@@ -157,7 +169,7 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
     """Shielded Q-learning on a pruned product; the flag resets where ``product.resets_flag``."""
     if not product.act_sets:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
-    view = _Numbered(product)
+    view = product.numbered = product.numbered or _Numbered(product)
     states, act_sets, pi_c, rows = view.states, view.acts, view.pi_c, view.rows
     resets, n_enabled, new_row = view.resets, view.n_enabled, view.row
     horizon = product.horizon
@@ -249,7 +261,7 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
 
     Reports the satisfaction rate with a Wilson 95% interval half-width.
     """
-    view = _Numbered(product)
+    view = product.numbered = product.numbered or _Numbered(product)
     states, act_sets, pi_c, rows = view.states, view.acts, view.pi_c, view.rows
     resets, new_row = view.resets, view.row
     chosen = [None] * len(act_sets)     # policy[p] per id, read on first use

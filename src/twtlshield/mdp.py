@@ -24,6 +24,17 @@ class MissingDynamicsError(MdpError):
     pass
 
 
+def interval_row(los, his):
+    """An (s, a) row's LP constants: rooms hi - lo, mass 1 - fsum(los), None or why infeasible."""
+    lo_sum, hi_sum = math.fsum(los), math.fsum(his)
+    infeasible = None
+    if lo_sum > 1.0 + FEASIBILITY_TOL:
+        infeasible = f"sum of lower bounds {lo_sum:.9f} exceeds 1"
+    elif hi_sum < 1.0 - FEASIBILITY_TOL:
+        infeasible = f"sum of upper bounds {hi_sum:.9f} is below 1"
+    return [hi - lo for lo, hi in zip(los, his)], 1.0 - lo_sum, infeasible
+
+
 def _no_reward(s, a):
     return 0.0      # a module function, not a lambda, so that models pickle
 
@@ -108,9 +119,9 @@ class LabeledIntervalMdp:
     def validate(self):
         """Check interval and dynamics invariants; returns a list of violations."""
         problems = []
-        for (s, a, s2), (lo, hi) in sorted(self.bounds.items(), key=repr):
-            if not (0.0 <= lo <= hi <= 1.0):
-                problems.append(f"bounds out of order for ({s!r},{a!r},{s2!r}): [{lo},{hi}]")
+        bad = [item for item in self.bounds.items() if not 0.0 <= item[1][0] <= item[1][1] <= 1.0]
+        for (s, a, s2), (lo, hi) in sorted(bad, key=repr):     # only the offenders, by repr
+            problems.append(f"bounds out of order for ({s!r},{a!r},{s2!r}): [{lo},{hi}]")
         for s in self.states:
             if not self.enabled[s]:
                 problems.append(f"state {s!r} has no enabled actions")

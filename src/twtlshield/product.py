@@ -15,11 +15,12 @@ coerced to trash and reported in ``coerced``.
 Where a move can lead depends only on (s, q), never on t.  ``neighbours[s]``
 lists the distinct successors of s over all enabled actions in first-seen
 order, ``support_rows[s]`` gives per enabled action (a, the positions of its
-support in that tuple, lower bounds, upper bounds), and ``next_keys((s, q))``
-gives the successors' (s', q') keys, computed once per (s, q) and shared by
-every layer.  This is exact because the time index only counts steps: it
-changes neither the successors of a state nor the automaton move a label
-selects.
+support in that tuple, lower bounds, and the row's LP constants from
+:func:`mdp.interval_row`: rooms, remaining mass, infeasibility), and
+``next_keys[(s, q)]`` gives the successors' (s', q') keys, computed once per
+(s, q) below the horizon and shared by every layer.  This is exact because
+the time index only counts steps: it changes neither the successors of a
+state nor the automaton move a label selects.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .automaton import TotalAutomaton, UnknownSymbolError
-from .mdp import LabeledIntervalMdp
+from .mdp import LabeledIntervalMdp, interval_row
 
 
 class ProductError(Exception):
@@ -40,7 +41,8 @@ class TimeTotalProductMdp:
     The pruning pass writes the shield exactly once: ``f_values``,
     ``act_sets``, ``pi_c``, ``initial_threshold`` and ``reset_times`` (the
     interior segment layers where the fallback flag resets; empty for
-    one-shot).  Afterwards the object is treated as read-only.
+    one-shot).  Afterwards the object is treated as read-only; ``numbered``
+    keeps the learner's view of it until a caller done with rollouts drops it.
     """
 
     def __init__(self, mdp: LabeledIntervalMdp, automaton: TotalAutomaton, horizon: int):
@@ -50,7 +52,7 @@ class TimeTotalProductMdp:
         self.automaton = automaton
         self.horizon = horizon
         self._q_step = {}
-        self._next_keys = {}
+        self.next_keys = {}
         self.neighbours = {}
         self.support_rows = {}
         for s in mdp.states:
@@ -58,8 +60,9 @@ class TimeTotalProductMdp:
             rows = self.support_rows[s] = []
             for a in mdp.enabled[s]:
                 entries = mdp.support(s, a)
-                rows.append((a, [seen.setdefault(s2, len(seen)) for s2, _, _ in entries],
-                             [lo for _, lo, _ in entries], [hi for _, _, hi in entries]))
+                los = [lo for _, lo, _ in entries]
+                rows.append((a, [seen.setdefault(s2, len(seen)) for s2, _, _ in entries], los,
+                             *interval_row(los, [hi for _, _, hi in entries])))
             self.neighbours[s] = tuple(seen)
         self._enumerate_layers()
         self.f_values = {}
@@ -67,6 +70,7 @@ class TimeTotalProductMdp:
         self.pi_c = {}
         self.initial_threshold = None
         self.reset_times = frozenset()
+        self.numbered = None
 
     def _after(self, q, s):
         """delta(q, l(s)), cached per (q, s)."""
@@ -75,15 +79,6 @@ class TimeTotalProductMdp:
         if nxt is None:
             nxt = self.automaton.step(q, self.mdp.labels[s])
             self._q_step[key] = nxt
-        return nxt
-
-    def next_keys(self, key):
-        """(s', delta(q, l(s'))) for each s' in neighbours[s], cached per key = (s, q)."""
-        nxt = self._next_keys.get(key)
-        if nxt is None:
-            s, q = key
-            after = self._after
-            nxt = self._next_keys[key] = tuple([(s2, after(q, s2)) for s2 in self.neighbours[s]])
         return nxt
 
     def _enumerate_layers(self):
@@ -104,10 +99,11 @@ class TimeTotalProductMdp:
         self.initial = tuple(sorted(((s, q, 0) for s, q in start), key=repr))
         layers = [by_repr(start)]
         current = start
+        next_keys = self.next_keys
         for t in range(self.horizon):
-            nxt = set()
-            for k in current:
-                nxt.update(self.next_keys(k))
+            for s, q in current - next_keys.keys():
+                next_keys[s, q] = tuple([(s2, self._after(q, s2)) for s2 in self.neighbours[s]])
+            nxt = set().union(*map(next_keys.__getitem__, current))
             layers.append(by_repr(nxt))
             current = nxt
         self.layers = layers

@@ -14,21 +14,28 @@ below the desired probability; multi-shot splits the horizon into segments
 with per-segment thresholds whose product is the desired probability, and
 prunes each segment against a 0/1 boundary derived from the next segment.
 
+A row's LP constants (rooms, remaining mass, feasibility) depend only on the
+model row, so ``mdp.interval_row`` computes them once per (s, a) into
+``product.support_rows``; the sweep and :func:`solve_kappa` run one kernel,
+:func:`greedy_kappa`, on them: the same arithmetic gives the same bits.
+
 A non-terminal state's bound, kept actions and fallback action depend only on
 its MDP state s, the f-values of its successors (``product.next_keys``) and
 the pruning threshold, so a sweep solves the LPs once per distinct (s,
 successor f-values) and copies that result to every state with the same key.
 The copy is what the same scalar arithmetic would recompute, so results are
 bit-identical; a result is stored only once all its LPs solved, so an
-infeasible row still raises at its first state in layer order.
+infeasible row still raises at its first state in layer order.  No layer or
+segment enters a result, so segments with one threshold share one memo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
-from .mdp import FEASIBILITY_TOL, MissingDynamicsError
+from .mdp import MissingDynamicsError, interval_row
 from .product import TimeTotalProductMdp
 
 
@@ -54,24 +61,12 @@ class MultiShotInfeasibleError(ReachabilityError):
         self.segment = segment
 
 
-def solve_kappa(values, los, his):
-    """Exact minimum of sum(values * x) s.t. sum(x) = 1, los <= x <= his.
-
-    Returns (kappa, minimizing distribution).  Ties in ``values`` are broken
-    by index order; the optimum value does not depend on tie order.
-    """
-    n = len(values)
-    lo_sum = math.fsum(los)
-    hi_sum = math.fsum(his)
-    if lo_sum > 1.0 + FEASIBILITY_TOL:
-        raise InfeasibleIntervalError(f"sum of lower bounds {lo_sum:.9f} exceeds 1")
-    if hi_sum < 1.0 - FEASIBILITY_TOL:
-        raise InfeasibleIntervalError(f"sum of upper bounds {hi_sum:.9f} is below 1")
+def greedy_kappa(values, los, rooms, remaining):
+    """:func:`solve_kappa` from the row's constants (``mdp.interval_row``)."""
     dist = list(los)
-    remaining = 1.0 - lo_sum
     if remaining > 0.0:
-        for j in sorted(range(n), key=lambda j: (values[j], j)):
-            room = his[j] - los[j]
+        for _, j in sorted(zip(values, range(len(values)))):
+            room = rooms[j]
             if room <= 0.0:
                 continue
             add = room if room < remaining else remaining
@@ -79,8 +74,20 @@ def solve_kappa(values, los, his):
             remaining -= add
             if remaining <= 0.0:
                 break
-    kappa = math.fsum(v * d for v, d in zip(values, dist))
+    kappa = math.fsum(map(mul, values, dist))
     return min(max(kappa, 0.0), 1.0), dist
+
+
+def solve_kappa(values, los, his):
+    """Exact minimum of sum(values * x) s.t. sum(x) = 1, los <= x <= his.
+
+    Returns (kappa, minimizing distribution).  Ties in ``values`` are broken
+    by index order; the optimum value does not depend on tie order.
+    """
+    rooms, remaining, infeasible = interval_row(los, his)
+    if infeasible is not None:
+        raise InfeasibleIntervalError(infeasible)
+    return greedy_kappa(values, los, rooms, remaining)
 
 
 def eq6_boundary(product: TimeTotalProductMdp) -> dict:
@@ -90,23 +97,22 @@ def eq6_boundary(product: TimeTotalProductMdp) -> dict:
             for s, q in product.layers[t]}
 
 
-def _sweep(product, t_hi, t_lo, boundary_f, prune_below):
+def _sweep(product, t_hi, t_lo, boundary_f, prune_below, memo):
     """Backward recursion from layer ``t_hi`` down to ``t_lo``, pruning as it goes.
 
     Returns (f, act, pi_c).  An action is kept where every possible successor
     has f >= ``prune_below``.  Accepting and trash states keep their 0/1 values
     and full action sets at every layer.  The maximization for f and pi_c runs
-    over all enabled actions, pruned or not.
+    over all enabled actions, pruned or not.  ``memo`` maps (s, successor
+    f-values) to (f, kept, fallback) for this ``prune_below``.
     """
-    mdp = product.mdp
-    accepting = product.automaton.accepting
-    trash = product.automaton.trash
+    enabled = product.mdp.enabled
+    terminal = {product.automaton.trash: 0.0, **dict.fromkeys(product.automaton.accepting, 1.0)}
     next_keys = product.next_keys
     support_rows = product.support_rows
     f = {}
     act = {}
     pi_c = {}
-    memo = {}
 
     fnext = {}
     for s, q in product.layers[t_hi]:
@@ -117,30 +123,30 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below):
 
     for t in range(t_hi - 1, t_lo - 1, -1):
         fcur = {}
+        f_of = fnext.__getitem__
         for key in product.layers[t]:
             s, q = key
             p = (s, q, t)
-            acts = mdp.enabled[s]
+            acts = enabled[s]
             if not acts:
                 raise ReachabilityError(f"state {s!r} has no enabled actions")
-            if q in accepting or q == trash:
-                value = 1.0 if q in accepting else 0.0
-                act[p] = tuple(acts)
+            value = terminal.get(q)
+            if value is not None:
+                act[p] = acts
                 pi_c[p] = acts[0]
             else:
-                fvals = tuple([fnext[k] for k in next_keys(key)])
+                fvals = tuple(map(f_of, next_keys[key]))
                 hit = memo.get((s, fvals))
                 if hit is None:
                     keep = []
                     best = -1.0
                     best_a = acts[0]
-                    for a, pos, los, his in support_rows[s]:
+                    for a, pos, los, rooms, remaining, infeasible in support_rows[s]:
+                        if infeasible is not None:
+                            raise InfeasibleIntervalError(infeasible, state=p, action=a)
                         values = [fvals[i] for i in pos]
-                        try:
-                            k, _ = solve_kappa(values, los, his)
-                        except InfeasibleIntervalError as exc:
-                            raise InfeasibleIntervalError(str(exc), state=p, action=a)
-                        if not any(fv < prune_below for fv in values):
+                        k = greedy_kappa(values, los, rooms, remaining)[0]
+                        if min(values) >= prune_below:
                             keep.append(a)
                         if k > best:
                             best = k
@@ -209,7 +215,7 @@ def one_shot_prune(product: TimeTotalProductMdp, pr_des):
     """Single pruning sweep over the whole horizon (threshold pr_des everywhere)."""
     if not (0.0 < pr_des <= 1.0):
         raise ValueError("pr_des must lie in (0, 1]")
-    f, act, pi_c = _sweep(product, product.horizon, 0, eq6_boundary(product), pr_des)
+    f, act, pi_c = _sweep(product, product.horizon, 0, eq6_boundary(product), pr_des, {})
     _store(product, f, act, pi_c, pr_des)
     return product
 
@@ -222,7 +228,7 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
     states as accepting (1) where the next segment's bound meets its
     threshold and trash (0) elsewhere.  Action sets and the fallback policy
     concatenate across segments; the interior timestamps become the product's
-    ``reset_times``.
+    ``reset_times``.  Segments with the same threshold share one sweep memo.
     """
     if plan.timestamps[-1] != product.horizon:
         raise ValueError(f"plan must end at the product horizon {product.horizon}, "
@@ -231,6 +237,7 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
     f_all = {}
     act_all = {}
     pi_all = {}
+    memos = {}
 
     boundary = eq6_boundary(product)
     f_seg = None
@@ -243,7 +250,8 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
             if not accept:
                 raise MultiShotInfeasibleError(i)
             boundary = {p: (1.0 if p in accept else 0.0) for p in boundary_states}
-        f_seg, act, pi_c = _sweep(product, t_hi, t_lo, boundary, plan.thresholds[i - 1])
+        th = plan.thresholds[i - 1]
+        f_seg, act, pi_c = _sweep(product, t_hi, t_lo, boundary, th, memos.setdefault(th, {}))
         boundary_states = [(s, q, t_lo) for s, q in product.layers[t_lo]]
         # Keep the segment's own values for t in [t_lo, t_hi); the boundary
         # layer t_hi retains the next segment's (or terminal) values.

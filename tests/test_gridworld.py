@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,41 @@ class TestDynamics:
         assert build_grid_mdp(plain_grid(eps=1.0)).validate() == []
         with pytest.raises(GridError, match="at most 1"):
             plain_grid(eps=1.5)
+
+
+def fraction_dynamics(spec):
+    """True dynamics recomputed in ``Fraction`` arithmetic, one (cell, action) at a time."""
+    eps_real = Fraction(spec.real_uncertainty).limit_denominator(10 ** 9)
+    dynamics = {}
+    for y in range(spec.height):
+        for x in range(spec.width):
+            cell = (x, y)
+            moves = spec.feasible_moves(cell)
+            for a in moves:
+                if a == "Stay":
+                    dynamics[(cell, a, cell)] = 1.0
+                    continue
+                others = [b for b in moves if b != a]
+                dynamics[(cell, a, spec.target(cell, a))] = float(1 - eps_real)
+                for b in others:
+                    dynamics[(cell, a, spec.target(cell, b))] = float(eps_real / len(others))
+    return dynamics
+
+
+class TestFractionShares:
+    def test_case_study(self):
+        spec, _ = canonical_case_study()
+        assert build_grid_mdp(spec).true_dynamics == fraction_dynamics(spec)
+
+    def test_doors_vary_alternative_counts(self):
+        doors = {(1, 1): frozenset({"N"}), (2, 2): frozenset({"N", "E", "S"}),
+                 (3, 1): frozenset({"NE", "NW", "SE", "SW", "W"}), (0, 2): frozenset({"E"})}
+        spec = GridSpec(width=5, height=4, real_uncertainty=0.07, assumed_uncertainty=0.1,
+                        one_way_doors=doors)
+        counts = {len(spec.feasible_moves(cell)) for cell in
+                  [(x, y) for y in range(4) for x in range(5)]}
+        assert len(counts) >= 5
+        assert build_grid_mdp(spec).true_dynamics == fraction_dynamics(spec)
 
 
 class TestDoors:

@@ -1,5 +1,6 @@
 import csv
 import random
+import weakref
 
 import pytest
 
@@ -595,6 +596,44 @@ class TestAgainstReference:
             with pytest.raises(MdpError, match="state 'r' action 'stay'") as err:
                 run(prod, policy, 1, seed=20, start_state="r", reset_mode="fixed_start")
             assert not isinstance(err.value, MissingDynamicsError)
+
+
+class TestSharedView:
+    """``learn`` and ``evaluate`` run on one numbered view per product, made by the first call."""
+
+    def test_two_learn_calls_on_one_product_agree(self):
+        prod = one_shot_prune(worst_case_toy(), 0.4)
+        cfg = LearnerConfig(episodes=200, seed=31, epsilon=0.5, alpha_mode="inverse_visit")
+        first = learn(prod, cfg)
+        view = prod.numbered
+        assert view is not None
+        second = learn(prod, cfg)
+        assert prod.numbered is view
+        assert_same_run(second, first)
+        assert_same_run(first, reference_learn(prod, cfg))
+
+    def test_view_does_not_keep_its_product_alive(self):
+        prod = one_shot_prune(worst_case_toy(), 0.4)
+        learn(prod, LearnerConfig(episodes=20, seed=34))
+        alive = weakref.ref(prod)
+        del prod
+        assert alive() is None          # freed by reference counting, with no cycle to collect
+
+    @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+    def test_evaluate_after_learn_matches_reference(self, mode):
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+        aut = compile_formula(formula, sorted(spec.alphabet()))
+        prod = build_product(build_grid_mdp(spec), aut, time_bound(formula))
+        if mode == "one_shot":
+            one_shot_prune(prod, 0.9)
+        else:
+            multi_shot_prune(prod, MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
+        result = learn(prod, LearnerConfig(episodes=200, seed=32, epsilon=0.5))
+        view = prod.numbered
+        for policy in (result.policy, prod.pi_c):
+            assert (evaluate(prod, policy, 300, 33)
+                    == reference_evaluate(prod, policy, 300, 33))
+        assert prod.numbered is view
 
 
 class TestEvaluate:

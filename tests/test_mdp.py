@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from twtlshield import cli
+from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError
 from conftest import three_state_mdp
 
@@ -39,6 +41,26 @@ class TestValidate:
         bad = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds, dynamics)
         problems = [p for p in bad.validate() if "outside bounds" in p]
         assert len(problems) == 2
+
+    def test_out_of_order_bounds_reported_in_repr_order(self, monkeypatch):
+        spec, _ = canonical_case_study()
+        m = build_grid_mdp(spec)
+        # north from the bottom row, inserted right to left: reverse repr order
+        keys = [((x, 0), "N", (x, 1)) for x in range(5, -1, -1)]
+        bounds = {key: b for key, b in m.bounds.items() if key not in keys}
+        bounds.update((key, (0.5, 0.25)) for key in keys)
+        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds, m.true_dynamics,
+                                 m.reward_fn, m.enabled)
+        problems = bad.validate()
+        expected = [f"bounds out of order for (({x}, 0),'N',({x}, 1)): [0.5,0.25]"
+                    for x in range(6)]
+        assert problems[:6] == expected
+        assert not any("out of order" in p for p in problems[6:])
+        # the pipeline reports the first five
+        monkeypatch.setattr(cli, "build_grid_mdp", lambda grid: bad)
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run_experiment(cli.load_config(None, {"episodes": 1, "eval_episodes": 1}))
+        assert str(err.value) == "[validate] " + "; ".join(expected[:5])
 
     def test_nonstochastic_dynamics(self):
         m = three_state_mdp(exact=False)

@@ -5,11 +5,11 @@ import pytest
 
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
-from twtlshield.mdp import LabeledIntervalMdp
+from twtlshield.mdp import FEASIBILITY_TOL, LabeledIntervalMdp, interval_row
 from twtlshield.product import build_product
 from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibleError,
                                      MultiShotPlan, check_initial, eq6_boundary, exact_reach_probability,
-                                     multi_shot_prune, one_shot_prune, solve_kappa)
+                                     greedy_kappa, multi_shot_prune, one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
 from conftest import worst_case_toy
@@ -25,6 +25,31 @@ def action_kappa(prod, p, a):
     return kappa
 
 
+def reference_solve_kappa(values, los, his):
+    """The scalar interval LP written out on its own: the arithmetic oracle for ``greedy_kappa``."""
+    n = len(values)
+    lo_sum = math.fsum(los)
+    hi_sum = math.fsum(his)
+    if lo_sum > 1.0 + FEASIBILITY_TOL:
+        raise InfeasibleIntervalError(f"sum of lower bounds {lo_sum:.9f} exceeds 1")
+    if hi_sum < 1.0 - FEASIBILITY_TOL:
+        raise InfeasibleIntervalError(f"sum of upper bounds {hi_sum:.9f} is below 1")
+    dist = list(los)
+    remaining = 1.0 - lo_sum
+    if remaining > 0.0:
+        for j in sorted(range(n), key=lambda j: (values[j], j)):
+            room = his[j] - los[j]
+            if room <= 0.0:
+                continue
+            add = room if room < remaining else remaining
+            dist[j] += add
+            remaining -= add
+            if remaining <= 0.0:
+                break
+    kappa = math.fsum(v * d for v, d in zip(values, dist))
+    return min(max(kappa, 0.0), 1.0), dist
+
+
 def reference_layers(prod):
     """Reachable (s, q) layers rebuilt through ``prod.successors``, sorted by repr."""
     aut = prod.automaton
@@ -38,7 +63,7 @@ def reference_layers(prod):
 
 
 def reference_prune(prod, plan):
-    """Cache-free pruning: one ``solve_kappa`` per (state, action), segment by segment.
+    """Cache-free pruning: one ``reference_solve_kappa`` per (state, action), segment by segment.
 
     Returns (layers, f, act_sets, pi_c, boundary times) in the layout of
     ``multi_shot_prune``; a single-segment plan is one-shot pruning.
@@ -72,8 +97,8 @@ def reference_prune(prod, plan):
                 for a in acts:
                     succ = prod.successors(p, a)
                     values = [f[p2] for p2, _, _ in succ]
-                    kappa, _ = solve_kappa(values, [lo for _, lo, _ in succ],
-                                           [hi for _, _, hi in succ])
+                    kappa, _ = reference_solve_kappa(values, [lo for _, lo, _ in succ],
+                                                     [hi for _, _, hi in succ])
                     if all(v >= plan.thresholds[i - 1] for v in values):
                         keep.append(a)
                     if kappa > best:
@@ -145,6 +170,65 @@ class TestSolveKappa:
             wid_hi[j] = min(1.0, wid_hi[j] + rng.random() * (1 - wid_hi[j]))
             wider, _ = solve_kappa(values, los, wid_hi)
             assert wider <= base + 1e-12
+
+
+def kernel_rows(rng):
+    """Seeded LP rows: general ones, and rows with tied values that have zero-room
+    entries (lo == hi), no mass above the lower bounds, or infeasible bounds."""
+    for _ in range(300):
+        yield oracle.random_lp_instance(rng)
+        n = rng.randint(1, 7)
+        ties = [rng.choice((0.0, 0.25, 0.5, 0.9, 1.0)) for _ in range(n)]
+        his = [rng.uniform(0.2, 1.0) for _ in range(n)]
+        los = [rng.uniform(0.0, hi / n) for hi in his]
+        yield ties, los, his
+        yield ties, los, [lo if rng.random() < 0.5 else hi for lo, hi in zip(los, his)]
+        eighths = [0] * n
+        for _ in range(8):
+            eighths[rng.randrange(n)] += 1
+        exact = [k / 8 for k in eighths]             # sums to 1 exactly: remaining is 0.0
+        yield ties, exact, [min(1.0, lo + rng.choice((0.0, 0.3))) for lo in exact]
+        yield ties + [0.5], [rng.uniform(0.3, 0.9) for _ in range(n + 1)], [1.0] * (n + 1)
+        yield ties, [0.0] * n, [rng.uniform(0.0, 0.9 / n) for _ in range(n)]
+
+
+class TestKernelArithmetic:
+    """``greedy_kappa`` on ``interval_row`` constants against ``reference_solve_kappa``, bit for bit."""
+
+    def test_matches_reference(self):
+        cases = {"tied": 0, "zero_room": 0, "no_remaining": 0, "infeasible": 0}
+        for values, los, his in kernel_rows(random.Random(41)):
+            rooms, remaining, infeasible = interval_row(los, his)
+            try:
+                expected = reference_solve_kappa(values, los, his)
+            except InfeasibleIntervalError as exc:
+                cases["infeasible"] += 1
+                assert infeasible == str(exc)
+                with pytest.raises(InfeasibleIntervalError) as err:
+                    solve_kappa(values, los, his)
+                assert str(err.value) == str(exc)
+                continue
+            assert infeasible is None
+            assert greedy_kappa(values, los, rooms, remaining) == expected
+            assert solve_kappa(values, los, his) == expected
+            cases["tied"] += len(set(values)) < len(values)
+            cases["zero_room"] += 0.0 in rooms
+            cases["no_remaining"] += remaining == 0.0
+        assert min(cases.values()) >= 50, cases
+
+    def test_product_rows_hold_interval_row_constants(self):
+        spec, _ = canonical_case_study(assumed_uncertainty=0.08)
+        model = build_grid_mdp(spec)
+        props = sorted(spec.alphabet())
+        aut = compile_formula(parse_formula("H^0 P", props), props)
+        prod = build_product(model, aut, 0)
+        for s in model.states:
+            assert [row[0] for row in prod.support_rows[s]] == list(model.enabled[s])
+            for a, pos, los, *constants in prod.support_rows[s]:
+                entries = model.support(s, a)
+                assert [prod.neighbours[s][i] for i in pos] == [s2 for s2, _, _ in entries]
+                assert los == [lo for _, lo, _ in entries]
+                assert tuple(constants) == interval_row(los, [hi for _, _, hi in entries])
 
 
 class TestBackwardPass:
@@ -266,6 +350,7 @@ class TestAgainstReference:
 
     @staticmethod
     def assert_same(model, aut, horizon, plan):
+        """Compare with ``reference_prune``; returns whether the plan was feasible."""
         prod = build_product(model, aut, horizon)
         try:
             expected = reference_prune(prod, plan)
@@ -273,7 +358,7 @@ class TestAgainstReference:
             with pytest.raises(MultiShotInfeasibleError) as err:
                 multi_shot_prune(prod, plan)
             assert err.value.segment == exc.segment
-            return
+            return False
         if plan.n_segments == 1:
             one_shot_prune(prod, plan.thresholds[0])
         else:
@@ -285,6 +370,7 @@ class TestAgainstReference:
         assert prod.act_sets == act
         assert prod.pi_c == pi_c
         assert prod.reset_times == ref_times
+        return True
 
     def test_case_study_both_modes(self):
         spec, formula = canonical_case_study(assumed_uncertainty=0.08)
@@ -293,6 +379,17 @@ class TestAgainstReference:
         horizon = time_bound(formula)
         self.assert_same(model, aut, horizon, MultiShotPlan((0, horizon), (0.9,)))
         self.assert_same(model, aut, horizon, MultiShotPlan.even(0.9, (0, 8, 15, 22, 35)))
+
+    @pytest.mark.parametrize("thresholds", [
+        (0.97, 0.99, 0.97, 0.98),       # segments 1 and 3 share a threshold, hence a memo
+        (0.96, 0.97, 0.98, 0.99),       # one memo per segment
+    ])
+    def test_case_study_multi_shot_memo_sharing(self, thresholds):
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+        model = build_grid_mdp(spec)
+        aut = compile_formula(formula, sorted(spec.alphabet()))
+        plan = MultiShotPlan((0, 8, 15, 22, 35), thresholds)
+        assert self.assert_same(model, aut, time_bound(formula), plan)
 
     def test_random_instances(self):
         rng = random.Random(31)
@@ -309,9 +406,10 @@ class TestAgainstReference:
                 self.assert_same(model, aut, horizon,
                                  MultiShotPlan.even(pr, (0, cut, horizon)))
 
-    def test_infeasible_row_named_at_first_state(self):
-        # u's action b has lower bounds summing to 2.4; layer 1 holds three
-        # non-terminal states over u, and the sweep meets ('u', 5, 1) first
+    @staticmethod
+    def infeasible_u_product():
+        """u's action b has lower bounds summing to 2.4; layer 1 holds three
+        non-terminal states over u, and a sweep of it meets ('u', 5, 1) first."""
         formula = parse_formula("[H^0 B]^[0,2] & [H^0 C]^[0,2]")
         aut = compile_formula(formula, {"B", "C"})
         states = ["x", "b", "c", "u"]
@@ -321,11 +419,24 @@ class TestAgainstReference:
         prod = build_product(model, aut, time_bound(formula))
         terminal = aut.accepting | {aut.trash}
         at_u = [(s, q, 1) for s, q in prod.layers[1] if s == "u" and q not in terminal]
-        assert len(at_u) >= 2
+        assert len(at_u) >= 2 and at_u[0] == ("u", 5, 1)
         assert not any(s == "u" and q not in terminal for s, q in prod.layers[2])
+        return prod
+
+    def test_infeasible_row_named_at_first_state(self):
         with pytest.raises(InfeasibleIntervalError) as err:
-            one_shot_prune(prod, 0.5)
-        assert err.value.state == at_u[0] == ("u", 5, 1)
+            one_shot_prune(self.infeasible_u_product(), 0.5)
+        assert err.value.state == ("u", 5, 1)
+        assert err.value.action == "b"
+        assert str(err.value).startswith("sum of lower bounds 2.400000000 exceeds 1 at state")
+
+    @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (0.6, 0.5)])
+    def test_infeasible_row_named_at_first_state_multi_shot(self, thresholds):
+        # the last segment sweeps layer 1 alone; the first sweeps layer 0 with
+        # the same or another threshold's memo
+        with pytest.raises(InfeasibleIntervalError) as err:
+            multi_shot_prune(self.infeasible_u_product(), MultiShotPlan((0, 1, 2), thresholds))
+        assert err.value.state == ("u", 5, 1)
         assert err.value.action == "b"
 
 

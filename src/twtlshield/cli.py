@@ -337,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     paths = {}
     out = cfg.output_dir
     if out:
-        policy = {repr(p): repr(a) for p, a in sorted(result.policy.items(), key=repr)}
+        policy = {repr(p): repr(a) for p, a in result.policy.items()}
         paths["summary"] = _write(out, "summary.json", _json_text(summary))
         paths["automaton_json"] = _write(out, "automaton.json", automaton_json(automaton))
         paths["automaton_dot"] = _write(out, "automaton.dot", to_dot(automaton))
@@ -568,79 +568,110 @@ def cmd_sweep(args):
     return 3 if any(r["learning_sat"] is None for r in rows) else 0
 
 
+# The oracle battery: `verify` runs each check once on one rng, and acceptance
+# criteria 4-6 call the same functions with their own seeds and counts.  It
+# lives here because oracle.py must share no code with what it checks.
+
+def check_automata():
+    """Compiled automata vs ``oracle.word_satisfies_brute`` on every word up to each
+    ``FORMULA_CORPUS`` formula's time bound; returns (mismatching (text, word) pairs, words)."""
+    mismatches = []
+    words = 0
+    for text in oracle.FORMULA_CORPUS:
+        formula = parse_formula(text, {"B", "C"})
+        automaton = compile_formula(formula, {"B", "C"})
+        for word in oracle.enumerate_words({"B", "C"}, time_bound(formula) + 1):
+            words += 1
+            if accepts(automaton, word) != oracle.word_satisfies_brute(formula, word):
+                mismatches.append((text, word))
+    return mismatches, words
+
+
+def check_kappa(rng, count):
+    """``solve_kappa`` vs ``oracle.lp_grid_search`` on ``count`` random interval LPs;
+    returns the instances further apart than n * 1e-3."""
+    mismatches = []
+    for _ in range(count):
+        values, los, his = oracle.random_lp_instance(rng)
+        exact, _ = solve_kappa(values, los, his)
+        if abs(exact - oracle.lp_grid_search(values, los, his, 1e-3)) > len(values) * 1e-3:
+            mismatches.append((values, los, his))
+    return mismatches
+
+
+def _sampled_dynamics(model, rng):
+    """True dynamics drawn inside ``model``'s bounds, and what ``validate`` finds wrong with them."""
+    dynamics = oracle.sample_true_dynamics(model.bounds, rng)
+    sim = LabeledIntervalMdp(model.states, model.actions, model.labels, model.bounds, dynamics)
+    return dynamics, sim.validate()
+
+
+def check_dominance(rng, count, corrupt_f=False):
+    """Exact reachability under the fallback policy dominates the one-shot bound.
+
+    Each of ``count`` instances draws a formula, a model, its ``pr_des`` and its
+    true dynamics from ``rng``.  Returns (failures, states checked, largest
+    bound-minus-exact): a failure is an instance's validate problems or a
+    (state, gap) where the bound exceeds the exact value by more than 1e-12.
+    ``corrupt_f`` is the negative control: every bound strictly inside (0, 1)
+    claims 1 before comparing, which fails wherever the true law can miss.
+    """
+    spec = oracle.RandomInstanceSpec()
+    failures = []
+    checked = 0
+    worst_gap = 0.0
+    for _ in range(count):
+        formula = oracle.random_formula(rng, spec.max_horizon)
+        model = oracle.random_interval_mdp(rng, spec)
+        product = build_product(model, compile_formula(formula, {"B", "C"}), time_bound(formula))
+        one_shot_prune(product, rng.uniform(0.1, 1.0))
+        dynamics, problems = _sampled_dynamics(model, rng)
+        if problems:
+            failures.append(problems)
+            continue
+        exact = exact_reach_probability(product, product.pi_c, true_dynamics=dynamics)
+        for p, value in exact.items():
+            bound = product.f_values[p]
+            if corrupt_f and 0.0 < bound < 1.0:
+                bound = 1.0
+            checked += 1
+            gap = bound - value
+            worst_gap = max(worst_gap, gap)
+            if gap > 1e-12:
+                failures.append((p, gap))
+    return failures, checked, worst_gap
+
+
+def check_sampling(rng, count):
+    """Dynamics sampled inside ``count`` random models' bounds validate; returns the problems."""
+    spec = oracle.RandomInstanceSpec()
+    problems = []
+    for _ in range(count):
+        problems += _sampled_dynamics(oracle.random_interval_mdp(rng, spec), rng)[1]
+    return problems
+
+
 def cmd_verify(args):
     for flag, count in (("--instances", args.instances), ("--lp-instances", args.lp_instances)):
         if count < 0:
             raise ConfigError(f"{flag} must be nonnegative, not {count}")
     rng = random.Random(args.seed)
-    failures = []
+    failed = []
 
-    def report(name, ok, detail=""):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-        if not ok:
-            failures.append(name)
+    def report(name, failures, detail):
+        print(f"{'FAIL' if failures else 'PASS'}  {name}  ({detail})")
+        if failures:
+            failed.append(name)
 
-    # automaton versus enumeration semantics on the corpus
-    mismatches = 0
-    checked = 0
-    for text in oracle.FORMULA_CORPUS:
-        formula = parse_formula(text, {"B", "C"})
-        automaton = compile_formula(formula, {"B", "C"})
-        n = time_bound(formula) + 1
-        for word in oracle.enumerate_words({"B", "C"}, n):
-            checked += 1
-            if accepts(automaton, word) != oracle.word_satisfies_brute(formula, word):
-                mismatches += 1
-    report("automaton-semantics equivalence", mismatches == 0,
-           f"{checked} words over {len(oracle.FORMULA_CORPUS)} formulas")
-
-    # closed-form optimum versus grid search
-    bad_lp = 0
-    for _ in range(args.lp_instances):
-        values, los, his = oracle.random_lp_instance(rng)
-        exact, _ = solve_kappa(values, los, his)
-        approx = oracle.lp_grid_search(values, los, his, 1e-3)
-        if abs(exact - approx) > len(values) * 1e-3:
-            bad_lp += 1
-    report("closed-form optimum vs grid search", bad_lp == 0, f"{args.lp_instances} instances")
-
-    # worst-case bound dominated by exact reachability under the fallback policy
-    spec = oracle.RandomInstanceSpec()
-    bad_dom = 0
-    for _ in range(args.instances):
-        formula = oracle.random_formula(rng, spec.max_horizon)
-        model = oracle.random_interval_mdp(rng, spec)
-        automaton = compile_formula(formula, {"B", "C"})
-        product = build_product(model, automaton, time_bound(formula))
-        one_shot_prune(product, 0.5)
-        dynamics = oracle.sample_true_dynamics(model.bounds, rng)
-        sim = LabeledIntervalMdp(model.states, model.actions, model.labels,
-                                 model.bounds, dynamics)
-        if sim.validate():
-            bad_dom += 1
-            continue
-        exact = exact_reach_probability(product, product.pi_c, true_dynamics=dynamics)
-        f_values = product.f_values
-        if args.corrupt_f:
-            f_values = {p: min(1.0, v + 0.05) if 0.0 < v < 1.0 else v
-                        for p, v in f_values.items()}
-        for p, v in exact.items():
-            if v < f_values[p] - 1e-12:
-                bad_dom += 1
-                break
-    report("exact reachability dominates the bound", bad_dom == 0, f"{args.instances} instances")
-
-    # sampled dynamics validate against their bounds
-    bad_sampling = 0
-    for _ in range(50):
-        model = oracle.random_interval_mdp(rng, spec)
-        dynamics = oracle.sample_true_dynamics(model.bounds, rng)
-        sim = LabeledIntervalMdp(model.states, model.actions, model.labels, model.bounds, dynamics)
-        if sim.validate():
-            bad_sampling += 1
-    report("sampled dynamics stay inside bounds", bad_sampling == 0, "50 instances")
-
-    return 4 if failures else 0
+    mismatches, words = check_automata()
+    report("automaton-semantics equivalence", mismatches,
+           f"{words} words over {len(oracle.FORMULA_CORPUS)} formulas")
+    report("closed-form optimum vs grid search", check_kappa(rng, args.lp_instances),
+           f"{args.lp_instances} instances")
+    report("exact reachability dominates the bound",
+           check_dominance(rng, args.instances, args.corrupt_f)[0], f"{args.instances} instances")
+    report("sampled dynamics stay inside bounds", check_sampling(rng, 50), "50 instances")
+    return 4 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -703,7 +734,7 @@ def main(argv=None) -> int:
     p.add_argument("--instances", type=int, default=100, help="reachability instances")
     p.add_argument("--lp-instances", dest="lp_instances", type=int, default=300)
     p.add_argument("--corrupt-f", dest="corrupt_f", action="store_true",
-                   help="negative control: perturb the bound and expect a failure")
+                   help="negative control: raise every bound inside (0, 1) to 1 and expect a failure")
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -24,15 +24,30 @@ class MissingDynamicsError(MdpError):
     pass
 
 
+def row_infeasibility(lo_sum, hi_sum):
+    """None if a row whose bounds sum to ``lo_sum``/``hi_sum`` admits a distribution, else why not."""
+    if lo_sum > 1.0 + FEASIBILITY_TOL:
+        return f"sum of lower bounds {lo_sum:.9f} exceeds 1"
+    if hi_sum < 1.0 - FEASIBILITY_TOL:
+        return f"sum of upper bounds {hi_sum:.9f} is below 1"
+    return None
+
+
 def interval_row(los, his):
     """An (s, a) row's LP constants: rooms hi - lo, mass 1 - fsum(los), None or why infeasible."""
-    lo_sum, hi_sum = math.fsum(los), math.fsum(his)
-    infeasible = None
-    if lo_sum > 1.0 + FEASIBILITY_TOL:
-        infeasible = f"sum of lower bounds {lo_sum:.9f} exceeds 1"
-    elif hi_sum < 1.0 - FEASIBILITY_TOL:
-        infeasible = f"sum of upper bounds {hi_sum:.9f} is below 1"
-    return [hi - lo for lo, hi in zip(los, his)], 1.0 - lo_sum, infeasible
+    lo_sum = math.fsum(los)
+    return ([hi - lo for lo, hi in zip(los, his)], 1.0 - lo_sum,
+            row_infeasibility(lo_sum, math.fsum(his)))
+
+
+def dynamics_rows(dynamics):
+    """True-dynamics entries with positive probability, grouped by (s, a) in dict order:
+    (s, a) -> [(s', p), ...]."""
+    rows = {}
+    for (s, a, s2), p in dynamics.items():
+        if p > 0.0:
+            rows.setdefault((s, a), []).append((s2, p))
+    return rows
 
 
 def _no_reward(s, a):
@@ -86,12 +101,8 @@ class LabeledIntervalMdp:
         samplers = {}
         if self.true_dynamics is None:
             return samplers
-        rows = {}
-        for (s, a, s2), p in self.true_dynamics.items():
-            if p > 0.0:
-                rows.setdefault((s, a), []).append((s2, p))
         order = {s: i for i, s in enumerate(self.states)}
-        for key, entries in rows.items():
+        for key, entries in dynamics_rows(self.true_dynamics).items():
             entries.sort(key=lambda item: order.get(item[0], -1))
             succs = [s2 for s2, _ in entries]
             cum = []
@@ -127,20 +138,17 @@ class LabeledIntervalMdp:
                 problems.append(f"state {s!r} has no enabled actions")
             for a in self.enabled[s]:
                 entries = self.support(s, a)
-                lo_sum = math.fsum(lo for _, lo, _ in entries)
-                hi_sum = math.fsum(hi for _, _, hi in entries)
-                if lo_sum > 1.0 + FEASIBILITY_TOL:
-                    problems.append(f"infeasible bounds at ({s!r},{a!r}): sum of lower bounds {lo_sum:.6f} > 1")
-                if hi_sum < 1.0 - FEASIBILITY_TOL:
-                    problems.append(f"infeasible bounds at ({s!r},{a!r}): sum of upper bounds {hi_sum:.6f} < 1")
+                infeasible = row_infeasibility(math.fsum(lo for _, lo, _ in entries),
+                                               math.fsum(hi for _, _, hi in entries))
+                if infeasible is not None:
+                    problems.append(f"infeasible bounds at ({s!r},{a!r}): {infeasible}")
         if self.true_dynamics is not None:
-            rows = {}
             for (s, a, s2), p in self.true_dynamics.items():
-                rows.setdefault((s, a), []).append((s2, p))
                 lo, hi = self.bounds.get((s, a, s2), (0.0, 0.0))
                 if not (lo - 1e-12 <= p <= hi + 1e-12):
                     problems.append(
                         f"true probability {p:.6f} outside bounds [{lo},{hi}] for ({s!r},{a!r},{s2!r})")
+            rows = dynamics_rows(self.true_dynamics)
             for s in self.states:
                 for a in self.enabled[s]:
                     entries = rows.get((s, a))

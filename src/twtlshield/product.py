@@ -161,10 +161,9 @@ class TimeTotalProductMdp:
     def results_json(self) -> str:
         """f and pi_c keyed by (s, q, t) for offline inspection."""
         doc = {
-            "f": {repr(p): v for p, v in sorted(self.f_values.items(), key=repr)},
-            "pi_c": {repr(p): repr(a) for p, a in sorted(self.pi_c.items(), key=repr)},
-            "act_sets": {repr(p): [repr(a) for a in acts]
-                         for p, acts in sorted(self.act_sets.items(), key=repr)},
+            "f": {repr(p): v for p, v in self.f_values.items()},
+            "pi_c": {repr(p): repr(a) for p, a in self.pi_c.items()},
+            "act_sets": {repr(p): [repr(a) for a in acts] for p, acts in self.act_sets.items()},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .mdp import MissingDynamicsError, interval_row
+from .mdp import MissingDynamicsError, dynamics_rows, interval_row
 from .product import TimeTotalProductMdp
 
 
@@ -286,10 +286,7 @@ def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics=
     dyn = true_dynamics if true_dynamics is not None else product.mdp.true_dynamics
     if dyn is None:
         raise MissingDynamicsError("exact reachability needs true dynamics")
-    rows = {}
-    for (s, a, s2), pr in dyn.items():
-        if pr > 0.0:
-            rows.setdefault((s, a), []).append((s2, pr))
+    rows = dynamics_rows(dyn)
     after = product._after
     accepting = product.automaton.accepting
     trash = product.automaton.trash

@@ -1,4 +1,4 @@
-"""Time-window temporal logic: syntax tree, parser, time bounds, and word semantics.
+"""Time-window temporal logic: syntax tree, parser, printer, and time bounds.
 
 Formulas are built from hold operators over atomic propositions, Boolean
 connectives, concatenation, and bracketed time windows:
@@ -350,67 +350,3 @@ def parse_formula(text: str, alphabet: Iterable[str] | None = None) -> Formula:
 def make_word(symbols: Iterable[Iterable[str]]) -> Word:
     """Build a word (tuple of frozen label sets) from any nested iterable."""
     return tuple(frozenset(sym) for sym in symbols)
-
-
-def satisfies(word: Word, formula: Formula) -> bool:
-    """Word semantics.
-
-    A word of length T+1 carries observations at t = 0..T.  Satisfaction means
-    some prefix of the word completes the formula; trailing symbols after the
-    completion are irrelevant.
-    """
-    word = make_word(word)
-    memo = {}
-    return bool(_completions(formula, word, 0, memo))
-
-
-def _completions(node, word, start, memo):
-    """Set of indices t where the formula, started at ``start``, completes.
-
-    Completion times always lie in [start, start + time_bound(node)] and must
-    be valid word indices.  Concatenation commits to the earliest completion
-    of its left operand.
-    """
-    key = (id(node), start)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    n = len(word)
-    if isinstance(node, Hold):
-        end = start + node.duration
-        if end >= n:
-            result = frozenset()
-        elif node.prop is None:
-            result = frozenset([end])
-        else:
-            ok = all((node.prop in word[t]) != node.negated for t in range(start, end + 1))
-            result = frozenset([end]) if ok else frozenset()
-    elif isinstance(node, And):
-        left = _completions(node.left, word, start, memo)
-        right = _completions(node.right, word, start, memo)
-        result = frozenset(max(a, b) for a in left for b in right)
-    elif isinstance(node, Or):
-        result = _completions(node.left, word, start, memo) | _completions(node.right, word, start, memo)
-    elif isinstance(node, Not):
-        end = start + time_bound(node.child)
-        if end < n and not _completions(node.child, word, start, memo):
-            result = frozenset([end])
-        else:
-            result = frozenset()
-    elif isinstance(node, Concat):
-        left = _completions(node.left, word, start, memo)
-        if not left:
-            result = frozenset()
-        else:
-            result = _completions(node.right, word, min(left) + 1, memo)
-    elif isinstance(node, Within):
-        inner_bound = time_bound(node.child)
-        result = frozenset()
-        k = 0
-        while node.low + k + inner_bound <= node.high:
-            result |= _completions(node.child, word, start + node.low + k, memo)
-            k += 1
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-    memo[key] = result
-    return result

@@ -16,11 +16,10 @@ import random
 import pytest
 
 from twtlshield.automaton import accepts, compile_formula
-from twtlshield.cli import load_config, run_experiment
-from twtlshield.mdp import LabeledIntervalMdp
+from twtlshield.cli import (check_automata, check_dominance, check_kappa, load_config,
+                            run_experiment)
 from twtlshield.product import build_product
-from twtlshield.reachability import (MultiShotPlan, multi_shot_prune, one_shot_prune,
-                                     exact_reach_probability, solve_kappa)
+from twtlshield.reachability import MultiShotPlan, multi_shot_prune, one_shot_prune, solve_kappa
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
 
@@ -147,34 +146,12 @@ class TestCriterion3Trends:
 
 class TestCriterion4LemmaSoundness:
     def test_exact_reachability_dominates_bound(self):
-        rng = random.Random(2024)
-        checked = 0
-        worst_gap = 0.0
-        failures = 0
-        for _ in range(500):
-            spec = oracle.RandomInstanceSpec()
-            formula = oracle.random_formula(rng, spec.max_horizon)
-            model = oracle.random_interval_mdp(rng, spec)
-            automaton = compile_formula(formula, {"B", "C"})
-            product = build_product(model, automaton, time_bound(formula))
-            one_shot_prune(product, rng.uniform(0.1, 1.0))
-            dynamics = oracle.sample_true_dynamics(model.bounds, rng)
-            sim = LabeledIntervalMdp(model.states, model.actions, model.labels,
-                                     model.bounds, dynamics)
-            assert sim.validate() == []
-            exact = exact_reach_probability(build_product(sim, automaton, product.horizon),
-                                            product.pi_c)
-            for p, value in exact.items():
-                checked += 1
-                gap = product.f_values[p] - value
-                worst_gap = max(worst_gap, gap)
-                if gap > 1e-12:
-                    failures += 1
-        ok = verdict(4, failures == 0,
+        failures, checked, worst_gap = check_dominance(random.Random(2024), 500)
+        ok = verdict(4, not failures,
                      f"exact reach probability under the fallback policy dominates the "
                      f"worst-case bound at {checked} states across 500 random interval "
                      f"MDPs (max bound-minus-exact = {worst_gap:.2e})")
-        assert ok
+        assert ok, failures
 
 
 class TestCriterion5ClosedFormOptimum:
@@ -186,35 +163,20 @@ class TestCriterion5ClosedFormOptimum:
             (([0.3, 0.7], [0.4, 0.6], [0.4, 0.6]), math.fsum([0.3 * 0.4, 0.7 * 0.6])),
         ]
         hand_ok = all(solve_kappa(*args)[0] == expected for args, expected in exact_cases)
-
-        rng = random.Random(99)
-        mismatches = 0
-        for _ in range(1000):
-            values, los, his = oracle.random_lp_instance(rng)
-            exact, _ = solve_kappa(values, los, his)
-            approx = oracle.lp_grid_search(values, los, his, 1e-3)
-            if abs(exact - approx) > len(values) * 1e-3:
-                mismatches += 1
-        ok = verdict(5, hand_ok and mismatches == 0,
+        mismatches = check_kappa(random.Random(99), 1000)
+        ok = verdict(5, hand_ok and not mismatches,
                      "closed-form interval optimum equals the three hand-derived values "
                      f"exactly and stays within n*1e-3 of grid search on 1000 instances "
-                     f"({mismatches} mismatches)")
-        assert ok
+                     f"({len(mismatches)} mismatches)")
+        assert ok, mismatches
 
 
 class TestCriterion6AutomatonCorrectness:
     def test_corpus_language_equivalence(self):
         assert len(oracle.FORMULA_CORPUS) >= 12
-        mismatches = []
-        words_checked = 0
-        for text in oracle.FORMULA_CORPUS:
-            formula = parse_formula(text, {"B", "C"})
-            automaton = compile_formula(formula, {"B", "C"})
-            assert time_bound(formula) <= 5
-            for word in oracle.enumerate_words({"B", "C"}, time_bound(formula) + 1):
-                words_checked += 1
-                if accepts(automaton, word) != oracle.word_satisfies_brute(formula, word):
-                    mismatches.append((text, word))
+        assert all(time_bound(parse_formula(text, {"B", "C"})) <= 5
+                   for text in oracle.FORMULA_CORPUS)
+        mismatches, words_checked = check_automata()
 
         reference = parse_formula("[H^1 B]^[0,2]", {"B"})
         ref_aut = compile_formula(reference, {"B"})

@@ -353,6 +353,29 @@ class TestRunExperiment:
         assert csv_lines[0] == "episode,satisfied,cum_reward,shield_entry_t,steps_shielded"
         assert len(csv_lines) == 151
 
+    @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+    def test_tables_render_as_sorted(self, tmp_path, monkeypatch, mode):
+        # json.dumps(sort_keys=True) orders the repr keys, so the tables are not sorted first
+        runs = []
+
+        def learn(product, cfg):
+            runs.append((product, cli.learn(product, cfg)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, f"run_{mode}", learn)
+        run_experiment(load_config(None, fast_overrides(mode=mode, output_dir=str(tmp_path))))
+        (product, result), = runs
+
+        def rendered(table, value):
+            return {repr(p): value(v) for p, v in sorted(table.items(), key=repr)}
+
+        assert (tmp_path / "policy.json").read_text() == cli._json_text(rendered(result.policy, repr))
+        assert product.results_json() == json.dumps({
+            "f": rendered(product.f_values, float),
+            "pi_c": rendered(product.pi_c, repr),
+            "act_sets": rendered(product.act_sets, lambda acts: [repr(a) for a in acts]),
+        }, indent=2, sort_keys=True)
+
     def test_summary_bit_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

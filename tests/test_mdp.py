@@ -5,8 +5,12 @@ from collections import Counter
 import pytest
 
 from twtlshield import cli
+from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError
+from twtlshield.product import build_product
+from twtlshield.reachability import InfeasibleIntervalError, one_shot_prune
+from twtlshield.twtl import parse_formula, time_bound
 from conftest import three_state_mdp
 
 
@@ -61,6 +65,31 @@ class TestValidate:
         with pytest.raises(cli.PipelineError) as err:
             cli.run_experiment(cli.load_config(None, {"episodes": 1, "eval_episodes": 1}))
         assert str(err.value) == "[validate] " + "; ".join(expected[:5])
+
+    def test_infeasible_row_worded_once(self, monkeypatch):
+        # validate (the pipeline's [validate] stage) and the pruning sweep word a row alike
+        m = three_state_mdp()
+        bounds = dict(m.bounds)
+        bounds[("s2", "a1", "s2")] = (0.0, 0.8)
+        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds)
+        why = "sum of upper bounds 0.800000000 is below 1"
+        assert bad.validate() == [f"infeasible bounds at ('s2','a1'): {why}"]
+        formula = parse_formula("[H^0 B]^[0,2]", {"B", "C"})
+        product = build_product(bad, compile_formula(formula, {"B", "C"}), time_bound(formula))
+        with pytest.raises(InfeasibleIntervalError) as err:
+            one_shot_prune(product, 0.5)
+        assert str(err.value).startswith(f"{why} at state ('s2', ")
+        monkeypatch.setattr(cli, "build_grid_mdp", lambda grid: bad)
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run_experiment(cli.load_config(None, {"episodes": 1, "eval_episodes": 1}))
+        assert str(err.value) == f"[validate] infeasible bounds at ('s2','a1'): {why}"
+
+    def test_all_zero_dynamics_row_flagged(self):
+        m = three_state_mdp()
+        bounds = {**m.bounds, ("s2", "a1", "s2"): (0.0, 1.0)}
+        dynamics = {**m.true_dynamics, ("s2", "a1", "s2"): 0.0}
+        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds, dynamics)
+        assert bad.validate() == ["true dynamics missing for ('s2','a1')"]
 
     def test_nonstochastic_dynamics(self):
         m = three_state_mdp(exact=False)

@@ -1,9 +1,12 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from twtlshield import oracle
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.oracle import (OracleError, RandomInstanceSpec, enumerate_words,
                                lp_grid_search, random_formula, random_interval_mdp,
@@ -116,3 +119,17 @@ class TestGenerators:
     def test_instance_spec_cap(self):
         with pytest.raises(ValueError):
             RandomInstanceSpec(max_states=50, max_horizon=50)
+
+
+class TestIndependence:
+    def test_imports_nothing_it_checks(self):
+        # the oracle shares no code with what it checks; the battery that runs it is in cli
+        imported = set()
+        for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        checked = {"automaton", "product", "reachability", "learner", "cli"}
+        assert not [name for name in imported if checked & set(name.split("."))]
+        assert "twtl.parse_formula" in imported     # the walk does see relative imports

@@ -296,17 +296,9 @@ def compile_formula(formula: Formula, alphabet, max_states=100000) -> TotalAutom
     trash = ids[_key(_FALSE)]
     accepting = frozenset([ids[_key(_TRUE)]]) if _key(_TRUE) in ids else frozenset()
 
-    reachable = {initial}
-    stack = [initial]
-    while stack:
-        q = stack.pop()
-        for nxt in proj_table[q].values():
-            if nxt not in reachable:
-                reachable.add(nxt)
-                stack.append(nxt)
-
+    # The walk above visited exactly the states reachable from the initial one.
     return TotalAutomaton(props, initial, accepting, trash, annotations,
-                          relevant, proj_table, reachable)
+                          relevant, proj_table, seen)
 
 
 def accepts(automaton: TotalAutomaton, word: Word) -> bool:

@@ -167,7 +167,7 @@ class _Numbered:
 
 def learn(product, cfg: LearnerConfig) -> RunResult:
     """Shielded Q-learning on a pruned product; the flag resets where ``product.resets_flag``."""
-    if not product.act_sets:
+    if not product.f_values:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
     view = product.numbered = product.numbered or _Numbered(product)
     states, act_sets, pi_c, rows = view.states, view.acts, view.pi_c, view.rows

@@ -9,10 +9,12 @@ solved in closed form by greedy mass assignment: everything starts at its
 lower bound and the remaining mass goes to the successors with the smallest
 f first.
 
-One-shot pruning removes an action wherever some possible successor falls
-below the desired probability; multi-shot splits the horizon into segments
-with per-segment thresholds whose product is the desired probability, and
-prunes each segment against a 0/1 boundary derived from the next segment.
+Multi-shot pruning splits the horizon into segments with per-segment
+thresholds whose product is the desired probability, and prunes each segment
+against a 0/1 boundary derived from the next segment; an action is removed
+wherever some possible successor falls below its segment's threshold.
+One-shot pruning is the one-segment plan at the desired probability, so both
+modes run one segment loop.
 
 A row's LP constants (rooms, remaining mass, feasibility) depend only on the
 model row, so ``mdp.interval_row`` computes them once per (s, a) into
@@ -90,37 +92,22 @@ def solve_kappa(values, los, his):
     return greedy_kappa(values, los, rooms, remaining)
 
 
-def eq6_boundary(product: TimeTotalProductMdp) -> dict:
-    """Terminal values: 1 on accepting states, 0 on trash (incl. coerced)."""
-    t = product.horizon
-    return {(s, q, t): (1.0 if q in product.automaton.accepting else 0.0)
-            for s, q in product.layers[t]}
+def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, act, pi_c):
+    """Backward recursion over the layers t_hi - 1 down to ``t_lo``, pruning as it goes.
 
-
-def _sweep(product, t_hi, t_lo, boundary_f, prune_below, memo):
-    """Backward recursion from layer ``t_hi`` down to ``t_lo``, pruning as it goes.
-
-    Returns (f, act, pi_c).  An action is kept where every possible successor
-    has f >= ``prune_below``.  Accepting and trash states keep their 0/1 values
-    and full action sets at every layer.  The maximization for f and pi_c runs
-    over all enabled actions, pruned or not.  ``memo`` maps (s, successor
-    f-values) to (f, kept, fallback) for this ``prune_below``.
+    ``fnext`` holds layer ``t_hi``'s values keyed by (s, q); the bounds, kept
+    actions and fallback actions of the layers below it go into ``f``, ``act``
+    and ``pi_c``, and layer ``t_lo``'s values are returned keyed by (s, q).
+    An action is kept where every possible successor has f >= ``prune_below``.
+    Accepting and trash states keep their 0/1 values and full action sets at
+    every layer.  The maximization for f and pi_c runs over all enabled
+    actions, pruned or not.  ``memo`` maps (s, successor f-values) to (f,
+    kept, fallback) for this ``prune_below``.
     """
     enabled = product.mdp.enabled
     terminal = {product.automaton.trash: 0.0, **dict.fromkeys(product.automaton.accepting, 1.0)}
     next_keys = product.next_keys
     support_rows = product.support_rows
-    f = {}
-    act = {}
-    pi_c = {}
-
-    fnext = {}
-    for s, q in product.layers[t_hi]:
-        p = (s, q, t_hi)
-        v = boundary_f[p]
-        f[p] = v
-        fnext[(s, q)] = v
-
     for t in range(t_hi - 1, t_lo - 1, -1):
         fcur = {}
         f_of = fnext.__getitem__
@@ -156,7 +143,7 @@ def _sweep(product, t_hi, t_lo, boundary_f, prune_below, memo):
             f[p] = value
             fcur[key] = value
         fnext = fcur
-    return f, act, pi_c
+    return fnext
 
 
 @dataclass(frozen=True)
@@ -182,17 +169,10 @@ class MultiShotPlan:
         if any(not (0.0 < x <= 1.0) for x in th):
             raise ValueError("thresholds must lie in (0, 1]")
 
-    @property
-    def n_segments(self):
-        return len(self.thresholds)
-
-    @property
-    def pr_des(self):
-        return math.prod(self.thresholds)
-
     def check_product(self, pr_des, tol=1e-12):
-        if abs(self.pr_des - pr_des) > tol:
-            raise ValueError(f"thresholds multiply to {self.pr_des!r}, not {pr_des!r}")
+        product = math.prod(self.thresholds)
+        if abs(product - pr_des) > tol:
+            raise ValueError(f"thresholds multiply to {product!r}, not {pr_des!r}")
 
     @classmethod
     def even(cls, pr_des, timestamps):
@@ -201,67 +181,55 @@ class MultiShotPlan:
         return cls(tuple(timestamps), (pr_des ** (1.0 / max(n, 1)),) * n)
 
 
-def _store(product, f, act, pi_c, threshold, reset_times=frozenset()):
+def _prune_segments(product, timestamps, thresholds):
+    """Prune segment by segment, last to first, and write the shield into ``product`` once.
+
+    The final layer is 1 on accepting states and 0 elsewhere.  Before each
+    earlier segment, its end layer is turned into 0/1 by the later segment's
+    threshold: accepting (1) where the later segment's bound meets it, trash
+    (0) elsewhere.  Each layer's f is the bound of the segment it starts, so
+    the boundary layers keep the later segment's values.  Segments with the
+    same threshold share one sweep memo.  Nothing is written if a segment
+    raises.
+    """
     if product.f_values:
         raise ReachabilityError("product already holds pruning results; rebuild it first")
-    product.f_values.update(f)
-    product.act_sets.update(act)
-    product.pi_c.update(pi_c)
-    product.initial_threshold = threshold
-    product.reset_times = reset_times
+    accepting = product.automaton.accepting
+    t_end = timestamps[-1]
+    fnext = {(s, q): (1.0 if q in accepting else 0.0) for s, q in product.layers[t_end]}
+    f = {(s, q, t_end): v for (s, q), v in fnext.items()}
+    act, pi_c, memos = {}, {}, {}
+    for i in range(len(thresholds), 0, -1):
+        if i < len(thresholds):
+            fnext = {key: (1.0 if v >= thresholds[i] else 0.0) for key, v in fnext.items()}
+            if not any(fnext.values()):
+                raise MultiShotInfeasibleError(i)
+        th = thresholds[i - 1]
+        fnext = _sweep(product, timestamps[i], timestamps[i - 1], fnext, th,
+                       memos.setdefault(th, {}), f, act, pi_c)
+    product.f_values, product.act_sets, product.pi_c = f, act, pi_c
+    product.initial_threshold = thresholds[0]
+    product.reset_times = frozenset(timestamps[1:-1])
 
 
 def one_shot_prune(product: TimeTotalProductMdp, pr_des):
-    """Single pruning sweep over the whole horizon (threshold pr_des everywhere)."""
+    """Single pruning sweep over the whole horizon: the one-segment plan at pr_des."""
     if not (0.0 < pr_des <= 1.0):
         raise ValueError("pr_des must lie in (0, 1]")
-    f, act, pi_c = _sweep(product, product.horizon, 0, eq6_boundary(product), pr_des, {})
-    _store(product, f, act, pi_c, pr_des)
+    _prune_segments(product, (0, product.horizon), (pr_des,))
     return product
 
 
 def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
-    """Segment-wise pruning; returns (product, product.reset_times).
+    """Segment-wise pruning (:func:`_prune_segments`); returns (product, product.reset_times).
 
-    Segments are processed last to first.  The last segment uses the terminal
-    0/1 boundary; each earlier segment treats the next segment's boundary
-    states as accepting (1) where the next segment's bound meets its
-    threshold and trash (0) elsewhere.  Action sets and the fallback policy
-    concatenate across segments; the interior timestamps become the product's
-    ``reset_times``.  Segments with the same threshold share one sweep memo.
+    Action sets and the fallback policy concatenate across segments; the
+    interior timestamps become the product's ``reset_times``.
     """
     if plan.timestamps[-1] != product.horizon:
         raise ValueError(f"plan must end at the product horizon {product.horizon}, "
                          f"got {plan.timestamps[-1]}")
-    n = plan.n_segments
-    f_all = {}
-    act_all = {}
-    pi_all = {}
-    memos = {}
-
-    boundary = eq6_boundary(product)
-    f_seg = None
-    for i in range(n, 0, -1):
-        t_hi = plan.timestamps[i]
-        t_lo = plan.timestamps[i - 1]
-        if i < n:
-            # Classify layer t_hi by the next segment's bound against its threshold.
-            accept = frozenset(p for p in boundary_states if f_seg[p] >= plan.thresholds[i])
-            if not accept:
-                raise MultiShotInfeasibleError(i)
-            boundary = {p: (1.0 if p in accept else 0.0) for p in boundary_states}
-        th = plan.thresholds[i - 1]
-        f_seg, act, pi_c = _sweep(product, t_hi, t_lo, boundary, th, memos.setdefault(th, {}))
-        boundary_states = [(s, q, t_lo) for s, q in product.layers[t_lo]]
-        # Keep the segment's own values for t in [t_lo, t_hi); the boundary
-        # layer t_hi retains the next segment's (or terminal) values.
-        for p, v in f_seg.items():
-            if p[2] < t_hi or i == n:
-                f_all.setdefault(p, v)
-        act_all.update(act)
-        pi_all.update(pi_c)
-
-    _store(product, f_all, act_all, pi_all, plan.thresholds[0], frozenset(plan.timestamps[1:-1]))
+    _prune_segments(product, plan.timestamps, plan.thresholds)
     return product, product.reset_times
 
 

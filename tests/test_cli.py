@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 from twtlshield import cli
 from twtlshield.cli import ConfigError, ExperimentConfig, load_config, main, run_experiment
-from twtlshield.gridworld import canonical_case_study
+from twtlshield.gridworld import CASE_STUDY_FORMULA, canonical_case_study
 from twtlshield.learner import LearnerConfig
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.reachability import MultiShotPlan
@@ -403,6 +405,20 @@ class TestRunExperiment:
                      "--allow-unsafe"])
         assert code == 0
 
+    def test_horizon_zero_learns_unsafe(self, tmp_path, capsys):
+        # no layer lies below horizon 0, so the pruned product has bounds but no action sets
+        code = main(["learn", "--formula", "H^0 Base", "--episodes", "20", "--eval-episodes", "5",
+                     "--seed", "1", "--allow-unsafe", "--output-dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["pruning"]["candidate_state_actions"] == 0
+
+    def test_horizon_zero_stops_at_check_initial(self, capsys):
+        code = main(["learn", "--formula", "H^0 Base", "--episodes", "20", "--eval-episodes", "5",
+                     "--seed", "1"])
+        assert code == 3
+        assert "check-initial" in capsys.readouterr().err
+
 
 def overflowing_reward_config(tmp_path):
     """A finite reward of 1e308 that sums to infinity within one episode."""
@@ -563,6 +579,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+        assert re.search(r"dominates the bound  \(8 instances, [1-9]\d* states\)", out)
 
     def test_seed_pinned_report(self, capsys):
         main(["verify", "--instances", "5", "--lp-instances", "10", "--seed", "4"])
@@ -579,7 +596,9 @@ class TestVerifyCommand:
 
     def test_zero_counts_allowed(self, capsys):
         assert main(["verify", "--instances", "0", "--lp-instances", "0"]) == 0
-        assert "(0 instances)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(0 instances)" in out
+        assert "(0 instances, 0 states)" in out
 
     def test_corrupted_bound_detected(self, capsys):
         assert main(["verify", "--instances", "5", "--lp-instances", "5",
@@ -622,6 +641,25 @@ class TestBenchmarkHooks:
         prod = worst_case_toy()
         assert cli.one_shot_prune(prod, 0.5) is prod
         assert [(p[0], f) for p, f in cli.check_initial(prod, 0.5)] == [("l", 0.0)]
+
+    def test_worker_shield_on_case_study(self, monkeypatch):
+        # the worker imports more of the package than the cli names above (plans,
+        # exact reachability, product attributes); run its own shield and counts
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        grid, _ = canonical_case_study(assumed_uncertainty=worker.EPS)
+        tracer = worker.Tracer("test", enabled=False)
+        for mode in worker.MODES:
+            _, product, _ = worker.shield(tracer, CASE_STUDY_FORMULA, sorted(grid.alphabet()), grid,
+                                          mode, worker.PR_DES, cli.CASE_STUDY_TIMESTAMPS)
+            counts = worker.product_counts(product)
+            worker.check_baseline("case-learn", counts)
+            assert (counts["automaton.states"], counts["product.states"],
+                    counts["reachability.lps"]) == (78, 11610, 68753)
+            assert len(worker.result_digest(product)) == 64
 
 
 class TestEnvVar:

@@ -57,7 +57,7 @@ def reference_learn(product, cfg: LearnerConfig) -> RunResult:
     act_sets = product.act_sets
     pi_c = product.pi_c
     resets_flag = product.resets_flag
-    if not act_sets:
+    if not product.f_values:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
     act_fsets = {p: frozenset(acts) for p, acts in act_sets.items()}
 
@@ -234,8 +234,9 @@ def bootstrap_toy(reward_b, x_actions=("a", "b")):
 
     The shield is written by hand: the root's pruned set is empty, so the flag
     rises at t=0 and stays up at x (t=1, not a reset state), where the agent
-    takes the fallback "b", which x's pruned set leaves out.  Returns the
-    product and the root and x states.
+    takes the fallback "b", which x's pruned set leaves out.  The learners
+    read no bound, only that the bounds are written, so every f is 0.
+    Returns the product and the root and x states.
     """
     states = ["r", "x", "g"]
     bounds = {("r", "go", "x"): (1.0, 1.0), ("x", "a", "g"): (1.0, 1.0),
@@ -246,10 +247,12 @@ def bootstrap_toy(reward_b, x_actions=("a", "b")):
                              lambda s, a: reward_b if (s, a) == ("x", "b") else 0.0, enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
     prod = build_product(mdp, aut, 2)
-    for t, layer in enumerate(prod.layers[:-1]):
+    for t, layer in enumerate(prod.layers):
         for s, q in layer:
-            prod.act_sets[s, q, t] = mdp.enabled[s]
-            prod.pi_c[s, q, t] = mdp.enabled[s][0]
+            prod.f_values[s, q, t] = 0.0
+            if t < prod.horizon:
+                prod.act_sets[s, q, t] = mdp.enabled[s]
+                prod.pi_c[s, q, t] = mdp.enabled[s][0]
     root = next(p for p in prod.initial if p[0] == "r")
     x = ("x", prod._after(root[1], "x"), 1)
     assert not prod.resets_flag(x)

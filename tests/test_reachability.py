@@ -8,8 +8,9 @@ from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import FEASIBILITY_TOL, LabeledIntervalMdp, interval_row
 from twtlshield.product import build_product
 from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibleError,
-                                     MultiShotPlan, check_initial, eq6_boundary, exact_reach_probability,
-                                     greedy_kappa, multi_shot_prune, one_shot_prune, solve_kappa)
+                                     MultiShotPlan, ReachabilityError, check_initial,
+                                     exact_reach_probability, greedy_kappa, multi_shot_prune,
+                                     one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
 from conftest import worst_case_toy
@@ -71,7 +72,7 @@ def reference_prune(prod, plan):
     layers = reference_layers(prod)
     accepting = prod.automaton.accepting
     trash = prod.automaton.trash
-    n = plan.n_segments
+    n = len(plan.thresholds)
     t_end = plan.timestamps[-1]
     f = {(s, q, t_end): (1.0 if q in accepting else 0.0) for s, q in layers[t_end]}
     f_all, act, pi_c = {}, {}, {}
@@ -236,10 +237,11 @@ class TestBackwardPass:
     # exposes the plain backward recursion.
 
     def test_eq6_boundary(self, toy_product):
-        boundary = eq6_boundary(toy_product)
-        for (s, q, t), value in boundary.items():
-            assert t == 2
-            assert value == (1.0 if toy_product.is_accepting((s, q, t)) else 0.0)
+        prod = one_shot_prune(toy_product, 0.5)
+        final = [(s, q, 2) for s, q in prod.layers[2]]
+        assert final
+        for p in final:
+            assert prod.f_values[p] == (1.0 if prod.is_accepting(p) else 0.0)
 
     def test_toy_values(self, toy_product):
         prod = one_shot_prune(toy_product, 0.5)
@@ -359,7 +361,7 @@ class TestAgainstReference:
                 multi_shot_prune(prod, plan)
             assert err.value.segment == exc.segment
             return False
-        if plan.n_segments == 1:
+        if len(plan.thresholds) == 1:
             one_shot_prune(prod, plan.thresholds[0])
         else:
             assert multi_shot_prune(prod, plan)[1] is prod.reset_times
@@ -475,8 +477,8 @@ class TestMultiShot:
         with pytest.raises(ValueError):
             MultiShotPlan((0, 5), (0.9, 0.9))
         plan = MultiShotPlan.even(0.9, (0, 8, 15, 22, 35))
-        assert plan.n_segments == 4
-        assert plan.pr_des == pytest.approx(0.9, abs=1e-12)
+        assert len(plan.thresholds) == 4
+        assert math.prod(plan.thresholds) == pytest.approx(0.9, abs=1e-12)
         plan.check_product(0.9)
         with pytest.raises(ValueError):
             plan.check_product(0.8)
@@ -538,6 +540,44 @@ class TestMultiShot:
         plan = MultiShotPlan.even(0.9, (0, 8, 15, 22, 35))
         assert plan.timestamps == (0, 8, 15, 22, 35)
         assert all(th == pytest.approx(0.9 ** 0.25, abs=1e-15) for th in plan.thresholds)
+
+
+class TestWriteOnce:
+    """A pruning pass writes the product's shield once, and only when it succeeds."""
+
+    PASSES = {"one_shot": lambda prod: one_shot_prune(prod, 0.5),
+              "multi_shot": lambda prod: multi_shot_prune(prod, MultiShotPlan((0, 1, 2), (0.9, 0.5)))}
+
+    @pytest.mark.parametrize("first", sorted(PASSES))
+    @pytest.mark.parametrize("second", sorted(PASSES))
+    def test_second_pass_raises(self, first, second):
+        prod = worst_case_toy()
+        self.PASSES[first](prod)
+        f, act = dict(prod.f_values), dict(prod.act_sets)
+        with pytest.raises(ReachabilityError, match="already holds pruning results"):
+            self.PASSES[second](prod)
+        assert prod.f_values == f and prod.act_sets == act
+
+    @staticmethod
+    def assert_unwritten(prod):
+        assert prod.f_values == {} and prod.act_sets == {} and prod.pi_c == {}
+        assert prod.initial_threshold is None and prod.reset_times == frozenset()
+
+    @pytest.mark.parametrize("mode", sorted(PASSES))
+    def test_infeasible_row_writes_nothing(self, mode):
+        prod = TestAgainstReference.infeasible_u_product()
+        with pytest.raises(InfeasibleIntervalError):
+            self.PASSES[mode](prod)
+        self.assert_unwritten(prod)
+
+    def test_infeasible_plan_writes_nothing(self, window_formula):
+        aut = compile_formula(window_formula, {"B"})
+        m = LabeledIntervalMdp(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
+                               {("s", "a", "s"): 1.0})
+        prod = build_product(m, aut, 2)
+        with pytest.raises(MultiShotInfeasibleError):
+            multi_shot_prune(prod, MultiShotPlan((0, 1, 2), (0.9, 0.9)))
+        self.assert_unwritten(prod)
 
 
 class TestExactReachability:

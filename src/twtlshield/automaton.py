@@ -2,7 +2,10 @@
 
 Construction is by formula progression: each automaton state is a canonical
 residual formula (what still has to be observed), reading a symbol rewrites
-the residual, and syntactically identical residuals are merged.  A residual
+the residual, and syntactically identical residuals are merged.  Residuals
+are hash-consed within one compilation, so identical residuals are one node
+and merge by identity; each node's text is formatted once, and progressing
+a node on a symbol is computed once per (node, symbol mask).  A residual
 of true maps to the single accepting state, which self-loops on every symbol;
 a residual of false maps to the absorbing trash state.  The transition
 function is total by construction.
@@ -57,128 +60,112 @@ _TRUE = _Truth()
 _FALSE = _Falsity()
 
 
-def _key(node):
-    if node is _TRUE:
-        return "\x00T"
-    if node is _FALSE:
-        return "\x00F"
-    return format_formula(node)
+class _Residuals:
+    """The residuals of one compilation, one node per structure.
 
+    A node's key is its type, its plain fields and its children's ids.
+    ``text`` maps a node's id to its canonical text, which orders the operands
+    of And and Or and annotates the automaton's states.
+    """
 
-def _make_and(items):
-    flat = []
-    for item in items:
-        if item is _FALSE:
-            return _FALSE
-        if item is _TRUE:
-            continue
-        if isinstance(item, And):
-            flat.extend(_flatten(item, And))
-        else:
-            flat.append(item)
-    return _rebuild(flat, And, empty=_TRUE)
+    def __init__(self):
+        self._nodes = {}
+        self._progressed = {}
+        self.text = {id(_TRUE): "TRUE", id(_FALSE): "FALSE"}
 
-
-def _make_or(items):
-    flat = []
-    for item in items:
-        if item is _TRUE:
-            return _TRUE
-        if item is _FALSE:
-            continue
-        if isinstance(item, Or):
-            flat.extend(_flatten(item, Or))
-        else:
-            flat.append(item)
-    return _rebuild(flat, Or, empty=_FALSE)
-
-
-def _flatten(node, cls):
-    # node is already canonical, so only the right spine can nest.
-    items = []
-    while isinstance(node, cls):
-        items.append(node.left)
-        node = node.right
-    items.append(node)
-    return items
-
-
-def _rebuild(items, cls, empty):
-    unique = {_key(item): item for item in items}
-    ordered = [unique[k] for k in sorted(unique)]
-    if not ordered:
-        return empty
-    node = ordered[-1]
-    for item in reversed(ordered[:-1]):
-        node = cls(item, node)
-    return node
-
-
-def _make_concat(left, right):
-    if left is _FALSE or right is _FALSE:
-        return _FALSE
-    if left is _TRUE:
-        return right
-    if right is _TRUE:
-        return left
-    if isinstance(left, Concat):
-        return Concat(left.left, _make_concat(left.right, right))
-    return Concat(left, right)
-
-
-def _make_within(child, low, high):
-    if child is _FALSE or high < low:
-        return _FALSE
-    if time_bound(child) > high - low:
-        return _FALSE
-    return Within(child, low, high)
-
-
-def _canonical(node):
-    """Rewrite into the canonical shape used for residual merging."""
-    if node is _TRUE or node is _FALSE:
+    def _made(self, key, cls, *fields):
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = cls(*fields)
+            self.text[id(node)] = format_formula(node)
         return node
-    if isinstance(node, Hold):
+
+    def hold(self, duration, prop, negated):
+        return self._made((Hold, duration, prop, negated), Hold, duration, prop, negated)
+
+    def join(self, cls, items):
+        """Flat, deduplicated, text-ordered And or Or chain of ``items``."""
+        unit, zero = (_TRUE, _FALSE) if cls is And else (_FALSE, _TRUE)
+        unique = {}
+        for item in items:
+            if item is zero:
+                return zero
+            if item is unit:
+                continue
+            while isinstance(item, cls):    # canonical, so only the right spine nests
+                unique[id(item.left)] = item.left
+                item = item.right
+            unique[id(item)] = item
+        if not unique:
+            return unit
+        ordered = sorted(unique.values(), key=lambda node: self.text[id(node)])
+        node = ordered[-1]
+        for item in reversed(ordered[:-1]):
+            node = self._made((cls, id(item), id(node)), cls, item, node)
         return node
-    if isinstance(node, And):
-        return _make_and([_canonical(node.left), _canonical(node.right)])
-    if isinstance(node, Or):
-        return _make_or([_canonical(node.left), _canonical(node.right)])
-    if isinstance(node, Concat):
-        return _make_concat(_canonical(node.left), _canonical(node.right))
-    if isinstance(node, Within):
-        return _make_within(_canonical(node.child), node.low, node.high)
-    if isinstance(node, Not):
-        raise UnsupportedConstructError(
-            "negation of compound formulas is not supported by the automaton "
-            "compiler; use H^d !x for negated propositions")
-    raise TypeError(f"not a formula node: {node!r}")
 
-
-def _progress(node, sym):
-    """Residual after observing ``sym`` (a frozenset of propositions)."""
-    if isinstance(node, Hold):
-        if node.prop is not None and (node.prop in sym) == node.negated:
+    def concat(self, left, right):
+        if left is _FALSE or right is _FALSE:
             return _FALSE
-        if node.duration == 0:
-            return _TRUE
-        return Hold(node.duration - 1, node.prop, node.negated)
-    if isinstance(node, And):
-        return _make_and([_progress(node.left, sym), _progress(node.right, sym)])
-    if isinstance(node, Or):
-        return _make_or([_progress(node.left, sym), _progress(node.right, sym)])
-    if isinstance(node, Concat):
-        left = _progress(node.left, sym)
         if left is _TRUE:
-            return node.right
-        return _make_concat(left, node.right)
-    if isinstance(node, Within):
-        if node.low > 0:
-            return _make_within(node.child, node.low - 1, node.high - 1)
-        started = _progress(node.child, sym)
-        delayed = _make_within(node.child, 0, node.high - 1) if node.high >= 1 else _FALSE
-        return _make_or([started, delayed])
-    raise TypeError(f"not a formula node: {node!r}")
+            return right
+        if right is _TRUE:
+            return left
+        if isinstance(left, Concat):
+            left, right = left.left, self.concat(left.right, right)
+        return self._made((Concat, id(left), id(right)), Concat, left, right)
+
+    def within(self, child, low, high):
+        if child is _FALSE or high < low or time_bound(child) > high - low:
+            return _FALSE
+        return self._made((Within, id(child), low, high), Within, child, low, high)
+
+    def canonical(self, node):
+        """The node of ``node``'s canonical shape."""
+        if isinstance(node, Hold):
+            return self.hold(node.duration, node.prop, node.negated)
+        if isinstance(node, (And, Or)):
+            return self.join(type(node), [self.canonical(node.left), self.canonical(node.right)])
+        if isinstance(node, Concat):
+            return self.concat(self.canonical(node.left), self.canonical(node.right))
+        if isinstance(node, Within):
+            return self.within(self.canonical(node.child), node.low, node.high)
+        if isinstance(node, Not):
+            raise UnsupportedConstructError(
+                "negation of compound formulas is not supported by the automaton "
+                "compiler; use H^d !x for negated propositions")
+        raise TypeError(f"not a formula node: {node!r}")
+
+    def progress(self, node, mask, sym):
+        """Residual after observing ``sym``, the frozenset of propositions numbered ``mask``."""
+        key = (id(node), mask)
+        done = self._progressed.get(key)
+        if done is None:
+            done = self._progressed[key] = self._progress(node, mask, sym)
+        return done
+
+    def _progress(self, node, mask, sym):
+        if isinstance(node, Hold):
+            if node.prop is not None and (node.prop in sym) == node.negated:
+                return _FALSE
+            if node.duration == 0:
+                return _TRUE
+            return self.hold(node.duration - 1, node.prop, node.negated)
+        if isinstance(node, (And, Or)):
+            return self.join(type(node), [self.progress(node.left, mask, sym),
+                                          self.progress(node.right, mask, sym)])
+        if isinstance(node, Concat):
+            left = self.progress(node.left, mask, sym)
+            if left is _TRUE:
+                return node.right
+            return self.concat(left, node.right)
+        if isinstance(node, Within):
+            if node.low > 0:
+                return self.within(node.child, node.low - 1, node.high - 1)
+            started = self.progress(node.child, mask, sym)
+            delayed = self.within(node.child, 0, node.high - 1) if node.high >= 1 else _FALSE
+            return self.join(Or, [started, delayed])
+        raise TypeError(f"not a formula node: {node!r}")
 
 
 class TotalAutomaton:
@@ -252,22 +239,21 @@ def compile_formula(formula: Formula, alphabet, max_states=100000) -> TotalAutom
     rel_syms = [frozenset(name for i, name in enumerate(relevant) if mask & (1 << i))
                 for mask in range(1 << len(relevant))]
 
-    root = _canonical(formula)
+    residuals = _Residuals()
+    root = residuals.canonical(formula)
     ids = {}
     annotations = {}
 
     def intern(node):
-        key = _key(node)
-        state = ids.get(key)
+        state = ids.get(id(node))
         if state is None:
-            state = len(ids)
-            ids[key] = state
-            annotations[state] = repr(node) if node is _TRUE or node is _FALSE else format_formula(node)
+            state = ids[id(node)] = len(ids)
+            annotations[state] = residuals.text[id(node)]
             if len(ids) > max_states:
                 raise StateExplosionError(f"more than {max_states} automaton states")
-        return state, node
+        return state
 
-    initial, root = intern(root)
+    initial = intern(root)
     frontier = [(initial, root)]
     seen = {initial}
     proj_table = {}
@@ -275,14 +261,8 @@ def compile_formula(formula: Formula, alphabet, max_states=100000) -> TotalAutom
         state, node = frontier.pop(0)
         row = {}
         for mask, sym in enumerate(rel_syms):
-            if node is _TRUE:
-                nxt_node = _TRUE
-            elif node is _FALSE:
-                nxt_node = _FALSE
-            else:
-                nxt_node = _progress(node, sym)
-            nxt, nxt_node = intern(nxt_node)
-            row[mask] = nxt
+            nxt_node = node if node is _TRUE or node is _FALSE else residuals.progress(node, mask, sym)
+            nxt = row[mask] = intern(nxt_node)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, nxt_node))
@@ -290,11 +270,11 @@ def compile_formula(formula: Formula, alphabet, max_states=100000) -> TotalAutom
 
     # The trash state is materialized unconditionally; the accepting state
     # only exists when some word can complete the formula.
-    if _key(_FALSE) not in ids:
-        trash, _ = intern(_FALSE)
+    if id(_FALSE) not in ids:
+        trash = intern(_FALSE)
         proj_table[trash] = {mask: trash for mask in range(len(rel_syms))}
-    trash = ids[_key(_FALSE)]
-    accepting = frozenset([ids[_key(_TRUE)]]) if _key(_TRUE) in ids else frozenset()
+    trash = ids[id(_FALSE)]
+    accepting = frozenset([ids[id(_TRUE)]]) if id(_TRUE) in ids else frozenset()
 
     # The walk above visited exactly the states reachable from the initial one.
     return TotalAutomaton(props, initial, accepting, trash, annotations,

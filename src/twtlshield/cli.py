@@ -610,15 +610,17 @@ def check_dominance(rng, count, corrupt_f=False):
     """Exact reachability under the fallback policy dominates the one-shot bound.
 
     Each of ``count`` instances draws a formula, a model, its ``pr_des`` and its
-    true dynamics from ``rng``.  Returns (failures, states checked, largest
-    bound-minus-exact): a failure is an instance's validate problems or a
-    (state, gap) where the bound exceeds the exact value by more than 1e-12.
-    ``corrupt_f`` is the negative control: every bound strictly inside (0, 1)
-    claims 1 before comparing, which fails wherever the true law can miss.
+    true dynamics from ``rng``.  Returns (failures, states checked, catchable
+    states, largest bound-minus-exact): a failure is an instance's validate
+    problems or a (state, gap) where the bound exceeds the exact value by more
+    than 1e-12.  ``corrupt_f`` is the negative control: every bound strictly
+    inside (0, 1) claims 1 before comparing, which fails wherever the true law
+    can miss, that is at the catchable states, whose exact value is below
+    1 - 1e-12.
     """
     spec = oracle.RandomInstanceSpec()
     failures = []
-    checked = 0
+    checked = catchable = 0
     worst_gap = 0.0
     for _ in range(count):
         formula = oracle.random_formula(rng, spec.max_horizon)
@@ -632,14 +634,16 @@ def check_dominance(rng, count, corrupt_f=False):
         exact = exact_reach_probability(product, product.pi_c, true_dynamics=dynamics)
         for p, value in exact.items():
             bound = product.f_values[p]
-            if corrupt_f and 0.0 < bound < 1.0:
-                bound = 1.0
+            if 0.0 < bound < 1.0:
+                catchable += value < 1.0 - 1e-12
+                if corrupt_f:
+                    bound = 1.0
             checked += 1
             gap = bound - value
             worst_gap = max(worst_gap, gap)
             if gap > 1e-12:
                 failures.append((p, gap))
-    return failures, checked, worst_gap
+    return failures, checked, catchable, worst_gap
 
 
 def check_sampling(rng, count):
@@ -668,9 +672,9 @@ def cmd_verify(args):
            f"{words} words over {len(oracle.FORMULA_CORPUS)} formulas")
     report("closed-form optimum vs grid search", check_kappa(rng, args.lp_instances),
            f"{args.lp_instances} instances")
-    failures, checked, _ = check_dominance(rng, args.instances, args.corrupt_f)
+    failures, checked, catchable, _ = check_dominance(rng, args.instances, args.corrupt_f)
     report("exact reachability dominates the bound", failures,
-           f"{args.instances} instances, {checked} states")
+           f"{args.instances} instances, {checked} states, {catchable} catchable by --corrupt-f")
     report("sampled dynamics stay inside bounds", check_sampling(rng, 50), "50 instances")
     return 4 if failed else 0
 

@@ -80,6 +80,8 @@ class LabeledIntervalMdp:
                     raise MdpError(f"enabled-action entry for unknown state {s!r}")
                 self.enabled[s] = tuple(acts)
         self._index_support()
+        # grouped once: the samplers and validate read the same rows
+        self._dynamics_rows = {} if self.true_dynamics is None else dynamics_rows(self.true_dynamics)
         self._samplers = self._build_samplers()
 
     def _index_support(self):
@@ -99,10 +101,8 @@ class LabeledIntervalMdp:
 
     def _build_samplers(self):
         samplers = {}
-        if self.true_dynamics is None:
-            return samplers
         order = {s: i for i, s in enumerate(self.states)}
-        for key, entries in dynamics_rows(self.true_dynamics).items():
+        for key, entries in self._dynamics_rows.items():
             entries.sort(key=lambda item: order.get(item[0], -1))
             succs = [s2 for s2, _ in entries]
             cum = []
@@ -148,10 +148,9 @@ class LabeledIntervalMdp:
                 if not (lo - 1e-12 <= p <= hi + 1e-12):
                     problems.append(
                         f"true probability {p:.6f} outside bounds [{lo},{hi}] for ({s!r},{a!r},{s2!r})")
-            rows = dynamics_rows(self.true_dynamics)
             for s in self.states:
                 for a in self.enabled[s]:
-                    entries = rows.get((s, a))
+                    entries = self._dynamics_rows.get((s, a))
                     if entries is None:
                         problems.append(f"true dynamics missing for ({s!r},{a!r})")
                         continue

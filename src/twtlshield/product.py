@@ -12,15 +12,20 @@ state at the final layer must be accepting or trash; non-accepting leftovers
 (possible only when the horizon undershoots the formula's time bound) are
 coerced to trash and reported in ``coerced``.
 
-Where a move can lead depends only on (s, q), never on t.  ``neighbours[s]``
-lists the distinct successors of s over all enabled actions in first-seen
-order, ``support_rows[s]`` gives per enabled action (a, the positions of its
-support in that tuple, lower bounds, and the row's LP constants from
-:func:`mdp.interval_row`: rooms, remaining mass, infeasibility), and
-``next_keys[(s, q)]`` gives the successors' (s', q') keys, computed once per
-(s, q) below the horizon and shared by every layer.  This is exact because
-the time index only counts steps: it changes neither the successors of a
-state nor the automaton move a label selects.
+Where a move can lead depends only on (s, q), never on t, so the
+enumeration gives each reachable (s, q) pair an integer id the first time it
+sees it: ``keys[i]`` is the pair and ``next_ids[i]`` the ids of its
+successors, computed once per pair below the horizon and shared by every
+layer (None for pairs seen only at the horizon).  ``layer_ids[t]`` lists
+layer t's ids in ``repr`` order of their pairs, and ``layers[t]`` is the same
+list as (s, q) tuples.  ``neighbours[s]`` lists the distinct successors of s
+over all enabled actions in first-seen order; ``support_rows[s]`` gives per
+enabled action (a, the positions of its support in that tuple, lower bounds,
+and the row's LP constants from :func:`mdp.interval_row`: rooms, remaining
+mass, infeasibility), only for the states the pruning sweep solves: those
+paired with an undecided automaton state below the horizon.  This is exact
+because the time index only counts steps: it changes neither the successors
+of a state nor the automaton move a label selects.
 """
 
 from __future__ import annotations
@@ -51,20 +56,20 @@ class TimeTotalProductMdp:
         self.mdp = mdp
         self.automaton = automaton
         self.horizon = horizon
-        self._q_step = {}
-        self.next_keys = {}
+        self._q_step = {s: {} for s in mdp.states}
         self.neighbours = {}
-        self.support_rows = {}
+        rows = {}
         for s in mdp.states:
             seen = {}
-            rows = self.support_rows[s] = []
+            rows[s] = []
             for a in mdp.enabled[s]:
                 entries = mdp.support(s, a)
-                los = [lo for _, lo, _ in entries]
-                rows.append((a, [seen.setdefault(s2, len(seen)) for s2, _, _ in entries], los,
-                             *interval_row(los, [hi for _, _, hi in entries])))
+                rows[s].append((a, [seen.setdefault(s2, len(seen)) for s2, _, _ in entries],
+                                [lo for _, lo, _ in entries], [hi for _, _, hi in entries]))
             self.neighbours[s] = tuple(seen)
-        self._enumerate_layers()
+        solved = self._enumerate_layers()
+        self.support_rows = {s: [(a, pos, los, *interval_row(los, his)) for a, pos, los, his in rows[s]]
+                             for s in mdp.states if s in solved}
         self.f_values = {}
         self.act_sets = {}
         self.pi_c = {}
@@ -74,42 +79,63 @@ class TimeTotalProductMdp:
 
     def _after(self, q, s):
         """delta(q, l(s)), cached per (q, s)."""
-        key = (q, s)
-        nxt = self._q_step.get(key)
+        column = self._q_step[s]
+        nxt = column.get(q)
         if nxt is None:
-            nxt = self.automaton.step(q, self.mdp.labels[s])
-            self._q_step[key] = nxt
+            nxt = column[q] = self.automaton.step(q, self.mdp.labels[s])
         return nxt
 
     def _enumerate_layers(self):
+        """Number the reachable (s, q) pairs layer by layer; returns the MDP states the sweep solves."""
         aut = self.automaton
+        states = self.mdp.states
         start = set()
-        for s in self.mdp.states:
+        for s in states:
             try:
                 start.add((s, self._after(aut.initial, s)))
             except UnknownSymbolError as exc:
                 raise ProductError(f"label of state {s!r} is not in the automaton alphabet: {exc}")
-        reprs = {}
-
-        def by_repr(keys):
-            new = keys - reprs.keys()
-            reprs.update(zip(new, map(repr, new)))
-            return tuple(sorted(keys, key=reprs.__getitem__))
-
         self.initial = tuple(sorted(((s, q, 0) for s, q in start), key=repr))
-        layers = [by_repr(start)]
-        current = start
-        next_keys = self.next_keys
+        index = {s: k for k, s in enumerate(states)}
+        near = [tuple(map(index.__getitem__, self.neighbours[s])) for s in states]
+        terminal = aut.accepting | {aut.trash}
+        width = len(states)
+        ids = {}                                    # q * width + MDP state index -> id
+        keys = self.keys = []
+        where = []
+        reprs = []
+        next_ids = self.next_ids = []
+        solved = set()
+
+        def number(k, q):
+            i = ids[q * width + k] = len(keys)
+            keys.append((states[k], q))
+            where.append(k)
+            reprs.append(repr(keys[i]))
+            next_ids.append(None)
+            return i
+
+        current = {number(index[s], q) for s, q in start}
+        layer_ids = self.layer_ids = [sorted(current, key=reprs.__getitem__)]
         for t in range(self.horizon):
-            for s, q in current - next_keys.keys():
-                next_keys[s, q] = tuple([(s2, self._after(q, s2)) for s2 in self.neighbours[s]])
-            nxt = set().union(*map(next_keys.__getitem__, current))
-            layers.append(by_repr(nxt))
-            current = nxt
-        self.layers = layers
+            for i in current:
+                if next_ids[i] is None:
+                    s, q = keys[i]
+                    if q not in terminal:
+                        solved.add(s)
+                    succ = []
+                    for k in near[where[i]]:
+                        q2 = self._after(q, states[k])
+                        j = ids.get(q2 * width + k)
+                        succ.append(number(k, q2) if j is None else j)
+                    next_ids[i] = tuple(succ)
+            current = set().union(*map(next_ids.__getitem__, current))
+            layer_ids.append(sorted(current, key=reprs.__getitem__))
+        self.layers = [tuple(map(keys.__getitem__, layer)) for layer in layer_ids]
         accepting = self.automaton.accepting
-        self.coerced = frozenset((s, q) for s, q in layers[self.horizon]
+        self.coerced = frozenset((s, q) for s, q in self.layers[self.horizon]
                                  if q not in accepting and q != self.automaton.trash)
+        return solved
 
     def is_accepting(self, p) -> bool:
         return p[1] in self.automaton.accepting

@@ -22,13 +22,15 @@ model row, so ``mdp.interval_row`` computes them once per (s, a) into
 :func:`greedy_kappa`, on them: the same arithmetic gives the same bits.
 
 A non-terminal state's bound, kept actions and fallback action depend only on
-its MDP state s, the f-values of its successors (``product.next_keys``) and
+its MDP state s, the f-values of its successors (``product.next_ids``) and
 the pruning threshold, so a sweep solves the LPs once per distinct (s,
 successor f-values) and copies that result to every state with the same key.
 The copy is what the same scalar arithmetic would recompute, so results are
 bit-identical; a result is stored only once all its LPs solved, so an
 infeasible row still raises at its first state in layer order.  No layer or
-segment enters a result, so segments with one threshold share one memo.
+segment enters a result, so segments with one threshold share one memo.  The
+sweep carries each layer's values in a list indexed by the product's pair
+ids, so no (s, q) tuple is hashed to read or store a layer value.
 """
 
 from __future__ import annotations
@@ -95,9 +97,10 @@ def solve_kappa(values, los, his):
 def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, act, pi_c):
     """Backward recursion over the layers t_hi - 1 down to ``t_lo``, pruning as it goes.
 
-    ``fnext`` holds layer ``t_hi``'s values keyed by (s, q); the bounds, kept
-    actions and fallback actions of the layers below it go into ``f``, ``act``
-    and ``pi_c``, and layer ``t_lo``'s values are returned keyed by (s, q).
+    ``fnext`` holds layer ``t_hi``'s values indexed by pair id (``product.keys``);
+    the bounds, kept actions and fallback actions of the layers below it go
+    into ``f``, ``act`` and ``pi_c``, and layer ``t_lo``'s values are returned
+    indexed the same way.
     An action is kept where every possible successor has f >= ``prune_below``.
     Accepting and trash states keep their 0/1 values and full action sets at
     every layer.  The maximization for f and pi_c runs over all enabled
@@ -106,13 +109,14 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, act, pi_c):
     """
     enabled = product.mdp.enabled
     terminal = {product.automaton.trash: 0.0, **dict.fromkeys(product.automaton.accepting, 1.0)}
-    next_keys = product.next_keys
+    keys = product.keys
+    next_ids = product.next_ids
     support_rows = product.support_rows
     for t in range(t_hi - 1, t_lo - 1, -1):
-        fcur = {}
+        fcur = [0.0] * len(keys)
         f_of = fnext.__getitem__
-        for key in product.layers[t]:
-            s, q = key
+        for i in product.layer_ids[t]:
+            s, q = keys[i]
             p = (s, q, t)
             acts = enabled[s]
             if not acts:
@@ -122,7 +126,7 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, act, pi_c):
                 act[p] = acts
                 pi_c[p] = acts[0]
             else:
-                fvals = tuple(map(f_of, next_keys[key]))
+                fvals = tuple(map(f_of, next_ids[i]))
                 hit = memo.get((s, fvals))
                 if hit is None:
                     keep = []
@@ -131,7 +135,7 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, act, pi_c):
                     for a, pos, los, rooms, remaining, infeasible in support_rows[s]:
                         if infeasible is not None:
                             raise InfeasibleIntervalError(infeasible, state=p, action=a)
-                        values = [fvals[i] for i in pos]
+                        values = [fvals[j] for j in pos]
                         k = greedy_kappa(values, los, rooms, remaining)[0]
                         if min(values) >= prune_below:
                             keep.append(a)
@@ -141,7 +145,7 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, act, pi_c):
                     hit = memo[(s, fvals)] = (best, tuple(keep), best_a)
                 value, act[p], pi_c[p] = hit
             f[p] = value
-            fcur[key] = value
+            fcur[i] = value
         fnext = fcur
     return fnext
 
@@ -195,14 +199,20 @@ def _prune_segments(product, timestamps, thresholds):
     if product.f_values:
         raise ReachabilityError("product already holds pruning results; rebuild it first")
     accepting = product.automaton.accepting
+    keys = product.keys
     t_end = timestamps[-1]
-    fnext = {(s, q): (1.0 if q in accepting else 0.0) for s, q in product.layers[t_end]}
-    f = {(s, q, t_end): v for (s, q), v in fnext.items()}
+    fnext = [0.0] * len(keys)
+    f = {}
+    for i in product.layer_ids[t_end]:
+        fnext[i] = 1.0 if keys[i][1] in accepting else 0.0
+        f[(*keys[i], t_end)] = fnext[i]
     act, pi_c, memos = {}, {}, {}
     for i in range(len(thresholds), 0, -1):
         if i < len(thresholds):
-            fnext = {key: (1.0 if v >= thresholds[i] else 0.0) for key, v in fnext.items()}
-            if not any(fnext.values()):
+            boundary = product.layer_ids[timestamps[i]]
+            for j in boundary:
+                fnext[j] = 1.0 if fnext[j] >= thresholds[i] else 0.0
+            if not any(fnext[j] for j in boundary):
                 raise MultiShotInfeasibleError(i)
         th = thresholds[i - 1]
         fnext = _sweep(product, timestamps[i], timestamps[i - 1], fnext, th,

@@ -579,7 +579,8 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
-        assert re.search(r"dominates the bound  \(8 instances, [1-9]\d* states\)", out)
+        assert re.search(r"dominates the bound  \(8 instances, [1-9]\d* states, "
+                         r"\d+ catchable by --corrupt-f\)", out)
 
     def test_seed_pinned_report(self, capsys):
         main(["verify", "--instances", "5", "--lp-instances", "10", "--seed", "4"])
@@ -598,12 +599,21 @@ class TestVerifyCommand:
         assert main(["verify", "--instances", "0", "--lp-instances", "0"]) == 0
         out = capsys.readouterr().out
         assert "(0 instances)" in out
-        assert "(0 instances, 0 states)" in out
+        assert "(0 instances, 0 states, 0 catchable by --corrupt-f)" in out
 
     def test_corrupted_bound_detected(self, capsys):
         assert main(["verify", "--instances", "5", "--lp-instances", "5",
                      "--corrupt-f", "--seed", "3"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    def test_corrupt_f_fails_exactly_when_a_state_is_catchable(self, capsys):
+        argv = ["verify", "--instances", "5", "--lp-instances", "5", "--corrupt-f", "--seed"]
+        assert main(argv + ["31"]) == 0
+        assert "0 catchable by --corrupt-f)" in capsys.readouterr().out
+        assert main(argv + ["30"]) == 4
+        out = capsys.readouterr().out
+        assert re.search(r"FAIL  exact reachability dominates the bound  "
+                         r"\(5 instances, \d+ states, [1-9]\d* catchable by --corrupt-f\)", out)
 
 
 class TestBenchmarkHooks:

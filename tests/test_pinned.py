@@ -1,0 +1,133 @@
+"""Shield and automaton results pinned across commits.
+
+The benchmark compares result digests only between passes of one run, so a
+change that moves a bound, a pruned set or an automaton state in every pass
+alike would pass it.  These digests were recorded before integer-numbered
+product pairs and hash-consed residuals replaced the tuple-keyed enumeration
+and text-keyed compiler; a change that means to move them must say why.
+"""
+
+import hashlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from twtlshield import cli, oracle
+from twtlshield.automaton import compile_formula, to_dot, to_json
+from twtlshield.gridworld import CASE_STUDY_FORMULA, canonical_case_study
+from twtlshield.twtl import parse_formula
+
+SHIELD_16X16 = {
+    "one_shot": "ed7a50e4361aef416a6e59ccef635fb76245721da9be09591951081bd4828d4d",
+    "multi_shot": "54e800c4de2ecc437010dea6b2ebeeae1d21d53e8a8bb4e8f1af58eba9bc8ac7",
+}
+
+# FORMULA_CORPUS text -> sha256 of (to_json, to_dot) of its automaton over {B, C}
+CORPUS = {
+    '[H^1 B]^[0,2]': (
+        "52420257539e44d2a19e0cf90664dbfe9466b295780645b266d5a35c3495361f",
+        "0be3bbd38ab18def897255d9fed42550ddd8cb56a21583260ae1ff7b08018bb7"),
+    'H^0 TRUE': (
+        "aeafbb511e6c3eedd9281c9c588919a756c2432d74f4d7ef713c4199f4ae817a",
+        "0c8e04ab3580dfcf78a0e0d9a8aa5e540ae6b992787fa876815b3297e0e2288e"),
+    'H^2 B': (
+        "418ca0ea8e4b9b598a4aebe86066c38ebfba89b34dcae3f31c1d0198133980c1",
+        "5246c2224999c35815661141f604aba1be3285a2fc841c3173e3c9fbd3e220df"),
+    'H^1 !B': (
+        "2a22ab3fbbd40f989a1bcbbcbec71420c513a32375ff28aa65d2e6055676bbd3",
+        "4d6f621aba8a5568d14b849b5dfa383c68fa66960dc5bd9df3481709885a604a"),
+    'H^0 B . H^0 C': (
+        "20bb7b07317698632b14d59b6eb2d528518ef72d30f0699578a0702052b9f281",
+        "51fb31b91fd980941b318acc1cfd6c9b8d13c5849929e2682b7d28da495f3ab1"),
+    '[H^0 B]^[0,3]': (
+        "1a9d215e5008dc30c3672dfb32ab030385d422ee90c9d2069f82060e9c8e63b4",
+        "8f6225bc0c2751a5533c5f486d4a6640a10692d7e5f36b1e191f07af4201f7c4"),
+    '[H^1 B]^[1,3]': (
+        "e764913c48fd1a27cb3311e7fe2c81f624ebd14384267dd6dbc26faf8bf88837",
+        "dcf421eac7b9753956052a4c3c2bb00d586a9a0fad258de2bd3636d1aef1b8b0"),
+    'H^1 B & H^1 C': (
+        "78e01293bd8ff0f1637b31fe5655a59151d6d893de5007566c7a9287438bce39",
+        "b5863fc326d6382a89469e6219b3477fab4dd9ba3bb73bc94527252d381b5d2b"),
+    'H^0 B | H^1 C': (
+        "06020a8636ceb3cb27f076ce408b653e4315dec4af1a5f2cd57950537120822b",
+        "a7e40c10dc10a1f96c7573378e8b90712fc9ebc72acc8f941643fc0414512963"),
+    '[H^0 B]^[0,2] . [H^0 C]^[0,2]': (
+        "e91710f729a506bade1a166e3635e724823bb6531c68df9f1947a51bfb86513f",
+        "4d636934f1a685b4f23b371bc09bb5e6e35325a64c934d2bdcf359a7ad6b0328"),
+    '([H^0 B]^[0,1] | [H^0 C]^[0,1]) . H^0 B': (
+        "4fe10457faaa1ea0de5e162011a7e107bb3e05440919ff73c520a433d9182fda",
+        "205acb1312513fda450908c1c9097c718a1c7d05f3d419d3057f5f009d94c209"),
+    'H^0 B . H^0 TRUE . H^0 B': (
+        "51d2a757a7eda5a9f3f0d6504f0e25f1574eb45f9321253de1b53cd86e89aa4a",
+        "b0c5c5b67804bd697e2384d6cfac3cd2fa2bc99b3fc3bb449475d3fc407d5726"),
+    '[H^0 B & H^0 C]^[0,2]': (
+        "2560700626dcc686c32244dbbdcbe58d8a33c591d5fe84b637d761e409a0e450",
+        "e1d9b69928ce7831fc0b71acfeabe77bdf3aef030cb416267a0eeeb99881ed22"),
+    '[H^1 !B]^[0,3]': (
+        "ca001a6c5f6e0a0144052fcd6eb9eab9868386add76127ba8bc1fabb174be511",
+        "19c5010a40fa86163752f255e4c9a4b35d7d832fe32d15b294f419d993e8934c"),
+    '(H^0 B . H^0 C) & [H^1 C]^[0,3]': (
+        "356eaee07e0daba584644a3434dc47fcacce32b905b98e409931c67864e5eda1",
+        "7c95b7193892013b85cd2670b4bc13c85e3cdc4a7eeca29197a24eeafcdfb21e"),
+    '[[H^0 B]^[0,1]]^[0,3]': (
+        "8196a7c14d16b030787b2fdedb04ba675c414938e70305d09706a5ad69ce8931",
+        "35d78d0b2764565f63d242052b278700b426b9a2a38a9c16288f6363517cc5be"),
+}
+CASE_STUDY = (
+    "6945d62d30242522732873fa0b2d30a64e8fe802dcac8c1e720893069f25f17d",
+    "adaccd4555ef9389e514d1831efa077ee28358f85dc846085c18996abed6124e")
+# sha256 over to_json then to_dot of 200 random_formula draws (seed 0, horizon 8)
+RANDOM_200 = "0c692bc61476690844a615e1a738b8808c8c1df81afd54593454bdd0165bc9b9"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def listings(automaton):
+    return sha256(to_json(automaton)), sha256(to_dot(automaton))
+
+
+@pytest.fixture()
+def worker(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the worker puts src/ on the path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+def test_16x16_shield_digest(worker, mode):
+    grid = worker.grid16_spec()
+    _, product, _ = worker.shield(worker.Tracer("test", enabled=False), CASE_STUDY_FORMULA,
+                                  sorted(grid.alphabet()), grid, mode, worker.PR_DES,
+                                  cli.CASE_STUDY_TIMESTAMPS)
+    assert worker.result_digest(product) == SHIELD_16X16[mode]
+
+
+def test_corpus_listings():
+    assert set(CORPUS) == set(oracle.FORMULA_CORPUS)
+    for text in oracle.FORMULA_CORPUS:
+        automaton = compile_formula(parse_formula(text, {"B", "C"}), {"B", "C"})
+        assert listings(automaton) == CORPUS[text], text
+
+
+def test_case_study_listings():
+    grid, _ = canonical_case_study()
+    props = sorted(grid.alphabet())
+    assert listings(compile_formula(parse_formula(CASE_STUDY_FORMULA, props), props)) == CASE_STUDY
+
+
+def test_random_formula_listings():
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for _ in range(200):
+        automaton = compile_formula(oracle.random_formula(rng, 8), {"B", "C"})
+        h.update(to_json(automaton).encode())
+        h.update(to_dot(automaton).encode())
+    assert h.hexdigest() == RANDOM_200

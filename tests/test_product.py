@@ -1,8 +1,14 @@
+import dataclasses
+import random
+
 import pytest
 
+from twtlshield import oracle
 from twtlshield.automaton import compile_formula
+from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import ProductError, build_product
+from twtlshield.twtl import time_bound
 
 B = frozenset({"B"})
 E = frozenset()
@@ -16,6 +22,37 @@ def bc_automaton(window_formula):
 
 def by_annotation(automaton):
     return {ann: q for q, ann in automaton.annotations.items()}
+
+
+def reference_enumerate(mdp, automaton, horizon):
+    """Reachable layers over (s, q) keys with sets and dicts, as the product enumerated them
+    before it numbered its pairs: (layers, initial, coerced, successor keys per (s, q))."""
+    neighbours = {s: tuple(dict.fromkeys(s2 for a in mdp.enabled[s] for s2, _, _ in mdp.support(s, a)))
+                  for s in mdp.states}
+    start = {(s, automaton.step(automaton.initial, mdp.labels[s])) for s in mdp.states}
+    layers = [tuple(sorted(start, key=repr))]
+    current = start
+    next_keys = {}
+    for _ in range(horizon):
+        for s, q in current - next_keys.keys():
+            next_keys[s, q] = tuple((s2, automaton.step(q, mdp.labels[s2])) for s2 in neighbours[s])
+        current = set().union(*map(next_keys.__getitem__, current))
+        layers.append(tuple(sorted(current, key=repr)))
+    initial = tuple(sorted(((s, q, 0) for s, q in start), key=repr))
+    coerced = frozenset((s, q) for s, q in layers[horizon]
+                        if q not in automaton.accepting and q != automaton.trash)
+    return layers, initial, coerced, next_keys
+
+
+def assert_matches_reference(prod):
+    layers, initial, coerced, next_keys = reference_enumerate(prod.mdp, prod.automaton, prod.horizon)
+    assert prod.layers == layers
+    assert [tuple(prod.keys[i] for i in ids) for ids in prod.layer_ids] == layers
+    assert prod.initial == initial
+    assert prod.coerced == coerced
+    keys = prod.keys
+    assert {keys[i]: tuple(keys[j] for j in nxt)
+            for i, nxt in enumerate(prod.next_ids) if nxt is not None} == next_keys
 
 
 class TestBuild:
@@ -67,6 +104,31 @@ class TestBuild:
                                {("s", "a", "s"): (1.0, 1.0)})
         with pytest.raises(ProductError):
             build_product(m, bc_automaton, 2)
+
+
+class TestAgainstReference:
+    def test_case_study(self):
+        spec, formula = canonical_case_study()
+        props = sorted(spec.alphabet())
+        assert_matches_reference(build_product(build_grid_mdp(spec), compile_formula(formula, props),
+                                               time_bound(formula)))
+
+    def test_ten_by_ten_grid(self):
+        spec, formula = canonical_case_study()
+        spec = dataclasses.replace(spec, width=10, height=10)
+        props = sorted(spec.alphabet())
+        prod = build_product(build_grid_mdp(spec), compile_formula(formula, props), time_bound(formula))
+        assert prod.n_states() == 26258
+        assert_matches_reference(prod)
+
+    def test_random_instances(self):
+        rng = random.Random(12)
+        spec = oracle.RandomInstanceSpec()
+        for horizon_offset in [0, -1, 1] * 100:
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            horizon = max(0, time_bound(formula) + horizon_offset)
+            assert_matches_reference(build_product(model, compile_formula(formula, {"B", "C"}), horizon))
 
 
 class TestInvariants:

@@ -218,12 +218,18 @@ class TestKernelArithmetic:
         assert min(cases.values()) >= 50, cases
 
     def test_product_rows_hold_interval_row_constants(self):
-        spec, _ = canonical_case_study(assumed_uncertainty=0.08)
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
         model = build_grid_mdp(spec)
         props = sorted(spec.alphabet())
-        aut = compile_formula(parse_formula("H^0 P", props), props)
-        prod = build_product(model, aut, 0)
-        for s in model.states:
+        aut = compile_formula(formula, props)
+        prod = build_product(model, aut, time_bound(formula))
+        # the sweep solves rows at states with an undecided automaton state below the horizon
+        solved = {s for layer in prod.layers[:-1] for s, q in layer
+                  if q not in aut.accepting and q != aut.trash}
+        assert solved and set(prod.support_rows) == solved
+        at_zero = build_product(model, compile_formula(parse_formula("H^0 P", props), props), 0)
+        assert at_zero.support_rows == {}
+        for s in solved:
             assert [row[0] for row in prod.support_rows[s]] == list(model.enabled[s])
             for a, pos, los, *constants in prod.support_rows[s]:
                 entries = model.support(s, a)

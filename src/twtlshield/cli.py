@@ -275,6 +275,18 @@ def _prune(cfg: ExperimentConfig, product):
     return check_initial(product, product.initial_threshold)
 
 
+def _gate_initial(cfg: ExperimentConfig, product, violators):
+    """Refuse a shield whose initial check failed (exit 3); ``allow_unsafe`` makes it a warning."""
+    if not violators:
+        return
+    worst = min(violators, key=lambda pv: pv[1])
+    failure = (f"{len(violators)} initial states fall below the required "
+               f"{product.initial_threshold:.6f} (worst {worst[0]!r} at {worst[1]:.6f})")
+    if not cfg.allow_unsafe:
+        raise PipelineError("check-initial", f"{failure}; rerun with --allow-unsafe to proceed")
+    print(f"warning: [check-initial] {failure}; the per-episode guarantee is void", file=sys.stderr)
+
+
 def _prune_stats(product):
     total = pruned = 0
     for t, layer in enumerate(product.layers[:-1]):
@@ -294,13 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     formula, automaton, model, product = _pipeline_assets(cfg)
     violators = _prune(cfg, product)
     threshold = product.initial_threshold
-
-    if violators and not cfg.allow_unsafe:
-        worst = min(violators, key=lambda pv: pv[1])
-        raise PipelineError(
-            "check-initial",
-            f"{len(violators)} initial states fall below the required {threshold:.6f} "
-            f"(worst {worst[0]!r} at {worst[1]:.6f}); rerun with --allow-unsafe to proceed")
+    _gate_initial(cfg, product, violators)
 
     run = run_one_shot if cfg.mode == "one_shot" else run_multi_shot
     try:
@@ -457,12 +463,8 @@ def cmd_prune(args):
     if out:
         _write(out, "reachability.json", product.results_json())
         print(f"wrote {out}/reachability.json")
-    if violators:
-        print(f"check-initial FAILED for {len(violators)} initial states "
-              f"(worst f = {min(v for _, v in violators):.6f})", file=sys.stderr)
-        if not cfg.allow_unsafe:
-            return 3
-    else:
+    _gate_initial(cfg, product, violators)
+    if not violators:
         print("check-initial ok")
     return 0
 
@@ -484,10 +486,7 @@ def cmd_learn(args):
 def cmd_eval(args):
     cfg = _config_from_args(args)
     _, _, _, product = _pipeline_assets(cfg)
-    violators = _prune(cfg, product)
-    if violators and not cfg.allow_unsafe:
-        print(f"check-initial FAILED for {len(violators)} initial states", file=sys.stderr)
-        return 3
+    _gate_initial(cfg, product, _prune(cfg, product))
     raw = _read_json(args.policy, "policy")
     if not isinstance(raw, dict):
         raise ConfigError(f"policy {args.policy} is not a JSON object")

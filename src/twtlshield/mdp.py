@@ -11,6 +11,8 @@ impossible ([0, 0]).
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 
 FEASIBILITY_TOL = 1e-9
@@ -82,7 +84,7 @@ class LabeledIntervalMdp:
         self._index_support()
         # grouped once: the samplers and validate read the same rows
         self._dynamics_rows = {} if self.true_dynamics is None else dynamics_rows(self.true_dynamics)
-        self._samplers = self._build_samplers()
+        self._samplers = {}     # (s, a) -> (succs, cum), built by the first sampler() call
 
     def _index_support(self):
         order = {s: i for i, s in enumerate(self.states)}
@@ -99,29 +101,25 @@ class LabeledIntervalMdp:
         """Successors with positive upper bound, as (s', lo, hi) tuples."""
         return self._support.get((s, a), ())
 
-    def _build_samplers(self):
-        samplers = {}
-        order = {s: i for i, s in enumerate(self.states)}
-        for key, entries in self._dynamics_rows.items():
-            entries.sort(key=lambda item: order.get(item[0], -1))
-            succs = [s2 for s2, _ in entries]
-            cum = []
-            total = 0.0
-            for _, p in entries:
-                total += p
-                cum.append(total)
-            cum[-1] = max(cum[-1], 1.0)
-            samplers[key] = (succs, cum)
-        return samplers
+    @functools.cached_property
+    def _order(self):
+        """State -> position, the samplers' successor order; made by the first sampler."""
+        return {s: i for i, s in enumerate(self.states)}
 
     def sampler(self, s, a):
         """The true law at (s, a): successors and their cumulative probabilities."""
         if self.true_dynamics is None:
             raise MissingDynamicsError("this model has no true dynamics to simulate")
-        try:
-            return self._samplers[(s, a)]
-        except KeyError:
-            raise MdpError(f"no transitions defined for state {s!r} action {a!r}")
+        table = self._samplers.get((s, a))
+        if table is None:
+            entries = self._dynamics_rows.get((s, a))
+            if entries is None:
+                raise MdpError(f"no transitions defined for state {s!r} action {a!r}")
+            entries = sorted(entries, key=lambda item: self._order.get(item[0], -1))
+            cum = list(itertools.accumulate(p for _, p in entries))
+            cum[-1] = max(cum[-1], 1.0)
+            table = self._samplers[(s, a)] = ([s2 for s2, _ in entries], cum)
+        return table
 
     def sample_next(self, s, a, rng):
         succs, cum = self.sampler(s, a)

@@ -152,14 +152,6 @@ class TimeTotalProductMdp:
         return (q in self.automaton.accepting or q == self.automaton.trash
                 or t == self.horizon or t in self.reset_times)
 
-    def successors(self, p, a):
-        """Eligible successors of p under a, as ((s', q', t+1), lo, hi)."""
-        s, q, t = p
-        if t >= self.horizon:
-            return ()
-        return tuple(((s2, self._after(q, s2), t + 1), lo, hi)
-                     for s2, lo, hi in self.mdp.support(s, a))
-
     def n_states(self) -> int:
         return sum(len(layer) for layer in self.layers)
 

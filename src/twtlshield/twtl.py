@@ -128,18 +128,10 @@ def propositions(formula: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-# Printing.  Precedence, loosest first: concat < or < and < prefix/primary.
-_PREC_CONCAT, _PREC_OR, _PREC_AND, _PREC_PRIMARY = 1, 2, 3, 4
-
-
-def _precedence(formula):
-    if isinstance(formula, Concat):
-        return _PREC_CONCAT
-    if isinstance(formula, Or):
-        return _PREC_OR
-    if isinstance(formula, And):
-        return _PREC_AND
-    return _PREC_PRIMARY
+# The binary operators, loosest first: the parser's levels and the printer's
+# precedence both come from this table.  Each folds to the right.
+_BINARY = ((Concat, "."), (Or, "|"), (And, "&"))
+_LEVEL = {cls: level for level, (cls, _) in enumerate(_BINARY)}
 
 
 def format_formula(formula: Formula) -> str:
@@ -147,27 +139,22 @@ def format_formula(formula: Formula) -> str:
     return _format(formula, 0)
 
 
-def _format(node, parent_prec):
-    prec = _precedence(node)
+def _format(node, parent_level):
     if isinstance(node, Hold):
         body = "TRUE" if node.prop is None else ("!" + node.prop if node.negated else node.prop)
-        text = f"H^{node.duration} {body}"
-    elif isinstance(node, Within):
-        text = f"[{_format(node.child, 0)}]^[{node.low},{node.high}]"
-    elif isinstance(node, Not):
-        text = f"!({_format(node.child, 0)})"
-    elif isinstance(node, (And, Or, Concat)):
-        op = {And: " & ", Or: " | ", Concat: " . "}[type(node)]
-        # The parser is right-associative, so a same-operator left child
-        # needs parentheses to round-trip structurally.
-        left = _format(node.left, prec + 1) if type(node.left) is type(node) else _format(node.left, prec)
-        right = _format(node.right, prec)
-        text = left + op + right
-    else:
+        return f"H^{node.duration} {body}"
+    if isinstance(node, Within):
+        return f"[{_format(node.child, 0)}]^[{node.low},{node.high}]"
+    if isinstance(node, Not):
+        return f"!({_format(node.child, 0)})"
+    level = _LEVEL.get(type(node))
+    if level is None:
         raise TypeError(f"not a formula node: {node!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    # The parser folds to the right, so a left child with the same operator
+    # needs parentheses to round-trip structurally.
+    left = _format(node.left, level + (type(node.left) is type(node)))
+    text = f"{left} {_BINARY[level][1]} {_format(node.right, level)}"
+    return f"({text})" if level < parent_level else text
 
 
 class _Token:
@@ -180,43 +167,29 @@ class _Token:
         self.column = column
 
 
-_TOKEN_SPEC = [
-    ("INT", re.compile(r"\d+")),
-    ("IDENT", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
-    ("OP", re.compile(r"[\^\[\],()&|.!]")),
-]
+_SCAN = re.compile(r"(?P<INT>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[\^\[\],()&|.!])"
+                   r"|(?P<NEWLINE>\n)|(?P<SPACE>[^\S\n]+)|(?P<BAD>.)", re.DOTALL)
 
 
 def _tokenize(text):
+    """Tokens ending in EOF.  Columns count characters from 1, so a tab is one column."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        for kind, pattern in _TOKEN_SPEC:
-            m = pattern.match(text, i)
-            if m:
-                tokens.append(_Token(kind, m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                break
-        else:
-            raise TwtlSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = m.end()
+        elif kind == "BAD":
+            raise TwtlSyntaxError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
+        elif kind != "SPACE":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class _Parser:
-    """Recursive descent over: concat < or < and < (hold | within | !unary | parens)."""
+    """Recursive descent over the levels of ``_BINARY``, then (hold | within | !unary | parens)."""
 
     def __init__(self, tokens, alphabet):
         self.tokens = tokens
@@ -231,49 +204,40 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, value, what=None):
+    def fail(self, what):
         tok = self.peek()
-        if tok.value != value:
-            shown = what or repr(value)
-            raise TwtlSyntaxError(f"expected {shown}, found {tok.value!r}" if tok.kind != "EOF"
-                                  else f"expected {shown}, found end of input", tok.line, tok.column)
+        found = "end of input" if tok.kind == "EOF" else repr(tok.value)
+        raise TwtlSyntaxError(f"expected {what}, found {found}", tok.line, tok.column)
+
+    def expect(self, value):
+        if self.peek().value != value:
+            self.fail(repr(value))
         return self.advance()
 
+    def expect_int(self, what):
+        if self.peek().kind != "INT":
+            self.fail(what)
+        return int(self.advance().value)
+
     def parse(self):
-        node = self.concat()
+        node = self.binary()
         tok = self.peek()
         if tok.kind != "EOF":
             raise TwtlSyntaxError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
         return node
 
-    def concat(self):
-        parts = [self.disjunction()]
-        while self.peek().value == ".":
+    def binary(self, level=0):
+        """Operands of the next level (unary ones below the last), folded to the right."""
+        cls, op = _BINARY[level]
+        parts = []
+        while True:
+            parts.append(self.unary() if level + 1 == len(_BINARY) else self.binary(level + 1))
+            if self.peek().value != op:
+                break
             self.advance()
-            parts.append(self.disjunction())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = Concat(part, node)
-        return node
-
-    def disjunction(self):
-        parts = [self.conjunction()]
-        while self.peek().value == "|":
-            self.advance()
-            parts.append(self.conjunction())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = Or(part, node)
-        return node
-
-    def conjunction(self):
-        parts = [self.unary()]
-        while self.peek().value == "&":
-            self.advance()
-            parts.append(self.unary())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = And(part, node)
+        node = parts.pop()
+        for part in reversed(parts):
+            node = cls(part, node)
         return node
 
     def unary(self):
@@ -283,27 +247,25 @@ class _Parser:
             return Not(self.unary())
         if tok.value == "(":
             self.advance()
-            node = self.concat()
+            node = self.binary()
             self.expect(")")
             return node
         if tok.value == "[":
             return self.within()
         if tok.kind == "IDENT" and tok.value == "H":
             return self.hold()
-        raise TwtlSyntaxError(f"expected a formula, found {tok.value!r}" if tok.kind != "EOF"
-                              else "expected a formula, found end of input", tok.line, tok.column)
+        self.fail("a formula")
 
     def hold(self):
         self.advance()  # H
         self.expect("^")
-        duration = int(self.expect_int("hold duration"))
-        negated = False
-        if self.peek().value == "!":
+        duration = self.expect_int("hold duration")
+        negated = self.peek().value == "!"
+        if negated:
             self.advance()
-            negated = True
         tok = self.peek()
         if tok.kind != "IDENT":
-            raise TwtlSyntaxError(f"expected a proposition, found {tok.value!r}", tok.line, tok.column)
+            self.fail("a proposition")
         self.advance()
         if tok.value == "TRUE":
             if negated:
@@ -315,26 +277,17 @@ class _Parser:
 
     def within(self):
         self.expect("[")
-        child = self.concat()
+        child = self.binary()
         self.expect("]")
         self.expect("^")
         self.expect("[")
-        low = int(self.expect_int("window start"))
+        low = self.expect_int("window start")
         self.expect(",")
-        high = int(self.expect_int("window end"))
-        self.expect("]")
-        tok = self.tokens[self.pos - 1]
+        high = self.expect_int("window end")
+        tok = self.expect("]")
         if low > high:
             raise TwtlSyntaxError(f"window start {low} exceeds window end {high}", tok.line, tok.column)
         return Within(child, low, high)
-
-    def expect_int(self, what):
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise TwtlSyntaxError(f"expected {what}, found {tok.value!r}" if tok.kind != "EOF"
-                                  else f"expected {what}, found end of input", tok.line, tok.column)
-        self.advance()
-        return tok.value
 
 
 def parse_formula(text: str, alphabet: Iterable[str] | None = None) -> Formula:

@@ -49,6 +49,19 @@ def labeled_mdp():
     return three_state_mdp()
 
 
+def successors(prod, p, a):
+    """Successors of product state p under a, as ((s', q', t+1), lo, hi); none at the horizon.
+
+    The tests' independent reference for the product's numbered layers: it
+    steps the automaton on each successor's label directly.
+    """
+    s, q, t = p
+    if t >= prod.horizon:
+        return ()
+    return tuple(((s2, prod.automaton.step(q, prod.mdp.labels[s2]), t + 1), lo, hi)
+                 for s2, lo, hi in prod.mdp.support(s, a))
+
+
 def worst_case_toy():
     """Product whose root has two actions with successor bounds (1,0) / (0.5,0.5).
 

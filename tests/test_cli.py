@@ -475,6 +475,41 @@ class TestPruneCommand:
         assert all(0.0 <= v <= 1.0 for v in doc["f"].values())
 
 
+UNSAFE = ["--mode", "multi_shot", "--eps", "0.13", "--pr-des", "0.9"]
+REFUSAL = ("error: [check-initial] 36 initial states fall below the required 0.974004 "
+           "(worst ((0, 5), 1, 0) at 0.886392); rerun with --allow-unsafe to proceed\n")
+
+
+class TestCheckInitialRefusal:
+    """learn, eval and prune refuse a failed initial check with one message and exit 3."""
+
+    def test_learn(self, capsys):
+        assert main(["learn", *UNSAFE, "--episodes", "5", "--eval-episodes", "5"]) == 3
+        assert capsys.readouterr().err == REFUSAL
+
+    def test_eval(self, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        policy.write_text("{}")
+        assert main(["eval", *UNSAFE, "--policy", str(policy), "--eval-episodes", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == REFUSAL
+        assert "satisfaction" not in captured.out
+
+    def test_prune_writes_its_dump_first(self, tmp_path, capsys):
+        assert main(["prune", *UNSAFE, "--output-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == REFUSAL
+        assert "pruned 62834 of 68753 state-actions" in captured.out
+        assert "check-initial ok" not in captured.out
+        assert json.loads((tmp_path / "reachability.json").read_text())["f"]
+
+    def test_allow_unsafe_warns(self, capsys):
+        assert main(["prune", *UNSAFE, "--allow-unsafe"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: [check-initial] 36 initial states fall below the required 0.974004 "
+            "(worst ((0, 5), 1, 0) at 0.886392); the per-episode guarantee is void\n")
+
+
 class TestEvalCommand:
     def test_round_trip(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -7,7 +7,7 @@ import pytest
 from twtlshield import cli
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
-from twtlshield.mdp import LabeledIntervalMdp, MissingDynamicsError
+from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import InfeasibleIntervalError, one_shot_prune
 from twtlshield.twtl import parse_formula, time_bound
@@ -134,3 +134,45 @@ class TestStep:
         # a model without a reward source pays nothing, and still pickles
         assert all(m.reward_fn(s, a) == 0.0 for s in m.states for a in m.actions)
         assert pickle.loads(pickle.dumps(m)).reward_fn("s0", "a1") == 0.0
+
+
+def eager_samplers(mdp):
+    """Every (s, a) sampler table built up front: the positive true-dynamics entries of
+    the row in dict order, stably sorted by successor state order, with running sums."""
+    order = {s: i for i, s in enumerate(mdp.states)}
+    rows = {}
+    for (s, a, s2), p in mdp.true_dynamics.items():
+        if p > 0.0:
+            rows.setdefault((s, a), []).append((s2, p))
+    tables = {}
+    for key, entries in rows.items():
+        entries.sort(key=lambda item: order[item[0]])
+        cum, total = [], 0.0
+        for _, p in entries:
+            total += p
+            cum.append(total)
+        cum[-1] = max(cum[-1], 1.0)
+        tables[key] = ([s2 for s2, _ in entries], cum)
+    return tables
+
+
+class TestSamplers:
+    def test_tables_on_first_use_match_eager_tables(self):
+        spec, _ = canonical_case_study()
+        mdp = build_grid_mdp(spec)
+        expected = eager_samplers(mdp)
+        assert set(expected) == {(s, a) for s in mdp.states for a in mdp.enabled[s]}
+        for (s, a), table in expected.items():
+            assert mdp.sampler(s, a) == table
+            assert mdp.sampler(s, a) is mdp.sampler(s, a)
+
+    def test_missing_row(self):
+        m = three_state_mdp()
+        dynamics = {key: p for key, p in m.true_dynamics.items() if key[:2] != ("s2", "a2")}
+        gap = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds, dynamics)
+        assert gap.sampler("s2", "a1") == (["s2"], [1.0])
+        with pytest.raises(MdpError, match="no transitions defined for state 's2' action 'a2'"):
+            gap.sampler("s2", "a2")
+        blind = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds)
+        with pytest.raises(MissingDynamicsError):
+            blind.sampler("s2", "a1")

@@ -1,10 +1,13 @@
-"""Shield and automaton results pinned across commits.
+"""Shield, automaton and formula front-end results pinned across commits.
 
 The benchmark compares result digests only between passes of one run, so a
 change that moves a bound, a pruned set or an automaton state in every pass
 alike would pass it.  These digests were recorded before integer-numbered
 product pairs and hash-consed residuals replaced the tuple-keyed enumeration
 and text-keyed compiler; a change that means to move them must say why.
+The front-end digest was recorded when one operator table, one scanner regex
+and one error path replaced the per-level parser methods, and the parser
+before them gives the same digest.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ import pytest
 from twtlshield import cli, oracle
 from twtlshield.automaton import compile_formula, to_dot, to_json
 from twtlshield.gridworld import CASE_STUDY_FORMULA, canonical_case_study
-from twtlshield.twtl import parse_formula
+from twtlshield.twtl import TwtlError, format_formula, parse_formula
 
 SHIELD_16X16 = {
     "one_shot": "ed7a50e4361aef416a6e59ccef635fb76245721da9be09591951081bd4828d4d",
@@ -81,6 +84,26 @@ CASE_STUDY = (
     "adaccd4555ef9389e514d1831efa077ee28358f85dc846085c18996abed6124e")
 # sha256 over to_json then to_dot of 200 random_formula draws (seed 0, horizon 8)
 RANDOM_200 = "0c692bc61476690844a615e1a738b8808c8c1df81afd54593454bdd0165bc9b9"
+# sha256 over the front-end outcomes of front_end_corpus() under both alphabets
+FRONT_END = "59878c58c08679b304fd65af342447d81ab8bf03045cd8542c8295b91deb9b07"
+# (text, alphabet, error class, exact message): each error site, and line and column
+MESSAGES = [
+    ("[H^1 B", None, "TwtlSyntaxError", "expected ']', found end of input (line 1, column 7)"),
+    ("H^0 B &", None, "TwtlSyntaxError", "expected a formula, found end of input (line 1, column 8)"),
+    ("H^", None, "TwtlSyntaxError", "expected hold duration, found end of input (line 1, column 3)"),
+    ("H^1", None, "TwtlSyntaxError", "expected a proposition, found end of input (line 1, column 4)"),
+    ("H^1 !", None, "TwtlSyntaxError",
+     "expected a proposition, found end of input (line 1, column 6)"),
+    ("H^0 B .\n\t", None, "TwtlSyntaxError",
+     "expected a formula, found end of input (line 2, column 2)"),
+    ("H^0 B\n\t@", None, "TwtlSyntaxError", "unexpected character '@' (line 2, column 2)"),
+    ("H^0 B )", None, "TwtlSyntaxError", "unexpected trailing input ')' (line 1, column 7)"),
+    ("[H^0 B]^[3,1]", None, "TwtlSyntaxError",
+     "window start 3 exceeds window end 1 (line 1, column 13)"),
+    ("H^1 !TRUE", None, "TwtlSyntaxError", "TRUE cannot be negated inside a hold (line 1, column 6)"),
+    ("H^0 B .\n  H^0 D", {"B"}, "UnknownPropositionError",
+     "unknown proposition 'D' (line 2, column 7)"),
+]
 
 
 def sha256(text):
@@ -131,3 +154,44 @@ def test_random_formula_listings():
         h.update(to_json(automaton).encode())
         h.update(to_dot(automaton).encode())
     assert h.hexdigest() == RANDOM_200
+
+
+FRONT_END_CHARS = "HBC^[](),.&|!0123456789_TRUE \t\n"
+
+
+def front_end_corpus():
+    """20,000 random strings over the grammar's characters, then one-character
+    insertions and deletions of 2,000 random_formula texts (seed 0)."""
+    rng = random.Random(0)
+    texts = ["".join(rng.choice(FRONT_END_CHARS) for _ in range(rng.randint(0, 30)))
+             for _ in range(20000)]
+    for _ in range(2000):
+        text = format_formula(oracle.random_formula(rng, rng.randint(1, 10)))
+        i = rng.randint(0, len(text))
+        texts.append(text[:i] + rng.choice(FRONT_END_CHARS) + text[i:])
+        i = rng.randrange(len(text))
+        texts.append(text[:i] + text[i + 1:])
+    return texts
+
+
+def front_end_outcome(text, alphabet):
+    """The printed formula, or the error's class, message, line and column."""
+    try:
+        return format_formula(parse_formula(text, alphabet))
+    except TwtlError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+def test_front_end_corpus():
+    h = hashlib.sha256()
+    for text in front_end_corpus():
+        for alphabet in (None, {"B", "C"}):
+            h.update(repr(front_end_outcome(text, alphabet)).encode())
+    assert h.hexdigest() == FRONT_END
+
+
+@pytest.mark.parametrize("text, alphabet, cls, message", MESSAGES)
+def test_error_messages(text, alphabet, cls, message):
+    with pytest.raises(TwtlError) as err:
+        parse_formula(text, alphabet)
+    assert (type(err.value).__name__, str(err.value)) == (cls, message)

@@ -9,6 +9,7 @@ from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import ProductError, build_product
 from twtlshield.twtl import time_bound
+from conftest import successors
 
 B = frozenset({"B"})
 E = frozenset()
@@ -70,20 +71,20 @@ class TestBuild:
         q_hold, trash = states["H^0 B"], bc_automaton.trash
         acc = states["TRUE"]
 
-        assert prod.successors(("s0", q_e, 0), "a1") == (
+        assert successors(prod, ("s0", q_e, 0), "a1") == (
             (("s1", q_hold, 1), 0.8, 0.8),
             (("s2", trash, 1), 0.2, 0.2),
         )
-        assert prod.successors(("s0", q_e, 0), "a2") == (
+        assert successors(prod, ("s0", q_e, 0), "a2") == (
             (("s0", trash, 1), 0.5, 0.5),
             (("s2", trash, 1), 0.5, 0.5),
         )
-        assert prod.successors(("s1", q_b, 0), "a1") == ((("s1", acc, 1), 1.0, 1.0),)
-        assert prod.successors(("s1", q_b, 0), "a2") == (
+        assert successors(prod, ("s1", q_b, 0), "a1") == ((("s1", acc, 1), 1.0, 1.0),)
+        assert successors(prod, ("s1", q_b, 0), "a2") == (
             (("s0", trash, 1), 0.6, 0.6),
             (("s2", trash, 1), 0.4, 0.4),
         )
-        assert prod.successors(("s2", q_e, 0), "a1") == ((("s2", trash, 1), 1.0, 1.0),)
+        assert successors(prod, ("s2", q_e, 0), "a1") == ((("s2", trash, 1), 1.0, 1.0),)
 
     def test_all_paths_trash_without_label(self, bc_automaton):
         # single state labeled {} looping on itself: B is never observed
@@ -137,7 +138,7 @@ class TestInvariants:
         for t, layer in enumerate(prod.layers[:-1]):
             for s, q in layer:
                 for a in labeled_mdp.enabled[s]:
-                    for (s2, q2, t2), lo, hi in prod.successors((s, q, t), a):
+                    for (s2, q2, t2), lo, hi in successors(prod, (s, q, t), a):
                         assert t2 == t + 1
                         assert (s2, q2) in set(prod.layers[t + 1])
 
@@ -147,7 +148,7 @@ class TestInvariants:
             for s, q in layer:
                 for a in labeled_mdp.enabled[s]:
                     mdp_bounds = {s2: (lo, hi) for s2, lo, hi in labeled_mdp.support(s, a)}
-                    for (s2, q2, _), lo, hi in prod.successors((s, q, t), a):
+                    for (s2, q2, _), lo, hi in successors(prod, (s, q, t), a):
                         assert (lo, hi) == mdp_bounds[s2]
 
     def test_absorption_lift(self, labeled_mdp, bc_automaton):
@@ -159,7 +160,7 @@ class TestInvariants:
                 if q not in accepting and q != trash:
                     continue
                 for a in labeled_mdp.enabled[s]:
-                    for (s2, q2, _), _, _ in prod.successors((s, q, t), a):
+                    for (s2, q2, _), _, _ in successors(prod, (s, q, t), a):
                         if q in accepting:
                             assert q2 in accepting
                         else:

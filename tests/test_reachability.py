@@ -13,14 +13,14 @@ from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibl
                                      one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
-from conftest import worst_case_toy
+from conftest import successors, worst_case_toy
 
 E = frozenset()
 
 
 def action_kappa(prod, p, a):
     """Worst-case bound of action a at p, from the stored successor bounds."""
-    succ = prod.successors(p, a)
+    succ = successors(prod, p, a)
     kappa, _ = solve_kappa([prod.f_values[p2] for p2, _, _ in succ],
                            [lo for _, lo, _ in succ], [hi for _, _, hi in succ])
     return kappa
@@ -52,13 +52,13 @@ def reference_solve_kappa(values, los, his):
 
 
 def reference_layers(prod):
-    """Reachable (s, q) layers rebuilt through ``prod.successors``, sorted by repr."""
+    """Reachable (s, q) layers rebuilt through ``successors``, sorted by repr."""
     aut = prod.automaton
     layer = {(s, aut.step(aut.initial, prod.mdp.labels[s])) for s in prod.mdp.states}
     layers = [layer]
     for t in range(prod.horizon):
         layer = {p2[:2] for s, q in layer for a in prod.mdp.enabled[s]
-                 for p2, _, _ in prod.successors((s, q, t), a)}
+                 for p2, _, _ in successors(prod, (s, q, t), a)}
         layers.append(layer)
     return [tuple(sorted(layer, key=repr)) for layer in layers]
 
@@ -96,7 +96,7 @@ def reference_prune(prod, plan):
                     continue
                 best, best_a, keep = -1.0, acts[0], []
                 for a in acts:
-                    succ = prod.successors(p, a)
+                    succ = successors(prod, p, a)
                     values = [f[p2] for p2, _, _ in succ]
                     kappa, _ = reference_solve_kappa(values, [lo for _, lo, _ in succ],
                                                      [hi for _, _, hi in succ])
@@ -277,7 +277,7 @@ class TestBackwardPass:
         prod = one_shot_prune(toy_product, 0.5)
         root = next(p for p in prod.initial if p[0] == "r")
         for a in ("a", "b"):
-            succ = prod.successors(root, a)
+            succ = successors(prod, root, a)
             values = [prod.f_values[p2] for p2, _, _ in succ]
             los = [lo for _, lo, _ in succ]
             his = [hi for _, _, hi in succ]
@@ -318,7 +318,7 @@ class TestOneShot:
             if prod.is_accepting(p) or prod.is_trash(p):
                 continue
             for a in prod.act_sets[p]:
-                for p2, _, _ in prod.successors(p, a):
+                for p2, _, _ in successors(prod, p, a):
                     assert prod.is_accepting(p2)
 
     def test_tiny_threshold_prunes_nothing_positive(self):
@@ -327,7 +327,7 @@ class TestOneShot:
             if prod.is_accepting(p) or prod.is_trash(p) or p[2] == prod.horizon:
                 continue
             expected = [a for a in prod.mdp.enabled[p[0]]
-                        if all(prod.f_values[p2] > 0 for p2, _, _ in prod.successors(p, a))]
+                        if all(prod.f_values[p2] > 0 for p2, _, _ in successors(prod, p, a))]
             assert list(acts) == expected
 
     def test_pruning_safety(self):
@@ -346,7 +346,7 @@ class TestOneShot:
                         continue
                     for a in prod.act_sets[p]:
                         assert all(prod.f_values[p2] >= pr
-                                   for p2, _, _ in prod.successors(p, a))
+                                   for p2, _, _ in successors(prod, p, a))
 
     def test_f_in_unit_interval(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)

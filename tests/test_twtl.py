@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from twtlshield.automaton import accepts, compile_formula
@@ -90,8 +92,39 @@ class TestPrinting:
         g = And(And(Hold(0, "B"), Hold(0, "C")), Hold(1, "B"))
         assert parse_formula(format_formula(g), {"B", "C"}) == g
 
+    def test_round_trip_random_trees(self):
+        rng = random.Random(0)
+        for _ in range(2000):
+            f = random_tree(rng, 4)
+            text = format_formula(f)
+            assert parse_formula(text) == f, text
+            assert format_formula(parse_formula(text)) == text
+
     def test_propositions(self):
         assert propositions(parse_formula(TASK_TEXT, TASK_PROPS)) == frozenset(TASK_PROPS)
+
+
+def random_tree(rng, depth):
+    """A random AST over every node type: holds on TRUE, on propositions and on
+    negated ones, Not, nested Within, and chains of And, Or and Concat that nest
+    to the left, under operands drawn the same way."""
+    if depth == 0 or rng.random() < 0.2:
+        duration = rng.randint(0, 3)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Hold(duration, None)
+        return Hold(duration, rng.choice(("B", "C", "D1", "Base_2")), negated=kind == 2)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Not(random_tree(rng, depth - 1))
+    if kind == 1:
+        low = rng.randint(0, 4)
+        return Within(random_tree(rng, depth - 1), low, low + rng.randint(0, 4))
+    cls = (And, Or, Concat)[kind - 2]
+    node = random_tree(rng, depth - 1)
+    for _ in range(rng.randint(1, 3)):
+        node = cls(node, random_tree(rng, depth - 1))
+    return node
 
 
 class TestTimeBound:

@@ -230,6 +230,13 @@ class TotalAutomaton:
 
 def compile_formula(formula: Formula, alphabet, max_states=100000) -> TotalAutomaton:
     """Compile into a total automaton over ``2**len(alphabet)`` symbols."""
+    try:
+        return _compile(formula, alphabet, max_states)
+    except RecursionError:      # each pass over the formula recurses once per level
+        raise AutomatonError("formula is nested too deeply to compile") from None
+
+
+def _compile(formula, alphabet, max_states):
     props = tuple(sorted(frozenset(alphabet)))
     used = propositions(formula)
     missing = used - frozenset(props)

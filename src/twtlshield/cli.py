@@ -26,10 +26,9 @@ from .twtl import TwtlError, parse_formula, propositions, time_bound, format_for
 from .automaton import AutomatonError, accepts, compile_formula, to_dot, to_json as automaton_json
 from .mdp import LabeledIntervalMdp, MdpError
 from .product import ProductError, build_product
-from .reachability import (InfeasibleIntervalError, MultiShotInfeasibleError, MultiShotPlan,
-                           ReachabilityError, check_initial, multi_shot_prune,
+from .reachability import (MultiShotPlan, ReachabilityError, check_initial, multi_shot_prune,
                            one_shot_prune, exact_reach_probability, solve_kappa)
-from .learner import LearnerConfig, evaluate, learn, write_episode_csv
+from .learner import LearnerConfig, episode_csv, evaluate, learn
 from .gridworld import (CASE_STUDY_FORMULA, GridError, GridSpec, build_grid_mdp,
                         canonical_case_study, render_ascii)
 from . import oracle
@@ -48,7 +47,7 @@ class ConfigError(Exception):
 
 
 class PipelineError(Exception):
-    """Wraps a failure with the pipeline stage that produced it."""
+    """A failure of a stage only the command line owns: validate, check-initial, report, eval."""
 
     def __init__(self, stage, cause, exit_code=3):
         super().__init__(f"[{stage}] {cause}")
@@ -193,6 +192,17 @@ def _read_json(path, what):
         raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
+# Top-level keys that set a nested field: the learner's episodes and seed and
+# the grid's assumed_uncertainty.
+_SHORTCUTS = ("episodes", "seed", "assumed_uncertainty")
+
+
+def _config_schema():
+    """Key -> (annotation, nullable) of every key a config file's top level takes."""
+    nested = {**_schema(LearnerConfig), **_schema(GridSpec)}
+    return {**_schema(ExperimentConfig), **{key: nested[key] for key in _SHORTCUTS}}
+
+
 def load_config(path=None, overrides=None) -> ExperimentConfig:
     doc = {} if path is None else _read_json(path, "config")
     if not isinstance(doc, dict):
@@ -207,10 +217,7 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         grid = {f.name: grid[f.name] for f in fields(GridSpec) if f.name in grid}
     doc["grid"] = grid
 
-    # The top level also sets the learner's episodes and seed and the grid's assumed_uncertainty.
-    shortcuts = {**_schema(LearnerConfig), **_schema(GridSpec)}
-    values = _checked(doc, {**_schema(ExperimentConfig), **{
-        key: shortcuts[key] for key in ("episodes", "seed", "assumed_uncertainty")}})
+    values = _checked(doc, _config_schema())
     learner = values.pop("learner", {})
     learner.update((key, values.pop(key)) for key in ("episodes", "seed") if key in values)
     grid = values.pop("grid") or asdict(canonical_case_study()[0])
@@ -238,40 +245,23 @@ class ReportBundle:
 
 
 def _pipeline_assets(cfg: ExperimentConfig):
-    """Shared head of the pipeline: formula, automaton, model, product."""
+    """Shared head of the pipeline: the automaton and the product of formula and model."""
     props = sorted(cfg.grid.alphabet())
-    try:
-        formula = parse_formula(cfg.formula, props)
-    except TwtlError as exc:
-        raise PipelineError("parse", exc, exit_code=2)
-    horizon = time_bound(formula)
-    try:
-        automaton = compile_formula(formula, props)
-    except AutomatonError as exc:
-        raise PipelineError("compile", exc, exit_code=2)
-    try:
-        model = build_grid_mdp(cfg.grid)
-    except (GridError, MdpError) as exc:
-        raise PipelineError("build-grid", exc, exit_code=2)
+    formula = parse_formula(cfg.formula, props)
+    automaton = compile_formula(formula, props)
+    model = build_grid_mdp(cfg.grid)
     problems = model.validate()
     if problems:
         raise PipelineError("validate", "; ".join(problems[:5]))
-    try:
-        product = build_product(model, automaton, horizon)
-    except ProductError as exc:
-        raise PipelineError("build-product", exc, exit_code=2)
-    return formula, automaton, model, product
+    return automaton, build_product(model, automaton, time_bound(formula))
 
 
 def _prune(cfg: ExperimentConfig, product):
     """Write the shield onto ``product``; returns the initial states that fail its check."""
-    try:
-        if cfg.mode == "one_shot":
-            one_shot_prune(product, cfg.pr_des)
-        else:
-            multi_shot_prune(product, cfg.plan(product.horizon))
-    except (InfeasibleIntervalError, MultiShotInfeasibleError, ReachabilityError, ValueError) as exc:
-        raise PipelineError("prune", exc)
+    if cfg.mode == "one_shot":
+        one_shot_prune(product, cfg.pr_des)
+    else:
+        multi_shot_prune(product, cfg.plan(product.horizon))
     return check_initial(product, product.initial_threshold)
 
 
@@ -303,19 +293,18 @@ def _prune_stats(product):
 
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     """parse -> compile -> grid -> product -> prune -> check -> learn -> evaluate."""
-    formula, automaton, model, product = _pipeline_assets(cfg)
+    automaton, product = _pipeline_assets(cfg)
     violators = _prune(cfg, product)
     threshold = product.initial_threshold
     _gate_initial(cfg, product, violators)
 
     run = run_one_shot if cfg.mode == "one_shot" else run_multi_shot
-    try:
-        result = run(product, cfg.learner)
-    except Exception as exc:
-        raise PipelineError("learn", exc)
-
-    eval_result = evaluate(product, result.policy, cfg.eval_episodes, seed=cfg.learner.seed + 1,
-                           start_state=cfg.learner.start_state, reset_mode=cfg.learner.reset_mode)
+    result = run(product, cfg.learner)
+    learning = {"episodes": cfg.learner.episodes, "satisfaction_rate": result.satisfaction_rate,
+                "average_reward": result.average_reward,
+                "legality_violations": result.legality_violations}
+    _check_finite("learning", learning)
+    testing = _evaluate(cfg, product, result.policy)
     product.numbered = None     # no rollouts follow: free the learner's view before writing
 
     f0 = [product.f_values[p] for p in product.initial]
@@ -329,16 +318,9 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
                           "mean": math.fsum(f0) / len(f0)},
         "check_initial": {"ok": not violators, "violators": len(violators)},
         "pruning": _prune_stats(product),
-        "learning": {
-            "episodes": cfg.learner.episodes,
-            "satisfaction_rate": result.satisfaction_rate,
-            "average_reward": result.average_reward,
-            "legality_violations": result.legality_violations,
-        },
-        "testing": _testing(eval_result),
+        "learning": learning,
+        "testing": testing,
     }
-    for part in ("learning", "testing"):
-        _check_finite(part, summary[part])
 
     paths = {}
     out = cfg.output_dir
@@ -349,14 +331,18 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         paths["automaton_dot"] = _write(out, "automaton.dot", to_dot(automaton))
         paths["product_summary"] = _write(out, "product_summary.json", product.summary_json())
         paths["policy"] = _write(out, "policy.json", _json_text(policy))
-        paths["episodes"] = os.path.join(out, "episodes.csv")
-        write_episode_csv(result.logs, paths["episodes"])
+        paths["episodes"] = _write(out, "episodes.csv", episode_csv(result.logs))
     return ReportBundle(summary=summary, paths=paths)
 
 
-def _testing(result):
-    return {"episodes": result.episodes, "satisfaction_rate": result.satisfaction_rate,
-            "average_reward": result.avg_reward, "wilson_ci_halfwidth": result.ci_halfwidth}
+def _evaluate(cfg: ExperimentConfig, product, policy):
+    """``policy``'s testing figures under ``cfg``'s start and reset, seeded one past the learner."""
+    result = evaluate(product, policy, cfg.eval_episodes, seed=cfg.learner.seed + 1,
+                      start_state=cfg.learner.start_state, reset_mode=cfg.learner.reset_mode)
+    testing = {"episodes": result.episodes, "satisfaction_rate": result.satisfaction_rate,
+               "average_reward": result.avg_reward, "wilson_ci_halfwidth": result.ci_halfwidth}
+    _check_finite("testing", testing)
+    return testing
 
 
 def _check_finite(part, figures):
@@ -372,11 +358,14 @@ def _json_text(doc):
 
 
 def _write(out, name, text):
-    """Write ``text`` to ``out/name``, creating ``out`` if needed; returns the path."""
-    os.makedirs(out, exist_ok=True)
+    """Write ``text`` to ``out/name`` as it is, creating ``out`` if needed; returns the path."""
     path = os.path.join(out, name)
-    with open(path, "w") as handle:
-        handle.write(text)
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
     return path
 
 
@@ -392,36 +381,29 @@ def _parse_list(flag, text, parse):
         raise ConfigError(f"bad {flag} {text!r}: {exc}")
 
 
-def _config_from_args(args):
-    overrides = {
-        "pr_des": getattr(args, "pr_des", None),
-        "mode": getattr(args, "mode", None),
-        "formula": getattr(args, "formula", None),
-        "episodes": getattr(args, "episodes", None),
-        "eval_episodes": getattr(args, "eval_episodes", None),
-        "seed": getattr(args, "seed", None),
-        "assumed_uncertainty": getattr(args, "eps", None),
-        "grid": getattr(args, "grid", None),
-        "output_dir": _out_dir(args),
-        "allow_unsafe": True if getattr(args, "allow_unsafe", False) else None,
-    }
-    for name, key, parse in (("timestamps", "multishot_timestamps", int),
-                             ("thresholds", "multishot_thresholds", float)):
-        text = getattr(args, name, None)
-        if text:
-            overrides[key] = _parse_list(f"--{name}", text, parse)
-    return load_config(getattr(args, "config", None), overrides)
+# The flags that take a comma-separated list: config key -> (flag, item type).
+_LIST_FLAGS = {"multishot_timestamps": ("--timestamps", int),
+               "multishot_thresholds": ("--thresholds", float)}
+
+
+def _config_from_args(args, **cell):
+    """The ``--config`` file with every flag named by a config key laid over it, then ``cell``.
+
+    This is the only place flags become config: a flag's dest is its key.
+    """
+    schema = _config_schema()
+    overrides = {key: value for key, value in vars(args).items() if key in schema}
+    for key, (flag, parse) in _LIST_FLAGS.items():
+        if overrides.get(key):
+            overrides[key] = _parse_list(flag, overrides[key], parse)
+    return load_config(args.config, {**overrides, "output_dir": _out_dir(args), **cell})
 
 
 def cmd_compile(args):
     props = [p for p in args.props.split(",") if p] if args.props else None
-    try:
-        formula = parse_formula(args.formula, props)
-        automaton = compile_formula(formula, props if props is not None
-                                    else sorted(propositions(formula)))
-    except (TwtlError, AutomatonError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    formula = parse_formula(args.formula, props)
+    automaton = compile_formula(formula, props if props is not None
+                                else sorted(propositions(formula)))
     out = _out_dir(args)
     print(f"formula: {format_formula(formula)}")
     print(f"time bound: {time_bound(formula)}")
@@ -436,7 +418,7 @@ def cmd_compile(args):
 
 def cmd_build(args):
     cfg = _config_from_args(args)
-    _, automaton, model, product = _pipeline_assets(cfg)
+    automaton, product = _pipeline_assets(cfg)
     print(render_ascii(cfg.grid))
     print(f"automaton states: {automaton.n_states}")
     print(f"product: {product.n_states()} reachable states over horizon {product.horizon}, "
@@ -451,7 +433,7 @@ def cmd_build(args):
 
 def cmd_prune(args):
     cfg = _config_from_args(args)
-    _, _, _, product = _pipeline_assets(cfg)
+    _, product = _pipeline_assets(cfg)
     violators = _prune(cfg, product)
     stats = _prune_stats(product)
     f0 = [product.f_values[p] for p in product.initial]
@@ -485,7 +467,7 @@ def cmd_learn(args):
 
 def cmd_eval(args):
     cfg = _config_from_args(args)
-    _, _, _, product = _pipeline_assets(cfg)
+    _, product = _pipeline_assets(cfg)
     _gate_initial(cfg, product, _prune(cfg, product))
     raw = _read_json(args.policy, "policy")
     if not isinstance(raw, dict):
@@ -508,11 +490,10 @@ def cmd_eval(args):
         if product.act_sets[p] and a not in product.act_sets[p]:
             raise PipelineError("eval", f"policy action {name} at {p!r} is pruned by the "
                                 f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
-    result = evaluate(product, policy, cfg.eval_episodes, seed=cfg.learner.seed + 1,
-                      start_state=cfg.learner.start_state, reset_mode=cfg.learner.reset_mode)
-    _check_finite("testing", _testing(result))
-    print(f"satisfaction: {result.satisfaction_rate:.4f} +/- {result.ci_halfwidth:.4f} "
-          f"over {result.episodes} episodes, avg reward {result.avg_reward:.3f}")
+    testing = _evaluate(cfg, product, policy)
+    print(f"satisfaction: {testing['satisfaction_rate']:.4f} +/- "
+          f"{testing['wilson_ci_halfwidth']:.4f} over {testing['episodes']} episodes, "
+          f"avg reward {testing['average_reward']:.3f}")
     return 0
 
 
@@ -523,17 +504,9 @@ def cmd_sweep(args):
     for i_mode, mode in enumerate(args.modes.split(",")):
         for i_eps, eps in enumerate(eps_values):
             for i_pr, pr in enumerate(pr_values):
-                overrides = {
-                    "mode": mode,
-                    "pr_des": pr,
-                    "assumed_uncertainty": eps,
-                    "episodes": args.episodes,
-                    "eval_episodes": args.eval_episodes,
-                    "seed": (args.seed or 0) + 1000 * i_mode + 100 * i_eps + 10 * i_pr,
-                    "allow_unsafe": True if args.allow_unsafe else None,
-                }
-                cfg = load_config(getattr(args, "config", None), overrides)
-                cfg.output_dir = None
+                seed = (args.seed or 0) + 1000 * i_mode + 100 * i_eps + 10 * i_pr
+                cfg = _config_from_args(args, mode=mode, pr_des=pr, assumed_uncertainty=eps, seed=seed)
+                cfg.output_dir = None   # the sweep writes its own table, no cell its files
                 cells.append(({"mode": mode, "eps": eps, "pr_des": pr}, cfg))
     rows = [row for row, _ in cells]
     for row, cfg in cells:
@@ -678,25 +651,17 @@ def cmd_verify(args):
     return 4 if failed else 0
 
 
-def main(argv=None) -> int:
+# Each package error family, the stage it is reported under and its exit code.
+# The stages only the command line owns raise PipelineError, which carries both.
+_FAILURES = {TwtlError: ("parse", 2), AutomatonError: ("compile", 2), GridError: ("build-grid", 2),
+             MdpError: ("build-grid", 2), ProductError: ("build-product", 2),
+             ReachabilityError: ("prune", 3)}
+
+
+def _parser():
     parser = argparse.ArgumentParser(prog="twtlshield", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_modeflags=True):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--output-dir", help=f"output directory (or ${OUTPUT_ENV_VAR})")
-        p.add_argument("--grid", help="grid spec JSON file")
-        p.add_argument("--eps", type=float, help="assumed action uncertainty")
-        p.add_argument("--seed", type=int)
-        if with_modeflags:
-            p.add_argument("--pr-des", dest="pr_des", type=float)
-            p.add_argument("--mode", choices=["one_shot", "multi_shot"])
-            p.add_argument("--formula")
-            p.add_argument("--timestamps", help="comma-separated multi-shot timestamps")
-            p.add_argument("--thresholds", help="comma-separated multi-shot thresholds")
-            p.add_argument("--allow-unsafe", action="store_true",
-                           help="continue despite a failed initial check (guarantee void)")
 
     p = sub.add_parser("compile", help="compile a formula into its automaton")
     p.add_argument("--formula", required=True)
@@ -704,34 +669,46 @@ def main(argv=None) -> int:
     p.add_argument("--output-dir")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("build", help="build the grid model and product")
-    add_common(p)
-    p.set_defaults(func=cmd_build)
+    def pipeline(name, func, help, cell=True):
+        """A command that reads a config; a flag's dest is the config key it sets.
+        ``cell`` adds the flags of one config cell, which sweep takes lists of instead."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--output-dir", help=f"output directory (or ${OUTPUT_ENV_VAR})")
+        p.add_argument("--grid", help="grid spec JSON file")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--formula")
+        p.add_argument("--timestamps", dest="multishot_timestamps", metavar="TIMESTAMPS",
+                       help="comma-separated multi-shot timestamps")
+        p.add_argument("--thresholds", dest="multishot_thresholds", metavar="THRESHOLDS",
+                       help="comma-separated multi-shot thresholds")
+        p.add_argument("--allow-unsafe", action="store_true", default=None,
+                       help="continue despite a failed initial check (guarantee void)")
+        if cell:
+            p.add_argument("--eps", dest="assumed_uncertainty", metavar="EPS", type=float,
+                           help="assumed action uncertainty")
+            p.add_argument("--pr-des", dest="pr_des", type=float)
+            p.add_argument("--mode", choices=["one_shot", "multi_shot"])
+        return p
 
-    p = sub.add_parser("prune", help="run the pruning pass and report bounds")
-    add_common(p)
-    p.set_defaults(func=cmd_prune)
+    pipeline("build", cmd_build, "build the grid model and product")
+    pipeline("prune", cmd_prune, "run the pruning pass and report bounds")
 
-    p = sub.add_parser("learn", help="full pipeline: prune, learn, evaluate, report")
-    add_common(p)
+    p = pipeline("learn", cmd_learn, "full pipeline: prune, learn, evaluate, report")
     p.add_argument("--episodes", type=int)
     p.add_argument("--eval-episodes", dest="eval_episodes", type=int)
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("eval", help="evaluate a stored policy with the shield")
-    add_common(p)
+    p = pipeline("eval", cmd_eval, "evaluate a stored policy with the shield")
     p.add_argument("--policy", required=True, help="policy.json from a learn run")
     p.add_argument("--eval-episodes", dest="eval_episodes", type=int)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="run a grid of (eps, pr_des) configurations")
-    add_common(p)
+    p = pipeline("sweep", cmd_sweep, "run a grid of (eps, pr_des) configurations", cell=False)
     p.add_argument("--eps-list", default="0.03,0.08,0.13")
     p.add_argument("--pr-list", default="0.5,0.7,0.9")
     p.add_argument("--modes", default="one_shot,multi_shot")
     p.add_argument("--episodes", type=int)
     p.add_argument("--eval-episodes", dest="eval_episodes", type=int)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the independent oracle battery")
     p.add_argument("--seed", type=int, default=0)
@@ -740,8 +717,11 @@ def main(argv=None) -> int:
     p.add_argument("--corrupt-f", dest="corrupt_f", action="store_true",
                    help="negative control: raise every bound inside (0, 1) to 1 and expect a failure")
     p.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -750,12 +730,10 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (TwtlError, AutomatonError, GridError, MdpError, ProductError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleIntervalError, MultiShotInfeasibleError, ReachabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_FAILURES) as exc:
+        stage, code = next(_FAILURES[cls] for cls in type(exc).__mro__ if cls in _FAILURES)
+        print(f"error: [{stage}] {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ available as an option.  Q-values default to zero for unseen pairs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 import weakref
@@ -308,15 +309,17 @@ def wilson_halfwidth(successes, n, z=1.96):
 CSV_COLUMNS = ("episode", "satisfied", "cum_reward", "shield_entry_t", "steps_shielded")
 
 
-def write_episode_csv(logs, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for log in logs:
-            writer.writerow([
-                log.index,
-                int(log.satisfied),
-                repr(log.cumulative_reward),
-                "" if log.shield_entry_time is None else log.shield_entry_time,
-                log.steps_shielded,
-            ])
+def episode_csv(logs):
+    """The per-episode CSV text, one row per log under a ``CSV_COLUMNS`` header."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    for log in logs:
+        writer.writerow([
+            log.index,
+            int(log.satisfied),
+            repr(log.cumulative_reward),
+            "" if log.shield_entry_time is None else log.shield_entry_time,
+            log.steps_shielded,
+        ])
+    return text.getvalue()

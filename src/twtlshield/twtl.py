@@ -297,7 +297,14 @@ def parse_formula(text: str, alphabet: Iterable[str] | None = None) -> Formula:
         for name in alphabet:
             if not PROP_RE.match(name) or name == "TRUE":
                 raise TwtlError(f"invalid proposition name in alphabet: {name!r}")
-    return _Parser(_tokenize(text), alphabet).parse()
+    # The parser and every pass over the tree recurse once per level, so a
+    # formula nested past the recursion limit is refused here, in one walk.
+    try:
+        formula = _Parser(_tokenize(text), alphabet).parse()
+        time_bound(formula)
+    except RecursionError:
+        raise TwtlError("formula is nested too deeply") from None
+    return formula
 
 
 def make_word(symbols: Iterable[Iterable[str]]) -> Word:

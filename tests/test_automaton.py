@@ -1,10 +1,11 @@
 import json
 import re
+import sys
 
 import pytest
 
-from twtlshield.twtl import Hold, Not, parse_formula, time_bound
-from twtlshield.automaton import (StateExplosionError, UnknownSymbolError,
+from twtlshield.twtl import Concat, Hold, Not, parse_formula, time_bound
+from twtlshield.automaton import (AutomatonError, StateExplosionError, UnknownSymbolError,
                                   UnsupportedConstructError, accepts,
                                   compile_formula, to_dot, to_json)
 from twtlshield.oracle import FORMULA_CORPUS, enumerate_words, word_satisfies_brute
@@ -81,6 +82,14 @@ class TestCompile:
         assert aut.initial == aut.trash
         for word in enumerate_words({"B"}, 4):
             assert not accepts(aut, word)
+
+    def test_tree_past_the_recursion_limit_is_an_automaton_error(self):
+        # built by hand, so no parser refused it first
+        node = Hold(0, "B")
+        for _ in range(sys.getrecursionlimit()):
+            node = Concat(Hold(0, "B"), node)
+        with pytest.raises(AutomatonError, match="formula is nested too deeply to compile"):
+            compile_formula(node, {"B"})
 
     def test_unknown_symbol_rejected(self, window_automaton):
         with pytest.raises(UnknownSymbolError):

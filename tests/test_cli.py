@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import random
@@ -10,11 +11,14 @@ from pathlib import Path
 import pytest
 
 from twtlshield import cli
+from twtlshield.automaton import AutomatonError
 from twtlshield.cli import ConfigError, ExperimentConfig, load_config, main, run_experiment
-from twtlshield.gridworld import CASE_STUDY_FORMULA, canonical_case_study
+from twtlshield.gridworld import CASE_STUDY_FORMULA, GridError, canonical_case_study
 from twtlshield.learner import LearnerConfig
-from twtlshield.mdp import LabeledIntervalMdp
-from twtlshield.reachability import MultiShotPlan
+from twtlshield.mdp import LabeledIntervalMdp, MdpError
+from twtlshield.product import ProductError
+from twtlshield.reachability import MultiShotPlan, ReachabilityError
+from twtlshield.twtl import TwtlError
 from conftest import worst_case_toy
 
 
@@ -56,6 +60,49 @@ class TestCompileCommand:
     def test_bad_prop_name(self, capsys, props):
         assert main(["compile", "--formula", "H^0 B", "--props", props]) == 2
         assert "invalid proposition name" in capsys.readouterr().err
+
+    def test_errors_name_their_stage(self, capsys):
+        assert main(["compile", "--formula", "[H^1 B"]) == 2
+        assert capsys.readouterr().err.startswith("error: [parse] expected ']'")
+        assert main(["compile", "--formula", "!(H^1 B)"]) == 2
+        assert capsys.readouterr().err.startswith("error: [compile] negation of compound")
+
+
+DEEP = {"250-parens": "(" * 250 + "H^0 Base" + ")" * 250,
+        "1000-chain": " . ".join(["H^0 Base"] * 1000),
+        "300-windows": "[" * 300 + "H^0 Base" + "]^[0,1]" * 300}
+
+
+@pytest.mark.parametrize("argv", [["compile"], ["learn", "--episodes", "1", "--eval-episodes", "1"]],
+                         ids=["compile", "learn"])
+@pytest.mark.parametrize("formula", DEEP.values(), ids=DEEP.keys())
+def test_formula_past_the_recursion_limit_exits_2(capsys, argv, formula):
+    assert main([*argv, "--formula", formula]) == 2
+    assert re.fullmatch(r"error: \[(parse|compile)\] formula is nested too deeply( to compile)?\n",
+                        capsys.readouterr().err)
+
+
+class TestUnwritableOutput:
+    """An output directory that cannot be written is a config error, worded like a read error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--formula", "H^0 B"], ["build"], ["prune", "--pr-des", "0.5"],
+        ["learn", "--pr-des", "0.5", "--episodes", "2", "--eval-episodes", "2"],
+        ["sweep", "--eps-list", "0.08", "--pr-list", "0.5", "--modes", "one_shot",
+         "--episodes", "2", "--eval-episodes", "2"]], ids=lambda argv: argv[0])
+    def test_directory_under_a_file(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*argv, "--output-dir", str(blocker / "sub")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {blocker / 'sub'}/")
+
+    def test_episode_csv(self, tmp_path, capsys):
+        (tmp_path / "episodes.csv").mkdir()
+        assert main(["learn", "--pr-des", "0.5", "--episodes", "2", "--eval-episodes", "2",
+                     "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write {tmp_path / 'episodes.csv'}: ")
+        assert (tmp_path / "summary.json").exists()
 
 
 class TestConfig:
@@ -577,6 +624,40 @@ class TestSweepCommand:
         assert captured.out == ""
         assert "unknown mode 'bogus'" in captured.err
 
+    ONE_CELL = ["--eps-list", "0.08", "--pr-list", "0.5", "--modes", "one_shot",
+                "--episodes", "1", "--eval-episodes", "1"]
+
+    # sweep once read none of these flags and ran the case study, exiting 0
+    @pytest.mark.parametrize("flags, message", [
+        (["--formula", "H^0 Nope"], "error: [parse] unknown proposition 'Nope'"),
+        (["--grid", "no-such-grid.json"], "config error: cannot read grid no-such-grid.json"),
+        (["--timestamps", "a,b"], "config error: bad --timestamps 'a,b'"),
+        (["--thresholds", "x"], "config error: bad --thresholds 'x'"),
+    ])
+    def test_shared_flags_honoured(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", *flags, *self.ONE_CELL]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+    def test_formula_reaches_the_cells(self, capsys):
+        assert main(["sweep", "--formula", "H^0 TRUE", *self.ONE_CELL]) == 0
+        assert "learn 1.0000 test 1.0000" in capsys.readouterr().out
+
+    def test_per_cell_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pr-des", "0.5", *self.ONE_CELL])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pr-des 0.5" in capsys.readouterr().err
+
+    def test_mode_and_eps_abbreviate_the_lists(self, capsys):
+        # argparse reads --mode and --eps as --modes and --eps-list: a one-item list
+        assert main(["sweep", "--mode", "multi_shot", "--eps", "0.13", "--pr-list", "0.5",
+                     "--episodes", "1", "--eval-episodes", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("multi_shot eps=0.13")
+
     def test_failed_initial_check_recorded(self, tmp_path, capsys):
         # multi-shot at eps 0.13, pr_des 0.9 fails its initial check; the cell
         # before it is kept and both files are written
@@ -606,6 +687,74 @@ class TestSweepCommand:
         csv_text = (tmp_path / "sweep.csv").read_text().splitlines()
         assert csv_text[0].startswith("mode,eps,pr_des")
         assert len(csv_text) == 5
+
+
+# One row per package error family: the cli name that raises it, the stage, the exit code.
+FAILURE_ROWS = [("parse_formula", TwtlError, "parse", 2),
+                ("compile_formula", AutomatonError, "compile", 2),
+                ("build_grid_mdp", GridError, "build-grid", 2),
+                ("build_grid_mdp", MdpError, "build-grid", 2),
+                ("build_product", ProductError, "build-product", 2),
+                ("one_shot_prune", ReachabilityError, "prune", 3)]
+
+
+class TestFailureTable:
+    def test_every_family_has_a_row(self):
+        assert set(cli._FAILURES) == {family for _, family, _, _ in FAILURE_ROWS}
+
+    @pytest.mark.parametrize("name, family, stage, code", FAILURE_ROWS,
+                             ids=[row[1].__name__ for row in FAILURE_ROWS])
+    def test_row(self, monkeypatch, capsys, name, family, stage, code):
+        def fail(*args, **kwargs):
+            raise family("boom")
+
+        monkeypatch.setattr(cli, name, fail)
+        assert main(["prune", "--pr-des", "0.9", "--eps", "0.08"]) == code
+        assert capsys.readouterr().err == f"error: [{stage}] boom\n"
+
+    def test_learner_bug_is_not_reported_as_infeasibility(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "run_one_shot", fail)
+        with pytest.raises(KeyError):
+            main(["learn", "--pr-des", "0.5", "--episodes", "1", "--eval-episodes", "1"])
+
+
+class TestFlagsAreConfigKeys:
+    """_config_from_args is the only place flags become config: each flag's dest is its key."""
+
+    COMMAND_ONLY = {"config", "output_dir", "policy", "eps_list", "pr_list", "modes"}
+
+    def test_every_dest_is_a_key_or_command_only(self):
+        commands, = (action for action in cli._parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        keys = cli._config_schema().keys()
+        for name in ("build", "prune", "learn", "eval", "sweep"):
+            for action in commands.choices[name]._actions:
+                if action.dest != "help":
+                    assert action.dest in keys or action.dest in self.COMMAND_ONLY, (name, action.dest)
+
+    def test_flags_reach_the_config(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(cli._as_json(canonical_case_study(assumed_uncertainty=0.05)[0])))
+        args = cli._parser().parse_args([
+            "learn", "--grid", str(grid), "--eps", "0.1", "--seed", "7", "--pr-des", "0.8",
+            "--mode", "multi_shot", "--formula", "[H^1 Base]^[0,3] . H^0 P",
+            "--timestamps", "0,2,5", "--thresholds", "0.9,0.8", "--allow-unsafe",
+            "--episodes", "3", "--eval-episodes", "4", "--output-dir", str(tmp_path / "out")])
+        cfg = cli._config_from_args(args)
+        assert (cfg.grid.assumed_uncertainty, cfg.learner.seed, cfg.pr_des, cfg.mode) == (
+            0.1, 7, 0.8, "multi_shot")
+        assert (cfg.formula, cfg.multishot_timestamps, cfg.multishot_thresholds) == (
+            "[H^1 Base]^[0,3] . H^0 P", (0, 2, 5), (0.9, 0.8))
+        assert (cfg.allow_unsafe, cfg.learner.episodes, cfg.eval_episodes, cfg.output_dir) == (
+            True, 3, 4, str(tmp_path / "out"))
+
+    def test_absent_allow_unsafe_keeps_the_file_value(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"allow_unsafe": True}))
+        assert cli._config_from_args(cli._parser().parse_args(["prune", "--config", str(path)])).allow_unsafe
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import csv
+import io
 import random
 import weakref
 
@@ -12,7 +13,7 @@ from twtlshield.product import build_product
 from twtlshield.reachability import (MultiShotPlan, check_initial, exact_reach_probability,
                                      multi_shot_prune, one_shot_prune)
 from twtlshield.learner import (CSV_COLUMNS, EpisodeLog, EvalResult, LearnerConfig, LearnerError,
-                                RunResult, evaluate, learn, wilson_halfwidth, write_episode_csv)
+                                RunResult, episode_csv, evaluate, learn, wilson_halfwidth)
 from twtlshield.twtl import parse_formula, time_bound
 from conftest import worst_case_toy
 
@@ -668,13 +669,10 @@ class TestEvaluate:
 
 
 class TestCsv:
-    def test_columns_and_rows(self, tmp_path):
+    def test_columns_and_rows(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
         result = learn(prod, LearnerConfig(episodes=25, seed=17))
-        path = tmp_path / "episodes.csv"
-        write_episode_csv(result.logs, path)
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
+        rows = list(csv.reader(io.StringIO(episode_csv(result.logs))))
         assert tuple(rows[0]) == CSV_COLUMNS
         assert len(rows) == 26
         for row in rows[1:]:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twtlshield.automaton import accepts, compile_formula
-from twtlshield.twtl import (And, Concat, Hold, Not, Or, TwtlSyntaxError,
+from twtlshield.twtl import (And, Concat, Hold, Not, Or, TwtlError, TwtlSyntaxError,
                              UnknownPropositionError, Within, format_formula,
                              parse_formula, propositions, time_bound)
 from twtlshield.oracle import enumerate_words, word_satisfies_brute
@@ -150,6 +150,39 @@ class TestTimeBound:
         inner = parse_formula("H^1 B", {"B"})
         bounds = [time_bound(Within(inner, 0, b)) for b in range(1, 8)]
         assert bounds == sorted(bounds)
+
+
+def nested_parens(n):
+    return "(" * n + "H^0 B" + ")" * n
+
+
+def chain(n):
+    return " . ".join(["H^0 B"] * n)
+
+
+def nested_windows(n):
+    return "[" * n + "H^0 B" + "]^[0,1]" * n
+
+
+class TestDeepNesting:
+    """The parser and every pass over a tree recurse once per level, so a formula
+    nested past the recursion limit is refused as a TwtlError, not a RecursionError."""
+
+    @pytest.mark.parametrize("text", [nested_parens(250), chain(1000), nested_windows(300)],
+                             ids=["250-parens", "1000-chain", "300-windows"])
+    def test_too_deep_refused(self, text):
+        with pytest.raises(TwtlError, match="formula is nested too deeply"):
+            parse_formula(text, {"B"})
+
+    @pytest.mark.parametrize("text, bound", [(nested_parens(200), 0), (chain(600), 599),
+                                             (nested_windows(100), 1)],
+                             ids=["200-parens", "600-chain", "100-windows"])
+    def test_deep_but_walkable_compiles(self, text, bound):
+        formula = parse_formula(text, {"B"})
+        assert time_bound(formula) == bound
+        text = format_formula(formula)      # == on trees this deep would recurse too far
+        assert format_formula(parse_formula(text, {"B"})) == text
+        assert compile_formula(formula, {"B"}).n_states >= 2
 
 
 def satisfied(formula, word, compiled=True):

@@ -65,7 +65,8 @@ class _Residuals:
 
     A node's key is its type, its plain fields and its children's ids.
     ``text`` maps a node's id to its canonical text, which orders the operands
-    of And and Or and annotates the automaton's states.
+    of And and Or and annotates the automaton's states; a new node's text is
+    formatted over its children's, not by walking its subtree.
     """
 
     def __init__(self):
@@ -77,7 +78,7 @@ class _Residuals:
         node = self._nodes.get(key)
         if node is None:
             node = self._nodes[key] = cls(*fields)
-            self.text[id(node)] = format_formula(node)
+            self.text[id(node)] = format_formula(node, self.text)
         return node
 
     def hold(self, duration, prop, negated):

@@ -16,19 +16,31 @@ layer by layer, and the pruned set, fallback action, flag reset, acceptance
 and enabled-action count of each id sit in lists.  The first time action a is
 taken at id i, its row is made: the ids of (s', delta(q, l(s')), t+1) for the
 successors s' of the model's sampler at (s, a), that sampler's cumulative
-table (shared, not copied) and ``reward_fn(s, a)``.  This is exact: a
-successor's automaton state and time depend only on (q, s', t), a validated
-model's true successors lie in the product's layers, the reward is a function
-of (s, a), and the loops make the same random draws as sampling by state
-(``rng.random()`` only where a row has several successors).  Q rows stay
-dicts by action, so the greedy first maximizer in pruned-set order, unseen
-pairs worth 0 and the bootstrap rule are unchanged, and ``RunResult.q`` is
-keyed by product state.  Later calls reuse the view (``product.numbered``;
+table (shared, not copied) and ``reward_fn(s, a)``; a row with one successor
+keeps its id and no table.  This is exact: a successor's automaton state and
+time depend only on (q, s', t), a validated model's true successors lie in
+the product's layers, the reward is a function of (s, a), and the loops make
+the same random draws as sampling by state (``rng.random()`` only where a row
+has several successors).  Later calls reuse the view (``product.numbered``;
 the product is read-only, a row depends only on (id, action)), which shares
 the product's state tuples and holds the product weakly, so no cycle outlives
 it.  ``legality_violations`` is 0 by construction (exploring actions come
 from the pruned set); ``tests/test_learner.py::audit_shield_protocol`` audits
 the shield protocol over recorded steps.
+
+Q rows stay dicts by action (``RunResult.q`` is keyed by product state), but
+no step rescans one: ``learn`` updates per-id tables as it writes Q, each
+equal at every read to the scan it replaces.  ``greedy[i]`` is the first
+maximizer over the pruned set, unseen pairs worth 0 (the final policy): it
+stays when its value rises, is rescanned when it falls, and yields to another
+pruned action that beats it or ties it from earlier in the set.  ``top[i]`` is
+``max(row.values())`` to the bit; it is recomputed only when an entry at the
+maximum changes or another reaches it, since the first of tied entries gives
+the sign of a zero maximum.  ``boot[j]`` is the bootstrap value read at j: its
+maximum, or 0 for an empty row or a negative maximum while the row misses an
+enabled action.  Exploring draws use ``rng.choice(acts)``, one ``_randbelow``
+call as in ``acts[rng.randrange(len(acts))]``, so actions, floats and files
+are unchanged.
 
 Every episode starts at (s0, delta(q_init, l(s0)), 0), a state of
 ``product.initial``, all of which the pipeline checks once before learning.
@@ -118,18 +130,6 @@ class EvalResult:
     episodes: int
 
 
-def _greedy(row, actions):
-    """First maximizer over ``actions`` with unseen pairs worth 0."""
-    best_a = actions[0]
-    best = row.get(best_a, 0.0) if row else 0.0
-    for a in actions[1:]:
-        v = row.get(a, 0.0) if row else 0.0
-        if v > best:
-            best = v
-            best_a = a
-    return best_a
-
-
 class _Numbered:
     """The pruned product with its states numbered layer by layer (module docstring)."""
 
@@ -148,21 +148,26 @@ class _Numbered:
         self.accepting = [product.is_accepting(p) for p in self.states]
         self.n_enabled = [len(product.mdp.enabled[p[0]]) for p in self.states]
         self.rows = [self.UNSEEN] * len(inner)
+        self.starts = {}
 
     def start(self, s0):
-        product = self.product
-        return self.index[(s0, product._after(product.automaton.initial, s0), 0)]
+        if s0 not in self.starts:
+            product = self.product
+            self.starts[s0] = self.index[(s0, product._after(product.automaton.initial, s0), 0)]
+        return self.starts[s0]
 
     def row(self, i, a):
-        """(successor ids, cumulative probabilities, reward) of action a at state i."""
+        """(successor ids, cumulative probabilities, reward) of action a at state i,
+        or (successor id, None, reward) where there is one successor."""
         s, q, t = self.states[i]
         mdp = self.product.mdp
         after = self.product._after
         succs, cum = mdp.sampler(s, a)
+        ids = [self.index[(s2, after(q, s2), t + 1)] for s2 in succs]
+        reward = mdp.reward_fn(s, a)
         if self.rows[i] is self.UNSEEN:
             self.rows[i] = {}
-        row = self.rows[i][a] = ([self.index[(s2, after(q, s2), t + 1)] for s2 in succs],
-                                 cum, mdp.reward_fn(s, a))
+        row = self.rows[i][a] = (ids, cum, reward) if len(ids) > 1 else (ids[0], None, reward)
         return row
 
 
@@ -176,8 +181,11 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
     horizon = product.horizon
 
     rng = random.Random(cfg.seed)
-    rand, randrange = rng.random, rng.randrange
+    rand, choice = rng.random, rng.choice
     qs = [None] * len(states)
+    greedy = [acts[0] if acts else None for acts in act_sets]   # argmax per inner id
+    top = [None] * len(act_sets)        # the maximum of each inner id's row
+    boot = [0.0] * len(states)          # the bootstrap value of each id's row
     visits = {} if cfg.alpha_mode == "inverse_visit" else None
     logs = []
     total_violations = 0
@@ -198,45 +206,54 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
 
         for t in range(horizon):
             acts = act_sets[i]
-            row = qs[i]
             if flag or not acts:
                 a = pi_c[i]
                 flag = True
                 steps_shielded += 1
                 if shield_entry is None:
                     shield_entry = t
+                kept = a in acts
             else:
-                if rand() < epsilon:
-                    a = acts[randrange(len(acts))]
-                else:                   # _greedy(row, acts), inlined
-                    a = acts[0]
-                    if row:
-                        best = row.get(a, 0.0)
-                        for b in acts:
-                            v = row.get(b, 0.0)
-                            if v > best:
-                                best = v
-                                a = b
-                if a not in acts:
+                a = choice(acts) if rand() < epsilon else greedy[i]
+                kept = a in acts
+                if not kept:
                     violations += 1
 
             succ, cum, r = rows[i].get(a) or new_row(i, a)
-            j = succ[bisect_right(cum, rand())] if len(succ) > 1 else succ[0]
+            j = succ[bisect_right(cum, rand())] if cum else succ
             cumulative += r
 
             if visits is not None:
                 count = visits[i, a] = visits.get((i, a), 0) + 1
                 alpha = 1.0 / count
+            row = qs[i]
             if row is None:
                 row = qs[i] = {}
-            nxt = qs[j]
-            if nxt:
-                best = max(nxt.values())
-                if best < 0.0 and len(nxt) < n_enabled[j]:
-                    best = 0.0
-            else:
-                best = 0.0
-            row[a] = (1.0 - alpha) * row.get(a, 0.0) + alpha * (r + gamma * best)
+            old = row.get(a, 0.0)
+            new = row[a] = (1.0 - alpha) * old + alpha * (r + gamma * boot[j])
+
+            if kept and new != old:     # keep greedy[i] the first maximizer over acts
+                g = greedy[i]
+                if a == g:
+                    if new < old:
+                        g = acts[0]
+                        best = row.get(g, 0.0)
+                        for b in acts:
+                            v = row.get(b, 0.0)
+                            if v > best:
+                                best = v
+                                g = b
+                        greedy[i] = g
+                else:
+                    v = row.get(g, 0.0)
+                    if new > v or new == v and acts.index(a) < acts.index(g):
+                        greedy[i] = a
+            best = top[i]               # max(row.values()), to the bit
+            if best is None or new > best:
+                best = top[i] = new
+            elif old == best or new == best:    # a maximum fell, or a value met it
+                best = top[i] = max(row.values())
+            boot[i] = 0.0 if best < 0.0 and len(row) < n_enabled[i] else best
 
             i = j
             if resets[i]:
@@ -250,8 +267,7 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
     # the greedy policy: argmax Q over the pruned set, fallback where it is empty
-    policy = {states[i]: _greedy(qs[i], acts) if acts else pi_c[i]
-              for i, acts in enumerate(act_sets)}
+    policy = {states[i]: greedy[i] if acts else pi_c[i] for i, acts in enumerate(act_sets)}
     q = {states[i]: row for i, row in enumerate(qs) if row is not None}
     return RunResult(policy=policy, logs=logs, q=q, legality_violations=total_violations)
 
@@ -284,7 +300,7 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
                 if a is None:
                     a = chosen[i] = policy[states[i]]
             succ, cum, r = rows[i].get(a) or new_row(i, a)
-            i = succ[bisect_right(cum, rand())] if len(succ) > 1 else succ[0]
+            i = succ[bisect_right(cum, rand())] if cum else succ
             total_reward += r
             if resets[i]:
                 flag = False

@@ -134,27 +134,32 @@ _BINARY = ((Concat, "."), (Or, "|"), (And, "&"))
 _LEVEL = {cls: level for level, (cls, _) in enumerate(_BINARY)}
 
 
-def format_formula(formula: Formula) -> str:
-    """Render to the concrete ASCII grammar; parse(format(f)) == f."""
-    return _format(formula, 0)
+def format_formula(formula: Formula, known=None) -> str:
+    """Render to the concrete ASCII grammar; parse(format(f)) == f.  ``known`` maps
+    the ids of subtrees already rendered to their texts, used instead of a walk."""
+    return _format(formula, 0, known or {})
 
 
-def _format(node, parent_level):
-    if isinstance(node, Hold):
+def _format(node, parent_level, known):
+    text = known.get(id(node))
+    if text is not None:
+        pass
+    elif isinstance(node, Hold):
         body = "TRUE" if node.prop is None else ("!" + node.prop if node.negated else node.prop)
-        return f"H^{node.duration} {body}"
-    if isinstance(node, Within):
-        return f"[{_format(node.child, 0)}]^[{node.low},{node.high}]"
-    if isinstance(node, Not):
-        return f"!({_format(node.child, 0)})"
-    level = _LEVEL.get(type(node))
-    if level is None:
+        text = f"H^{node.duration} {body}"
+    elif isinstance(node, Within):
+        text = f"[{_format(node.child, 0, known)}]^[{node.low},{node.high}]"
+    elif isinstance(node, Not):
+        text = f"!({_format(node.child, 0, known)})"
+    elif type(node) in _LEVEL:
+        level = _LEVEL[type(node)]
+        # The parser folds to the right, so a left child with the same operator
+        # needs parentheses to round-trip structurally.
+        left = _format(node.left, level + (type(node.left) is type(node)), known)
+        text = f"{left} {_BINARY[level][1]} {_format(node.right, level, known)}"
+    else:
         raise TypeError(f"not a formula node: {node!r}")
-    # The parser folds to the right, so a left child with the same operator
-    # needs parentheses to round-trip structurally.
-    left = _format(node.left, level + (type(node.left) is type(node)))
-    text = f"{left} {_BINARY[level][1]} {_format(node.right, level)}"
-    return f"({text})" if level < parent_level else text
+    return f"({text})" if _LEVEL.get(type(node), parent_level) < parent_level else text
 
 
 class _Token:

@@ -1,9 +1,12 @@
 import pytest
 
-from twtlshield.twtl import parse_formula
+from twtlshield import cli
+from twtlshield.twtl import parse_formula, time_bound
 from twtlshield.automaton import compile_formula
+from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import build_product
+from twtlshield.reachability import MultiShotPlan, multi_shot_prune, one_shot_prune
 
 B = frozenset({"B"})
 C = frozenset({"C"})
@@ -20,6 +23,18 @@ def window_formula():
 @pytest.fixture(scope="session")
 def window_automaton(window_formula):
     return compile_formula(window_formula, {"B"})
+
+
+@pytest.fixture(scope="session")
+def case_products():
+    """The 6x6 case study at eps 0.08 and pr_des 0.9, pruned in each mode."""
+    spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+    aut = compile_formula(formula, sorted(spec.alphabet()))
+    horizon = time_bound(formula)
+    one = one_shot_prune(build_product(build_grid_mdp(spec), aut, horizon), 0.9)
+    multi, _ = multi_shot_prune(build_product(build_grid_mdp(spec), aut, horizon),
+                                MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
+    return {"one_shot": one, "multi_shot": multi}
 
 
 def three_state_mdp(exact=True, slack=0.1):

@@ -1,14 +1,17 @@
 import json
+import random
 import re
 import sys
 
 import pytest
 
-from twtlshield.twtl import Concat, Hold, Not, parse_formula, time_bound
+from twtlshield import automaton
+from twtlshield.gridworld import CASE_STUDY_FORMULA, CASE_STUDY_PROPS
+from twtlshield.twtl import Concat, Hold, Not, format_formula, parse_formula, time_bound
 from twtlshield.automaton import (AutomatonError, StateExplosionError, UnknownSymbolError,
                                   UnsupportedConstructError, accepts,
                                   compile_formula, to_dot, to_json)
-from twtlshield.oracle import FORMULA_CORPUS, enumerate_words, word_satisfies_brute
+from twtlshield.oracle import FORMULA_CORPUS, enumerate_words, random_formula, word_satisfies_brute
 
 B = frozenset({"B"})
 E = frozenset()
@@ -94,6 +97,32 @@ class TestCompile:
     def test_unknown_symbol_rejected(self, window_automaton):
         with pytest.raises(UnknownSymbolError):
             accepts(window_automaton, (frozenset({"Z"}),))
+
+
+class TestResidualTexts:
+    """A new residual's text is formatted over its children's stored texts; it must
+    equal the text of the whole node formatted from scratch."""
+
+    def test_stored_texts_equal_full_format(self, monkeypatch):
+        made = []
+        init = automaton._Residuals.__init__
+
+        def recording(residuals):
+            init(residuals)
+            made.append(residuals)
+        monkeypatch.setattr(automaton._Residuals, "__init__", recording)
+        rng = random.Random(0)
+        cases = [(parse_formula(text, {"B", "C"}), {"B", "C"}) for text in FORMULA_CORPUS]
+        cases.append((parse_formula(CASE_STUDY_FORMULA, CASE_STUDY_PROPS), CASE_STUDY_PROPS))
+        cases += [(random_formula(rng, rng.randint(1, 10)), {"B", "C"}) for _ in range(2000)]
+        checked = 0
+        for formula, props in cases:
+            compile_formula(formula, props)
+            residuals = made.pop()
+            for node in residuals._nodes.values():
+                assert residuals.text[id(node)] == format_formula(node)
+            checked += len(residuals._nodes)
+        assert not made and checked > 10000
 
 
 class TestProperties:

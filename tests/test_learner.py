@@ -7,7 +7,7 @@ import pytest
 
 from twtlshield import cli
 from twtlshield.automaton import compile_formula
-from twtlshield.gridworld import build_grid_mdp, canonical_case_study
+from twtlshield.gridworld import GridSpec, build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import (MultiShotPlan, check_initial, exact_reach_probability,
@@ -555,18 +555,6 @@ class TestBootstrapRule:
         assert result.q[root]["go"] < 0.0
 
 
-@pytest.fixture(scope="module")
-def case_products():
-    """The 6x6 case study at eps 0.08 and pr_des 0.9, pruned in each mode."""
-    spec, formula = canonical_case_study(assumed_uncertainty=0.08)
-    aut = compile_formula(formula, sorted(spec.alphabet()))
-    horizon = time_bound(formula)
-    one = one_shot_prune(build_product(build_grid_mdp(spec), aut, horizon), 0.9)
-    multi, _ = multi_shot_prune(build_product(build_grid_mdp(spec), aut, horizon),
-                                MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
-    return {"one_shot": one, "multi_shot": multi}
-
-
 class TestAgainstReference:
     @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
     @pytest.mark.parametrize("alpha_mode", ["constant", "inverse_visit"])
@@ -600,6 +588,60 @@ class TestAgainstReference:
             with pytest.raises(MdpError, match="state 'r' action 'stay'") as err:
                 run(prod, policy, 1, seed=20, start_state="r", reset_mode="fixed_start")
             assert not isinstance(err.value, MissingDynamicsError)
+
+
+@pytest.fixture(scope="module")
+def signed_products():
+    """A 4x4 grid whose reward cells pay negative, tied and -0.0 rewards, and the least
+    subnormal (-5e-324, whose updates underflow to zero), pruned in each mode."""
+    spec = GridSpec(4, 4, 0.05, 0.1, labels={(1, 2): frozenset({"P"}), (3, 3): frozenset({"B"})},
+                    reward_cells={(0, 0): -1.0, (1, 0): -1.0, (2, 0): 2.0, (3, 0): 2.0,
+                                  (0, 1): -0.0, (1, 1): -0.5, (2, 1): -5e-324, (3, 1): -2.0,
+                                  (2, 2): 0.5, (0, 3): -0.0, (1, 3): -5e-324, (3, 3): 1.0})
+    formula = parse_formula("[H^1 P]^[0,6] . [H^0 B]^[0,5]", {"P", "B"})
+    aut = compile_formula(formula, {"P", "B"})
+    horizon = time_bound(formula)
+    one = one_shot_prune(build_product(build_grid_mdp(spec), aut, horizon), 0.6)
+    multi, _ = multi_shot_prune(build_product(build_grid_mdp(spec), aut, horizon),
+                                MultiShotPlan.even(0.6, (0, 7, horizon)))
+    return {"one_shot": one, "multi_shot": multi}
+
+
+class TestSignedRewards:
+    """Falling, tied and zero Q-values: the cases where ``learn``'s greedy action and
+    bootstrap value are recomputed rather than carried over."""
+
+    @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+    @pytest.mark.parametrize("alpha_mode", ["constant", "inverse_visit"])
+    @pytest.mark.parametrize("reset_mode", ["carry_state", "fixed_start"])
+    def test_matches_reference(self, signed_products, mode, alpha_mode, reset_mode):
+        prod = signed_products[mode]
+        start = (0, 0) if reset_mode == "fixed_start" else None
+        cfg = LearnerConfig(episodes=300, seed=41, epsilon=0.5, epsilon_decay=0.99,
+                            alpha_mode=alpha_mode, reset_mode=reset_mode, start_state=start)
+        result, expected = learn(prod, cfg), reference_learn(prod, cfg)
+        assert_same_run(result, expected)
+        # == takes -0.0 for 0.0; the texts tell them apart
+        assert ({p: repr(row) for p, row in result.q.items()}
+                == {p: repr(row) for p, row in expected.q.items()})
+        assert min(v for row in expected.q.values() for v in row.values()) < 0.0
+        for policy in (expected.policy, prod.pi_c):
+            assert (repr(evaluate(prod, policy, 300, 42, start, reset_mode))
+                    == repr(reference_evaluate(prod, policy, 300, 42, start, reset_mode)))
+
+
+class TestRandomStream:
+    """``learn`` draws an exploring action with ``rng.choice(acts)``, the reference with
+    ``acts[rng.randrange(len(acts))]``: the same draw and the same generator state."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_choice_draws_as_randrange(self, n):
+        seq = tuple(f"a{k}" for k in range(n))
+        for seed in range(300):
+            one, two = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert one.choice(seq) == seq[two.randrange(len(seq))]
+                assert one.getstate() == two.getstate()
 
 
 class TestSharedView:

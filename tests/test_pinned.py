@@ -7,7 +7,9 @@ product pairs and hash-consed residuals replaced the tuple-keyed enumeration
 and text-keyed compiler; a change that means to move them must say why.
 The front-end digest was recorded when one operator table, one scanner regex
 and one error path replaced the per-level parser methods, and the parser
-before them gives the same digest.
+before them gives the same digest.  The learner digests were recorded with
+the learner that rescanned a Q row on every greedy pick and bootstrap, before
+per-state caches of the greedy action and the row maximum replaced the scans.
 """
 
 import hashlib
@@ -21,11 +23,20 @@ import pytest
 from twtlshield import cli, oracle
 from twtlshield.automaton import compile_formula, to_dot, to_json
 from twtlshield.gridworld import CASE_STUDY_FORMULA, canonical_case_study
+from twtlshield.learner import LearnerConfig, evaluate, learn
 from twtlshield.twtl import TwtlError, format_formula, parse_formula
 
 SHIELD_16X16 = {
     "one_shot": "ed7a50e4361aef416a6e59ccef635fb76245721da9be09591951081bd4828d4d",
     "multi_shot": "54e800c4de2ecc437010dea6b2ebeeae1d21d53e8a8bb4e8f1af58eba9bc8ac7",
+}
+
+# (mode, alpha_mode) -> sha256 of learner_outcome on the case study
+LEARNER = {
+    ("one_shot", "constant"): "081679d494ae20771cf8fcf815a219bee90029a6e00f9495c8fb2c2637c1c9cb",
+    ("one_shot", "inverse_visit"): "8cbfc00bc6501a5fa742ca5388d9165bc760d5fb87a979dd6f55f0e9080dbb69",
+    ("multi_shot", "constant"): "c28b0a0af78a9350b4166ef67dfa4a22d59ea288319706f72d2bf8dfa1745614",
+    ("multi_shot", "inverse_visit"): "5afea7ea13ac91fb2615b45f862accbf9594e1f528e651f751fe6cf4b254d6db",
 }
 
 # FORMULA_CORPUS text -> sha256 of (to_json, to_dot) of its automaton over {B, C}
@@ -195,3 +206,16 @@ def test_error_messages(text, alphabet, cls, message):
     with pytest.raises(TwtlError) as err:
         parse_formula(text, alphabet)
     assert (type(err.value).__name__, str(err.value)) == (cls, message)
+
+
+def learner_outcome(product, alpha_mode):
+    """The policy, Q table, episode logs and evaluation of a 2,000-episode run, as text."""
+    result = learn(product, LearnerConfig(episodes=2000, seed=7, alpha_mode=alpha_mode))
+    q = sorted((p, sorted(row.items())) for p, row in result.q.items())
+    return repr((sorted(result.policy.items()), q, result.logs, result.legality_violations,
+                 evaluate(product, result.policy, 1000, seed=8)))
+
+
+@pytest.mark.parametrize("mode, alpha_mode", list(LEARNER))
+def test_learner_digest(case_products, mode, alpha_mode):
+    assert sha256(learner_outcome(case_products[mode], alpha_mode)) == LEARNER[mode, alpha_mode]

@@ -560,13 +560,13 @@ def check_automata():
 
 
 def check_kappa(rng, count):
-    """``solve_kappa`` vs ``oracle.lp_grid_search`` on ``count`` random interval LPs;
-    returns the instances further apart than n * 1e-3."""
+    """``solve_kappa`` vs the exact dual optimum ``oracle.lp_exact_min`` on ``count``
+    random interval LPs; returns the instances further apart than 1e-12."""
     mismatches = []
     for _ in range(count):
         values, los, his = oracle.random_lp_instance(rng)
-        exact, _ = solve_kappa(values, los, his)
-        if abs(exact - oracle.lp_grid_search(values, los, his, 1e-3)) > len(values) * 1e-3:
+        kappa, _ = solve_kappa(values, los, his)
+        if abs(kappa - oracle.lp_exact_min(values, los, his)) > 1e-12:
             mismatches.append((values, los, his))
     return mismatches
 
@@ -642,7 +642,7 @@ def cmd_verify(args):
     mismatches, words = check_automata()
     report("automaton-semantics equivalence", mismatches,
            f"{words} words over {len(oracle.FORMULA_CORPUS)} formulas")
-    report("closed-form optimum vs grid search", check_kappa(rng, args.lp_instances),
+    report("closed-form optimum vs exact dual", check_kappa(rng, args.lp_instances),
            f"{args.lp_instances} instances")
     failures, checked, catchable, _ = check_dominance(rng, args.instances, args.corrupt_f)
     report("exact reachability dominates the bound", failures,

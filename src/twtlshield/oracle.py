@@ -2,9 +2,9 @@
 
 Nothing here shares code with the implementations it checks: the word
 evaluator re-derives satisfaction by trying hold placements explicitly, the
-grid search enumerates near-feasible distributions instead of solving in
-closed form, and the exact reachability check in :mod:`reachability` runs
-against dynamics sampled here.  These are deliberately slow and simple.
+interval-LP optimum comes from the dual in exact rational arithmetic instead
+of the greedy fill, and the exact reachability check in :mod:`reachability`
+runs against dynamics sampled here.  These are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .twtl import And, Concat, Formula, Hold, Not, Or, Within, parse_formula, time_bound
 from .mdp import LabeledIntervalMdp
@@ -89,41 +88,19 @@ def enumerate_words(alphabet, length, cap=10 ** 6):
     return itertools.product(symbols, repeat=length)
 
 
-def lp_grid_search(values, los, his, resolution=1e-3):
-    """Grid approximation of the interval-distribution minimum.
+def lp_exact_min(values, los, his):
+    """Exact minimum of sum(values * x) s.t. sum(x) = 1, los <= x <= his, by LP duality.
 
-    Enumerates the first n-1 coordinates on per-coordinate grids, assigns the
-    remainder to the last coordinate, and accepts it within n*resolution of
-    its box.  The result is within n*resolution of the true optimum.
+    The dual, max over lam of lam + sum_j min((v_j - lam) lo_j, (v_j - lam) hi_j),
+    is concave and piecewise linear with its kinks at the v_j, so its maximum
+    is at one of them.  Evaluated in Fractions, the value is exact for the
+    float inputs.
     """
-    n = len(values)
-    lo_sum = math.fsum(los)
-    hi_sum = math.fsum(his)
-    if lo_sum > 1.0 + 1e-9 or hi_sum < 1.0 - 1e-9:
+    v, lo, hi = ([Fraction(x) for x in xs] for xs in (values, los, his))
+    if sum(lo) > 1 or sum(hi) < 1:
         raise OracleError("infeasible interval constraints")
-    values = np.asarray(values, dtype=float)
-    if n == 1:
-        return float(values[0])
-    partial = np.zeros(1)
-    objective = np.zeros(1)
-    for j in range(n - 1):
-        steps = max(1, math.ceil((his[j] - los[j]) / resolution))
-        grid = np.linspace(los[j], his[j], steps + 1)
-        partial = (partial[:, None] + grid[None, :]).ravel()
-        objective = (objective[:, None] + values[j] * grid[None, :]).ravel()
-        # prune partial sums that can no longer be completed
-        rest_lo = math.fsum(los[j + 1:])
-        rest_hi = math.fsum(his[j + 1:])
-        ok = (partial + rest_lo <= 1.0 + n * resolution) & (partial + rest_hi >= 1.0 - n * resolution)
-        partial = partial[ok]
-        objective = objective[ok]
-    last = 1.0 - partial
-    tol = n * resolution
-    ok = (last >= los[-1] - tol) & (last <= his[-1] + tol)
-    if not ok.any():
-        raise OracleError("grid search found no feasible point; refine the resolution")
-    total = objective[ok] + values[-1] * last[ok]
-    return float(total.min())
+    return max(lam + sum((vj - lam) * (l if vj >= lam else h) for vj, l, h in zip(v, lo, hi))
+               for lam in v)
 
 
 def sample_true_dynamics(bounds, seed):
@@ -246,18 +223,17 @@ def random_formula(rng: random.Random, max_horizon: int):
 
 
 def random_lp_instance(rng: random.Random, max_n=5):
-    """Random feasible interval-distribution problem, sized so the grid
-    search at resolution 1e-3 stays tractable."""
+    """Random feasible interval-distribution problem: each interval reaches up
+    to 0.5 either side of a random distribution."""
     n = rng.randint(1, max_n)
-    width_cap = {1: 1.0, 2: 1.0, 3: 0.15, 4: 0.06, 5: 0.03}[n]
     raw = [rng.random() + 1e-3 for _ in range(n)]
     total = sum(raw)
     values = [rng.random() for _ in range(n)]
     los, his = [], []
     for w in raw:
         p = w / total
-        los.append(max(0.0, p - width_cap * rng.random()))
-        his.append(min(1.0, p + width_cap * rng.random()))
+        los.append(max(0.0, p - 0.5 * rng.random()))
+        his.append(min(1.0, p + 0.5 * rng.random()))
     return values, los, his
 
 

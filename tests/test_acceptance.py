@@ -155,7 +155,7 @@ class TestCriterion4LemmaSoundness:
 
 
 class TestCriterion5ClosedFormOptimum:
-    def test_matches_grid_search_and_hand_values(self):
+    def test_matches_exact_dual_and_hand_values(self):
         # hand-derived examples, exact equality
         exact_cases = [
             (([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 1.0),
@@ -166,7 +166,7 @@ class TestCriterion5ClosedFormOptimum:
         mismatches = check_kappa(random.Random(99), 1000)
         ok = verdict(5, hand_ok and not mismatches,
                      "closed-form interval optimum equals the three hand-derived values "
-                     f"exactly and stays within n*1e-3 of grid search on 1000 instances "
+                     f"exactly and stays within 1e-12 of the exact dual optimum on 1000 instances "
                      f"({len(mismatches)} mismatches)")
         assert ok, mismatches
 

@@ -1,8 +1,10 @@
 import argparse
 import importlib.util
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -798,6 +800,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert re.search(r"FAIL  exact reachability dominates the bound  "
                          r"\(5 instances, \d+ states, [1-9]\d* catchable by --corrupt-f\)", out)
+
+    def test_check_kappa_reports_an_offset_solver(self, monkeypatch):
+        # negative control for check 2: a solver 1e-9 above the optimum fails on every instance
+        solve = cli.solve_kappa
+        monkeypatch.setattr(cli, "solve_kappa", lambda *row: (solve(*row)[0] + 1e-9, None))
+        assert len(cli.check_kappa(random.Random(99), 1000)) == 1000
+
+    def test_verify_imports_no_numpy(self):
+        # the package needs only the standard library, also through what it imports
+        code = ("import sys; from twtlshield import cli; "
+                "status = cli.main(['verify', '--instances', '2', '--lp-instances', '5']); "
+                "print(status, 'numpy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.stdout.splitlines()[-1] == "0 False", run.stderr
 
 
 class TestBenchmarkHooks:

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from twtlshield import oracle
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.oracle import (OracleError, RandomInstanceSpec, enumerate_words,
-                               lp_grid_search, random_formula, random_interval_mdp,
+                               lp_exact_min, random_formula, random_interval_mdp,
                                random_lp_instance, sample_true_dynamics,
                                word_satisfies_brute)
 from twtlshield.twtl import parse_formula, time_bound
@@ -40,21 +41,44 @@ class TestEnumerateWords:
             enumerate_words({"a", "b", "c", "d", "e"}, 10)
 
 
-class TestGridSearch:
+def vertex_enumeration_min(values, los, his):
+    """Minimum over the vertices of {sum(x) = 1, los <= x <= his}, exactly: at a vertex
+    every coordinate but one sits at a bound and that one takes the rest.  Floats are
+    dyadic, so all sums run in integers over their largest denominator."""
+    v, lo, hi = ([Fraction(x) for x in xs] for xs in (values, los, his))
+    scale = max(x.denominator for x in v + lo + hi)
+    v, lo, hi = ([int(x * scale) for x in xs] for xs in (v, lo, hi))
+    best = None
+    for free in range(len(v)):
+        others = [j for j in range(len(v)) if j != free]
+        for ends in itertools.product(*[(lo[j], hi[j]) for j in others]):
+            rest = scale - sum(ends)
+            if lo[free] <= rest <= hi[free]:
+                value = v[free] * rest + sum(v[j] * x for j, x in zip(others, ends))
+                best = value if best is None else min(best, value)
+    return Fraction(best, scale * scale)
+
+
+class TestExactMin:
     def test_point_intervals_exact(self):
-        assert lp_grid_search([0.2, 0.8], [0.5, 0.5], [0.5, 0.5], 1e-3) == \
-            pytest.approx(0.2 * 0.5 + 0.8 * 0.5, abs=1e-9)
+        assert lp_exact_min([0.2, 0.8], [0.5, 0.5], [0.5, 0.5]) == \
+            Fraction(0.2) * Fraction(0.5) + Fraction(0.8) * Fraction(0.5)
 
     def test_documented_example(self):
-        value = lp_grid_search([0.0, 1.0], [0.0, 0.9], [0.1, 1.0], 1e-3)
-        assert value == pytest.approx(0.9, abs=2e-3)
+        assert lp_exact_min([0.0, 1.0], [0.0, 0.9], [0.1, 1.0]) == Fraction(0.9)
 
     def test_single_coordinate(self):
-        assert lp_grid_search([0.7], [1.0], [1.0], 1e-3) == pytest.approx(0.7)
+        assert lp_exact_min([0.7], [1.0], [1.0]) == Fraction(0.7)
 
     def test_infeasible(self):
         with pytest.raises(OracleError):
-            lp_grid_search([0.1, 0.2], [0.7, 0.7], [1.0, 1.0], 1e-2)
+            lp_exact_min([0.1, 0.2], [0.7, 0.7], [1.0, 1.0])
+
+    def test_equals_vertex_enumeration_on_wide_instances(self):
+        rng = random.Random(21)
+        for _ in range(1000):
+            values, los, his = random_lp_instance(rng, max_n=8)
+            assert lp_exact_min(values, los, his) == vertex_enumeration_min(values, los, his)
 
 
 class TestSampledDynamics:

@@ -149,13 +149,12 @@ class TestSolveKappa:
         with pytest.raises(InfeasibleIntervalError):
             solve_kappa([0.0, 1.0], [0.0, 0.0], [0.3, 0.4])
 
-    def test_matches_grid_search(self):
+    def test_matches_exact_min(self):
         rng = random.Random(11)
         for _ in range(100):
             values, los, his = oracle.random_lp_instance(rng)
-            exact, _ = solve_kappa(values, los, his)
-            approx = oracle.lp_grid_search(values, los, his, 1e-3)
-            assert abs(exact - approx) <= len(values) * 1e-3
+            kappa, _ = solve_kappa(values, los, his)
+            assert abs(kappa - oracle.lp_exact_min(values, los, his)) <= 1e-12
 
     def test_monotone_under_widening(self):
         rng = random.Random(13)
@@ -273,7 +272,7 @@ class TestBackwardPass:
             if toy_product.is_trash(p):
                 assert value == 0.0
 
-    def test_matches_grid_search_per_action(self, toy_product):
+    def test_matches_exact_min_per_action(self, toy_product):
         prod = one_shot_prune(toy_product, 0.5)
         root = next(p for p in prod.initial if p[0] == "r")
         for a in ("a", "b"):
@@ -281,8 +280,8 @@ class TestBackwardPass:
             values = [prod.f_values[p2] for p2, _, _ in succ]
             los = [lo for _, lo, _ in succ]
             his = [hi for _, _, hi in succ]
-            approx = oracle.lp_grid_search(values, los, his, 1e-3)
-            assert abs(action_kappa(prod, root, a) - approx) <= len(values) * 1e-3
+            exact = oracle.lp_exact_min(values, los, his)
+            assert abs(action_kappa(prod, root, a) - exact) <= 1e-12
 
 
 class TestOneShot:

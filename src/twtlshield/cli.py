@@ -279,14 +279,12 @@ def _gate_initial(cfg: ExperimentConfig, product, violators):
 
 def _prune_stats(product):
     total = pruned = 0
-    for t, layer in enumerate(product.layers[:-1]):
-        for s, q in layer:
-            p = (s, q, t)
-            if product.is_accepting(p) or product.is_trash(p):
-                continue
+    terminal = product.automaton.accepting | {product.automaton.trash}
+    for (s, q, _), kept in zip(product.states, product.kept):
+        if q not in terminal:
             enabled = len(product.mdp.enabled[s])
             total += enabled
-            pruned += enabled - len(product.act_sets[p])
+            pruned += enabled - len(kept)
     return {"candidate_state_actions": total, "pruned_actions": pruned,
             "pruned_fraction": (pruned / total) if total else 0.0}
 
@@ -307,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     testing = _evaluate(cfg, product, result.policy)
     product.numbered = None     # no rollouts follow: free the learner's view before writing
 
-    f0 = [product.f_values[p] for p in product.initial]
+    f0 = product.f[:len(product.initial)]
     summary = {
         "version": __version__,
         "config": cfg.echo(),
@@ -436,7 +434,7 @@ def cmd_prune(args):
     _, product = _pipeline_assets(cfg)
     violators = _prune(cfg, product)
     stats = _prune_stats(product)
-    f0 = [product.f_values[p] for p in product.initial]
+    f0 = product.f[:len(product.initial)]
     print(f"mode: {cfg.mode}, threshold at t=0: {product.initial_threshold:.6f}")
     print(f"initial bound: min {min(f0):.6f}, mean {math.fsum(f0)/len(f0):.6f}")
     print(f"pruned {stats['pruned_actions']} of {stats['candidate_state_actions']} "
@@ -473,24 +471,24 @@ def cmd_eval(args):
     if not isinstance(raw, dict):
         raise ConfigError(f"policy {args.policy} is not a JSON object")
     actions = {repr(a): a for a in product.mdp.actions}
-    states = {repr((s, q, t)): (s, q, t)
-              for t, layer in enumerate(product.layers[:-1]) for s, q in layer}
-    stray = sorted(raw.keys() - states.keys())
+    inner = product.states[:len(product.fallback)]
+    numbers = {repr(p): n for n, p in enumerate(inner)}
+    stray = sorted(raw.keys() - numbers.keys())
     if stray:
         raise ConfigError(f"policy key {stray[0]!r} is not a state of this product "
                           f"before its horizon {product.horizon}")
-    policy = dict(product.pi_c)
-    for key, p in states.items():
+    policy = list(product.fallback)
+    for key, n in numbers.items():
         name = raw.get(key)
         if name is None:
             continue
         if not isinstance(name, str) or name not in actions:
-            raise ConfigError(f"policy action {name!r} at {p!r} is not an action of the model")
-        a = policy[p] = actions[name]
-        if product.act_sets[p] and a not in product.act_sets[p]:
-            raise PipelineError("eval", f"policy action {name} at {p!r} is pruned by the "
+            raise ConfigError(f"policy action {name!r} at {inner[n]!r} is not an action of the model")
+        a = policy[n] = actions[name]
+        if product.kept[n] and a not in product.kept[n]:
+            raise PipelineError("eval", f"policy action {name} at {inner[n]!r} is pruned by the "
                                 f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
-    testing = _evaluate(cfg, product, policy)
+    testing = _evaluate(cfg, product, dict(zip(inner, policy)))
     print(f"satisfaction: {testing['satisfaction_rate']:.4f} +/- "
           f"{testing['wilson_ci_halfwidth']:.4f} over {testing['episodes']} episodes, "
           f"avg reward {testing['average_reward']:.3f}")

@@ -11,9 +11,9 @@ policy, initial threshold and reset layers) lives on the pruned product, so
 ``learn`` and ``evaluate`` take only the product.
 
 Both loops step the product themselves, on a numbered view of it built
-once per product: every state of ``product.layers`` gets an integer id,
-layer by layer, and the pruned set, fallback action, flag reset, acceptance
-and enabled-action count of each id sit in lists.  The first time action a is
+once per product: ids are the product's state numbers, the pruned sets and
+fallback actions its lists, and the view adds each id's flag reset,
+acceptance and enabled-action count in lists.  The first time action a is
 taken at id i, its row is made: the ids of (s', delta(q, l(s')), t+1) for the
 successors s' of the model's sampler at (s, a), that sampler's cumulative
 table (shared, not copied) and ``reward_fn(s, a)``; a row with one successor
@@ -22,11 +22,11 @@ time depend only on (q, s', t), a validated model's true successors lie in
 the product's layers, the reward is a function of (s, a), and the loops make
 the same random draws as sampling by state (``rng.random()`` only where a row
 has several successors).  Later calls reuse the view (``product.numbered``;
-the product is read-only, a row depends only on (id, action)), which shares
-the product's state tuples and holds the product weakly, so no cycle outlives
-it.  ``legality_violations`` is 0 by construction (exploring actions come
-from the pruned set); ``tests/test_learner.py::audit_shield_protocol`` audits
-the shield protocol over recorded steps.
+the product is read-only, a row depends only on (id, action)), which holds
+the product weakly, so no cycle outlives it.  ``legality_violations`` is 0
+by construction (exploring actions come from the pruned set);
+``tests/test_learner.py::audit_shield_protocol`` audits the shield protocol
+over recorded steps.
 
 Q rows stay dicts by action (``RunResult.q`` is keyed by product state), but
 no step rescans one: ``learn`` updates per-id tables as it writes Q, each
@@ -137,17 +137,11 @@ class _Numbered:
 
     def __init__(self, product):
         self.product = weakref.proxy(product)
-        own = {p: p for p in product.f_values}
-        self.states = [own.get(p, p) for p in
-                       [(s, q, t) for t, layer in enumerate(product.layers) for s, q in layer]]
-        self.index = {p: i for i, p in enumerate(self.states)}
-        inner = self.states[:len(self.states) - len(product.layers[-1])]
-        self.acts = [product.act_sets[p] for p in inner]
-        self.pi_c = [product.pi_c[p] for p in inner]
-        self.resets = [product.resets_flag(p) for p in self.states]
-        self.accepting = [product.is_accepting(p) for p in self.states]
-        self.n_enabled = [len(product.mdp.enabled[p[0]]) for p in self.states]
-        self.rows = [self.UNSEEN] * len(inner)
+        self.index = {p: i for i, p in enumerate(product.states)}
+        self.resets = [product.resets_flag(p) for p in product.states]
+        self.accepting = [product.is_accepting(p) for p in product.states]
+        self.n_enabled = [len(product.mdp.enabled[p[0]]) for p in product.states]
+        self.rows = [self.UNSEEN] * len(product.kept)
         self.starts = {}
 
     def start(self, s0):
@@ -159,7 +153,7 @@ class _Numbered:
     def row(self, i, a):
         """(successor ids, cumulative probabilities, reward) of action a at state i,
         or (successor id, None, reward) where there is one successor."""
-        s, q, t = self.states[i]
+        s, q, t = self.product.states[i]
         mdp = self.product.mdp
         after = self.product._after
         succs, cum = mdp.sampler(s, a)
@@ -173,10 +167,10 @@ class _Numbered:
 
 def learn(product, cfg: LearnerConfig) -> RunResult:
     """Shielded Q-learning on a pruned product; the flag resets where ``product.resets_flag``."""
-    if not product.f_values:
+    if product.f is None:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
     view = product.numbered = product.numbered or _Numbered(product)
-    states, act_sets, pi_c, rows = view.states, view.acts, view.pi_c, view.rows
+    states, act_sets, pi_c, rows = product.states, product.kept, product.fallback, view.rows
     resets, n_enabled, new_row = view.resets, view.n_enabled, view.row
     horizon = product.horizon
 
@@ -279,7 +273,7 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
     Reports the satisfaction rate with a Wilson 95% interval half-width.
     """
     view = product.numbered = product.numbered or _Numbered(product)
-    states, act_sets, pi_c, rows = view.states, view.acts, view.pi_c, view.rows
+    states, act_sets, pi_c, rows = product.states, product.kept, product.fallback, view.rows
     resets, new_row = view.resets, view.row
     chosen = [None] * len(act_sets)     # policy[p] per id, read on first use
     rand = random.Random(seed).random

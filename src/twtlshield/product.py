@@ -17,20 +17,27 @@ enumeration gives each reachable (s, q) pair an integer id the first time it
 sees it: ``keys[i]`` is the pair and ``next_ids[i]`` the ids of its
 successors, computed once per pair below the horizon and shared by every
 layer (None for pairs seen only at the horizon).  ``layer_ids[t]`` lists
-layer t's ids in ``repr`` order of their pairs, and ``layers[t]`` is the same
-list as (s, q) tuples.  ``neighbours[s]`` lists the distinct successors of s
-over all enabled actions in first-seen order; ``support_rows[s]`` gives per
+layer t's ids in ``repr`` order of their pairs (of their (s, q, 0) states at
+layer 0, which is ``initial``), and ``layers[t]`` is the same list as (s, q)
+tuples.  ``neighbours[s]`` lists the distinct successors of s over all
+enabled actions in first-seen order; ``support_rows[s]`` gives per
 enabled action (a, the positions of its support in that tuple, lower bounds,
 and the row's LP constants from :func:`mdp.interval_row`: rooms, remaining
 mass, infeasibility), only for the states the pruning sweep solves: those
 paired with an undecided automaton state below the horizon.  This is exact
 because the time index only counts steps: it changes neither the successors
-of a state nor the automaton move a label selects.
+of a state nor the automaton move a label selects.  States are numbered
+layer by layer from ``offsets[t]`` at layer t; ``states[n]`` (built on first
+read) is state n.  Pruning writes the shield into lists by state number:
+``f`` over all states, ``kept`` and ``fallback`` below the horizon.
+``f_values``, ``act_sets`` and ``pi_c`` are the same as dicts keyed by
+state, built on the first read after pruning (empty before).
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 from .automaton import TotalAutomaton, UnknownSymbolError
 from .mdp import LabeledIntervalMdp, interval_row
@@ -43,11 +50,11 @@ class ProductError(Exception):
 class TimeTotalProductMdp:
     """Reachable layered product with room for the shield.
 
-    The pruning pass writes the shield exactly once: ``f_values``,
-    ``act_sets``, ``pi_c``, ``initial_threshold`` and ``reset_times`` (the
-    interior segment layers where the fallback flag resets; empty for
-    one-shot).  Afterwards the object is treated as read-only; ``numbered``
-    keeps the learner's view of it until a caller done with rollouts drops it.
+    The pruning pass writes the shield exactly once: ``f``, ``kept``,
+    ``fallback``, ``initial_threshold`` and ``reset_times`` (the interior
+    segment layers where the fallback flag resets; empty for one-shot).
+    Afterwards the object is treated as read-only; ``numbered`` keeps the
+    learner's view of it until a caller done with rollouts drops it.
     """
 
     def __init__(self, mdp: LabeledIntervalMdp, automaton: TotalAutomaton, horizon: int):
@@ -70,9 +77,8 @@ class TimeTotalProductMdp:
         solved = self._enumerate_layers()
         self.support_rows = {s: [(a, pos, los, *interval_row(los, his)) for a, pos, los, his in rows[s]]
                              for s in mdp.states if s in solved}
-        self.f_values = {}
-        self.act_sets = {}
-        self.pi_c = {}
+        self.f = self.kept = self.fallback = self._states = None
+        self._tables = {}
         self.initial_threshold = None
         self.reset_times = frozenset()
         self.numbered = None
@@ -116,7 +122,7 @@ class TimeTotalProductMdp:
             return i
 
         current = {number(index[s], q) for s, q in start}
-        layer_ids = self.layer_ids = [sorted(current, key=reprs.__getitem__)]
+        layer_ids = self.layer_ids = [[ids[q * width + index[s]] for s, q, _ in self.initial]]
         for t in range(self.horizon):
             for i in current:
                 if next_ids[i] is None:
@@ -132,10 +138,27 @@ class TimeTotalProductMdp:
             current = set().union(*map(next_ids.__getitem__, current))
             layer_ids.append(sorted(current, key=reprs.__getitem__))
         self.layers = [tuple(map(keys.__getitem__, layer)) for layer in layer_ids]
+        self.offsets = [0, *accumulate(map(len, layer_ids))]
         accepting = self.automaton.accepting
         self.coerced = frozenset((s, q) for s, q in self.layers[self.horizon]
                                  if q not in accepting and q != self.automaton.trash)
         return solved
+
+    @property
+    def states(self):
+        if self._states is None:
+            self._states = [(s, q, t) for t, layer in enumerate(self.layers) for s, q in layer]
+        return self._states
+
+    def _table(self, name, values):
+        """``values`` keyed by state: built on the first read after pruning, empty before."""
+        if values is not None and name not in self._tables:
+            self._tables[name] = dict(zip(self.states, values))
+        return self._tables.get(name, {})
+
+    f_values = property(lambda self: self._table("f", self.f))
+    act_sets = property(lambda self: self._table("kept", self.kept))
+    pi_c = property(lambda self: self._table("fallback", self.fallback))
 
     def is_accepting(self, p) -> bool:
         return p[1] in self.automaton.accepting
@@ -153,7 +176,7 @@ class TimeTotalProductMdp:
                 or t == self.horizon or t in self.reset_times)
 
     def n_states(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return self.offsets[-1]
 
     def summary(self) -> dict:
         accepting = self.automaton.accepting

@@ -28,9 +28,14 @@ successor f-values) and copies that result to every state with the same key.
 The copy is what the same scalar arithmetic would recompute, so results are
 bit-identical; a result is stored only once all its LPs solved, so an
 infeasible row still raises at its first state in layer order.  No layer or
-segment enters a result, so segments with one threshold share one memo.  The
-sweep carries each layer's values in a list indexed by the product's pair
-ids, so no (s, q) tuple is hashed to read or store a layer value.
+segment enters a result, so segments with one threshold share one memo.
+
+A sweep computes a *closed* pair once for all its layers.  A pair is closed
+if it is terminal, or if it is not a non-terminal pair of the segment's end
+layer and all its successors are closed: by induction down the layers, its
+successor values are then the same at each of its layers.  Every one-shot
+pair at the formula's time bound is closed; segment boundaries and coerced
+pairs keep their ancestors on the memo path.
 """
 
 from __future__ import annotations
@@ -94,58 +99,66 @@ def solve_kappa(values, los, his):
     return greedy_kappa(values, los, rooms, remaining)
 
 
-def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, act, pi_c):
+def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
     """Backward recursion over the layers t_hi - 1 down to ``t_lo``, pruning as it goes.
 
     ``fnext`` holds layer ``t_hi``'s values indexed by pair id (``product.keys``);
     the bounds, kept actions and fallback actions of the layers below it go
-    into ``f``, ``act`` and ``pi_c``, and layer ``t_lo``'s values are returned
-    indexed the same way.
-    An action is kept where every possible successor has f >= ``prune_below``.
-    Accepting and trash states keep their 0/1 values and full action sets at
-    every layer.  The maximization for f and pi_c runs over all enabled
-    actions, pruned or not.  ``memo`` maps (s, successor f-values) to (f,
-    kept, fallback) for this ``prune_below``.
+    into ``f``, ``kept`` and ``fallback`` by state number, and layer ``t_lo``'s
+    values are returned by pair id.  An action is kept where every possible
+    successor has f >= ``prune_below``.  Accepting and trash states keep their
+    0/1 values and full action sets at every layer.  The maximization for f
+    and the fallback runs over all enabled actions, pruned or not.  ``memo``
+    maps (s, successor f-values) to (f, kept, fallback) for ``prune_below``.
     """
     enabled = product.mdp.enabled
     terminal = {product.automaton.trash: 0.0, **dict.fromkeys(product.automaton.accepting, 1.0)}
     keys = product.keys
     next_ids = product.next_ids
     support_rows = product.support_rows
+    closed = [None] * len(keys)         # decided at a pair's highest layer in the sweep
+    for i in product.layer_ids[t_hi]:
+        closed[i] = keys[i][1] in terminal
+    if all(map(closed.__getitem__, product.layer_ids[t_hi])):
+        closed = [True] * len(keys)     # no open pair at the end layer, so none above it
+    cache = [None] * len(keys)          # (f, kept, fallback) of each closed pair
     for t in range(t_hi - 1, t_lo - 1, -1):
         fcur = [0.0] * len(keys)
         f_of = fnext.__getitem__
-        for i in product.layer_ids[t]:
-            s, q = keys[i]
-            p = (s, q, t)
-            acts = enabled[s]
-            if not acts:
-                raise ReachabilityError(f"state {s!r} has no enabled actions")
-            value = terminal.get(q)
-            if value is not None:
-                act[p] = acts
-                pi_c[p] = acts[0]
-            else:
-                fvals = tuple(map(f_of, next_ids[i]))
-                hit = memo.get((s, fvals))
-                if hit is None:
-                    keep = []
-                    best = -1.0
-                    best_a = acts[0]
-                    for a, pos, los, rooms, remaining, infeasible in support_rows[s]:
-                        if infeasible is not None:
-                            raise InfeasibleIntervalError(infeasible, state=p, action=a)
-                        values = [fvals[j] for j in pos]
-                        k = greedy_kappa(values, los, rooms, remaining)[0]
-                        if min(values) >= prune_below:
-                            keep.append(a)
-                        if k > best:
-                            best = k
-                            best_a = a
-                    hit = memo[(s, fvals)] = (best, tuple(keep), best_a)
-                value, act[p], pi_c[p] = hit
-            f[p] = value
-            fcur[i] = value
+        for n, i in enumerate(product.layer_ids[t], product.offsets[t]):
+            hit = cache[i]
+            if hit is None:
+                s, q = keys[i]
+                acts = enabled[s]
+                if not acts:
+                    raise ReachabilityError(f"state {s!r} has no enabled actions")
+                value = terminal.get(q)
+                if value is not None:
+                    hit = (value, acts, acts[0])
+                else:
+                    fvals = tuple(map(f_of, next_ids[i]))
+                    hit = memo.get((s, fvals))
+                    if hit is None:
+                        keep = []
+                        best = -1.0
+                        best_a = acts[0]
+                        for a, pos, los, rooms, remaining, infeasible in support_rows[s]:
+                            if infeasible is not None:
+                                raise InfeasibleIntervalError(infeasible, state=(s, q, t), action=a)
+                            values = [fvals[j] for j in pos]
+                            k = greedy_kappa(values, los, rooms, remaining)[0]
+                            if min(values) >= prune_below:
+                                keep.append(a)
+                            if k > best:
+                                best = k
+                                best_a = a
+                        hit = memo[(s, fvals)] = (best, tuple(keep), best_a)
+                if closed[i] is None:
+                    closed[i] = value is not None or all(map(closed.__getitem__, next_ids[i]))
+                if closed[i]:
+                    cache[i] = hit
+            fcur[i] = f[n] = hit[0]
+            kept[n], fallback[n] = hit[1], hit[2]
         fnext = fcur
     return fnext
 
@@ -196,17 +209,16 @@ def _prune_segments(product, timestamps, thresholds):
     same threshold share one sweep memo.  Nothing is written if a segment
     raises.
     """
-    if product.f_values:
+    if product.f is not None:
         raise ReachabilityError("product already holds pruning results; rebuild it first")
     accepting = product.automaton.accepting
     keys = product.keys
-    t_end = timestamps[-1]
     fnext = [0.0] * len(keys)
-    f = {}
-    for i in product.layer_ids[t_end]:
-        fnext[i] = 1.0 if keys[i][1] in accepting else 0.0
-        f[(*keys[i], t_end)] = fnext[i]
-    act, pi_c, memos = {}, {}, {}
+    inner = product.offsets[-2]         # states below timestamps[-1], the horizon
+    f, kept, fallback = [None] * product.n_states(), [None] * inner, [None] * inner
+    for n, i in enumerate(product.layer_ids[-1], inner):
+        fnext[i] = f[n] = 1.0 if keys[i][1] in accepting else 0.0
+    memos = {}
     for i in range(len(thresholds), 0, -1):
         if i < len(thresholds):
             boundary = product.layer_ids[timestamps[i]]
@@ -216,8 +228,8 @@ def _prune_segments(product, timestamps, thresholds):
                 raise MultiShotInfeasibleError(i)
         th = thresholds[i - 1]
         fnext = _sweep(product, timestamps[i], timestamps[i - 1], fnext, th,
-                       memos.setdefault(th, {}), f, act, pi_c)
-    product.f_values, product.act_sets, product.pi_c = f, act, pi_c
+                       memos.setdefault(th, {}), f, kept, fallback)
+    product.f, product.kept, product.fallback = f, kept, fallback
     product.initial_threshold = thresholds[0]
     product.reset_times = frozenset(timestamps[1:-1])
 
@@ -244,15 +256,10 @@ def multi_shot_prune(product: TimeTotalProductMdp, plan: MultiShotPlan):
 
 
 def check_initial(product: TimeTotalProductMdp, pr_des):
-    """Initial states whose bound misses pr_des, as (state, f) pairs; empty means ok."""
-    if not product.f_values:
+    """Initial states (layer 0) whose bound misses pr_des, as (state, f) pairs; empty means ok."""
+    if product.f is None:
         raise ReachabilityError("run a pruning pass before checking initial states")
-    violators = []
-    for p in product.initial:
-        v = product.f_values[p]
-        if v < pr_des:
-            violators.append((p, v))
-    return violators
+    return [(p, v) for p, v in zip(product.initial, product.f) if v < pr_des]
 
 
 def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics=None):
@@ -269,13 +276,13 @@ def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics=
     accepting = product.automaton.accepting
     trash = product.automaton.trash
 
+    states, offsets = product.states, product.offsets
     values = {}
-    t = product.horizon
-    for s, q in product.layers[t]:
-        values[(s, q, t)] = 1.0 if q in accepting else 0.0
+    for p in states[offsets[-2]:]:
+        values[p] = 1.0 if p[1] in accepting else 0.0
     for t in range(product.horizon - 1, -1, -1):
-        for s, q in product.layers[t]:
-            p = (s, q, t)
+        for p in states[offsets[t]:offsets[t + 1]]:
+            s, q, _ = p
             if q in accepting:
                 values[p] = 1.0
             elif q == trash:

@@ -248,18 +248,16 @@ def bootstrap_toy(reward_b, x_actions=("a", "b")):
                              lambda s, a: reward_b if (s, a) == ("x", "b") else 0.0, enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
     prod = build_product(mdp, aut, 2)
-    for t, layer in enumerate(prod.layers):
-        for s, q in layer:
-            prod.f_values[s, q, t] = 0.0
-            if t < prod.horizon:
-                prod.act_sets[s, q, t] = mdp.enabled[s]
-                prod.pi_c[s, q, t] = mdp.enabled[s][0]
+    inner = prod.states[:prod.offsets[prod.horizon]]
+    prod.f = [0.0] * prod.n_states()
+    prod.kept = [mdp.enabled[s] for s, _, _ in inner]
+    prod.fallback = [acts[0] for acts in prod.kept]
     root = next(p for p in prod.initial if p[0] == "r")
     x = ("x", prod._after(root[1], "x"), 1)
     assert not prod.resets_flag(x)
-    prod.act_sets[root] = ()
-    prod.act_sets[x] = tuple(a for a in x_actions if a != "b")
-    prod.pi_c[x] = "b"
+    prod.kept[inner.index(root)] = ()
+    prod.kept[inner.index(x)] = tuple(a for a in x_actions if a != "b")
+    prod.fallback[inner.index(x)] = "b"
     return prod, root, x
 
 

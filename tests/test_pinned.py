@@ -10,6 +10,10 @@ and one error path replaced the per-level parser methods, and the parser
 before them gives the same digest.  The learner digests were recorded with
 the learner that rescanned a Q row on every greedy pick and bootstrap, before
 per-state caches of the greedy action and the row maximum replaced the scans.
+The 6x6 shield digests were recorded with the sweep that computed every
+product state and stored the shield in dicts keyed by (s, q, t), before the
+sweep computed a pair's result once for all of its layers where that result
+cannot depend on the layer.
 """
 
 import hashlib
@@ -22,14 +26,24 @@ import pytest
 
 from twtlshield import cli, oracle
 from twtlshield.automaton import compile_formula, to_dot, to_json
-from twtlshield.gridworld import CASE_STUDY_FORMULA, canonical_case_study
+from twtlshield.gridworld import CASE_STUDY_FORMULA, build_grid_mdp, canonical_case_study
 from twtlshield.learner import LearnerConfig, evaluate, learn
-from twtlshield.twtl import TwtlError, format_formula, parse_formula
+from twtlshield.product import build_product
+from twtlshield.reachability import one_shot_prune
+from twtlshield.twtl import TwtlError, format_formula, parse_formula, time_bound
 
 SHIELD_16X16 = {
     "one_shot": "ed7a50e4361aef416a6e59ccef635fb76245721da9be09591951081bd4828d4d",
     "multi_shot": "54e800c4de2ecc437010dea6b2ebeeae1d21d53e8a8bb4e8f1af58eba9bc8ac7",
 }
+
+# the 6x6 case study at eps 0.08 and pr_des 0.9 (``case_products``), and its
+# one-shot shield one step below the time bound, where one pair is coerced
+SHIELD_6X6 = {
+    "one_shot": "b01af7b2a1d3bda4de4272403f2efa61b504f822b5e1f5f6bc9804183a3b6a4a",
+    "multi_shot": "1aa2fc83cb2e4b54283aed880faa8ecc3b5a2b3b26d4eca6a2ad0bd7dce14306",
+}
+SHIELD_6X6_BELOW_BOUND = "8e1739ccce166e323372c071d4cbb9f995c3e229a80985e412b591d8c1a1a946"
 
 # (mode, alpha_mode) -> sha256 of learner_outcome on the case study
 LEARNER = {
@@ -142,6 +156,21 @@ def test_16x16_shield_digest(worker, mode):
                                   sorted(grid.alphabet()), grid, mode, worker.PR_DES,
                                   cli.CASE_STUDY_TIMESTAMPS)
     assert worker.result_digest(product) == SHIELD_16X16[mode]
+
+
+@pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+def test_6x6_shield_digest(worker, case_products, mode):
+    assert worker.result_digest(case_products[mode]) == SHIELD_6X6[mode]
+
+
+def test_6x6_shield_below_time_bound_digest(worker):
+    grid, formula = canonical_case_study(assumed_uncertainty=0.08)
+    props = sorted(grid.alphabet())
+    automaton = compile_formula(parse_formula(CASE_STUDY_FORMULA, props), props)
+    product = build_product(build_grid_mdp(grid), automaton, time_bound(formula) - 1)
+    assert len(product.coerced) == 1
+    one_shot_prune(product, 0.9)
+    assert worker.result_digest(product) == SHIELD_6X6_BELOW_BOUND
 
 
 def test_corpus_listings():

@@ -373,7 +373,7 @@ class TestAgainstReference:
         layers, f, act, pi_c, ref_times = expected
         assert list(prod.layers) == layers
         assert prod.initial == tuple(sorted(((s, q, 0) for s, q in layers[0]), key=repr))
-        assert prod.f_values == f
+        assert {p: repr(v) for p, v in prod.f_values.items()} == {p: repr(v) for p, v in f.items()}
         assert prod.act_sets == act
         assert prod.pi_c == pi_c
         assert prod.reset_times == ref_times
@@ -413,6 +413,46 @@ class TestAgainstReference:
                 self.assert_same(model, aut, horizon,
                                  MultiShotPlan.even(pr, (0, cut, horizon)))
 
+    def test_random_instances_below_time_bound(self):
+        # the last layer holds coerced pairs, whose bound there is 0 but not
+        # at their earlier layers, so neither they nor their ancestors have
+        # one result across layers
+        rng = random.Random(37)
+        coerced = 0
+        for _ in range(60):
+            spec = oracle.RandomInstanceSpec()
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            aut = compile_formula(formula, {"B", "C"})
+            horizon = time_bound(formula) - 1
+            if horizon < 1:
+                continue
+            pr = rng.uniform(0.2, 0.95)
+            self.assert_same(model, aut, horizon, MultiShotPlan((0, horizon), (pr,)))
+            coerced += bool(build_product(model, aut, horizon).coerced)
+            if horizon >= 2:
+                cut = rng.randint(1, horizon - 1)
+                self.assert_same(model, aut, horizon, MultiShotPlan.even(pr, (0, cut, horizon)))
+        assert coerced >= 20
+
+    def test_random_multi_shot_plans(self):
+        # one to three random cuts with an independent threshold per segment
+        rng = random.Random(41)
+        feasible = 0
+        for _ in range(60):
+            spec = oracle.RandomInstanceSpec()
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            aut = compile_formula(formula, {"B", "C"})
+            horizon = time_bound(formula)
+            if horizon < 2:
+                continue
+            cuts = rng.sample(range(1, horizon), min(horizon - 1, rng.randint(1, 3)))
+            timestamps = (0, *sorted(cuts), horizon)
+            thresholds = tuple(rng.uniform(0.3, 1.0) for _ in timestamps[1:])
+            feasible += self.assert_same(model, aut, horizon, MultiShotPlan(timestamps, thresholds))
+        assert feasible >= 20
+
     @staticmethod
     def infeasible_u_product():
         """u's action b has lower bounds summing to 2.4; layer 1 holds three
@@ -445,6 +485,56 @@ class TestAgainstReference:
             multi_shot_prune(self.infeasible_u_product(), MultiShotPlan((0, 1, 2), thresholds))
         assert err.value.state == ("u", 5, 1)
         assert err.value.action == "b"
+
+
+def pair_results(prod):
+    """Each (s, q) pair's distinct (f as repr, kept set, fallback) over its layers below the horizon."""
+    seen = {}
+    for t, layer in enumerate(prod.layers[:-1]):
+        for s, q in layer:
+            p = (s, q, t)
+            seen.setdefault((s, q), set()).add((repr(prod.f_values[p]), prod.act_sets[p],
+                                                prod.pi_c[p]))
+    return seen
+
+
+def n_differing(prod):
+    return sum(len(results) > 1 for results in pair_results(prod).values())
+
+
+class TestPairInvariant:
+    """At the formula's time bound, one-shot pruning gives each (s, q) pair one
+    result at every layer it appears in: time lives in the automaton state.
+    The controls show the rule is not vacuous: segment boundaries and coerced
+    pairs make a pair's result depend on its layer."""
+
+    def test_one_shot_case_study(self, case_products):
+        prod = case_products["one_shot"]
+        assert len(pair_results(prod)) == 964 and n_differing(prod) == 0
+
+    def test_one_shot_random_instances(self):
+        rng = random.Random(43)
+        shared = 0
+        for _ in range(200):
+            spec = oracle.RandomInstanceSpec()
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            aut = compile_formula(formula, {"B", "C"})
+            prod = one_shot_prune(build_product(model, aut, time_bound(formula)),
+                                  rng.uniform(0.2, 0.95))
+            assert n_differing(prod) == 0
+            shared += prod.n_states() - len(prod.layers[-1]) > len(pair_results(prod))
+        assert shared >= 100
+
+    def test_multi_shot_case_study_differs(self, case_products):
+        assert n_differing(case_products["multi_shot"]) == 475
+
+    def test_below_time_bound_differs(self):
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+        aut = compile_formula(formula, sorted(spec.alphabet()))
+        prod = build_product(build_grid_mdp(spec), aut, time_bound(formula) - 1)
+        assert prod.coerced
+        assert n_differing(one_shot_prune(prod, 0.9)) == 340
 
 
 class TestCheckInitial:
@@ -565,8 +655,20 @@ class TestWriteOnce:
 
     @staticmethod
     def assert_unwritten(prod):
+        assert prod.f is None and prod.kept is None and prod.fallback is None
         assert prod.f_values == {} and prod.act_sets == {} and prod.pi_c == {}
         assert prod.initial_threshold is None and prod.reset_times == frozenset()
+
+    @pytest.mark.parametrize("mode", sorted(PASSES))
+    def test_read_before_pass_then_full_dicts(self, mode):
+        prod, fresh = worst_case_toy(), worst_case_toy()
+        self.assert_unwritten(prod)
+        self.PASSES[mode](prod)
+        self.PASSES[mode](fresh)
+        assert len(prod.f_values) == prod.n_states()
+        assert len(prod.act_sets) == len(prod.pi_c) == prod.n_states() - len(prod.layers[-1])
+        assert prod.f_values == fresh.f_values
+        assert prod.act_sets == fresh.act_sets and prod.pi_c == fresh.pi_c
 
     @pytest.mark.parametrize("mode", sorted(PASSES))
     def test_infeasible_row_writes_nothing(self, mode):

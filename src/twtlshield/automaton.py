@@ -17,6 +17,7 @@ Only the grammar fragment without negation of compound formulas is compiled;
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import combinations
 
 from .twtl import (And, Concat, Formula, Hold, Not, Or, Within, Word,
@@ -66,13 +67,15 @@ class _Residuals:
     A node's key is its type, its plain fields and its children's ids.
     ``text`` maps a node's id to its canonical text, which orders the operands
     of And and Or and annotates the automaton's states; a new node's text is
-    formatted over its children's, not by walking its subtree.
+    formatted over its children's, not by walking its subtree.  ``bound`` keeps
+    the time bound of each node a window was asked about, computed the same way.
     """
 
     def __init__(self):
         self._nodes = {}
         self._progressed = {}
         self.text = {id(_TRUE): "TRUE", id(_FALSE): "FALSE"}
+        self.bound = {}
 
     def _made(self, key, cls, *fields):
         node = self._nodes.get(key)
@@ -117,7 +120,9 @@ class _Residuals:
         return self._made((Concat, id(left), id(right)), Concat, left, right)
 
     def within(self, child, low, high):
-        if child is _FALSE or high < low or time_bound(child) > high - low:
+        if child is not _FALSE and id(child) not in self.bound:
+            self.bound[id(child)] = time_bound(child, self.bound)
+        if child is _FALSE or high < low or self.bound[id(child)] > high - low:
             return _FALSE
         return self._made((Within, id(child), low, high), Within, child, low, high)
 
@@ -176,10 +181,12 @@ class TotalAutomaton:
     residual it stands for.  The accepting state self-loops on every symbol
     and the trash state is absorbing; the trash state exists even when it is
     unreachable so that downstream constructions can rely on it.
+    ``table[q][mask]`` is q's successor on the symbols numbered ``mask``
+    (:meth:`symbol_mask`: bit i for the i-th proposition the formula uses).
     """
 
     def __init__(self, props, initial, accepting, trash, annotations,
-                 relevant, proj_table, reachable):
+                 relevant, table, reachable):
         self.props = tuple(props)
         self.initial = initial
         self.accepting = frozenset(accepting)
@@ -187,38 +194,26 @@ class TotalAutomaton:
         self.annotations = dict(annotations)
         self.n_states = len(annotations)
         self.reachable = frozenset(reachable)
-        self._relevant = tuple(relevant)
-        self._proj_table = proj_table
-        self._rel_bit = {name: 1 << i for i, name in enumerate(self._relevant)}
-        self._sym_cache = {}
+        self.table = table
+        self._rel_bit = {name: 1 << i for i, name in enumerate(relevant)}
+        self._masks = {}
 
-    @property
-    def states(self):
-        return tuple(range(self.n_states))
-
-    def _rel_mask(self, sym):
-        cached = self._sym_cache.get(sym)
-        if cached is not None:
-            return cached
-        extra = frozenset(sym) - frozenset(self.props)
-        if extra:
-            raise UnknownSymbolError(extra)
-        mask = 0
-        for name in sym:
-            bit = self._rel_bit.get(name)
-            if bit:
-                mask |= bit
-        self._sym_cache[sym] = mask
+    def symbol_mask(self, sym):
+        """The column of ``table`` that the label set ``sym`` selects."""
+        sym = frozenset(sym)
+        mask = self._masks.get(sym)
+        if mask is None:
+            extra = sym - frozenset(self.props)
+            if extra:
+                raise UnknownSymbolError(extra)
+            mask = self._masks[sym] = sum(self._rel_bit.get(name, 0) for name in sym)
         return mask
 
     def step(self, q, sym):
-        return self._proj_table[q][self._rel_mask(frozenset(sym))]
+        return self.table[q][self.symbol_mask(sym)]
 
     def run(self, word: Word) -> int:
-        q = self.initial
-        for sym in word:
-            q = self._proj_table[q][self._rel_mask(frozenset(sym))]
-        return q
+        return reduce(self.step, word, self.initial)
 
     def alphabet(self):
         """All label sets over the declared propositions."""
@@ -264,29 +259,29 @@ def _compile(formula, alphabet, max_states):
     initial = intern(root)
     frontier = [(initial, root)]
     seen = {initial}
-    proj_table = {}
+    rows = {}
     while frontier:
         state, node = frontier.pop(0)
-        row = {}
+        row = rows[state] = []
         for mask, sym in enumerate(rel_syms):
             nxt_node = node if node is _TRUE or node is _FALSE else residuals.progress(node, mask, sym)
-            nxt = row[mask] = intern(nxt_node)
+            nxt = intern(nxt_node)
+            row.append(nxt)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, nxt_node))
-        proj_table[state] = row
 
     # The trash state is materialized unconditionally; the accepting state
     # only exists when some word can complete the formula.
     if id(_FALSE) not in ids:
         trash = intern(_FALSE)
-        proj_table[trash] = {mask: trash for mask in range(len(rel_syms))}
+        rows[trash] = [trash] * len(rel_syms)
     trash = ids[id(_FALSE)]
     accepting = frozenset([ids[id(_TRUE)]]) if id(_TRUE) in ids else frozenset()
 
     # The walk above visited exactly the states reachable from the initial one.
     return TotalAutomaton(props, initial, accepting, trash, annotations,
-                          relevant, proj_table, seen)
+                          relevant, [rows[q] for q in range(len(rows))], seen)
 
 
 def accepts(automaton: TotalAutomaton, word: Word) -> bool:

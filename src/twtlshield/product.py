@@ -4,7 +4,9 @@ Product states are (s, q, t) triples.  The automaton component tracks task
 progress: the start state's label counts as the first observation, so the
 initial set is {(s, delta(q_init, l(s)), 0)} over all MDP states, and a move
 to s' advances q by delta(q, l(s')).  Only states reachable from the initial
-set are enumerated.
+set are enumerated.  delta(q, l(s)) is one read of ``automaton.table[q][mask]``
+at s's label mask (``symbol_mask``), computed once per MDP state in state
+order, so a label outside the alphabet fails at the first state that has one.
 
 A product edge carries the interval of its MDP edge unchanged, and its
 automaton move is the one the successor's label selects.  Every reachable
@@ -63,7 +65,6 @@ class TimeTotalProductMdp:
         self.mdp = mdp
         self.automaton = automaton
         self.horizon = horizon
-        self._q_step = {s: {} for s in mdp.states}
         self.neighbours = {}
         rows = {}
         for s in mdp.states:
@@ -84,23 +85,22 @@ class TimeTotalProductMdp:
         self.numbered = None
 
     def _after(self, q, s):
-        """delta(q, l(s)), cached per (q, s)."""
-        column = self._q_step[s]
-        nxt = column.get(q)
-        if nxt is None:
-            nxt = column[q] = self.automaton.step(q, self.mdp.labels[s])
-        return nxt
+        """delta(q, l(s)): a read of the automaton's table at s's label mask."""
+        return self._delta[q][self._mask[s]]
 
     def _enumerate_layers(self):
         """Number the reachable (s, q) pairs layer by layer; returns the MDP states the sweep solves."""
         aut = self.automaton
         states = self.mdp.states
-        start = set()
+        masks = []
         for s in states:
             try:
-                start.add((s, self._after(aut.initial, s)))
+                masks.append(aut.symbol_mask(self.mdp.labels[s]))
             except UnknownSymbolError as exc:
                 raise ProductError(f"label of state {s!r} is not in the automaton alphabet: {exc}")
+        self._mask = dict(zip(states, masks))
+        table = self._delta = aut.table
+        start = {(s, table[aut.initial][m]) for s, m in zip(states, masks)}
         self.initial = tuple(sorted(((s, q, 0) for s, q in start), key=repr))
         index = {s: k for k, s in enumerate(states)}
         near = [tuple(map(index.__getitem__, self.neighbours[s])) for s in states]
@@ -129,9 +129,10 @@ class TimeTotalProductMdp:
                     s, q = keys[i]
                     if q not in terminal:
                         solved.add(s)
+                    row = table[q]
                     succ = []
                     for k in near[where[i]]:
-                        q2 = self._after(q, states[k])
+                        q2 = row[masks[k]]
                         j = ids.get(q2 * width + k)
                         succ.append(number(k, q2) if j is None else j)
                     next_ids[i] = tuple(succ)
@@ -162,12 +163,6 @@ class TimeTotalProductMdp:
 
     def is_accepting(self, p) -> bool:
         return p[1] in self.automaton.accepting
-
-    def is_trash(self, p) -> bool:
-        s, q, t = p
-        if q == self.automaton.trash:
-            return True
-        return t == self.horizon and q not in self.automaton.accepting
 
     def resets_flag(self, p) -> bool:
         """Whether the fallback flag resets on reaching p: accepting, trash, or a reset layer."""

@@ -7,7 +7,10 @@ their intervals.  Per action the bound is the optimum of a small linear
 program (minimize sum f_j * x_j over the box-constrained simplex slice),
 solved in closed form by greedy mass assignment: everything starts at its
 lower bound and the remaining mass goes to the successors with the smallest
-f first.
+f first.  When the first of them (lowest index among ties) has room for all
+of the remaining mass, as on almost every grid row, the fill puts it there
+without sorting the row: that is the sorted fill's first and last step, so
+the bits are the same.
 
 Multi-shot pruning splits the horizon into segments with per-segment
 thresholds whose product is the desired probability, and prunes each segment
@@ -73,7 +76,10 @@ class MultiShotInfeasibleError(ReachabilityError):
 def greedy_kappa(values, los, rooms, remaining):
     """:func:`solve_kappa` from the row's constants (``mdp.interval_row``)."""
     dist = list(los)
-    if remaining > 0.0:
+    j = values.index(min(values))       # the first successor the sorted fill visits
+    if 0.0 < remaining <= rooms[j]:
+        dist[j] += remaining
+    elif remaining > 0.0:
         for _, j in sorted(zip(values, range(len(values)))):
             room = rooms[j]
             if room <= 0.0:

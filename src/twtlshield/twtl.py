@@ -46,10 +46,29 @@ class UnknownPropositionError(TwtlError):
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class for formula nodes; all nodes are immutable and hashable."""
+    """Base class for formula nodes: immutable, and equal and hashed by structure
+    through :meth:`_flat`, which walks a tree without recursion."""
+
+    def _flat(self):
+        """Each node's type and plain fields, one node after another: equal for equal trees only."""
+        flat, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            values = [getattr(node, name) for name in node.__match_args__]
+            flat += [type(node), *(x for x in values if not isinstance(x, Formula))]
+            stack += [x for x in values if isinstance(x, Formula)]
+        return tuple(flat)
+
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or self._flat() == other._flat()
+
+    def __hash__(self):
+        return hash(self._flat())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hold(Formula):
     """H^d x or H^d !x.  ``prop`` of None stands for the true constant."""
 
@@ -66,30 +85,30 @@ class Hold(Formula):
             raise ValueError(f"invalid proposition name: {self.prop!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Concat(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Within(Formula):
     child: Formula
     low: int
@@ -100,16 +119,19 @@ class Within(Formula):
             raise ValueError(f"within window must satisfy 0 <= a <= b, got [{self.low},{self.high}]")
 
 
-def time_bound(formula: Formula) -> int:
-    """Maximum number of time steps needed to decide the formula."""
+def time_bound(formula: Formula, known=None) -> int:
+    """Maximum number of time steps needed to decide the formula.  ``known`` maps
+    the ids of subtrees already bounded to their bounds, used instead of a walk."""
+    if known and id(formula) in known:
+        return known[id(formula)]
     if isinstance(formula, Hold):
         return formula.duration
     if isinstance(formula, (And, Or)):
-        return max(time_bound(formula.left), time_bound(formula.right))
+        return max(time_bound(formula.left, known), time_bound(formula.right, known))
     if isinstance(formula, Not):
-        return time_bound(formula.child)
+        return time_bound(formula.child, known)
     if isinstance(formula, Concat):
-        return time_bound(formula.left) + time_bound(formula.right) + 1
+        return time_bound(formula.left, known) + time_bound(formula.right, known) + 1
     if isinstance(formula, Within):
         return formula.high
     raise TypeError(f"not a formula node: {formula!r}")

@@ -77,6 +77,13 @@ def successors(prod, p, a):
                  for s2, lo, hi in prod.mdp.support(s, a))
 
 
+def is_trash(prod, p):
+    """Whether product state p counts as trash: the automaton's trash state, or a
+    non-accepting state at the horizon, which the product coerces to trash."""
+    _, q, t = p
+    return q == prod.automaton.trash or (t == prod.horizon and q not in prod.automaton.accepting)
+
+
 def worst_case_toy():
     """Product whose root has two actions with successor bounds (1,0) / (0.5,0.5).
 

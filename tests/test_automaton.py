@@ -61,7 +61,7 @@ class TestCompile:
 
     def test_trash_always_materialized(self):
         aut = compile_formula(parse_formula("H^0 TRUE"), {"B"})
-        assert aut.trash in aut.states
+        assert aut.trash in range(aut.n_states)
         for sym in aut.alphabet():
             assert aut.step(aut.trash, sym) == aut.trash
 
@@ -130,7 +130,7 @@ class TestProperties:
     def test_totality_and_determinism(self, text):
         f = parse_formula(text, {"B", "C"})
         aut = compile_formula(f, {"B", "C"})
-        for q in aut.states:
+        for q in range(aut.n_states):
             for sym in aut.alphabet():
                 nxt = aut.step(q, sym)
                 assert 0 <= nxt < aut.n_states

@@ -15,7 +15,7 @@ from twtlshield.reachability import (MultiShotPlan, check_initial, exact_reach_p
 from twtlshield.learner import (CSV_COLUMNS, EpisodeLog, EvalResult, LearnerConfig, LearnerError,
                                 RunResult, episode_csv, evaluate, learn, wilson_halfwidth)
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import worst_case_toy
+from conftest import is_trash, worst_case_toy
 
 E = frozenset()
 G = frozenset({"G"})
@@ -412,7 +412,7 @@ class TestShieldProtocol:
             for t, layer in enumerate(prod.layers):
                 for s, q in layer:
                     p = (s, q, t)
-                    expected = prod.is_accepting(p) or prod.is_trash(p) or t == boundary
+                    expected = prod.is_accepting(p) or is_trash(prod, p) or t == boundary
                     assert prod.resets_flag(p) == expected, p
 
     def test_multi_shot_flag_releases_at_boundary(self):

@@ -44,6 +44,9 @@ SHIELD_6X6 = {
     "multi_shot": "1aa2fc83cb2e4b54283aed880faa8ecc3b5a2b3b26d4eca6a2ad0bd7dce14306",
 }
 SHIELD_6X6_BELOW_BOUND = "8e1739ccce166e323372c071d4cbb9f995c3e229a80985e412b591d8c1a1a946"
+# sha256 over the result digests of the one-shot shields of 200 random_interval_mdp
+# instances (seed 2718), whose wide rows reach both branches of the interval-LP fill
+RANDOM_SHIELDS = "10677e89fc0f68525f96fe13301e33f7abf0154125bcbcbb5837d77efdeff996"
 
 # (mode, alpha_mode) -> sha256 of learner_outcome on the case study
 LEARNER = {
@@ -171,6 +174,19 @@ def test_6x6_shield_below_time_bound_digest(worker):
     assert len(product.coerced) == 1
     one_shot_prune(product, 0.9)
     assert worker.result_digest(product) == SHIELD_6X6_BELOW_BOUND
+
+
+def test_random_interval_shields_digest(worker):
+    rng = random.Random(2718)
+    spec = oracle.RandomInstanceSpec()
+    h = hashlib.sha256()
+    for _ in range(200):
+        formula = oracle.random_formula(rng, spec.max_horizon)
+        model = oracle.random_interval_mdp(rng, spec)
+        product = build_product(model, compile_formula(formula, {"B", "C"}), time_bound(formula))
+        one_shot_prune(product, rng.uniform(0.2, 0.95))
+        h.update(worker.result_digest(product).encode())
+    assert h.hexdigest() == RANDOM_SHIELDS
 
 
 def test_corpus_listings():

@@ -8,8 +8,8 @@ from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import ProductError, build_product
-from twtlshield.twtl import time_bound
-from conftest import successors
+from twtlshield.twtl import parse_formula, time_bound
+from conftest import is_trash, successors
 
 B = frozenset({"B"})
 E = frozenset()
@@ -106,6 +106,18 @@ class TestBuild:
         with pytest.raises(ProductError):
             build_product(m, bc_automaton, 2)
 
+    @pytest.mark.parametrize("order, first, props", [(["s0", "s1", "s2"], "s1", "['D']"),
+                                                     (["s2", "s1", "s0"], "s2", "['C']")])
+    def test_alphabet_mismatch_names_first_state(self, labeled_mdp, order, first, props):
+        m = labeled_mdp
+        bad = LabeledIntervalMdp(order, m.actions, {**m.labels, "s1": frozenset({"B", "D"})},
+                                 m.bounds, m.true_dynamics)
+        automaton = compile_formula(parse_formula("[H^0 B]^[0,1]", {"B"}), {"B"})
+        with pytest.raises(ProductError) as err:
+            build_product(bad, automaton, 1)
+        assert str(err.value) == (f"label of state {first!r} is not in the automaton alphabet: "
+                                  f"symbol uses propositions outside the automaton alphabet: {props}")
+
 
 class TestAgainstReference:
     def test_case_study(self):
@@ -170,14 +182,14 @@ class TestInvariants:
         prod = build_product(labeled_mdp, bc_automaton, 2)
         for s, q in prod.layers[2]:
             p = (s, q, 2)
-            assert prod.is_accepting(p) or prod.is_trash(p)
+            assert prod.is_accepting(p) or is_trash(prod, p)
 
     def test_terminal_coercion_reported(self, labeled_mdp, bc_automaton):
         # horizon shorter than the time bound leaves undecided states at the end
         prod = build_product(labeled_mdp, bc_automaton, 1)
         assert prod.coerced
         for s, q in prod.coerced:
-            assert prod.is_trash((s, q, 1))
+            assert is_trash(prod, (s, q, 1))
         # at the proper horizon nothing needs coercion
         assert build_product(labeled_mdp, bc_automaton, 2).coerced == frozenset()
 

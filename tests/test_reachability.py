@@ -13,7 +13,7 @@ from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibl
                                      one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
-from conftest import successors, worst_case_toy
+from conftest import is_trash, successors, worst_case_toy
 
 E = frozenset()
 
@@ -192,11 +192,59 @@ def kernel_rows(rng):
         yield ties, [0.0] * n, [rng.uniform(0.0, 0.9 / n) for _ in range(n)]
 
 
+def bits(result):
+    """(kappa, dist) as text that tells every float apart, -0.0 from 0.0 included."""
+    kappa, dist = result
+    return kappa.hex(), [x.hex() for x in dist]
+
+
+BELOW_HALF = math.nextafter(0.5, 0.0)
+ABOVE_HALF = math.nextafter(0.5, 1.0)
+# (values, los, his): the fill's one-step case and the edges around it.  In the
+# four remaining_* rows lo_0 == 0, so the room at the minimum is his[0] exactly,
+# and the remaining mass is 0.5 exactly.
+KERNEL_EDGE_ROWS = {
+    "tie_first_takes_all": ([0.2, 0.2, 0.7], [0.1, 0.1, 0.1], [0.9, 0.9, 0.9]),
+    "tie_first_too_small": ([0.2, 0.2, 0.7], [0.1, 0.1, 0.1], [0.5, 0.5, 0.9]),
+    "tie_behind_a_larger": ([0.3, 0.1, 0.1], [0.0, 0.0, 0.0], [1.0, 1.0, 0.9]),
+    "tie_first_zero_room": ([0.2, 0.2, 0.7], [0.3, 0.1, 0.1], [0.3, 0.9, 0.9]),
+    "zero_room_at_min": ([0.1, 0.5, 0.9], [0.4, 0.2, 0.1], [0.4, 0.9, 0.9]),
+    "no_remaining": ([0.1, 0.6, 0.9], [0.5, 0.25, 0.25], [1.0, 1.0, 1.0]),
+    "negative_remaining": ([0.1, 0.6, 0.9], [0.5, 0.5, 1e-12], [1.0, 1.0, 1.0]),
+    "remaining_equals_room": ([0.1, 0.6, 0.9], [0.0, 0.3, 0.2], [0.5, 1.0, 1.0]),
+    "remaining_just_below_room": ([0.1, 0.6, 0.9], [0.0, 0.3, 0.2], [ABOVE_HALF, 1.0, 1.0]),
+    "remaining_just_above_room": ([0.1, 0.6, 0.9], [0.0, 0.3, 0.2], [BELOW_HALF, 1.0, 1.0]),
+    "remaining_above_room_by_ties": ([0.1, 0.1, 0.1], [0.0, 0.3, 0.2], [BELOW_HALF, 1.0, 1.0]),
+    "single_successor": ([0.4], [0.0], [1.0]),
+}
+
+
 class TestKernelArithmetic:
     """``greedy_kappa`` on ``interval_row`` constants against ``reference_solve_kappa``, bit for bit."""
 
+    @pytest.mark.parametrize("row", list(KERNEL_EDGE_ROWS.values()), ids=list(KERNEL_EDGE_ROWS))
+    def test_edge_rows(self, row):
+        values, los, his = row
+        rooms, remaining, infeasible = interval_row(los, his)
+        assert infeasible is None
+        assert bits(greedy_kappa(values, los, rooms, remaining)) == \
+            bits(reference_solve_kappa(values, los, his))
+
+    def test_edge_rows_reach_their_case(self):
+        def case(name):
+            values, los, his = KERNEL_EDGE_ROWS[name]
+            rooms, remaining, _ = interval_row(los, his)
+            return remaining, rooms[values.index(min(values))]
+        assert case("remaining_equals_room") == (0.5, 0.5)
+        assert case("remaining_just_below_room") == (0.5, ABOVE_HALF)
+        assert case("remaining_just_above_room") == (0.5, BELOW_HALF)
+        assert case("no_remaining")[0] == 0.0
+        assert case("negative_remaining")[0] < 0.0
+        assert case("zero_room_at_min")[1] == 0.0
+
     def test_matches_reference(self):
-        cases = {"tied": 0, "zero_room": 0, "no_remaining": 0, "infeasible": 0}
+        cases = {"tied": 0, "zero_room": 0, "no_remaining": 0, "infeasible": 0,
+                 "one_step": 0, "sorted": 0}
         for values, los, his in kernel_rows(random.Random(41)):
             rooms, remaining, infeasible = interval_row(los, his)
             try:
@@ -209,11 +257,14 @@ class TestKernelArithmetic:
                 assert str(err.value) == str(exc)
                 continue
             assert infeasible is None
-            assert greedy_kappa(values, los, rooms, remaining) == expected
-            assert solve_kappa(values, los, his) == expected
+            assert bits(greedy_kappa(values, los, rooms, remaining)) == bits(expected)
+            assert bits(solve_kappa(values, los, his)) == bits(expected)
             cases["tied"] += len(set(values)) < len(values)
             cases["zero_room"] += 0.0 in rooms
             cases["no_remaining"] += remaining == 0.0
+            one_step = 0.0 < remaining <= rooms[values.index(min(values))]
+            cases["one_step"] += one_step
+            cases["sorted"] += remaining > 0.0 and not one_step
         assert min(cases.values()) >= 50, cases
 
     def test_product_rows_hold_interval_row_constants(self):
@@ -269,7 +320,7 @@ class TestBackwardPass:
         for p, value in f.items():
             if toy_product.is_accepting(p):
                 assert value == 1.0
-            if toy_product.is_trash(p):
+            if is_trash(toy_product, p):
                 assert value == 0.0
 
     def test_matches_exact_min_per_action(self, toy_product):
@@ -314,7 +365,7 @@ class TestOneShot:
         prod = one_shot_prune(build_product(labeled_mdp, aut, 2), 1.0)
         for s, q in prod.layers[1]:
             p = (s, q, 1)
-            if prod.is_accepting(p) or prod.is_trash(p):
+            if prod.is_accepting(p) or is_trash(prod, p):
                 continue
             for a in prod.act_sets[p]:
                 for p2, _, _ in successors(prod, p, a):
@@ -323,7 +374,7 @@ class TestOneShot:
     def test_tiny_threshold_prunes_nothing_positive(self):
         prod = one_shot_prune(worst_case_toy(), 1e-9)
         for p, acts in prod.act_sets.items():
-            if prod.is_accepting(p) or prod.is_trash(p) or p[2] == prod.horizon:
+            if prod.is_accepting(p) or is_trash(prod, p) or p[2] == prod.horizon:
                 continue
             expected = [a for a in prod.mdp.enabled[p[0]]
                         if all(prod.f_values[p2] > 0 for p2, _, _ in successors(prod, p, a))]
@@ -341,7 +392,7 @@ class TestOneShot:
             for t, layer in enumerate(prod.layers[:-1]):
                 for s, q in layer:
                     p = (s, q, t)
-                    if prod.is_accepting(p) or prod.is_trash(p):
+                    if prod.is_accepting(p) or is_trash(prod, p):
                         continue
                     for a in prod.act_sets[p]:
                         assert all(prod.f_values[p2] >= pr
@@ -696,7 +747,7 @@ class TestExactReachability:
         for p, v in exact.items():
             if prod.is_accepting(p):
                 assert v == 1.0
-            if prod.is_trash(p):
+            if is_trash(prod, p):
                 assert v == 0.0
 
     def test_dominates_worst_case_bound(self):

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from twtlshield.automaton import accepts, compile_formula
-from twtlshield.twtl import (And, Concat, Hold, Not, Or, TwtlError, TwtlSyntaxError,
+from twtlshield.twtl import (And, Concat, Formula, Hold, Not, Or, TwtlError, TwtlSyntaxError,
                              UnknownPropositionError, Within, format_formula,
                              parse_formula, propositions, time_bound)
 from twtlshield.oracle import enumerate_words, word_satisfies_brute
@@ -166,7 +167,8 @@ def nested_windows(n):
 
 class TestDeepNesting:
     """The parser and every pass over a tree recurse once per level, so a formula
-    nested past the recursion limit is refused as a TwtlError, not a RecursionError."""
+    nested past the recursion limit is refused as a TwtlError, not a RecursionError.
+    Equality and hashing walk a tree without recursion."""
 
     @pytest.mark.parametrize("text", [nested_parens(250), chain(1000), nested_windows(300)],
                              ids=["250-parens", "1000-chain", "300-windows"])
@@ -180,9 +182,67 @@ class TestDeepNesting:
     def test_deep_but_walkable_compiles(self, text, bound):
         formula = parse_formula(text, {"B"})
         assert time_bound(formula) == bound
-        text = format_formula(formula)      # == on trees this deep would recurse too far
-        assert format_formula(parse_formula(text, {"B"})) == text
+        assert parse_formula(format_formula(formula), {"B"}) == formula
         assert compile_formula(formula, {"B"}).n_states >= 2
+
+    @pytest.mark.parametrize("text", [nested_parens(200), chain(600), nested_windows(100)],
+                             ids=["200-parens", "600-chain", "100-windows"])
+    def test_deep_trees_compare_and_hash(self, text):
+        a, b = parse_formula(text, {"B"}), parse_formula(text, {"B"})
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = parse_formula(text.replace("H^0 B", "H^1 B", 1)[::-1].replace(
+            "B 0^H", "B 1^H", 1)[::-1], {"B"})           # the last leaf holds one step longer
+        assert other != a and not other == a
+
+
+def small_tree(rng, depth):
+    """A random AST over every node type, from two durations and two windows."""
+    if depth == 0 or rng.random() < 0.4:
+        return Hold(rng.randint(0, 1), rng.choice((None, "B")))
+    cls = rng.choice((And, Or, Concat, Not, Within))
+    if cls is Not:
+        return Not(small_tree(rng, depth - 1))
+    if cls is Within:
+        return Within(small_tree(rng, depth - 1), 0, rng.randint(0, 1))
+    return cls(small_tree(rng, depth - 1), small_tree(rng, depth - 1))
+
+
+def redrawn(rng, node, p):
+    """A fresh copy of ``node`` in which each subtree is redrawn with probability p."""
+    if rng.random() < p:
+        return small_tree(rng, 2)
+    values = [getattr(node, field.name) for field in dataclasses.fields(node)]
+    return type(node)(*(redrawn(rng, x, p) if isinstance(x, Formula) else x for x in values))
+
+
+def structure(node):
+    """The tree as nested tuples of class names and field values."""
+    if isinstance(node, Formula):
+        return (type(node).__name__,
+                *(structure(getattr(node, field.name)) for field in dataclasses.fields(node)))
+    return node
+
+
+class TestStructuralEquality:
+    def test_agrees_with_structure_on_random_trees(self):
+        rng = random.Random(0)
+        equal = 0
+        for _ in range(3000):
+            a = small_tree(rng, 4)
+            b = redrawn(rng, a, 0.1)
+            same = structure(a) == structure(b)
+            equal += same and not isinstance(a, Hold)
+            assert (a == b, a != b, len({a, b})) == (same, not same, 2 - same), (a, b)
+            if same:
+                assert hash(a) == hash(b)
+        assert 300 <= equal <= 2700, equal
+
+    def test_not_equal_to_other_types(self):
+        assert Hold(0, "B") != (0, "B", False)
+        assert Hold(0, "B") != None     # noqa: E711
+        assert And(Hold(0, "B"), Hold(0, "C")) != Or(Hold(0, "B"), Hold(0, "C"))
 
 
 def satisfied(formula, word, compiled=True):

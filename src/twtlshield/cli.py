@@ -277,6 +277,12 @@ def _gate_initial(cfg: ExperimentConfig, product, violators):
     print(f"warning: [check-initial] {failure}; the per-episode guarantee is void", file=sys.stderr)
 
 
+def _initial_bound(product):
+    """The min, max and mean of f over the initial states."""
+    f0 = product.f[:len(product.initial)]
+    return {"min": min(f0), "max": max(f0), "mean": math.fsum(f0) / len(f0)}
+
+
 def _prune_stats(product):
     total = pruned = 0
     terminal = product.automaton.accepting | {product.automaton.trash}
@@ -305,15 +311,13 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     testing = _evaluate(cfg, product, result.policy)
     product.numbered = None     # no rollouts follow: free the learner's view before writing
 
-    f0 = product.f[:len(product.initial)]
     summary = {
         "version": __version__,
         "config": cfg.echo(),
         "formula_time_bound": product.horizon,
         "automaton": {"states": automaton.n_states, "reachable": len(automaton.reachable)},
         "product": product.summary(),
-        "initial_bound": {"threshold": threshold, "min": min(f0), "max": max(f0),
-                          "mean": math.fsum(f0) / len(f0)},
+        "initial_bound": {"threshold": threshold, **_initial_bound(product)},
         "check_initial": {"ok": not violators, "violators": len(violators)},
         "pruning": _prune_stats(product),
         "learning": learning,
@@ -323,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     paths = {}
     out = cfg.output_dir
     if out:
-        policy = {repr(p): repr(a) for p, a in result.policy.items()}
+        policy = {repr(p): repr(a) for p, a in zip(product.states, result.policy)}
         paths["summary"] = _write(out, "summary.json", _json_text(summary))
         paths["automaton_json"] = _write(out, "automaton.json", automaton_json(automaton))
         paths["automaton_dot"] = _write(out, "automaton.dot", to_dot(automaton))
@@ -434,9 +438,9 @@ def cmd_prune(args):
     _, product = _pipeline_assets(cfg)
     violators = _prune(cfg, product)
     stats = _prune_stats(product)
-    f0 = product.f[:len(product.initial)]
+    bound = _initial_bound(product)
     print(f"mode: {cfg.mode}, threshold at t=0: {product.initial_threshold:.6f}")
-    print(f"initial bound: min {min(f0):.6f}, mean {math.fsum(f0)/len(f0):.6f}")
+    print(f"initial bound: min {bound['min']:.6f}, mean {bound['mean']:.6f}")
     print(f"pruned {stats['pruned_actions']} of {stats['candidate_state_actions']} "
           f"state-actions ({100 * stats['pruned_fraction']:.2f}%)")
     out = cfg.output_dir
@@ -488,7 +492,7 @@ def cmd_eval(args):
         if product.kept[n] and a not in product.kept[n]:
             raise PipelineError("eval", f"policy action {name} at {inner[n]!r} is pruned by the "
                                 f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
-    testing = _evaluate(cfg, product, dict(zip(inner, policy)))
+    testing = _evaluate(cfg, product, policy)
     print(f"satisfaction: {testing['satisfaction_rate']:.4f} +/- "
           f"{testing['wilson_ci_halfwidth']:.4f} over {testing['episodes']} episodes, "
           f"avg reward {testing['average_reward']:.3f}")
@@ -505,6 +509,8 @@ def cmd_sweep(args):
                 seed = (args.seed or 0) + 1000 * i_mode + 100 * i_eps + 10 * i_pr
                 cfg = _config_from_args(args, mode=mode, pr_des=pr, assumed_uncertainty=eps, seed=seed)
                 cfg.output_dir = None   # the sweep writes its own table, no cell its files
+                if mode == "multi_shot":    # a bad plan exits 2 before any cell is learned
+                    cfg.plan(time_bound(parse_formula(cfg.formula, sorted(cfg.grid.alphabet()))))
                 cells.append(({"mode": mode, "eps": eps, "pr_des": pr}, cfg))
     rows = [row for row, _ in cells]
     for row, cfg in cells:

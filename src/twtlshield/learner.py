@@ -3,17 +3,20 @@
 Every episode runs for exactly the horizon length.  While the fallback flag
 is down, actions come epsilon-greedily from the pruned action set; the moment
 the set is empty (or the flag is up) the agent takes the worst-case-optimal
-fallback action and keeps doing so until the flag resets.  The flag resets on
-accepting and trash states, and additionally on every interior segment
-boundary when multi-shot pruning was used, which is what re-enables
-exploration between sub-tasks.  The whole shield (pruned sets, fallback
-policy, initial threshold and reset layers) lives on the pruned product, so
+fallback action and keeps doing so until the flag resets.  This module states
+and applies the flag rule: the flag resets on reaching (s, q, t) with q
+accepting or trash, at the horizon (where the rest counts as trash), and at a
+multi-shot shield's interior segment layers ``product.reset_times``, which
+re-enables exploration between sub-tasks.  The product holds only the shield
+(pruned sets, fallback policy, initial threshold and reset layers), so
 ``learn`` and ``evaluate`` take only the product.
 
 Both loops step the product themselves, on a numbered view of it built
 once per product: ids are the product's state numbers, the pruned sets and
 fallback actions its lists, and the view adds each id's flag reset,
-acceptance and enabled-action count in lists.  The first time action a is
+acceptance and enabled-action count in lists and each start state's id.
+``RunResult.policy`` is a list by state number too, which ``evaluate`` reads;
+only the report pairs it with ``product.states``.  The first time action a is
 taken at id i, its row is made: the ids of (s', delta(q, l(s')), t+1) for the
 successors s' of the model's sampler at (s, a), that sampler's cumulative
 table (shared, not copied) and ``reward_fn(s, a)``; a row with one successor
@@ -104,7 +107,7 @@ class EpisodeLog:
 
 @dataclass
 class RunResult:
-    policy: dict
+    policy: list                         # state number below the horizon -> action
     logs: list
     q: dict                              # state -> {action: value}; missing pairs are 0
     legality_violations: int
@@ -138,17 +141,14 @@ class _Numbered:
     def __init__(self, product):
         self.product = weakref.proxy(product)
         self.index = {p: i for i, p in enumerate(product.states)}
-        self.resets = [product.resets_flag(p) for p in product.states]
-        self.accepting = [product.is_accepting(p) for p in product.states]
+        # layer 0 is numbered in ``initial``'s order, one state per MDP state
+        self.starts = {s: n for n, (s, _, _) in enumerate(product.initial)}
+        aut, horizon, reset_times = product.automaton, product.horizon, product.reset_times
+        self.accepting = [q in aut.accepting for _, q, _ in product.states]
+        self.resets = [q in aut.accepting or q == aut.trash or t == horizon or t in reset_times
+                       for _, q, t in product.states]
         self.n_enabled = [len(product.mdp.enabled[p[0]]) for p in product.states]
         self.rows = [self.UNSEEN] * len(product.kept)
-        self.starts = {}
-
-    def start(self, s0):
-        if s0 not in self.starts:
-            product = self.product
-            self.starts[s0] = self.index[(s0, product._after(product.automaton.initial, s0), 0)]
-        return self.starts[s0]
 
     def row(self, i, a):
         """(successor ids, cumulative probabilities, reward) of action a at state i,
@@ -166,12 +166,12 @@ class _Numbered:
 
 
 def learn(product, cfg: LearnerConfig) -> RunResult:
-    """Shielded Q-learning on a pruned product; the flag resets where ``product.resets_flag``."""
+    """Shielded Q-learning on a pruned product; the flag resets where ``_Numbered.resets``."""
     if product.f is None:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
     view = product.numbered = product.numbered or _Numbered(product)
     states, act_sets, pi_c, rows = product.states, product.kept, product.fallback, view.rows
-    resets, n_enabled, new_row = view.resets, view.n_enabled, view.row
+    resets, starts, n_enabled, new_row = view.resets, view.starts, view.n_enabled, view.row
     horizon = product.horizon
 
     rng = random.Random(cfg.seed)
@@ -192,7 +192,7 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
     epsilon = cfg.epsilon
 
     for episode in range(cfg.episodes):
-        i = view.start(s0)
+        i = starts[s0]
         cumulative = 0.0
         shield_entry = None
         steps_shielded = 0
@@ -260,8 +260,8 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
         s0 = final[0] if cfg.reset_mode == "carry_state" else start
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
-    # the greedy policy: argmax Q over the pruned set, fallback where it is empty
-    policy = {states[i]: greedy[i] if acts else pi_c[i] for i, acts in enumerate(act_sets)}
+    # the greedy policy by state number: argmax Q over the pruned set, fallback where it is empty
+    policy = [g if acts else a for g, acts, a in zip(greedy, act_sets, pi_c)]
     q = {states[i]: row for i, row in enumerate(qs) if row is not None}
     return RunResult(policy=policy, logs=logs, q=q, legality_violations=total_violations)
 
@@ -270,12 +270,12 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
              reset_mode="carry_state") -> EvalResult:
     """Greedy rollout with the shield active but no exploration or updates.
 
-    Reports the satisfaction rate with a Wilson 95% interval half-width.
+    ``policy`` is a list by state number, as ``RunResult.policy``.  Reports the
+    satisfaction rate with a Wilson 95% interval half-width.
     """
     view = product.numbered = product.numbered or _Numbered(product)
     states, act_sets, pi_c, rows = product.states, product.kept, product.fallback, view.rows
-    resets, new_row = view.resets, view.row
-    chosen = [None] * len(act_sets)     # policy[p] per id, read on first use
+    resets, starts, new_row = view.resets, view.starts, view.row
     rand = random.Random(seed).random
     start = start_state if start_state is not None else product.mdp.states[0]
     s0 = start
@@ -284,15 +284,13 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
     total_reward = 0.0
 
     for _ in range(n_episodes):
-        i = view.start(s0)
+        i = starts[s0]
         for _ in range(product.horizon):
             if flag or not act_sets[i]:
                 a = pi_c[i]
                 flag = True
             else:
-                a = chosen[i]
-                if a is None:
-                    a = chosen[i] = policy[states[i]]
+                a = policy[i]
             succ, cum, r = rows[i].get(a) or new_row(i, a)
             i = succ[bisect_right(cum, rand())] if cum else succ
             total_reward += r

@@ -3,14 +3,12 @@
 The model separates what the shield may use (states, actions, labels, and
 per-transition probability intervals) from what only the episode loops in
 :mod:`learner` read: the true transition law, as cumulative tables from
-:meth:`LabeledIntervalMdp.sampler` (``sample_next`` draws from one), and the
-reward ``reward_fn``.  Absent interval entries mean the transition is
-impossible ([0, 0]).
+:meth:`LabeledIntervalMdp.sampler`, and the reward ``reward_fn``.  Absent
+interval entries mean the transition is impossible ([0, 0]).
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -120,10 +118,6 @@ class LabeledIntervalMdp:
             cum[-1] = max(cum[-1], 1.0)
             table = self._samplers[(s, a)] = ([s2 for s2, _ in entries], cum)
         return table
-
-    def sample_next(self, s, a, rng):
-        succs, cum = self.sampler(s, a)
-        return succs[bisect.bisect_right(cum, rng.random())] if len(succs) > 1 else succs[0]
 
     def validate(self):
         """Check interval and dynamics invariants; returns a list of violations."""

@@ -33,7 +33,9 @@ layer by layer from ``offsets[t]`` at layer t; ``states[n]`` (built on first
 read) is state n.  Pruning writes the shield into lists by state number:
 ``f`` over all states, ``kept`` and ``fallback`` below the horizon.
 ``f_values``, ``act_sets`` and ``pi_c`` are the same as dicts keyed by
-state, built on the first read after pruning (empty before).
+state, built on the first read after pruning (empty before).  The product
+has no per-state helpers: the episode loops in :mod:`learner` state and
+apply the fallback flag's reset rule on their numbered view.
 """
 
 from __future__ import annotations
@@ -160,15 +162,6 @@ class TimeTotalProductMdp:
     f_values = property(lambda self: self._table("f", self.f))
     act_sets = property(lambda self: self._table("kept", self.kept))
     pi_c = property(lambda self: self._table("fallback", self.fallback))
-
-    def is_accepting(self, p) -> bool:
-        return p[1] in self.automaton.accepting
-
-    def resets_flag(self, p) -> bool:
-        """Whether the fallback flag resets on reaching p: accepting, trash, or a reset layer."""
-        _, q, t = p
-        return (q in self.automaton.accepting or q == self.automaton.trash
-                or t == self.horizon or t in self.reset_times)
 
     def n_states(self) -> int:
         return self.offsets[-1]

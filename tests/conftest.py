@@ -1,3 +1,5 @@
+import bisect
+
 import pytest
 
 from twtlshield import cli
@@ -82,6 +84,24 @@ def is_trash(prod, p):
     non-accepting state at the horizon, which the product coerces to trash."""
     _, q, t = p
     return q == prod.automaton.trash or (t == prod.horizon and q not in prod.automaton.accepting)
+
+
+def is_accepting(prod, p):
+    """Whether product state p is accepting: its automaton state is."""
+    return p[1] in prod.automaton.accepting
+
+
+def resets_flag(prod, p):
+    """Whether the fallback flag resets on reaching product state p: p is accepting or
+    trash, or lies at a multi-shot shield's interior segment boundary."""
+    return is_accepting(prod, p) or is_trash(prod, p) or p[2] in prod.reset_times
+
+
+def sample_next(mdp, s, a, rng):
+    """One draw of the successor of (s, a) from ``mdp.sampler``'s cumulative table;
+    a row with one successor draws no number."""
+    succs, cum = mdp.sampler(s, a)
+    return succs[bisect.bisect_right(cum, rng.random())] if len(succs) > 1 else succs[0]
 
 
 def worst_case_toy():

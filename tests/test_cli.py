@@ -420,7 +420,8 @@ class TestRunExperiment:
         def rendered(table, value):
             return {repr(p): value(v) for p, v in sorted(table.items(), key=repr)}
 
-        assert (tmp_path / "policy.json").read_text() == cli._json_text(rendered(result.policy, repr))
+        policy = dict(zip(product.states, result.policy))
+        assert (tmp_path / "policy.json").read_text() == cli._json_text(rendered(policy, repr))
         assert product.results_json() == json.dumps({
             "f": rendered(product.f_values, float),
             "pi_c": rendered(product.pi_c, repr),
@@ -625,6 +626,20 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unknown mode 'bogus'" in captured.err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--thresholds", "0.5,0.5,0.5,0.5", "thresholds multiply to 0.0625, not 0.5"),
+        ("--timestamps", "0,8,15,22,34", "multishot timestamps must end at the time bound 35"),
+    ])
+    def test_bad_plan_fails_before_any_cell(self, tmp_path, capsys, flag, value, message):
+        # the one-shot cells come first; none of them may be learned
+        out = tmp_path / "out"
+        assert main(["sweep", flag, value, "--episodes", "10", "--eval-episodes", "5",
+                     "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+        assert not out.exists()
 
     ONE_CELL = ["--eps-list", "0.08", "--pr-list", "0.5", "--modes", "one_shot",
                 "--episodes", "1", "--eval-episodes", "1"]

@@ -9,6 +9,7 @@ from twtlshield.cli import _as_json, load_config
 from twtlshield.gridworld import (ACTIONS, CASE_STUDY_PROPS, GridError, GridSpec,
                                   build_grid_mdp, canonical_case_study, render_ascii)
 from twtlshield.twtl import time_bound
+from conftest import sample_next
 
 
 def plain_grid(eps_real=0.03, eps=0.08):
@@ -196,7 +197,7 @@ class TestStep:
     def test_empirical_intended_rate(self):
         m = build_grid_mdp(plain_grid())
         rng = random.Random(0)
-        hits = sum(m.sample_next((2, 2), "N", rng) == (2, 3) for _ in range(20000))
+        hits = sum(sample_next(m, (2, 2), "N", rng) == (2, 3) for _ in range(20000))
         assert abs(hits / 20000 - 0.97) < 0.005
 
     def test_reward_on_occupancy(self):

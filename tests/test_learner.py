@@ -5,25 +5,28 @@ import weakref
 
 import pytest
 
-from twtlshield import cli
+from twtlshield import cli, oracle
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import GridSpec, build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
 from twtlshield.product import build_product
-from twtlshield.reachability import (MultiShotPlan, check_initial, exact_reach_probability,
-                                     multi_shot_prune, one_shot_prune)
+from twtlshield.reachability import (MultiShotInfeasibleError, MultiShotPlan, check_initial,
+                                     exact_reach_probability, multi_shot_prune, one_shot_prune)
 from twtlshield.learner import (CSV_COLUMNS, EpisodeLog, EvalResult, LearnerConfig, LearnerError,
-                                RunResult, episode_csv, evaluate, learn, wilson_halfwidth)
+                                RunResult, _Numbered, episode_csv, evaluate, learn,
+                                wilson_halfwidth)
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import is_trash, worst_case_toy
+from conftest import is_accepting, is_trash, resets_flag, sample_next, worst_case_toy
 
 E = frozenset()
 G = frozenset({"G"})
 
 
 # Slow, independent oracle for the numbered loops of ``learner``: the same episode
-# loops written over (s, q, t) product keys, stepping the model with ``sample_next``
-# and calling ``reward_fn`` on every step.
+# loops written over (s, q, t) product keys, drawing each successor with
+# ``conftest.sample_next``, stepping the automaton with ``automaton.step`` on its
+# label, reading the flag rule from ``conftest.resets_flag`` and calling
+# ``reward_fn`` on every step.  It shares no stepping code with ``learner``.
 
 def reference_greedy(row, actions):
     """First maximizer over ``actions`` with unseen pairs worth 0."""
@@ -47,17 +50,16 @@ def reference_next_value(q, p2, enabled):
     return best
 
 
-def reference_learn(product, cfg: LearnerConfig) -> RunResult:
-    """Shielded Q-learning stepping the product by (s, q, t) keys and ``mdp.sample_next``."""
+def reference_learn(product, cfg: LearnerConfig, steps=None) -> RunResult:
+    """Shielded Q-learning stepping the product by (s, q, t) keys; appends every
+    (s, a, s') it samples to ``steps`` if given.  Its policy is a dict keyed by state."""
     mdp = product.mdp
-    sample_next = mdp.sample_next
     reward = mdp.reward_fn
-    after = product._after
+    step, labels = product.automaton.step, mdp.labels
     q_init = product.automaton.initial
     horizon = product.horizon
     act_sets = product.act_sets
     pi_c = product.pi_c
-    resets_flag = product.resets_flag
     if not product.f_values:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
     act_fsets = {p: frozenset(acts) for p, acts in act_sets.items()}
@@ -76,7 +78,7 @@ def reference_learn(product, cfg: LearnerConfig) -> RunResult:
     epsilon = cfg.epsilon
 
     for episode in range(cfg.episodes):
-        p = (s0, after(q_init, s0), 0)
+        p = (s0, step(q_init, labels[s0]), 0)
         cumulative = 0.0
         shield_entry = None
         steps_shielded = 0
@@ -103,8 +105,10 @@ def reference_learn(product, cfg: LearnerConfig) -> RunResult:
                 violations += 1
 
             s, q_aut, _ = p
-            s2 = sample_next(s, a, rng)
-            p2 = (s2, after(q_aut, s2), t + 1)
+            s2 = sample_next(mdp, s, a, rng)
+            if steps is not None:
+                steps.append((s, a, s2))
+            p2 = (s2, step(q_aut, labels[s2]), t + 1)
             r = reward(s, a)
             cumulative += r
 
@@ -122,12 +126,12 @@ def reference_learn(product, cfg: LearnerConfig) -> RunResult:
             row[a] = (1.0 - alpha) * row.get(a, 0.0) + alpha * target
 
             p = p2
-            if resets_flag(p):
+            if resets_flag(product, p):
                 flag = False
 
         logs.append(EpisodeLog(
             index=episode,
-            satisfied=product.is_accepting(p),
+            satisfied=is_accepting(product, p),
             cumulative_reward=cumulative,
             shield_entry_time=shield_entry,
             steps_shielded=steps_shielded,
@@ -155,10 +159,11 @@ def reference_policy(product, q):
 
 def reference_evaluate(product, policy, n_episodes, seed, start_state=None,
                        reset_mode="carry_state") -> EvalResult:
-    """Greedy rollout with the shield active, stepping the product by (s, q, t) keys."""
-    sample_next = product.mdp.sample_next
-    reward = product.mdp.reward_fn
-    after = product._after
+    """Greedy rollout with the shield active, stepping the product by (s, q, t) keys;
+    ``policy`` is a dict keyed by state."""
+    mdp = product.mdp
+    reward = mdp.reward_fn
+    step, labels = product.automaton.step, mdp.labels
     q_init = product.automaton.initial
     act_sets = product.act_sets
     pi_c = product.pi_c
@@ -170,7 +175,7 @@ def reference_evaluate(product, policy, n_episodes, seed, start_state=None,
     total_reward = 0.0
 
     for _ in range(n_episodes):
-        p = (s0, after(q_init, s0), 0)
+        p = (s0, step(q_init, labels[s0]), 0)
         for t in range(product.horizon):
             shielded = flag or not act_sets[p]
             if shielded:
@@ -179,12 +184,12 @@ def reference_evaluate(product, policy, n_episodes, seed, start_state=None,
             else:
                 a = policy[p]
             s, q_aut, _ = p
-            s2 = sample_next(s, a, rng)
-            p = (s2, after(q_aut, s2), t + 1)
+            s2 = sample_next(mdp, s, a, rng)
+            p = (s2, step(q_aut, labels[s2]), t + 1)
             total_reward += reward(s, a)
-            if product.resets_flag(p):
+            if resets_flag(product, p):
                 flag = False
-        if product.is_accepting(p):
+        if is_accepting(product, p):
             successes += 1
         s0 = p[0] if reset_mode == "carry_state" else start
 
@@ -193,6 +198,9 @@ def reference_evaluate(product, policy, n_episodes, seed, start_state=None,
                       wilson_halfwidth(successes, n_episodes), n_episodes)
 
 
+def by_state(product, policy):
+    """A policy list by state number as a dict keyed by state."""
+    return dict(zip(product.states, policy))
 
 
 def corridor_product(pr_des=1.0, missing=()):
@@ -215,18 +223,19 @@ def corridor_product(pr_des=1.0, missing=()):
     return one_shot_prune(build_product(mdp, aut, 2), pr_des)
 
 
-def assert_same_run(result, expected):
+def assert_same_run(product, result, expected):
     assert dict(result.q) == expected.q
     assert result.logs == expected.logs
-    assert result.policy == expected.policy
+    assert len(result.policy) == len(product.kept)
+    assert by_state(product, result.policy) == expected.policy
     assert result.legality_violations == expected.legality_violations
 
 
 def learned_and_recorded(product, cfg):
     """``reference_learn``'s run and every step it sampled; ``learn`` must give the same run."""
-    steps = record_steps(product)
-    expected = reference_learn(product, cfg)
-    assert_same_run(learn(product, cfg), expected)
+    steps = []
+    expected = reference_learn(product, cfg, steps)
+    assert_same_run(product, learn(product, cfg), expected)
     return steps, expected
 
 
@@ -253,25 +262,12 @@ def bootstrap_toy(reward_b, x_actions=("a", "b")):
     prod.kept = [mdp.enabled[s] for s, _, _ in inner]
     prod.fallback = [acts[0] for acts in prod.kept]
     root = next(p for p in prod.initial if p[0] == "r")
-    x = ("x", prod._after(root[1], "x"), 1)
-    assert not prod.resets_flag(x)
+    x = ("x", aut.step(root[1], mdp.labels["x"]), 1)
+    assert not resets_flag(prod, x)
     prod.kept[inner.index(root)] = ()
     prod.kept[inner.index(x)] = tuple(a for a in x_actions if a != "b")
     prod.fallback[inner.index(x)] = "b"
     return prod, root, x
-
-
-def record_steps(product):
-    """Record every (s, a, s') the product's model samples from now on (test-side fake)."""
-    steps = []
-    sample = product.mdp.sample_next
-
-    def recorded(s, a, rng):
-        s2 = sample(s, a, rng)
-        steps.append((s, a, s2))
-        return s2
-    product.mdp.sample_next = recorded
-    return steps
 
 
 def episodes(product, steps):
@@ -280,15 +276,16 @@ def episodes(product, steps):
     An episode is ``horizon`` consecutive steps; it starts at (s0, delta(q_init, l(s0)), 0)
     and the automaton follows the label of each sampled successor.
     """
+    step, labels = product.automaton.step, product.mdp.labels
     rebuilt = []
     for i in range(0, len(steps), product.horizon):
         s0 = steps[i][0]
-        p = (s0, product._after(product.automaton.initial, s0), 0)
+        p = (s0, step(product.automaton.initial, labels[s0]), 0)
         taken = []
         for s, a, s2 in steps[i:i + product.horizon]:
             assert s == p[0]
             taken.append((p, a))
-            p = (s2, product._after(p[1], s2), p[2] + 1)
+            p = (s2, step(p[1], labels[s2]), p[2] + 1)
         rebuilt.append((taken, p))
     return rebuilt
 
@@ -343,7 +340,7 @@ def audit_shield_protocol(product, steps, logs):
             elif a not in product.act_sets[p]:
                 violations += 1
             landing = taken[i + 1][0] if i + 1 < len(taken) else final
-            if product.resets_flag(landing):
+            if resets_flag(product, landing):
                 flag = False
         entry = shielded_at[0] if shielded_at else None
         if (entry, len(shielded_at), final) != (log.shield_entry_time, log.steps_shielded,
@@ -364,7 +361,7 @@ class TestGuarantees:
         prod = one_shot_prune(worst_case_toy(), 0.5)
         result = learn(prod, LearnerConfig(episodes=300, seed=2))
         for log in result.logs:
-            assert log.satisfied == prod.is_accepting(log.final_state)
+            assert log.satisfied == is_accepting(prod, log.final_state)
 
     def test_trajectory_length_is_horizon(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
@@ -380,7 +377,7 @@ class TestGuarantees:
         with pytest.raises(MissingDynamicsError):
             learn(prod, LearnerConfig(episodes=1, seed=19))
         with pytest.raises(MissingDynamicsError):
-            evaluate(prod, prod.pi_c, 1, seed=19)
+            evaluate(prod, prod.fallback, 1, seed=19)
 
 
 class TestShieldProtocol:
@@ -397,7 +394,7 @@ class TestShieldProtocol:
                 continue
             for i, (p, a) in enumerate(taken[entry:], entry):
                 assert a == prod.pi_c[p]
-                if prod.resets_flag(taken[i + 1][0] if i + 1 < len(taken) else final):
+                if resets_flag(prod, taken[i + 1][0] if i + 1 < len(taken) else final):
                     break
 
     def test_reset_states(self):
@@ -409,11 +406,10 @@ class TestShieldProtocol:
         assert short.coerced
         one_shot_prune(short, 0.5)
         for prod, boundary in ((one, None), (multi, 1), (short, None)):
-            for t, layer in enumerate(prod.layers):
-                for s, q in layer:
-                    p = (s, q, t)
-                    expected = prod.is_accepting(p) or is_trash(prod, p) or t == boundary
-                    assert prod.resets_flag(p) == expected, p
+            view = _Numbered(prod)
+            for n, p in enumerate(prod.states):
+                expected = is_accepting(prod, p) or is_trash(prod, p) or p[2] == boundary
+                assert view.resets[n] == resets_flag(prod, p) == expected, p
 
     def test_multi_shot_flag_releases_at_boundary(self):
         prod, _ = multi_shot_prune(worst_case_toy(), MultiShotPlan((0, 1, 2), (0.9, 0.6)))
@@ -465,7 +461,8 @@ class TestQLearning:
     def test_policy_respects_pruned_sets(self):
         prod = one_shot_prune(worst_case_toy(), 0.4)
         result = learn(prod, LearnerConfig(episodes=200, seed=9))
-        for p, a in result.policy.items():
+        assert len(result.policy) == len(prod.kept)
+        for p, a in zip(prod.states, result.policy):
             acts = prod.act_sets[p]
             assert a in acts or (not acts and a == prod.pi_c[p])
 
@@ -562,12 +559,12 @@ class TestAgainstReference:
         start = prod.mdp.states[7] if reset_mode == "fixed_start" else None
         cfg = LearnerConfig(episodes=300, seed=23, epsilon=0.5, epsilon_decay=0.99,
                             alpha_mode=alpha_mode, reset_mode=reset_mode, start_state=start)
-        expected = reference_learn(prod, cfg)
-        assert_same_run(learn(prod, cfg), expected)
+        result, expected = learn(prod, cfg), reference_learn(prod, cfg)
+        assert_same_run(prod, result, expected)
         assert expected.legality_violations == 0 and 0.0 < expected.satisfaction_rate
-        for policy in (expected.policy, prod.pi_c):
-            assert (evaluate(prod, policy, 300, 24, start, reset_mode)
-                    == reference_evaluate(prod, policy, 300, 24, start, reset_mode))
+        for listed, keyed in ((result.policy, expected.policy), (prod.fallback, prod.pi_c)):
+            assert (evaluate(prod, listed, 300, 24, start, reset_mode)
+                    == reference_evaluate(prod, keyed, 300, 24, start, reset_mode))
 
     def test_missing_dynamics_row_names_state_and_action(self):
         prod = corridor_product(1.0, missing=[("r", "stay", "r")])
@@ -580,9 +577,9 @@ class TestAgainstReference:
             with pytest.raises(MdpError, match="state 'r' action 'stay'") as err:
                 run(prod, cfg)
             assert not isinstance(err.value, MissingDynamicsError)
-        policy = dict(prod.pi_c)
-        policy[root] = "stay"
-        for run in (evaluate, reference_evaluate):
+        listed = list(prod.fallback)
+        listed[prod.states.index(root)] = "stay"
+        for run, policy in ((evaluate, listed), (reference_evaluate, by_state(prod, listed))):
             with pytest.raises(MdpError, match="state 'r' action 'stay'") as err:
                 run(prod, policy, 1, seed=20, start_state="r", reset_mode="fixed_start")
             assert not isinstance(err.value, MissingDynamicsError)
@@ -618,14 +615,14 @@ class TestSignedRewards:
         cfg = LearnerConfig(episodes=300, seed=41, epsilon=0.5, epsilon_decay=0.99,
                             alpha_mode=alpha_mode, reset_mode=reset_mode, start_state=start)
         result, expected = learn(prod, cfg), reference_learn(prod, cfg)
-        assert_same_run(result, expected)
+        assert_same_run(prod, result, expected)
         # == takes -0.0 for 0.0; the texts tell them apart
         assert ({p: repr(row) for p, row in result.q.items()}
                 == {p: repr(row) for p, row in expected.q.items()})
         assert min(v for row in expected.q.values() for v in row.values()) < 0.0
-        for policy in (expected.policy, prod.pi_c):
-            assert (repr(evaluate(prod, policy, 300, 42, start, reset_mode))
-                    == repr(reference_evaluate(prod, policy, 300, 42, start, reset_mode)))
+        for listed, keyed in ((result.policy, expected.policy), (prod.fallback, prod.pi_c)):
+            assert (repr(evaluate(prod, listed, 300, 42, start, reset_mode))
+                    == repr(reference_evaluate(prod, keyed, 300, 42, start, reset_mode)))
 
 
 class TestRandomStream:
@@ -653,8 +650,8 @@ class TestSharedView:
         assert view is not None
         second = learn(prod, cfg)
         assert prod.numbered is view
-        assert_same_run(second, first)
-        assert_same_run(first, reference_learn(prod, cfg))
+        assert second == first
+        assert_same_run(prod, first, reference_learn(prod, cfg))
 
     def test_view_does_not_keep_its_product_alive(self):
         prod = one_shot_prune(worst_case_toy(), 0.4)
@@ -674,22 +671,66 @@ class TestSharedView:
             multi_shot_prune(prod, MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
         result = learn(prod, LearnerConfig(episodes=200, seed=32, epsilon=0.5))
         view = prod.numbered
-        for policy in (result.policy, prod.pi_c):
-            assert (evaluate(prod, policy, 300, 33)
-                    == reference_evaluate(prod, policy, 300, 33))
+        for listed, keyed in ((result.policy, by_state(prod, result.policy)),
+                              (prod.fallback, prod.pi_c)):
+            assert (evaluate(prod, listed, 300, 33)
+                    == reference_evaluate(prod, keyed, 300, 33))
         assert prod.numbered is view
+
+
+def assert_view_follows_rules(prod):
+    """The numbered view's start ids, flag resets and acceptance against the conftest
+    rules and against the start lookup the view made before it numbered layer 0."""
+    view = _Numbered(prod)
+    index = {p: n for n, p in enumerate(prod.states)}
+    assert view.starts == {s: index[(s, prod._after(prod.automaton.initial, s), 0)]
+                           for s in prod.mdp.states}
+    assert view.resets == [resets_flag(prod, p) for p in prod.states]
+    assert view.accepting == [is_accepting(prod, p) for p in prod.states]
+    return view
+
+
+class TestNumberedView:
+    @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+    def test_case_study(self, case_products, mode):
+        prod = case_products[mode]
+        view = assert_view_follows_rules(prod)
+        assert len(view.starts) == len(prod.initial) == len(prod.mdp.states)
+        assert any(view.accepting) and not all(view.resets)
+        assert (mode == "multi_shot") == bool(prod.reset_times)
+
+    def test_random_instances(self):
+        rng = random.Random(1913)
+        spec = oracle.RandomInstanceSpec()
+        segmented = 0
+        for _ in range(200):
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            aut = compile_formula(formula, {"B", "C"})
+            horizon = time_bound(formula)
+            prod = build_product(model, aut, horizon)
+            if horizon >= 2:    # a reset layer in the middle, where that plan is feasible
+                try:
+                    multi_shot_prune(prod, MultiShotPlan.even(0.3, (0, horizon // 2, horizon)))
+                    segmented += 1
+                except MultiShotInfeasibleError:
+                    assert prod.f is None       # nothing written: prune it in one shot
+            if prod.f is None:
+                one_shot_prune(prod, 0.3)
+            assert_view_follows_rules(prod)
+        assert segmented >= 100, segmented
 
 
 class TestEvaluate:
     def test_deterministic_always_satisfying(self):
         prod = corridor_product(1.0)
-        result = evaluate(prod, prod.pi_c, 500, seed=14)
+        result = evaluate(prod, prod.fallback, 500, seed=14)
         assert result.satisfaction_rate == 1.0
         assert result.ci_halfwidth == 0.0
 
     def test_rate_is_success_fraction(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        result = evaluate(prod, prod.pi_c, 1000, seed=15, start_state="r",
+        result = evaluate(prod, prod.fallback, 1000, seed=15, start_state="r",
                           reset_mode="fixed_start")
         assert result.satisfaction_rate * 1000 == int(result.satisfaction_rate * 1000)
 
@@ -697,7 +738,7 @@ class TestEvaluate:
         prod = one_shot_prune(worst_case_toy(), 0.5)
         exact = exact_reach_probability(prod, prod.pi_c)
         root = next(p for p in prod.initial if p[0] == "r")
-        result = evaluate(prod, prod.pi_c, 5000, seed=16, start_state="r",
+        result = evaluate(prod, prod.fallback, 5000, seed=16, start_state="r",
                           reset_mode="fixed_start")
         assert abs(result.satisfaction_rate - exact[root]) <= result.ci_halfwidth + 0.005
 

@@ -11,7 +11,7 @@ from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import InfeasibleIntervalError, one_shot_prune
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import three_state_mdp
+from conftest import sample_next, three_state_mdp
 
 
 class TestValidate:
@@ -103,11 +103,11 @@ class TestStep:
     def test_deterministic_successor(self, labeled_mdp):
         rng = random.Random(0)
         for _ in range(20):
-            assert labeled_mdp.sample_next("s2", "a1", rng) == "s2"
+            assert sample_next(labeled_mdp, "s2", "a1", rng) == "s2"
 
     def test_empirical_frequencies(self, labeled_mdp):
         rng = random.Random(123)
-        counts = Counter(labeled_mdp.sample_next("s0", "a1", rng) for _ in range(100000))
+        counts = Counter(sample_next(labeled_mdp, "s0", "a1", rng) for _ in range(100000))
         assert abs(counts["s1"] / 100000 - 0.8) < 0.01
         assert abs(counts["s2"] / 100000 - 0.2) < 0.01
 
@@ -117,13 +117,13 @@ class TestStep:
             for a in labeled_mdp.actions:
                 reachable = {s2 for s2, _, hi in labeled_mdp.support(s, a)}
                 for _ in range(50):
-                    assert labeled_mdp.sample_next(s, a, rng) in reachable
+                    assert sample_next(labeled_mdp, s, a, rng) in reachable
 
     def test_missing_dynamics(self):
         m = three_state_mdp()
         blind = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds)
         with pytest.raises(MissingDynamicsError):
-            blind.sample_next("s0", "a1", random.Random(0))
+            sample_next(blind, "s0", "a1", random.Random(0))
 
     def test_reward_passthrough(self):
         m = three_state_mdp()

@@ -256,8 +256,9 @@ def test_error_messages(text, alphabet, cls, message):
 def learner_outcome(product, alpha_mode):
     """The policy, Q table, episode logs and evaluation of a 2,000-episode run, as text."""
     result = learn(product, LearnerConfig(episodes=2000, seed=7, alpha_mode=alpha_mode))
+    policy = sorted(zip(product.states, result.policy))
     q = sorted((p, sorted(row.items())) for p, row in result.q.items())
-    return repr((sorted(result.policy.items()), q, result.logs, result.legality_violations,
+    return repr((policy, q, result.logs, result.legality_violations,
                  evaluate(product, result.policy, 1000, seed=8)))
 
 

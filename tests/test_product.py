@@ -9,7 +9,7 @@ from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import ProductError, build_product
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import is_trash, successors
+from conftest import is_accepting, is_trash, successors
 
 B = frozenset({"B"})
 E = frozenset()
@@ -182,7 +182,7 @@ class TestInvariants:
         prod = build_product(labeled_mdp, bc_automaton, 2)
         for s, q in prod.layers[2]:
             p = (s, q, 2)
-            assert prod.is_accepting(p) or is_trash(prod, p)
+            assert is_accepting(prod, p) or is_trash(prod, p)
 
     def test_terminal_coercion_reported(self, labeled_mdp, bc_automaton):
         # horizon shorter than the time bound leaves undecided states at the end

@@ -13,7 +13,7 @@ from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibl
                                      one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
-from conftest import is_trash, successors, worst_case_toy
+from conftest import is_accepting, is_trash, successors, worst_case_toy
 
 E = frozenset()
 
@@ -297,7 +297,7 @@ class TestBackwardPass:
         final = [(s, q, 2) for s, q in prod.layers[2]]
         assert final
         for p in final:
-            assert prod.f_values[p] == (1.0 if prod.is_accepting(p) else 0.0)
+            assert prod.f_values[p] == (1.0 if is_accepting(prod, p) else 0.0)
 
     def test_toy_values(self, toy_product):
         prod = one_shot_prune(toy_product, 0.5)
@@ -318,7 +318,7 @@ class TestBackwardPass:
     def test_absorption_values(self, toy_product):
         f = one_shot_prune(toy_product, 0.5).f_values
         for p, value in f.items():
-            if toy_product.is_accepting(p):
+            if is_accepting(toy_product, p):
                 assert value == 1.0
             if is_trash(toy_product, p):
                 assert value == 0.0
@@ -365,16 +365,16 @@ class TestOneShot:
         prod = one_shot_prune(build_product(labeled_mdp, aut, 2), 1.0)
         for s, q in prod.layers[1]:
             p = (s, q, 1)
-            if prod.is_accepting(p) or is_trash(prod, p):
+            if is_accepting(prod, p) or is_trash(prod, p):
                 continue
             for a in prod.act_sets[p]:
                 for p2, _, _ in successors(prod, p, a):
-                    assert prod.is_accepting(p2)
+                    assert is_accepting(prod, p2)
 
     def test_tiny_threshold_prunes_nothing_positive(self):
         prod = one_shot_prune(worst_case_toy(), 1e-9)
         for p, acts in prod.act_sets.items():
-            if prod.is_accepting(p) or is_trash(prod, p) or p[2] == prod.horizon:
+            if is_accepting(prod, p) or is_trash(prod, p) or p[2] == prod.horizon:
                 continue
             expected = [a for a in prod.mdp.enabled[p[0]]
                         if all(prod.f_values[p2] > 0 for p2, _, _ in successors(prod, p, a))]
@@ -392,7 +392,7 @@ class TestOneShot:
             for t, layer in enumerate(prod.layers[:-1]):
                 for s, q in layer:
                     p = (s, q, t)
-                    if prod.is_accepting(p) or is_trash(prod, p):
+                    if is_accepting(prod, p) or is_trash(prod, p):
                         continue
                     for a in prod.act_sets[p]:
                         assert all(prod.f_values[p2] >= pr
@@ -745,7 +745,7 @@ class TestExactReachability:
         root = next(p for p in prod.initial if p[0] == "r")
         assert exact[root] == pytest.approx(0.95, abs=1e-12)
         for p, v in exact.items():
-            if prod.is_accepting(p):
+            if is_accepting(prod, p):
                 assert v == 1.0
             if is_trash(prod, p):
                 assert v == 0.0

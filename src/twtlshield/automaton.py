@@ -2,13 +2,15 @@
 
 Construction is by formula progression: each automaton state is a canonical
 residual formula (what still has to be observed), reading a symbol rewrites
-the residual, and syntactically identical residuals are merged.  Residuals
-are hash-consed within one compilation, so identical residuals are one node
-and merge by identity; each node's text is formatted once, and progressing
-a node on a symbol is computed once per (node, symbol mask).  A residual
-of true maps to the single accepting state, which self-loops on every symbol;
-a residual of false maps to the absorbing trash state.  The transition
-function is total by construction.
+the residual, and syntactically identical residuals are merged.  A symbol is
+a label mask throughout: bit ``bit[name]`` for each proposition the formula
+uses.  Residuals are hash-consed within one compilation, so identical
+residuals are one node and merge by identity; each node's text is formatted
+once, and progression is memoized per node and label mask.  States are
+numbered in the order the breadth-first walk finds them, and ``table[q]`` is
+filled in that order.  A residual of true maps to the single accepting state,
+which self-loops on every symbol; a residual of false maps to the absorbing
+trash state.  The transition function is total by construction.
 
 Only the grammar fragment without negation of compound formulas is compiled;
 ``H^d !x`` is fine, ``!(phi)`` is rejected.
@@ -21,7 +23,7 @@ from functools import reduce
 from itertools import combinations
 
 from .twtl import (And, Concat, Formula, Hold, Not, Or, Within, Word,
-                   format_formula, make_word, propositions, time_bound,
+                   format_formula, propositions, time_bound,
                    UnknownPropositionError)
 
 
@@ -43,22 +45,8 @@ class UnknownSymbolError(AutomatonError):
         self.props = frozenset(props)
 
 
-class _Truth:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "TRUE"
-
-
-class _Falsity:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "FALSE"
-
-
-_TRUE = _Truth()
-_FALSE = _Falsity()
+_TRUE = object()     # the residual of a satisfied formula
+_FALSE = object()    # the residual of a violated one
 
 
 class _Residuals:
@@ -69,9 +57,11 @@ class _Residuals:
     of And and Or and annotates the automaton's states; a new node's text is
     formatted over its children's, not by walking its subtree.  ``bound`` keeps
     the time bound of each node a window was asked about, computed the same way.
+    ``bit`` maps each proposition to its bit in a label mask.
     """
 
-    def __init__(self):
+    def __init__(self, bit):
+        self.bit = bit
         self._nodes = {}
         self._progressed = {}
         self.text = {id(_TRUE): "TRUE", id(_FALSE): "FALSE"}
@@ -142,33 +132,33 @@ class _Residuals:
                 "compiler; use H^d !x for negated propositions")
         raise TypeError(f"not a formula node: {node!r}")
 
-    def progress(self, node, mask, sym):
-        """Residual after observing ``sym``, the frozenset of propositions numbered ``mask``."""
+    def progress(self, node, mask):
+        """Residual after observing the label whose propositions set the bits of ``mask``."""
         key = (id(node), mask)
         done = self._progressed.get(key)
         if done is None:
-            done = self._progressed[key] = self._progress(node, mask, sym)
+            done = self._progressed[key] = self._progress(node, mask)
         return done
 
-    def _progress(self, node, mask, sym):
+    def _progress(self, node, mask):
         if isinstance(node, Hold):
-            if node.prop is not None and (node.prop in sym) == node.negated:
+            if node.prop is not None and bool(mask & self.bit[node.prop]) == node.negated:
                 return _FALSE
             if node.duration == 0:
                 return _TRUE
             return self.hold(node.duration - 1, node.prop, node.negated)
         if isinstance(node, (And, Or)):
-            return self.join(type(node), [self.progress(node.left, mask, sym),
-                                          self.progress(node.right, mask, sym)])
+            return self.join(type(node), [self.progress(node.left, mask),
+                                          self.progress(node.right, mask)])
         if isinstance(node, Concat):
-            left = self.progress(node.left, mask, sym)
+            left = self.progress(node.left, mask)
             if left is _TRUE:
                 return node.right
             return self.concat(left, node.right)
         if isinstance(node, Within):
             if node.low > 0:
                 return self.within(node.child, node.low - 1, node.high - 1)
-            started = self.progress(node.child, mask, sym)
+            started = self.progress(node.child, mask)
             delayed = self.within(node.child, 0, node.high - 1) if node.high >= 1 else _FALSE
             return self.join(Or, [started, delayed])
         raise TypeError(f"not a formula node: {node!r}")
@@ -182,11 +172,11 @@ class TotalAutomaton:
     and the trash state is absorbing; the trash state exists even when it is
     unreachable so that downstream constructions can rely on it.
     ``table[q][mask]`` is q's successor on the symbols numbered ``mask``
-    (:meth:`symbol_mask`: bit i for the i-th proposition the formula uses).
+    (:meth:`symbol_mask`: ``bit[name]`` for each proposition the formula uses).
     """
 
     def __init__(self, props, initial, accepting, trash, annotations,
-                 relevant, table, reachable):
+                 bit, table, reachable):
         self.props = tuple(props)
         self.initial = initial
         self.accepting = frozenset(accepting)
@@ -195,7 +185,7 @@ class TotalAutomaton:
         self.n_states = len(annotations)
         self.reachable = frozenset(reachable)
         self.table = table
-        self._rel_bit = {name: 1 << i for i, name in enumerate(relevant)}
+        self._bit = bit
         self._masks = {}
 
     def symbol_mask(self, sym):
@@ -206,7 +196,7 @@ class TotalAutomaton:
             extra = sym - frozenset(self.props)
             if extra:
                 raise UnknownSymbolError(extra)
-            mask = self._masks[sym] = sum(self._rel_bit.get(name, 0) for name in sym)
+            mask = self._masks[sym] = sum(self._bit.get(name, 0) for name in sym)
         return mask
 
     def step(self, q, sym):
@@ -238,54 +228,46 @@ def _compile(formula, alphabet, max_states):
     missing = used - frozenset(props)
     if missing:
         raise UnknownPropositionError(sorted(missing)[0])
-    relevant = tuple(sorted(used))
-    rel_syms = [frozenset(name for i, name in enumerate(relevant) if mask & (1 << i))
-                for mask in range(1 << len(relevant))]
+    bit = {name: 1 << i for i, name in enumerate(sorted(used))}
+    width = 1 << len(bit)
 
-    residuals = _Residuals()
-    root = residuals.canonical(formula)
+    residuals = _Residuals(bit)
+    nodes = []      # nodes[q] is state q's residual
     ids = {}
-    annotations = {}
 
     def intern(node):
         state = ids.get(id(node))
         if state is None:
-            state = ids[id(node)] = len(ids)
-            annotations[state] = residuals.text[id(node)]
-            if len(ids) > max_states:
+            state = ids[id(node)] = len(nodes)
+            nodes.append(node)
+            if len(nodes) > max_states:
                 raise StateExplosionError(f"more than {max_states} automaton states")
         return state
 
-    initial = intern(root)
-    frontier = [(initial, root)]
-    seen = {initial}
-    rows = {}
-    while frontier:
-        state, node = frontier.pop(0)
-        row = rows[state] = []
-        for mask, sym in enumerate(rel_syms):
-            nxt_node = node if node is _TRUE or node is _FALSE else residuals.progress(node, mask, sym)
-            nxt = intern(nxt_node)
-            row.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, nxt_node))
+    # States are numbered as the walk finds them and their rows filled in that
+    # order, so the walk ends with exactly the states reachable from the initial one.
+    initial = intern(residuals.canonical(formula))
+    table = []
+    while len(table) < len(nodes):
+        node = nodes[len(table)]
+        if node is _TRUE or node is _FALSE:
+            table.append([len(table)] * width)
+        else:
+            table.append([intern(residuals.progress(node, mask)) for mask in range(width)])
+    reachable = range(len(nodes))
 
     # The trash state is materialized unconditionally; the accepting state
     # only exists when some word can complete the formula.
-    if id(_FALSE) not in ids:
-        trash = intern(_FALSE)
-        rows[trash] = [trash] * len(rel_syms)
-    trash = ids[id(_FALSE)]
+    trash = intern(_FALSE)
+    if len(table) < len(nodes):
+        table.append([trash] * width)
     accepting = frozenset([ids[id(_TRUE)]]) if id(_TRUE) in ids else frozenset()
-
-    # The walk above visited exactly the states reachable from the initial one.
-    return TotalAutomaton(props, initial, accepting, trash, annotations,
-                          relevant, [rows[q] for q in range(len(rows))], seen)
+    annotations = {q: residuals.text[id(node)] for q, node in enumerate(nodes)}
+    return TotalAutomaton(props, initial, accepting, trash, annotations, bit, table, reachable)
 
 
 def accepts(automaton: TotalAutomaton, word: Word) -> bool:
-    return automaton.run(make_word(word)) in automaton.accepting
+    return automaton.run(word) in automaton.accepting
 
 
 def to_dot(automaton: TotalAutomaton) -> str:
@@ -315,9 +297,10 @@ def to_dot(automaton: TotalAutomaton) -> str:
 
 
 def to_json(automaton: TotalAutomaton) -> str:
+    alphabet = automaton.alphabet()
     delta = []
     for q in range(automaton.n_states):
-        for sym in automaton.alphabet():
+        for sym in alphabet:
             delta.append([q, sorted(sym), automaton.step(q, sym)])
     doc = {
         "props": list(automaton.props),

@@ -506,9 +506,10 @@ def cmd_sweep(args):
     for i_mode, mode in enumerate(args.modes.split(",")):
         for i_eps, eps in enumerate(eps_values):
             for i_pr, pr in enumerate(pr_values):
-                seed = (args.seed or 0) + 1000 * i_mode + 100 * i_eps + 10 * i_pr
-                cfg = _config_from_args(args, mode=mode, pr_des=pr, assumed_uncertainty=eps, seed=seed)
-                cfg.output_dir = None   # the sweep writes its own table, no cell its files
+                cfg = _config_from_args(args, mode=mode, pr_des=pr, assumed_uncertainty=eps)
+                cfg.learner.seed += 1000 * i_mode + 100 * i_eps + 10 * i_pr
+                # the sweep writes its tables to the loaded output_dir, no cell its own files
+                out, cfg.output_dir = cfg.output_dir, None
                 if mode == "multi_shot":    # a bad plan exits 2 before any cell is learned
                     cfg.plan(time_bound(parse_formula(cfg.formula, sorted(cfg.grid.alphabet()))))
                 cells.append(({"mode": mode, "eps": eps, "pr_des": pr}, cfg))
@@ -531,7 +532,6 @@ def cmd_sweep(args):
         print(f"{label} learn {row['learning_sat']:.4f} test {row['testing_sat']:.4f} "
               f"reward {row['avg_reward']:.2f}"
               + ("" if row["check_initial_ok"] else "  [check-initial failed]"))
-    out = _out_dir(args)
     if out:
         path = _write(out, "sweep.json", _json_text(rows))
         header = "mode,eps,pr_des,check_initial_ok,learning_sat,testing_sat,avg_reward\n"

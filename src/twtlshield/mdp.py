@@ -9,7 +9,6 @@ interval entries mean the transition is impossible ([0, 0]).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -85,7 +84,8 @@ class LabeledIntervalMdp:
         self._samplers = {}     # (s, a) -> (succs, cum), built by the first sampler() call
 
     def _index_support(self):
-        order = {s: i for i, s in enumerate(self.states)}
+        # state -> position: the support's order here and the samplers' successor order
+        order = self._order = {s: i for i, s in enumerate(self.states)}
         support = {}
         for (s, a, s2), (lo, hi) in self.bounds.items():
             if hi > 0.0:
@@ -98,11 +98,6 @@ class LabeledIntervalMdp:
     def support(self, s, a):
         """Successors with positive upper bound, as (s', lo, hi) tuples."""
         return self._support.get((s, a), ())
-
-    @functools.cached_property
-    def _order(self):
-        """State -> position, the samplers' successor order; made by the first sampler."""
-        return {s: i for i, s in enumerate(self.states)}
 
     def sampler(self, s, a):
         """The true law at (s, a): successors and their cumulative probabilities."""

@@ -19,14 +19,14 @@ enumeration gives each reachable (s, q) pair an integer id the first time it
 sees it: ``keys[i]`` is the pair and ``next_ids[i]`` the ids of its
 successors, computed once per pair below the horizon and shared by every
 layer (None for pairs seen only at the horizon).  ``layer_ids[t]`` lists
-layer t's ids in ``repr`` order of their pairs (of their (s, q, 0) states at
-layer 0, which is ``initial``), and ``layers[t]`` is the same list as (s, q)
-tuples.  ``neighbours[s]`` lists the distinct successors of s over all
-enabled actions in first-seen order; ``support_rows[s]`` gives per
-enabled action (a, the positions of its support in that tuple, lower bounds,
-and the row's LP constants from :func:`mdp.interval_row`: rooms, remaining
-mass, infeasibility), only for the states the pruning sweep solves: those
-paired with an undecided automaton state below the horizon.  This is exact
+layer t's ids in ``repr`` order of their pairs, and ``layers[t]`` is the
+same list as (s, q) tuples; ``initial`` is layer 0 as (s, q, 0) states.
+``neighbours[s]`` lists the distinct successors of s over all enabled
+actions in first-seen order; ``support_rows[s]`` gives per enabled action
+(a, the positions of its support in that tuple, lower bounds, and the row's
+LP constants from :func:`mdp.interval_row`: rooms, remaining mass,
+infeasibility), only for the states the pruning sweep solves: those paired
+with an undecided automaton state below the horizon.  This is exact
 because the time index only counts steps: it changes neither the successors
 of a state nor the automaton move a label selects.  States are numbered
 layer by layer from ``offsets[t]`` at layer t; ``states[n]`` (built on first
@@ -103,7 +103,6 @@ class TimeTotalProductMdp:
         self._mask = dict(zip(states, masks))
         table = self._delta = aut.table
         start = {(s, table[aut.initial][m]) for s, m in zip(states, masks)}
-        self.initial = tuple(sorted(((s, q, 0) for s, q in start), key=repr))
         index = {s: k for k, s in enumerate(states)}
         near = [tuple(map(index.__getitem__, self.neighbours[s])) for s in states]
         terminal = aut.accepting | {aut.trash}
@@ -124,7 +123,7 @@ class TimeTotalProductMdp:
             return i
 
         current = {number(index[s], q) for s, q in start}
-        layer_ids = self.layer_ids = [[ids[q * width + index[s]] for s, q, _ in self.initial]]
+        layer_ids = self.layer_ids = [sorted(current, key=reprs.__getitem__)]
         for t in range(self.horizon):
             for i in current:
                 if next_ids[i] is None:
@@ -141,6 +140,7 @@ class TimeTotalProductMdp:
             current = set().union(*map(next_ids.__getitem__, current))
             layer_ids.append(sorted(current, key=reprs.__getitem__))
         self.layers = [tuple(map(keys.__getitem__, layer)) for layer in layer_ids]
+        self.initial = tuple((s, q, 0) for s, q in self.layers[0])
         self.offsets = [0, *accumulate(map(len, layer_ids))]
         accepting = self.automaton.accepting
         self.coerced = frozenset((s, q) for s, q in self.layers[self.horizon]

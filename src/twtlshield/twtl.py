@@ -332,8 +332,3 @@ def parse_formula(text: str, alphabet: Iterable[str] | None = None) -> Formula:
     except RecursionError:
         raise TwtlError("formula is nested too deeply") from None
     return formula
-
-
-def make_word(symbols: Iterable[Iterable[str]]) -> Word:
-    """Build a word (tuple of frozen label sets) from any nested iterable."""
-    return tuple(frozenset(sym) for sym in symbols)

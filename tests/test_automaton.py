@@ -7,7 +7,8 @@ import pytest
 
 from twtlshield import automaton
 from twtlshield.gridworld import CASE_STUDY_FORMULA, CASE_STUDY_PROPS
-from twtlshield.twtl import Concat, Hold, Not, format_formula, parse_formula, time_bound
+from twtlshield.twtl import (Concat, Hold, Not, format_formula, parse_formula, propositions,
+                             time_bound)
 from twtlshield.automaton import (AutomatonError, StateExplosionError, UnknownSymbolError,
                                   UnsupportedConstructError, accepts,
                                   compile_formula, to_dot, to_json)
@@ -107,8 +108,8 @@ class TestResidualTexts:
         made = []
         init = automaton._Residuals.__init__
 
-        def recording(residuals):
-            init(residuals)
+        def recording(residuals, *args):
+            init(residuals, *args)
             made.append(residuals)
         monkeypatch.setattr(automaton._Residuals, "__init__", recording)
         rng = random.Random(0)
@@ -134,6 +135,9 @@ class TestProperties:
             for sym in aut.alphabet():
                 nxt = aut.step(q, sym)
                 assert 0 <= nxt < aut.n_states
+        # one full-width row per state, trash's included once whether the walk found it or not
+        assert len(aut.table) == aut.n_states == len(aut.annotations)
+        assert {len(row) for row in aut.table} == {1 << len(propositions(f))}
 
     @pytest.mark.parametrize("text", FORMULA_CORPUS)
     def test_absorption(self, text):

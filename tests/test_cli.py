@@ -705,6 +705,41 @@ class TestSweepCommand:
         assert csv_text[0].startswith("mode,eps,pr_des")
         assert len(csv_text) == 5
 
+    # sweep once took each cell's seed from --seed alone and its table's
+    # directory from --output-dir or the environment, never from the file
+    def cell_line(self, capsys, *flags):
+        assert main(["sweep", "--eps-list", "0.08", "--pr-list", "0.9", "--modes", "one_shot",
+                     *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_config_seed_reaches_the_cells(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "episodes": 50, "eval_episodes": 20}))
+        from_file = self.cell_line(capsys, "--config", str(cfg))
+        assert from_file == self.cell_line(capsys, "--seed", "5", "--episodes", "50",
+                                           "--eval-episodes", "20")
+        # the flag still beats the file
+        from_flag = self.cell_line(capsys, "--config", str(cfg), "--seed", "7")
+        assert from_flag == self.cell_line(capsys, "--seed", "7", "--episodes", "50",
+                                           "--eval-episodes", "20")
+        assert from_file != from_flag
+
+    def test_config_output_dir_receives_the_tables(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(cli.OUTPUT_ENV_VAR, raising=False)
+        out = tmp_path / "from-file"
+        cfg = tmp_path / "cfg.json"
+        # every cell overrides the file's mode; alone it would need multishot timestamps
+        cfg.write_text(json.dumps({"output_dir": str(out), "formula": "H^0 TRUE",
+                                   "mode": "multi_shot", "episodes": 1, "eval_episodes": 1}))
+        assert main(["sweep", "--config", str(cfg), "--eps-list", "0.08",
+                     "--pr-list", "0.5", "--modes", "one_shot"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.json"]
+        assert capsys.readouterr().out.endswith(f"wrote {out}/sweep.json and {out}/sweep.csv\n")
+        flag_out = tmp_path / "from-flag"
+        assert main(["sweep", "--config", str(cfg), "--output-dir", str(flag_out),
+                     "--eps-list", "0.08", "--pr-list", "0.5", "--modes", "one_shot"]) == 0
+        assert sorted(p.name for p in flag_out.iterdir()) == ["sweep.csv", "sweep.json"]
+
 
 # One row per package error family: the cli name that raises it, the stage, the exit code.
 FAILURE_ROWS = [("parse_formula", TwtlError, "parse", 2),

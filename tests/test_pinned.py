@@ -112,6 +112,10 @@ CASE_STUDY = (
     "adaccd4555ef9389e514d1831efa077ee28358f85dc846085c18996abed6124e")
 # sha256 over to_json then to_dot of 200 random_formula draws (seed 0, horizon 8)
 RANDOM_200 = "0c692bc61476690844a615e1a738b8808c8c1df81afd54593454bdd0165bc9b9"
+# sha256 over to_json then to_dot of 1,000 random_formula draws over {B, C} (seed 1,
+# horizons drawn from 1 to 10), recorded before progression ran on label masks
+# and the transition table was filled in state order
+RANDOM_1000 = "1b1a261bb609a928e72f2a5c4337e2312697a73a86fe6f1235685af5543ba25a"
 # sha256 over the front-end outcomes of front_end_corpus() under both alphabets
 FRONT_END = "59878c58c08679b304fd65af342447d81ab8bf03045cd8542c8295b91deb9b07"
 # (text, alphabet, error class, exact message): each error site, and line and column
@@ -210,6 +214,16 @@ def test_random_formula_listings():
         h.update(to_json(automaton).encode())
         h.update(to_dot(automaton).encode())
     assert h.hexdigest() == RANDOM_200
+
+
+def test_random_automata_digest():
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    for _ in range(1000):
+        automaton = compile_formula(oracle.random_formula(rng, rng.randint(1, 10)), {"B", "C"})
+        h.update(to_json(automaton).encode())
+        h.update(to_dot(automaton).encode())
+    assert h.hexdigest() == RANDOM_1000
 
 
 FRONT_END_CHARS = "HBC^[](),.&|!0123456789_TRUE \t\n"

@@ -578,7 +578,7 @@ def check_kappa(rng, count):
 def _sampled_dynamics(model, rng):
     """True dynamics drawn inside ``model``'s bounds, and what ``validate`` finds wrong with them."""
     dynamics = oracle.sample_true_dynamics(model.bounds, rng)
-    sim = LabeledIntervalMdp(model.states, model.actions, model.labels, model.bounds, dynamics)
+    sim = LabeledIntervalMdp.from_edges(model.states, model.actions, model.labels, model.bounds, dynamics)
     return dynamics, sim.validate()
 
 

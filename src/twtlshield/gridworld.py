@@ -27,6 +27,7 @@ MOVES = {
     "S": (0, -1), "SW": (-1, -1), "W": (-1, 0), "NW": (-1, 1),
     "Stay": (0, 0),
 }
+ROW_ORDER = tuple(sorted(ACTIONS, key=lambda a: MOVES[a][::-1]))   # by (dy, dx): row-major targets
 
 
 class GridError(Exception):
@@ -89,36 +90,31 @@ class GridSpec:
 
 
 def build_grid_mdp(spec: GridSpec) -> LabeledIntervalMdp:
-    """Interval MDP over grid cells with exact true dynamics inside the bounds."""
+    """Interval MDP over grid cells with exact true dynamics inside the bounds, one row per
+    (cell, action) over the targets of all the cell's feasible moves in ``ROW_ORDER``."""
     eps_real = Fraction(spec.real_uncertainty).limit_denominator(10 ** 9)
     eps = spec.assumed_uncertainty
     p_intended = float(1 - eps_real)
     shares = [float(eps_real / n) if n else 0.0 for n in range(len(ACTIONS))]
     states = [(x, y) for y in range(spec.height) for x in range(spec.width)]
     labels = {cell: frozenset(spec.labels.get(cell, ())) for cell in states}
-    bounds = {}
-    dynamics = {}
+    rows = {}
     enabled = {}
     for cell in states:
-        moves = spec.feasible_moves(cell)
-        enabled[cell] = moves
+        moves = enabled[cell] = spec.feasible_moves(cell)
+        share = shares[len(moves) - 1]
+        targets = [(b, spec.target(cell, b)) for b in ROW_ORDER if b in moves]
+        # per move: its target's entry as an alternative and as the intended move
+        entries = [(b, (s2, 0.0, eps, share), (s2, 1.0 - eps, 1.0, p_intended)) for b, s2 in targets]
         for a in moves:
             if a == "Stay":
-                bounds[(cell, a, cell)] = (1.0, 1.0)
-                dynamics[(cell, a, cell)] = 1.0
-                continue
-            intended = spec.target(cell, a)
-            alternatives = [spec.target(cell, other) for other in moves if other != a]
-            share = shares[len(alternatives)]
-            bounds[(cell, a, intended)] = (1.0 - eps, 1.0)
-            dynamics[(cell, a, intended)] = p_intended
-            for other in alternatives:
-                bounds[(cell, a, other)] = (0.0, eps)
-                dynamics[(cell, a, other)] = share
+                rows[(cell, a)] = ((cell, 1.0, 1.0, 1.0),)
+            else:
+                rows[(cell, a)] = tuple(on if b == a else off for b, off, on in entries)
 
     rewards = dict(spec.reward_cells)
     reward_fn = lambda s, a: rewards.get(s, 0.0)
-    return LabeledIntervalMdp(states, ACTIONS, labels, bounds, dynamics, reward_fn, enabled)
+    return LabeledIntervalMdp(states, ACTIONS, labels, rows, reward_fn, enabled)
 
 
 # Canonical six-by-six pickup-and-delivery layout.  The coordinates, door

@@ -1,10 +1,9 @@
-"""Labeled MDPs with interval-bounded transition probabilities.
+"""Labeled MDPs with interval-bounded transition probabilities, stored by row.
 
-The model separates what the shield may use (states, actions, labels, and
-per-transition probability intervals) from what only the episode loops in
-:mod:`learner` read: the true transition law, as cumulative tables from
-:meth:`LabeledIntervalMdp.sampler`, and the reward ``reward_fn``.  Absent
-interval entries mean the transition is impossible ([0, 0]).
+``rows[(s, a)]`` lists the successors of action a at state s in state order, as
+(s', lo, hi, p) tuples, p None where the model has no true law; a successor not
+listed is impossible ([0, 0]).  The shield reads the intervals; only the episode
+loops in :mod:`learner` read the law (:meth:`LabeledIntervalMdp.sampler`) and ``reward_fn``.
 """
 
 from __future__ import annotations
@@ -39,109 +38,105 @@ def interval_row(los, his):
             row_infeasibility(lo_sum, math.fsum(his)))
 
 
-def dynamics_rows(dynamics):
-    """True-dynamics entries with positive probability, grouped by (s, a) in dict order:
-    (s, a) -> [(s', p), ...]."""
-    rows = {}
-    for (s, a, s2), p in dynamics.items():
-        if p > 0.0:
-            rows.setdefault((s, a), []).append((s2, p))
-    return rows
-
-
 def _no_reward(s, a):
     return 0.0      # a module function, not a lambda, so that models pickle
 
 
 class LabeledIntervalMdp:
-    """States, actions, labels, interval bounds, and optional true dynamics.
+    """States, actions, labels and ``rows``; ``bounds`` and ``true_dynamics`` are (s, a, s')-keyed views.
 
-    ``bounds`` maps (s, a, s') to (lo, hi).  ``enabled`` restricts the action
-    set per state (walls and one-way doors remove actions outright); states
-    not listed keep the full action set.  ``reward_fn(s, a)`` is read only by
-    the episode loops; a model without one pays 0.0.
+    ``enabled`` restricts the action set per state (walls and one-way doors
+    remove actions outright); states not listed keep the full action set.
+    ``reward_fn(s, a)`` is read only by the episode loops; without one a model pays 0.0.
     """
 
-    def __init__(self, states, actions, labels, bounds, true_dynamics=None,
-                 reward_fn=None, enabled=None):
+    def __init__(self, states, actions, labels, rows, reward_fn=None, enabled=None):
         self.states = tuple(states)
         self.actions = tuple(actions)
         self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
-        self.bounds = dict(bounds)
-        self.true_dynamics = dict(true_dynamics) if true_dynamics is not None else None
+        self.rows = rows
+        self._lawful = any(p is not None for row in rows.values() for _, _, _, p in row)
         self.reward_fn = reward_fn or _no_reward
-        state_set = set(self.states)
-        full = tuple(self.actions)
-        self.enabled = {s: full for s in self.states}
-        if enabled is not None:
-            for s, acts in enabled.items():
-                if s not in state_set:
-                    raise MdpError(f"enabled-action entry for unknown state {s!r}")
-                self.enabled[s] = tuple(acts)
-        self._index_support()
-        # grouped once: the samplers and validate read the same rows
-        self._dynamics_rows = {} if self.true_dynamics is None else dynamics_rows(self.true_dynamics)
+        self.enabled = dict.fromkeys(self.states, self.actions)
+        for s, acts in (enabled or {}).items():
+            if s not in self.enabled:
+                raise MdpError(f"enabled-action entry for unknown state {s!r}")
+            self.enabled[s] = tuple(acts)
         self._samplers = {}     # (s, a) -> (succs, cum), built by the first sampler() call
 
-    def _index_support(self):
-        # state -> position: the support's order here and the samplers' successor order
-        order = self._order = {s: i for i, s in enumerate(self.states)}
-        support = {}
-        for (s, a, s2), (lo, hi) in self.bounds.items():
-            if hi > 0.0:
-                support.setdefault((s, a), []).append((order.get(s2, -1), s2, lo, hi))
-        self._support = {}
-        for key, entries in support.items():
-            entries.sort()
-            self._support[key] = tuple((s2, lo, hi) for _, s2, lo, hi in entries)
+    @classmethod
+    def from_edges(cls, states, actions, labels, bounds, true_dynamics=None,
+                   reward_fn=None, enabled=None):
+        """The model of (s, a, s')-keyed ``bounds`` (lo, hi) and ``true_dynamics`` (p), grouped
+        by row once; a probability on an edge without bounds gets [0, 0] (``validate`` says so)."""
+        states = tuple(states)
+        order = {s: i for i, s in enumerate(states)}
+        law = true_dynamics or {}
+        grouped = {}
+        for (s, a, s2), (lo, hi) in bounds.items():
+            grouped.setdefault((s, a), {})[s2] = (s2, lo, hi, law.get((s, a, s2)))
+        for (s, a, s2), p in law.items():
+            grouped.setdefault((s, a), {}).setdefault(s2, (s2, 0.0, 0.0, p))
+        rows = {key: tuple(sorted(row.values(), key=lambda entry: order.get(entry[0], -1)))
+                for key, row in grouped.items()}
+        return cls(states, actions, labels, rows, reward_fn, enabled)
+
+    @property
+    def bounds(self):
+        """(s, a, s') -> (lo, hi) for every row entry, a new dict per read."""
+        return {(s, a, s2): (lo, hi) for (s, a), row in self.rows.items() for s2, lo, hi, _ in row}
+
+    @property
+    def true_dynamics(self):
+        """(s, a, s') -> p for every entry with a true probability; None without a true law."""
+        return {(s, a, s2): p for (s, a), row in self.rows.items()
+                for s2, _, _, p in row if p is not None} if self._lawful else None
 
     def support(self, s, a):
-        """Successors with positive upper bound, as (s', lo, hi) tuples."""
-        return self._support.get((s, a), ())
+        """The entries of row (s, a) with positive upper bound."""
+        return [entry for entry in self.rows.get((s, a), ()) if entry[2] > 0.0]
 
     def sampler(self, s, a):
         """The true law at (s, a): successors and their cumulative probabilities."""
-        if self.true_dynamics is None:
-            raise MissingDynamicsError("this model has no true dynamics to simulate")
         table = self._samplers.get((s, a))
         if table is None:
-            entries = self._dynamics_rows.get((s, a))
-            if entries is None:
+            if not self._lawful:
+                raise MissingDynamicsError("this model has no true dynamics to simulate")
+            entries = [(s2, p) for s2, _, _, p in self.rows.get((s, a), ())
+                       if p is not None and p > 0.0]
+            if not entries:
                 raise MdpError(f"no transitions defined for state {s!r} action {a!r}")
-            entries = sorted(entries, key=lambda item: self._order.get(item[0], -1))
             cum = list(itertools.accumulate(p for _, p in entries))
             cum[-1] = max(cum[-1], 1.0)
             table = self._samplers[(s, a)] = ([s2 for s2, _ in entries], cum)
         return table
 
     def validate(self):
-        """Check interval and dynamics invariants; returns a list of violations."""
-        problems = []
-        bad = [item for item in self.bounds.items() if not 0.0 <= item[1][0] <= item[1][1] <= 1.0]
-        for (s, a, s2), (lo, hi) in sorted(bad, key=repr):     # only the offenders, by repr
-            problems.append(f"bounds out of order for ({s!r},{a!r},{s2!r}): [{lo},{hi}]")
+        """Violations in order: bounds out of order (by repr); per state, no actions or infeasible
+        rows; with a true law, probabilities outside bounds (by row), then bad law rows."""
+        rows, lawful = self.rows, self._lawful
+        bad = [((s, a, s2), (lo, hi)) for (s, a), row in rows.items()
+               for s2, lo, hi, _ in row if not 0.0 <= lo <= hi <= 1.0]
+        problems = [f"bounds out of order for ({s!r},{a!r},{s2!r}): [{lo},{hi}]"
+                    for (s, a, s2), (lo, hi) in sorted(bad, key=repr)]    # only the offenders
+        outside = [f"true probability {p:.6f} outside bounds [{lo},{hi}] for ({s!r},{a!r},{s2!r})"
+                   for (s, a), row in rows.items() for s2, lo, hi, p in row
+                   if p is not None and not lo - 1e-12 <= p <= hi + 1e-12] if lawful else []
+        law = []
         for s in self.states:
             if not self.enabled[s]:
                 problems.append(f"state {s!r} has no enabled actions")
             for a in self.enabled[s]:
-                entries = self.support(s, a)
-                infeasible = row_infeasibility(math.fsum(lo for _, lo, _ in entries),
-                                               math.fsum(hi for _, _, hi in entries))
+                row = rows.get((s, a), ())
+                infeasible = row_infeasibility(math.fsum(lo for _, lo, hi, _ in row if hi > 0.0),
+                                               math.fsum(hi for _, _, hi, _ in row if hi > 0.0))
                 if infeasible is not None:
                     problems.append(f"infeasible bounds at ({s!r},{a!r}): {infeasible}")
-        if self.true_dynamics is not None:
-            for (s, a, s2), p in self.true_dynamics.items():
-                lo, hi = self.bounds.get((s, a, s2), (0.0, 0.0))
-                if not (lo - 1e-12 <= p <= hi + 1e-12):
-                    problems.append(
-                        f"true probability {p:.6f} outside bounds [{lo},{hi}] for ({s!r},{a!r},{s2!r})")
-            for s in self.states:
-                for a in self.enabled[s]:
-                    entries = self._dynamics_rows.get((s, a))
-                    if entries is None:
-                        problems.append(f"true dynamics missing for ({s!r},{a!r})")
-                        continue
-                    total = math.fsum(p for _, p in entries)
-                    if abs(total - 1.0) > FEASIBILITY_TOL:
-                        problems.append(f"true dynamics at ({s!r},{a!r}) sum to {total!r}, not 1")
-        return problems
+                if not lawful:
+                    continue
+                probs = [p for _, _, _, p in row if p is not None and p > 0.0]
+                if not probs:
+                    law.append(f"true dynamics missing for ({s!r},{a!r})")
+                elif abs(math.fsum(probs) - 1.0) > FEASIBILITY_TOL:
+                    law.append(f"true dynamics at ({s!r},{a!r}) sum to {math.fsum(probs)!r}, not 1")
+        return problems + outside + law

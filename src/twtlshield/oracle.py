@@ -267,4 +267,4 @@ def random_interval_mdp(rng: random.Random, spec: RandomInstanceSpec) -> Labeled
                 lo = max(0.0, p - width * rng.random())
                 hi = min(1.0, p + width * rng.random())
                 bounds[(s, a, s2)] = (lo, hi)
-    return LabeledIntervalMdp(states, actions, labels, bounds)
+    return LabeledIntervalMdp.from_edges(states, actions, labels, bounds)

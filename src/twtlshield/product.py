@@ -14,28 +14,26 @@ state at the final layer must be accepting or trash; non-accepting leftovers
 (possible only when the horizon undershoots the formula's time bound) are
 coerced to trash and reported in ``coerced``.
 
-Where a move can lead depends only on (s, q), never on t, so the
-enumeration gives each reachable (s, q) pair an integer id the first time it
-sees it: ``keys[i]`` is the pair and ``next_ids[i]`` the ids of its
-successors, computed once per pair below the horizon and shared by every
-layer (None for pairs seen only at the horizon).  ``layer_ids[t]`` lists
-layer t's ids in ``repr`` order of their pairs, and ``layers[t]`` is the
-same list as (s, q) tuples; ``initial`` is layer 0 as (s, q, 0) states.
-``neighbours[s]`` lists the distinct successors of s over all enabled
-actions in first-seen order; ``support_rows[s]`` gives per enabled action
-(a, the positions of its support in that tuple, lower bounds, and the row's
-LP constants from :func:`mdp.interval_row`: rooms, remaining mass,
-infeasibility), only for the states the pruning sweep solves: those paired
-with an undecided automaton state below the horizon.  This is exact
-because the time index only counts steps: it changes neither the successors
-of a state nor the automaton move a label selects.  States are numbered
-layer by layer from ``offsets[t]`` at layer t; ``states[n]`` (built on first
-read) is state n.  Pruning writes the shield into lists by state number:
-``f`` over all states, ``kept`` and ``fallback`` below the horizon.
-``f_values``, ``act_sets`` and ``pi_c`` are the same as dicts keyed by
-state, built on the first read after pruning (empty before).  The product
-has no per-state helpers: the episode loops in :mod:`learner` state and
-apply the fallback flag's reset rule on their numbered view.
+Where a move can lead depends only on (s, q), never on t, because the time
+index only counts steps.  So the enumeration gives each reachable (s, q) pair
+an integer id the first time it sees it: ``keys[i]`` is the pair and
+``next_ids[i]`` the ids of its successors, computed once per pair below the
+horizon and shared by every layer (None for pairs seen only at the horizon).
+``layer_ids[t]`` lists layer t's ids in ``repr`` order of their pairs,
+``layers[t]`` the same as (s, q) tuples, and ``initial`` layer 0 as (s, q, 0)
+states.  Each enabled model row is read once, as stored: ``neighbours[s]``
+lists the distinct successors with hi > 0 over s's rows in first-seen order,
+and ``support_rows[s]`` per enabled action (a, the positions of its successors
+in that tuple, lower bounds, and the LP constants of :func:`mdp.interval_row`:
+rooms, remaining mass, infeasibility), only at states the pruning sweep
+solves: those paired with an undecided automaton state below the horizon.
+
+States are numbered layer by layer from ``offsets[t]``; ``states[n]`` (built on
+first read) is state n.  Pruning writes the shield into lists by state number:
+``f`` over all states, ``kept`` and ``fallback`` below the horizon; ``f_values``,
+``act_sets`` and ``pi_c`` are the same as dicts keyed by state, built on the
+first read after pruning (empty before).  The episode loops in :mod:`learner`
+state and apply the fallback flag's reset rule on their numbered view.
 """
 
 from __future__ import annotations
@@ -71,11 +69,15 @@ class TimeTotalProductMdp:
         rows = {}
         for s in mdp.states:
             seen = {}
-            rows[s] = []
+            rows[s] = acts = []
             for a in mdp.enabled[s]:
-                entries = mdp.support(s, a)
-                rows[s].append((a, [seen.setdefault(s2, len(seen)) for s2, _, _ in entries],
-                                [lo for _, lo, _ in entries], [hi for _, _, hi in entries]))
+                pos, los, his = [], [], []
+                for s2, lo, hi, _ in mdp.rows.get((s, a), ()):
+                    if hi > 0.0:
+                        pos.append(seen.setdefault(s2, len(seen)))
+                        los.append(lo)
+                        his.append(hi)
+                acts.append((a, pos, los, his))
             self.neighbours[s] = tuple(seen)
         solved = self._enumerate_layers()
         self.support_rows = {s: [(a, pos, los, *interval_row(los, his)) for a, pos, los, his in rows[s]]

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .mdp import MissingDynamicsError, dynamics_rows, interval_row
+from .mdp import MissingDynamicsError, interval_row
 from .product import TimeTotalProductMdp
 
 
@@ -73,10 +73,10 @@ class MultiShotInfeasibleError(ReachabilityError):
         self.segment = segment
 
 
-def greedy_kappa(values, los, rooms, remaining):
-    """:func:`solve_kappa` from the row's constants (``mdp.interval_row``)."""
+def greedy_kappa(values, least, los, rooms, remaining):
+    """:func:`solve_kappa` from the row's constants (``mdp.interval_row``); ``least`` is min(values)."""
     dist = list(los)
-    j = values.index(min(values))       # the first successor the sorted fill visits
+    j = values.index(least)             # the first successor the sorted fill visits
     if 0.0 < remaining <= rooms[j]:
         dist[j] += remaining
     elif remaining > 0.0:
@@ -102,7 +102,7 @@ def solve_kappa(values, los, his):
     rooms, remaining, infeasible = interval_row(los, his)
     if infeasible is not None:
         raise InfeasibleIntervalError(infeasible)
-    return greedy_kappa(values, los, rooms, remaining)
+    return greedy_kappa(values, min(values), los, rooms, remaining)
 
 
 def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
@@ -152,8 +152,9 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
                             if infeasible is not None:
                                 raise InfeasibleIntervalError(infeasible, state=(s, q, t), action=a)
                             values = [fvals[j] for j in pos]
-                            k = greedy_kappa(values, los, rooms, remaining)[0]
-                            if min(values) >= prune_below:
+                            least = min(values)
+                            k = greedy_kappa(values, least, los, rooms, remaining)[0]
+                            if least >= prune_below:
                                 keep.append(a)
                             if k > best:
                                 best = k
@@ -271,13 +272,17 @@ def check_initial(product: TimeTotalProductMdp, pr_des):
 def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics=None):
     """Exact accepting-reach probability under a fixed policy and known dynamics.
 
-    Backward dynamic program over the true transition law; serves as the
-    validation oracle for the worst-case bound (it must dominate f pointwise).
+    Backward dynamic program over the true law ``true_dynamics``, (s, a, s') -> p, summed
+    in its order (default ``mdp.true_dynamics``); serves as the validation oracle for the
+    worst-case bound (it must dominate f pointwise).
     """
     dyn = true_dynamics if true_dynamics is not None else product.mdp.true_dynamics
     if dyn is None:
         raise MissingDynamicsError("exact reachability needs true dynamics")
-    rows = dynamics_rows(dyn)
+    rows = {}
+    for (s, a, s2), p in dyn.items():
+        if p > 0.0:
+            rows.setdefault((s, a), []).append((s2, p))
     after = product._after
     accepting = product.automaton.accepting
     trash = product.automaton.trash

@@ -58,7 +58,7 @@ def three_state_mdp(exact=True, slack=0.1):
     else:
         bounds = {key: (max(0.0, p - slack), min(1.0, p + slack)) for key, p in dynamics.items()}
     labels = {"s0": E, "s1": B, "s2": C}
-    return LabeledIntervalMdp(["s0", "s1", "s2"], ["a1", "a2"], labels, bounds, dynamics)
+    return LabeledIntervalMdp.from_edges(["s0", "s1", "s2"], ["a1", "a2"], labels, bounds, dynamics)
 
 
 @pytest.fixture()
@@ -76,7 +76,7 @@ def successors(prod, p, a):
     if t >= prod.horizon:
         return ()
     return tuple(((s2, prod.automaton.step(q, prod.mdp.labels[s2]), t + 1), lo, hi)
-                 for s2, lo, hi in prod.mdp.support(s, a))
+                 for s2, lo, hi, _ in prod.mdp.support(s, a))
 
 
 def is_trash(prod, p):
@@ -131,7 +131,7 @@ def worst_case_toy():
         ("m2", "a", "g"): 0.5, ("m2", "a", "l"): 0.5,
     }
     enabled = {"g": ("a",), "l": ("a",), "m1": ("a",), "m2": ("a",)}
-    mdp = LabeledIntervalMdp(states, actions, labels, bounds, dynamics, None, enabled)
+    mdp = LabeledIntervalMdp.from_edges(states, actions, labels, bounds, dynamics, None, enabled)
     formula = parse_formula("[H^0 G]^[0,2]", {"G"})
     automaton = compile_formula(formula, {"G"})
     return build_product(mdp, automaton, 2)

@@ -8,6 +8,7 @@ import pytest
 from twtlshield.cli import _as_json, load_config
 from twtlshield.gridworld import (ACTIONS, CASE_STUDY_PROPS, GridError, GridSpec,
                                   build_grid_mdp, canonical_case_study, render_ascii)
+from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.twtl import time_bound
 from conftest import sample_next
 
@@ -58,7 +59,7 @@ class TestDynamics:
         cell = (3, 3)
         intended = (4, 3)
         assert m.bounds[(cell, "E", intended)] == (1.0 - 0.08, 1.0)
-        for s2, lo, hi in m.support(cell, "E"):
+        for s2, lo, hi, _ in m.support(cell, "E"):
             if s2 != intended:
                 assert (lo, hi) == (0.0, 0.08)
 
@@ -96,20 +97,79 @@ def fraction_dynamics(spec):
     return dynamics
 
 
+def declared_bounds(spec):
+    """The declared intervals, one (cell, action) at a time: [1, 1] on Stay, otherwise
+    [1 - eps, 1] on the intended move and [0, eps] on every other feasible move."""
+    eps = spec.assumed_uncertainty
+    bounds = {}
+    for y in range(spec.height):
+        for x in range(spec.width):
+            cell = (x, y)
+            moves = spec.feasible_moves(cell)
+            for a in moves:
+                if a == "Stay":
+                    bounds[(cell, a, cell)] = (1.0, 1.0)
+                    continue
+                for b in moves:
+                    bounds[(cell, a, spec.target(cell, b))] = (1.0 - eps, 1.0) if b == a else (0.0, eps)
+    return bounds
+
+
+def five_door_spec():
+    """Doors that leave cells with at least five different numbers of feasible moves."""
+    doors = {(1, 1): frozenset({"N"}), (2, 2): frozenset({"N", "E", "S"}),
+             (3, 1): frozenset({"NE", "NW", "SE", "SW", "W"}), (0, 2): frozenset({"E"})}
+    return GridSpec(width=5, height=4, real_uncertainty=0.07, assumed_uncertainty=0.1,
+                    one_way_doors=doors)
+
+
 class TestFractionShares:
     def test_case_study(self):
         spec, _ = canonical_case_study()
         assert build_grid_mdp(spec).true_dynamics == fraction_dynamics(spec)
 
     def test_doors_vary_alternative_counts(self):
-        doors = {(1, 1): frozenset({"N"}), (2, 2): frozenset({"N", "E", "S"}),
-                 (3, 1): frozenset({"NE", "NW", "SE", "SW", "W"}), (0, 2): frozenset({"E"})}
-        spec = GridSpec(width=5, height=4, real_uncertainty=0.07, assumed_uncertainty=0.1,
-                        one_way_doors=doors)
+        spec = five_door_spec()
         counts = {len(spec.feasible_moves(cell)) for cell in
                   [(x, y) for y in range(4) for x in range(5)]}
         assert len(counts) >= 5
         assert build_grid_mdp(spec).true_dynamics == fraction_dynamics(spec)
+
+
+ROW_SPECS = {
+    "case_study": lambda: canonical_case_study()[0],
+    "five_doors": five_door_spec,
+    "no_uncertainty": lambda: plain_grid(eps_real=0.0, eps=0.0),
+    "eps_one": lambda: plain_grid(eps=1.0),
+    "one_cell": lambda: GridSpec(width=1, height=1, real_uncertainty=0.03, assumed_uncertainty=0.08),
+}
+
+
+class TestRows:
+    """The grid's rows against the edge dicts written out independently, through the adapter."""
+
+    @pytest.mark.parametrize("name", list(ROW_SPECS))
+    def test_rows_match_the_edge_reference(self, name):
+        spec = ROW_SPECS[name]()
+        m = build_grid_mdp(spec)
+        order = {s: i for i, s in enumerate(m.states)}
+        for row in m.rows.values():
+            positions = [order[s2] for s2, _, _, _ in row]
+            assert positions == sorted(set(positions))
+        bounds, dynamics = declared_bounds(spec), fraction_dynamics(spec)
+        reference = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, dynamics,
+                                                  enabled=m.enabled)
+        assert m.rows == reference.rows
+        assert m.bounds == bounds
+        assert m.true_dynamics == dynamics
+        assert m.validate() == []
+
+    def test_zero_width_alternatives_are_outside_the_support(self):
+        spec = ROW_SPECS["no_uncertainty"]()
+        m = build_grid_mdp(spec)
+        for (cell, a), row in m.rows.items():
+            assert [s2 for s2, _, _, _ in m.support(cell, a)] == [spec.target(cell, a)]
+            assert len(row) == (1 if a == "Stay" else len(m.enabled[cell]))
 
 
 class TestDoors:

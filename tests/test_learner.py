@@ -203,11 +203,12 @@ def by_state(product, policy):
     return dict(zip(product.states, policy))
 
 
-def corridor_product(pr_des=1.0, missing=()):
+def corridor_product(pr_des=1.0, missing=(), law=True):
     """Two-cell world where the goal is reachable deterministically.
 
     ``missing`` lists (s, a, s') entries left out of the true dynamics; the model is
-    never validated, so those (s, a) rows are absent.
+    never validated, so those (s, a) rows are absent.  Without ``law`` the model has
+    no true dynamics at all.
     """
     states = ["r", "g"]
     actions = ["go", "stay"]
@@ -216,9 +217,9 @@ def corridor_product(pr_des=1.0, missing=()):
         ("r", "go", "g"): (1.0, 1.0), ("r", "stay", "r"): (1.0, 1.0),
         ("g", "go", "g"): (1.0, 1.0), ("g", "stay", "g"): (1.0, 1.0),
     }
-    dynamics = {key: 1.0 for key in bounds if key not in missing}
+    dynamics = {key: 1.0 for key in bounds if key not in missing} if law else None
     enabled = {"r": ("go", "stay"), "g": ("go", "stay")}
-    mdp = LabeledIntervalMdp(states, actions, labels, bounds, dynamics, None, enabled)
+    mdp = LabeledIntervalMdp.from_edges(states, actions, labels, bounds, dynamics, None, enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
     return one_shot_prune(build_product(mdp, aut, 2), pr_des)
 
@@ -252,9 +253,9 @@ def bootstrap_toy(reward_b, x_actions=("a", "b")):
     bounds = {("r", "go", "x"): (1.0, 1.0), ("x", "a", "g"): (1.0, 1.0),
               ("x", "b", "g"): (1.0, 1.0), ("g", "a", "g"): (1.0, 1.0)}
     enabled = {"r": ("go",), "x": x_actions, "g": ("a",)}
-    mdp = LabeledIntervalMdp(states, ["go", "a", "b"], {"g": G}, bounds,
-                             {key: 1.0 for key in bounds},
-                             lambda s, a: reward_b if (s, a) == ("x", "b") else 0.0, enabled)
+    pays = lambda s, a: reward_b if (s, a) == ("x", "b") else 0.0
+    mdp = LabeledIntervalMdp.from_edges(states, ["go", "a", "b"], {"g": G}, bounds,
+                                        {key: 1.0 for key in bounds}, pays, enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
     prod = build_product(mdp, aut, 2)
     inner = prod.states[:prod.offsets[prod.horizon]]
@@ -372,8 +373,8 @@ class TestGuarantees:
 
 
     def test_model_without_dynamics_cannot_be_stepped(self):
-        prod = corridor_product(1.0)
-        prod.mdp.true_dynamics = None
+        prod = corridor_product(1.0, law=False)
+        assert prod.mdp.true_dynamics is None
         with pytest.raises(MissingDynamicsError):
             learn(prod, LearnerConfig(episodes=1, seed=19))
         with pytest.raises(MissingDynamicsError):

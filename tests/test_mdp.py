@@ -21,7 +21,7 @@ class TestValidate:
     def test_no_information_bounds(self):
         m = three_state_mdp()
         bounds = {key: (0.0, 1.0) for key in m.bounds}
-        loose = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds, m.true_dynamics)
+        loose = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, m.true_dynamics)
         assert loose.validate() == []
 
     def test_exact_knowledge_bounds(self, labeled_mdp):
@@ -32,7 +32,7 @@ class TestValidate:
         m = three_state_mdp()
         bounds = dict(m.bounds)
         bounds[("s2", "a1", "s2")] = (0.0, 0.8)
-        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds)
+        bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds)
         problems = bad.validate()
         assert len(problems) == 1
         assert "upper bounds" in problems[0] and "s2" in problems[0]
@@ -42,7 +42,7 @@ class TestValidate:
         dynamics = dict(m.true_dynamics)
         dynamics[("s0", "a1", "s1")] = 0.7
         dynamics[("s0", "a1", "s2")] = 0.3
-        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds, dynamics)
+        bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds, dynamics)
         problems = [p for p in bad.validate() if "outside bounds" in p]
         assert len(problems) == 2
 
@@ -53,8 +53,8 @@ class TestValidate:
         keys = [((x, 0), "N", (x, 1)) for x in range(5, -1, -1)]
         bounds = {key: b for key, b in m.bounds.items() if key not in keys}
         bounds.update((key, (0.5, 0.25)) for key in keys)
-        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds, m.true_dynamics,
-                                 m.reward_fn, m.enabled)
+        bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, m.true_dynamics,
+                                            m.reward_fn, m.enabled)
         problems = bad.validate()
         expected = [f"bounds out of order for (({x}, 0),'N',({x}, 1)): [0.5,0.25]"
                     for x in range(6)]
@@ -71,7 +71,7 @@ class TestValidate:
         m = three_state_mdp()
         bounds = dict(m.bounds)
         bounds[("s2", "a1", "s2")] = (0.0, 0.8)
-        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds)
+        bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds)
         why = "sum of upper bounds 0.800000000 is below 1"
         assert bad.validate() == [f"infeasible bounds at ('s2','a1'): {why}"]
         formula = parse_formula("[H^0 B]^[0,2]", {"B", "C"})
@@ -88,15 +88,62 @@ class TestValidate:
         m = three_state_mdp()
         bounds = {**m.bounds, ("s2", "a1", "s2"): (0.0, 1.0)}
         dynamics = {**m.true_dynamics, ("s2", "a1", "s2"): 0.0}
-        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, bounds, dynamics)
+        bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, dynamics)
         assert bad.validate() == ["true dynamics missing for ('s2','a1')"]
 
     def test_nonstochastic_dynamics(self):
         m = three_state_mdp(exact=False)
         dynamics = dict(m.true_dynamics)
         dynamics[("s0", "a1", "s1")] = 0.85
-        bad = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds, dynamics)
+        bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds, dynamics)
         assert any("sum to" in p for p in bad.validate())
+
+
+def defective_edges():
+    """States, actions, bounds, true law and enabled sets of a model with one of each defect
+    ``validate`` reports, and the report, word for word and in order."""
+    states = ["s0", "s1", "s2", "s3", "s4", "s5"]
+    bounds = {
+        ("s0", "a", "s1"): (0.5, 0.25), ("s0", "a", "s2"): (0.5, 1.0),   # out of order
+        ("s1", "a", "s0"): (0.2, 0.0), ("s1", "a", "s1"): (1.0, 1.0),    # hi <= 0 < lo
+        ("s2", "a", "s2"): (0.0, 0.8),                                    # infeasible
+        ("s4", "a", "s4"): (1.0, 1.0),                                    # no true law
+        ("s5", "a", "s5"): (0.5, 1.0), ("s5", "a", "s0"): (0.0, 0.5),    # sums to 0.75
+    }
+    dynamics = {
+        ("s0", "a", "s1"): 0.3, ("s0", "a", "s2"): 0.7,
+        ("s1", "a", "s1"): 1.0,
+        ("s2", "a", "s2"): 0.8, ("s2", "a", "s3"): 0.2,   # an edge without bounds
+        ("s5", "a", "s0"): 0.25, ("s5", "a", "s5"): 0.5,
+    }
+    enabled = {"s3": ()}
+    report = [
+        "bounds out of order for ('s0','a','s1'): [0.5,0.25]",
+        "bounds out of order for ('s1','a','s0'): [0.2,0.0]",
+        "infeasible bounds at ('s2','a'): sum of upper bounds 0.800000000 is below 1",
+        "state 's3' has no enabled actions",
+        "true probability 0.300000 outside bounds [0.5,0.25] for ('s0','a','s1')",
+        "true probability 0.200000 outside bounds [0.0,0.0] for ('s2','a','s3')",
+        "true dynamics missing for ('s4','a')",
+        "true dynamics at ('s5','a') sum to 0.75, not 1",
+    ]
+    return states, ["a"], bounds, dynamics, enabled, report
+
+
+class TestValidateReport:
+    def test_every_defect_word_for_word_in_order(self):
+        states, actions, bounds, dynamics, enabled, report = defective_edges()
+        m = LabeledIntervalMdp.from_edges(states, actions, {}, bounds, dynamics, enabled=enabled)
+        assert m.validate() == report
+        assert m.rows[("s1", "a")] == (("s0", 0.2, 0.0, None), ("s1", 1.0, 1.0, 1.0))
+        assert m.support("s1", "a") == [("s1", 1.0, 1.0, 1.0)]
+        assert m.rows[("s2", "a")] == (("s2", 0.0, 0.8, 0.8), ("s3", 0.0, 0.0, 0.2))
+
+    def test_without_a_law_only_the_interval_defects(self):
+        states, actions, bounds, _, enabled, report = defective_edges()
+        m = LabeledIntervalMdp.from_edges(states, actions, {}, bounds, None, enabled=enabled)
+        assert m.true_dynamics is None
+        assert m.validate() == report[:4]
 
 
 class TestStep:
@@ -115,21 +162,21 @@ class TestStep:
         rng = random.Random(7)
         for s in labeled_mdp.states:
             for a in labeled_mdp.actions:
-                reachable = {s2 for s2, _, hi in labeled_mdp.support(s, a)}
+                reachable = {s2 for s2, _, hi, _ in labeled_mdp.support(s, a)}
                 for _ in range(50):
                     assert sample_next(labeled_mdp, s, a, rng) in reachable
 
     def test_missing_dynamics(self):
         m = three_state_mdp()
-        blind = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds)
+        blind = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds)
         with pytest.raises(MissingDynamicsError):
             sample_next(blind, "s0", "a1", random.Random(0))
 
     def test_reward_passthrough(self):
         m = three_state_mdp()
         pays = lambda s, a: 2.5 if s == "s0" else 0.0
-        rewarding = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds,
-                                       m.true_dynamics, pays)
+        rewarding = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds,
+                                                  m.true_dynamics, pays)
         assert rewarding.reward_fn is pays
         # a model without a reward source pays nothing, and still pickles
         assert all(m.reward_fn(s, a) == 0.0 for s in m.states for a in m.actions)
@@ -169,10 +216,10 @@ class TestSamplers:
     def test_missing_row(self):
         m = three_state_mdp()
         dynamics = {key: p for key, p in m.true_dynamics.items() if key[:2] != ("s2", "a2")}
-        gap = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds, dynamics)
+        gap = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds, dynamics)
         assert gap.sampler("s2", "a1") == (["s2"], [1.0])
         with pytest.raises(MdpError, match="no transitions defined for state 's2' action 'a2'"):
             gap.sampler("s2", "a2")
-        blind = LabeledIntervalMdp(m.states, m.actions, m.labels, m.bounds)
+        blind = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds)
         with pytest.raises(MissingDynamicsError):
             blind.sampler("s2", "a1")

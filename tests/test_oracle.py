@@ -98,8 +98,8 @@ class TestSampledDynamics:
         for _ in range(200):
             model = random_interval_mdp(rng, RandomInstanceSpec())
             dyn = sample_true_dynamics(model.bounds, rng)
-            sim = LabeledIntervalMdp(model.states, model.actions, model.labels,
-                                     model.bounds, dyn)
+            sim = LabeledIntervalMdp.from_edges(model.states, model.actions, model.labels,
+                                                model.bounds, dyn)
             assert sim.validate() == []
 
     def test_deterministic_given_seed(self):

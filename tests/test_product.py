@@ -28,7 +28,7 @@ def by_annotation(automaton):
 def reference_enumerate(mdp, automaton, horizon):
     """Reachable layers over (s, q) keys with sets and dicts, as the product enumerated them
     before it numbered its pairs: (layers, initial, coerced, successor keys per (s, q))."""
-    neighbours = {s: tuple(dict.fromkeys(s2 for a in mdp.enabled[s] for s2, _, _ in mdp.support(s, a)))
+    neighbours = {s: tuple(dict.fromkeys(s2 for a in mdp.enabled[s] for s2, *_ in mdp.support(s, a)))
                   for s in mdp.states}
     start = {(s, automaton.step(automaton.initial, mdp.labels[s])) for s in mdp.states}
     layers = [tuple(sorted(start, key=repr))]
@@ -88,8 +88,8 @@ class TestBuild:
 
     def test_all_paths_trash_without_label(self, bc_automaton):
         # single state labeled {} looping on itself: B is never observed
-        m = LabeledIntervalMdp(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
-                               {("s", "a", "s"): 1.0})
+        m = LabeledIntervalMdp.from_edges(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
+                                          {("s", "a", "s"): 1.0})
         prod = build_product(m, bc_automaton, 2)
         assert all(q == bc_automaton.trash for s, q in prod.layers[2])
 
@@ -101,8 +101,8 @@ class TestBuild:
         assert a.n_states() == b.n_states()
 
     def test_alphabet_mismatch(self, bc_automaton):
-        m = LabeledIntervalMdp(["s"], ["a"], {"s": frozenset({"Z"})},
-                               {("s", "a", "s"): (1.0, 1.0)})
+        m = LabeledIntervalMdp.from_edges(["s"], ["a"], {"s": frozenset({"Z"})},
+                                          {("s", "a", "s"): (1.0, 1.0)})
         with pytest.raises(ProductError):
             build_product(m, bc_automaton, 2)
 
@@ -110,8 +110,8 @@ class TestBuild:
                                                      (["s2", "s1", "s0"], "s2", "['C']")])
     def test_alphabet_mismatch_names_first_state(self, labeled_mdp, order, first, props):
         m = labeled_mdp
-        bad = LabeledIntervalMdp(order, m.actions, {**m.labels, "s1": frozenset({"B", "D"})},
-                                 m.bounds, m.true_dynamics)
+        bad = LabeledIntervalMdp.from_edges(order, m.actions, {**m.labels, "s1": frozenset({"B", "D"})},
+                                            m.bounds, m.true_dynamics)
         automaton = compile_formula(parse_formula("[H^0 B]^[0,1]", {"B"}), {"B"})
         with pytest.raises(ProductError) as err:
             build_product(bad, automaton, 1)
@@ -159,7 +159,7 @@ class TestInvariants:
         for t, layer in enumerate(prod.layers[:-1]):
             for s, q in layer:
                 for a in labeled_mdp.enabled[s]:
-                    mdp_bounds = {s2: (lo, hi) for s2, lo, hi in labeled_mdp.support(s, a)}
+                    mdp_bounds = {s2: (lo, hi) for s2, lo, hi, _ in labeled_mdp.support(s, a)}
                     for (s2, q2, _), lo, hi in successors(prod, (s, q, t), a):
                         assert (lo, hi) == mdp_bounds[s2]
 

@@ -227,7 +227,7 @@ class TestKernelArithmetic:
         values, los, his = row
         rooms, remaining, infeasible = interval_row(los, his)
         assert infeasible is None
-        assert bits(greedy_kappa(values, los, rooms, remaining)) == \
+        assert bits(greedy_kappa(values, min(values), los, rooms, remaining)) == \
             bits(reference_solve_kappa(values, los, his))
 
     def test_edge_rows_reach_their_case(self):
@@ -257,7 +257,7 @@ class TestKernelArithmetic:
                 assert str(err.value) == str(exc)
                 continue
             assert infeasible is None
-            assert bits(greedy_kappa(values, los, rooms, remaining)) == bits(expected)
+            assert bits(greedy_kappa(values, min(values), los, rooms, remaining)) == bits(expected)
             assert bits(solve_kappa(values, los, his)) == bits(expected)
             cases["tied"] += len(set(values)) < len(values)
             cases["zero_room"] += 0.0 in rooms
@@ -283,9 +283,9 @@ class TestKernelArithmetic:
             assert [row[0] for row in prod.support_rows[s]] == list(model.enabled[s])
             for a, pos, los, *constants in prod.support_rows[s]:
                 entries = model.support(s, a)
-                assert [prod.neighbours[s][i] for i in pos] == [s2 for s2, _, _ in entries]
-                assert los == [lo for _, lo, _ in entries]
-                assert tuple(constants) == interval_row(los, [hi for _, _, hi in entries])
+                assert [prod.neighbours[s][i] for i in pos] == [s2 for s2, _, _, _ in entries]
+                assert los == [lo for _, lo, _, _ in entries]
+                assert tuple(constants) == interval_row(los, [hi for _, _, hi, _ in entries])
 
 
 class TestBackwardPass:
@@ -513,7 +513,7 @@ class TestAgainstReference:
         states = ["x", "b", "c", "u"]
         bounds = {(s, a, s2): ((0.6, 1.0) if (s, a) == ("u", "b") else (0.1, 0.5))
                   for s in states for a in ("a", "b") for s2 in states}
-        model = LabeledIntervalMdp(states, ["a", "b"], {"b": {"B"}, "c": {"C"}}, bounds)
+        model = LabeledIntervalMdp.from_edges(states, ["a", "b"], {"b": {"B"}, "c": {"C"}}, bounds)
         prod = build_product(model, aut, time_bound(formula))
         terminal = aut.accepting | {aut.trash}
         at_u = [(s, q, 1) for s, q in prod.layers[1] if s == "u" and q not in terminal]
@@ -591,15 +591,15 @@ class TestPairInvariant:
 class TestCheckInitial:
     def test_all_accepting_ok(self):
         aut = compile_formula(parse_formula("H^0 TRUE"), {"G"})
-        m = LabeledIntervalMdp(["s"], ["a"], {"s": frozenset({"G"})},
-                               {("s", "a", "s"): (1.0, 1.0)}, {("s", "a", "s"): 1.0})
+        m = LabeledIntervalMdp.from_edges(["s"], ["a"], {"s": frozenset({"G"})},
+                                          {("s", "a", "s"): (1.0, 1.0)}, {("s", "a", "s"): 1.0})
         prod = one_shot_prune(build_product(m, aut, 0), 0.9)
         assert check_initial(prod, 0.9) == []
 
     def test_unsatisfiable_start_listed(self, window_formula):
         aut = compile_formula(window_formula, {"B"})
-        m = LabeledIntervalMdp(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
-                               {("s", "a", "s"): 1.0})
+        m = LabeledIntervalMdp.from_edges(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
+                                          {("s", "a", "s"): 1.0})
         prod = one_shot_prune(build_product(m, aut, 2), 0.5)
         violators = check_initial(prod, 0.5)
         assert len(violators) == 1
@@ -676,8 +676,8 @@ class TestMultiShot:
 
     def test_empty_segment_boundary_raises(self, window_formula):
         aut = compile_formula(window_formula, {"B"})
-        m = LabeledIntervalMdp(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
-                               {("s", "a", "s"): 1.0})
+        m = LabeledIntervalMdp.from_edges(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
+                                          {("s", "a", "s"): 1.0})
         with pytest.raises(MultiShotInfeasibleError) as err:
             multi_shot_prune(build_product(m, aut, 2), MultiShotPlan((0, 1, 2), (0.9, 0.9)))
         assert err.value.segment == 1
@@ -730,8 +730,8 @@ class TestWriteOnce:
 
     def test_infeasible_plan_writes_nothing(self, window_formula):
         aut = compile_formula(window_formula, {"B"})
-        m = LabeledIntervalMdp(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
-                               {("s", "a", "s"): 1.0})
+        m = LabeledIntervalMdp.from_edges(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
+                                          {("s", "a", "s"): 1.0})
         prod = build_product(m, aut, 2)
         with pytest.raises(MultiShotInfeasibleError):
             multi_shot_prune(prod, MultiShotPlan((0, 1, 2), (0.9, 0.9)))
@@ -760,8 +760,8 @@ class TestExactReachability:
             prod = one_shot_prune(build_product(model, aut, time_bound(formula)),
                                   rng.uniform(0.1, 1.0))
             dynamics = oracle.sample_true_dynamics(model.bounds, rng)
-            sim = LabeledIntervalMdp(model.states, model.actions, model.labels,
-                                     model.bounds, dynamics)
+            sim = LabeledIntervalMdp.from_edges(model.states, model.actions, model.labels,
+                                                model.bounds, dynamics)
             assert sim.validate() == []
             prod_sim = build_product(sim, aut, prod.horizon)
             exact = exact_reach_probability(prod_sim, prod.pi_c)

@@ -1,11 +1,14 @@
-"""No test-only helpers on the core model classes.
+"""No test-only helpers on the core model classes or at module level.
 
 Every public class-level member (method, property or class attribute) of
 ``TimeTotalProductMdp``, ``LabeledIntervalMdp`` and ``TotalAutomaton`` must be
 read as an attribute somewhere in the program, ``src/`` and
-``perfbench/worker.py``, outside its own definition.  Tests and docstrings do
-not count, so a helper that only tests call fails here; tests write such a rule
-out in ``conftest.py`` instead.  The match is by attribute name.
+``perfbench/worker.py``, outside its own definition.  Likewise every public
+function or class defined at the top level of a module in ``src/`` must be read,
+by name or as an attribute, outside its own definition; the console entry point
+in ``pyproject.toml`` counts as read.  Tests and docstrings do not count, so a
+helper that only tests call fails here; tests write such a rule out in
+``conftest.py`` instead.  The match is by name.
 """
 
 import ast
@@ -70,3 +73,58 @@ def test_a_member_read_only_in_its_own_body_is_unread():
                      "    def _private(self):\n        pass\n"
                      "def caller(c):\n    return c.used()\n")
     assert unread_members({"m.py": tree}, ["C"]) == ["C.lonely (m.py:5)"]
+
+
+def entry_points():
+    """The function names that ``pyproject.toml``'s console scripts call (``module:function``)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return {line.split(":")[-1].strip().strip('"') for line in scripts.splitlines() if "=" in line}
+
+
+def unread_module_names(trees, defining, called=()):
+    """``name (file:line)`` for each public top-level function or class of the modules in
+    ``defining`` that no name or attribute read in ``trees`` (path -> module) names outside
+    its own definition; names in ``called`` count as read."""
+    reads = []
+    for tree in trees.values():
+        # ``from m import name as alias``: a read of the alias reads the name
+        renames = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node, node.attr))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node, renames.get(node.id, node.id)))
+    unread = []
+    for path in defining:
+        for definition in trees[path].body:
+            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = definition.name
+            if name.startswith("_") or name in called:
+                continue
+            inside = {id(n) for n in ast.walk(definition)}
+            if not any(read == name and id(node) not in inside for node, read in reads):
+                unread.append(f"{name} ({path}:{definition.lineno})")
+    return unread
+
+
+def test_every_public_module_name_has_a_reader(trees):
+    assert "main" in entry_points()
+    src = [path for path in trees if path.parts[0] == "src"]
+    assert unread_module_names(trees, src, entry_points()) == []
+
+
+def test_a_module_name_read_only_in_its_own_body_is_unread():
+    module = ast.parse("def used():\n    return 1\n"
+                       "def lonely():\n    return lonely()\n"
+                       "class Kind:\n    pass\n"
+                       "def _private():\n    return Kind\n"
+                       "def main():\n    pass\n")
+    other = ast.parse("import m\nfrom m import used as alias\nm.Kind\nalias()\n")
+    trees = {"m.py": module, "n.py": other}
+    assert unread_module_names(trees, ["m.py"], {"main"}) == ["lonely (m.py:3)"]
+    # without n.py, ``used`` loses its only reader (through the alias)
+    assert unread_module_names({"m.py": module}, ["m.py"]) == \
+        ["used (m.py:1)", "lonely (m.py:3)", "main (m.py:9)"]

@@ -6,11 +6,11 @@ the residual, and syntactically identical residuals are merged.  A symbol is
 a label mask throughout: bit ``bit[name]`` for each proposition the formula
 uses.  Residuals are hash-consed within one compilation, so identical
 residuals are one node and merge by identity; each node's text is formatted
-once, and progression is memoized per node and label mask.  States are
-numbered in the order the breadth-first walk finds them, and ``table[q]`` is
-filled in that order.  A residual of true maps to the single accepting state,
-which self-loops on every symbol; a residual of false maps to the absorbing
-trash state.  The transition function is total by construction.
+once, and progression is memoized per node and the label bits it reads.
+States are numbered in the order the breadth-first walk finds them, and
+``table[q]`` is filled in that order.  A residual of true maps to the single
+accepting state, which self-loops on every symbol; a residual of false maps to
+the absorbing trash state.  The transition function is total by construction.
 
 Only the grammar fragment without negation of compound formulas is compiled;
 ``H^d !x`` is fine, ``!(phi)`` is rejected.
@@ -57,7 +57,10 @@ class _Residuals:
     of And and Or and annotates the automaton's states; a new node's text is
     formatted over its children's, not by walking its subtree.  ``bound`` keeps
     the time bound of each node a window was asked about, computed the same way.
-    ``bit`` maps each proposition to its bit in a label mask.
+    ``bit`` maps each proposition to its bit in a label mask, and ``bits`` a
+    node's id to the bits its progression reads: a hold's own, a concatenation's
+    left operand's (the right one waits until the left is done), and the OR of
+    the children's otherwise.  Progression is memoized on those bits of a label.
     """
 
     def __init__(self, bit):
@@ -65,17 +68,20 @@ class _Residuals:
         self._nodes = {}
         self._progressed = {}
         self.text = {id(_TRUE): "TRUE", id(_FALSE): "FALSE"}
+        self.bits = {}
         self.bound = {}
 
-    def _made(self, key, cls, *fields):
+    def _made(self, key, bits, cls, *fields):
         node = self._nodes.get(key)
         if node is None:
             node = self._nodes[key] = cls(*fields)
             self.text[id(node)] = format_formula(node, self.text)
+            self.bits[id(node)] = bits
         return node
 
     def hold(self, duration, prop, negated):
-        return self._made((Hold, duration, prop, negated), Hold, duration, prop, negated)
+        return self._made((Hold, duration, prop, negated), self.bit.get(prop, 0),
+                          Hold, duration, prop, negated)
 
     def join(self, cls, items):
         """Flat, deduplicated, text-ordered And or Or chain of ``items``."""
@@ -93,9 +99,11 @@ class _Residuals:
         if not unique:
             return unit
         ordered = sorted(unique.values(), key=lambda node: self.text[id(node)])
+        bits = self.bits
         node = ordered[-1]
         for item in reversed(ordered[:-1]):
-            node = self._made((cls, id(item), id(node)), cls, item, node)
+            node = self._made((cls, id(item), id(node)), bits[id(item)] | bits[id(node)],
+                              cls, item, node)
         return node
 
     def concat(self, left, right):
@@ -107,14 +115,15 @@ class _Residuals:
             return left
         if isinstance(left, Concat):
             left, right = left.left, self.concat(left.right, right)
-        return self._made((Concat, id(left), id(right)), Concat, left, right)
+        return self._made((Concat, id(left), id(right)), self.bits[id(left)], Concat, left, right)
 
     def within(self, child, low, high):
         if child is not _FALSE and id(child) not in self.bound:
             self.bound[id(child)] = time_bound(child, self.bound)
         if child is _FALSE or high < low or self.bound[id(child)] > high - low:
             return _FALSE
-        return self._made((Within, id(child), low, high), Within, child, low, high)
+        return self._made((Within, id(child), low, high), self.bits[id(child)],
+                          Within, child, low, high)
 
     def canonical(self, node):
         """The node of ``node``'s canonical shape."""
@@ -134,7 +143,8 @@ class _Residuals:
 
     def progress(self, node, mask):
         """Residual after observing the label whose propositions set the bits of ``mask``."""
-        key = (id(node), mask)
+        at = id(node)
+        key = (at, mask & self.bits[at])
         done = self._progressed.get(key)
         if done is None:
             done = self._progressed[key] = self._progress(node, mask)

@@ -115,26 +115,33 @@ class LabeledIntervalMdp:
         """Violations in order: bounds out of order (by repr); per state, no actions or infeasible
         rows; with a true law, probabilities outside bounds (by row), then bad law rows."""
         rows, lawful = self.rows, self._lawful
-        bad = [((s, a, s2), (lo, hi)) for (s, a), row in rows.items()
-               for s2, lo, hi, _ in row if not 0.0 <= lo <= hi <= 1.0]
+        bad, outside = [], []
+        for (s, a), row in rows.items():
+            for s2, lo, hi, p in row:
+                if not 0.0 <= lo <= hi <= 1.0:
+                    bad.append(((s, a, s2), (lo, hi)))
+                if p is not None and not lo - 1e-12 <= p <= hi + 1e-12:
+                    outside.append(f"true probability {p:.6f} outside bounds [{lo},{hi}] "
+                                   f"for ({s!r},{a!r},{s2!r})")
         problems = [f"bounds out of order for ({s!r},{a!r},{s2!r}): [{lo},{hi}]"
                     for (s, a, s2), (lo, hi) in sorted(bad, key=repr)]    # only the offenders
-        outside = [f"true probability {p:.6f} outside bounds [{lo},{hi}] for ({s!r},{a!r},{s2!r})"
-                   for (s, a), row in rows.items() for s2, lo, hi, p in row
-                   if p is not None and not lo - 1e-12 <= p <= hi + 1e-12] if lawful else []
         law = []
         for s in self.states:
             if not self.enabled[s]:
                 problems.append(f"state {s!r} has no enabled actions")
             for a in self.enabled[s]:
-                row = rows.get((s, a), ())
-                infeasible = row_infeasibility(math.fsum(lo for _, lo, hi, _ in row if hi > 0.0),
-                                               math.fsum(hi for _, _, hi, _ in row if hi > 0.0))
+                los, his, probs = [], [], []
+                for _, lo, hi, p in rows.get((s, a), ()):
+                    if hi > 0.0:
+                        los.append(lo)
+                        his.append(hi)
+                    if p is not None and p > 0.0:
+                        probs.append(p)
+                infeasible = row_infeasibility(math.fsum(los), math.fsum(his))
                 if infeasible is not None:
                     problems.append(f"infeasible bounds at ({s!r},{a!r}): {infeasible}")
                 if not lawful:
                     continue
-                probs = [p for _, _, _, p in row if p is not None and p > 0.0]
                 if not probs:
                     law.append(f"true dynamics missing for ({s!r},{a!r})")
                 elif abs(math.fsum(probs) - 1.0) > FEASIBILITY_TOL:

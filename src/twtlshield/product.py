@@ -34,11 +34,17 @@ first read) is state n.  Pruning writes the shield into lists by state number:
 ``act_sets`` and ``pi_c`` are the same as dicts keyed by state, built on the
 first read after pruning (empty before).  The episode loops in :mod:`learner`
 state and apply the fallback flag's reset rule on their numbered view.
+
+The build and the pruning sweep run with the cyclic garbage collector paused
+(:func:`_collector_paused`): they allocate tens of thousands of tuples, lists
+and dicts but no reference cycles, so a collection there would only rescan them.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from functools import wraps
 from itertools import accumulate
 
 from .automaton import TotalAutomaton, UnknownSymbolError
@@ -47,6 +53,21 @@ from .mdp import LabeledIntervalMdp, interval_row
 
 class ProductError(Exception):
     pass
+
+
+def _collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector disabled; the caller's setting
+    is restored however ``fn`` exits, and a caller's disabled collector stays so."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 class TimeTotalProductMdp:
@@ -199,6 +220,7 @@ class TimeTotalProductMdp:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+@_collector_paused
 def build_product(mdp: LabeledIntervalMdp, automaton: TotalAutomaton, horizon: int) -> TimeTotalProductMdp:
     return TimeTotalProductMdp(mdp, automaton, horizon)
 

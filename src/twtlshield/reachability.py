@@ -39,6 +39,10 @@ layer and all its successors are closed: by induction down the layers, its
 successor values are then the same at each of its layers.  Every one-shot
 pair at the formula's time bound is closed; segment boundaries and coerced
 pairs keep their ancestors on the memo path.
+
+The pruning pass runs with the cyclic garbage collector paused, as the product
+build does: its memo keys, value lists and result tuples form no reference
+cycles, so a collection during the pass would free nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .mdp import MissingDynamicsError, interval_row
-from .product import TimeTotalProductMdp
+from .product import TimeTotalProductMdp, _collector_paused
 
 
 class ReachabilityError(Exception):
@@ -205,6 +209,7 @@ class MultiShotPlan:
         return cls(tuple(timestamps), (pr_des ** (1.0 / max(n, 1)),) * n)
 
 
+@_collector_paused
 def _prune_segments(product, timestamps, thresholds):
     """Prune segment by segment, last to first, and write the shield into ``product`` once.
 

@@ -13,9 +13,25 @@ from twtlshield.automaton import (AutomatonError, StateExplosionError, UnknownSy
                                   UnsupportedConstructError, accepts,
                                   compile_formula, to_dot, to_json)
 from twtlshield.oracle import FORMULA_CORPUS, enumerate_words, random_formula, word_satisfies_brute
+from test_twtl import random_tree
 
 B = frozenset({"B"})
 E = frozenset()
+FOUR_PROPS = ("B", "C", "D1", "Base_2")      # the propositions random_tree draws from
+
+
+def four_proposition_trees():
+    """30 random_tree draws (depth 3, seed 22) that use at least two propositions and
+    have time bound at most 2, so every word up to the bound + 1 can be checked; a
+    tree with a compound Not, which the compiler rejects, is redrawn."""
+    rng = random.Random(22)
+    trees = []
+    while len(trees) < 30:
+        tree = random_tree(rng, 3)
+        if ("!(" not in format_formula(tree) and len(propositions(tree)) >= 2
+                and time_bound(tree) <= 2):
+            trees.append(tree)
+    return trees
 
 
 class TestReferenceAutomaton:
@@ -155,6 +171,16 @@ class TestProperties:
         length = time_bound(f) + 1
         for word in enumerate_words({"B", "C"}, length):
             assert accepts(aut, word) == word_satisfies_brute(f, word), word
+
+    def test_oracle_equivalence_over_four_propositions(self):
+        """Residuals here use a strict subset of the alphabet's propositions, so
+        progression sees label bits that no hold of the residual reads."""
+        for tree in four_proposition_trees():
+            aut = compile_formula(tree, FOUR_PROPS)
+            for length in range(1, time_bound(tree) + 2):
+                for word in enumerate_words(FOUR_PROPS, length):
+                    assert accepts(aut, word) == word_satisfies_brute(tree, word), (
+                        format_formula(tree), word)
 
 
 class TestExport:

@@ -24,13 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from twtlshield import cli, oracle
+from twtlshield import automaton as automaton_module, cli, oracle
 from twtlshield.automaton import compile_formula, to_dot, to_json
 from twtlshield.gridworld import CASE_STUDY_FORMULA, build_grid_mdp, canonical_case_study
 from twtlshield.learner import LearnerConfig, evaluate, learn
 from twtlshield.product import build_product
 from twtlshield.reachability import one_shot_prune
 from twtlshield.twtl import TwtlError, format_formula, parse_formula, time_bound
+from test_automaton import FOUR_PROPS, four_proposition_trees
 
 SHIELD_16X16 = {
     "one_shot": "ed7a50e4361aef416a6e59ccef635fb76245721da9be09591951081bd4828d4d",
@@ -116,6 +117,13 @@ RANDOM_200 = "0c692bc61476690844a615e1a738b8808c8c1df81afd54593454bdd0165bc9b9"
 # horizons drawn from 1 to 10), recorded before progression ran on label masks
 # and the transition table was filled in state order
 RANDOM_1000 = "1b1a261bb609a928e72f2a5c4337e2312697a73a86fe6f1235685af5543ba25a"
+# sha256 over to_json then to_dot of test_automaton.four_proposition_trees() compiled
+# over their four propositions, recorded before progression was memoized on each
+# residual's own label bits instead of the whole label mask
+FOUR_PROPOSITIONS = "a90b7ffa6e708c779dc89789b6c12a7f0c850524f55f51dbd2b06e968c02f158"
+# progression-memo entries the case-study compile leaves: 4,640 keyed on the whole label
+# mask, 1,118 on the bits of each residual's propositions, 378 on the bits it reads
+CASE_STUDY_PROGRESSIONS = 378
 # sha256 over the front-end outcomes of front_end_corpus() under both alphabets
 FRONT_END = "59878c58c08679b304fd65af342447d81ab8bf03045cd8542c8295b91deb9b07"
 # (text, alphabet, error class, exact message): each error site, and line and column
@@ -224,6 +232,29 @@ def test_random_automata_digest():
         h.update(to_json(automaton).encode())
         h.update(to_dot(automaton).encode())
     assert h.hexdigest() == RANDOM_1000
+
+
+def test_four_proposition_automata_digest():
+    h = hashlib.sha256()
+    for tree in four_proposition_trees():
+        automaton = compile_formula(tree, FOUR_PROPS)
+        h.update(to_json(automaton).encode())
+        h.update(to_dot(automaton).encode())
+    assert h.hexdigest() == FOUR_PROPOSITIONS
+
+
+def test_case_study_progression_count(monkeypatch):
+    made = []
+    init = automaton_module._Residuals.__init__
+
+    def recording(residuals, *args):
+        init(residuals, *args)
+        made.append(residuals)
+    monkeypatch.setattr(automaton_module._Residuals, "__init__", recording)
+    grid, _ = canonical_case_study()
+    props = sorted(grid.alphabet())
+    compile_formula(parse_formula(CASE_STUDY_FORMULA, props), props)
+    assert [len(residuals._progressed) for residuals in made] == [CASE_STUDY_PROGRESSIONS]
 
 
 FRONT_END_CHARS = "HBC^[](),.&|!0123456789_TRUE \t\n"

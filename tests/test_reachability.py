@@ -1,12 +1,14 @@
+import gc
 import math
 import random
 
 import pytest
 
+from twtlshield import cli
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import FEASIBILITY_TOL, LabeledIntervalMdp, interval_row
-from twtlshield.product import build_product
+from twtlshield.product import ProductError, build_product
 from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibleError,
                                      MultiShotPlan, ReachabilityError, check_initial,
                                      exact_reach_probability, greedy_kappa, multi_shot_prune,
@@ -736,6 +738,83 @@ class TestWriteOnce:
         with pytest.raises(MultiShotInfeasibleError):
             multi_shot_prune(prod, MultiShotPlan((0, 1, 2), (0.9, 0.9)))
         self.assert_unwritten(prod)
+
+
+class TestCollectorPaused:
+    """The product build and the pruning pass run with the cyclic collector off and
+    hand the caller's setting back on every exit."""
+
+    @pytest.fixture()
+    def collections(self):
+        """Generations of the collections started since the last clear, with a low
+        threshold so that an unpaused build or pass would collect many times."""
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+        threshold = gc.get_threshold()
+        gc.set_threshold(50)
+        gc.callbacks.append(record)
+        try:
+            yield started
+        finally:
+            gc.callbacks.remove(record)
+            gc.set_threshold(*threshold)
+            gc.enable()
+
+    @staticmethod
+    def case_study():
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+        aut = compile_formula(formula, sorted(spec.alphabet()))
+        return build_grid_mdp(spec), aut, time_bound(formula)
+
+    @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
+    def test_no_collection_inside_build_or_prune(self, collections, mode):
+        model, aut, horizon = self.case_study()
+        gc.collect()
+        collections.clear()
+        prod = build_product(model, aut, horizon)
+        assert collections == [] and gc.isenabled()
+        gc.collect()
+        collections.clear()
+        if mode == "one_shot":
+            one_shot_prune(prod, 0.9)
+        else:
+            multi_shot_prune(prod, MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
+        assert collections == [] and gc.isenabled()
+        gc.collect()
+        assert collections != []        # the callback does see collections outside
+
+    def test_restored_after_product_error(self, collections):
+        model, aut, horizon = self.case_study()
+        model.labels[model.states[0]] = frozenset({"Z"})
+        with pytest.raises(ProductError):
+            build_product(model, aut, horizon)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("mode", sorted(TestWriteOnce.PASSES))
+    def test_restored_after_infeasible_row(self, collections, mode):
+        with pytest.raises(InfeasibleIntervalError):
+            TestWriteOnce.PASSES[mode](TestAgainstReference.infeasible_u_product())
+        assert gc.isenabled()
+
+    def test_restored_after_infeasible_plan(self, collections, window_formula):
+        aut = compile_formula(window_formula, {"B"})
+        m = LabeledIntervalMdp.from_edges(["s"], ["a"], {"s": E}, {("s", "a", "s"): (1.0, 1.0)},
+                                          {("s", "a", "s"): 1.0})
+        with pytest.raises(MultiShotInfeasibleError):
+            multi_shot_prune(build_product(m, aut, 2), MultiShotPlan((0, 1, 2), (0.9, 0.9)))
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self, collections):
+        model, aut, horizon = self.case_study()
+        gc.disable()
+        one_shot_prune(build_product(model, aut, horizon), 0.9)
+        assert not gc.isenabled()
+        with pytest.raises(InfeasibleIntervalError):
+            one_shot_prune(TestAgainstReference.infeasible_u_product(), 0.5)
+        assert not gc.isenabled()
 
 
 class TestExactReachability:

@@ -583,26 +583,32 @@ def _sampled_dynamics(model, rng):
 
 
 def check_dominance(rng, count, corrupt_f=False):
-    """Exact reachability under the fallback policy dominates the one-shot bound.
+    """Exact reachability under the fallback policy dominates the one-shot bound,
+    and every action the shield keeps meets the instance's ``pr_des``.
 
     Each of ``count`` instances draws a formula, a model, its ``pr_des`` and its
-    true dynamics from ``rng``.  Returns (failures, states checked, catchable
-    states, largest bound-minus-exact): a failure is an instance's validate
-    problems or a (state, gap) where the bound exceeds the exact value by more
-    than 1e-12.  ``corrupt_f`` is the negative control: every bound strictly
-    inside (0, 1) claims 1 before comparing, which fails wherever the true law
-    can miss, that is at the catchable states, whose exact value is below
-    1 - 1e-12.
+    true dynamics from ``rng``.  Returns (failures, states checked, kept actions
+    checked, catchable states, largest bound-minus-exact): a failure is an
+    instance's validate problems, a (state, gap) where the bound exceeds the
+    exact value by more than 1e-12, or a (state, action, shortfall) where a kept
+    action at an undecided state below the horizon reaches the accepting states
+    with exact probability below ``pr_des`` - 1e-12 (taking the action, then the
+    fallback policy).  ``corrupt_f`` is the negative control for the bound:
+    every bound strictly inside (0, 1) claims 1 before comparing, which fails
+    wherever the true law can miss, that is at the catchable states, whose
+    exact value is below 1 - 1e-12.
     """
     spec = oracle.RandomInstanceSpec()
     failures = []
-    checked = catchable = 0
+    checked = kept_checked = catchable = 0
     worst_gap = 0.0
     for _ in range(count):
         formula = oracle.random_formula(rng, spec.max_horizon)
         model = oracle.random_interval_mdp(rng, spec)
-        product = build_product(model, compile_formula(formula, {"B", "C"}), time_bound(formula))
-        one_shot_prune(product, rng.uniform(0.1, 1.0))
+        automaton = compile_formula(formula, {"B", "C"})
+        product = build_product(model, automaton, time_bound(formula))
+        pr_des = rng.uniform(0.1, 1.0)
+        one_shot_prune(product, pr_des)
         dynamics, problems = _sampled_dynamics(model, rng)
         if problems:
             failures.append(problems)
@@ -619,7 +625,22 @@ def check_dominance(rng, count, corrupt_f=False):
             worst_gap = max(worst_gap, gap)
             if gap > 1e-12:
                 failures.append((p, gap))
-    return failures, checked, catchable, worst_gap
+        law = {}
+        for (s, a, s2), pr in dynamics.items():
+            if pr > 0.0:
+                law.setdefault((s, a), []).append((s2, pr))
+        decided = automaton.accepting | {automaton.trash}
+        for p, acts in zip(product.states, product.kept):
+            s, q, t = p
+            if q in decided:
+                continue
+            for a in acts:
+                kept_checked += 1
+                value = math.fsum(pr * exact[(s2, automaton.step(q, model.labels[s2]), t + 1)]
+                                  for s2, pr in law[(s, a)])
+                if value < pr_des - 1e-12:
+                    failures.append((p, a, pr_des - value))
+    return failures, checked, kept_checked, catchable, worst_gap
 
 
 def check_sampling(rng, count):
@@ -648,9 +669,10 @@ def cmd_verify(args):
            f"{words} words over {len(oracle.FORMULA_CORPUS)} formulas")
     report("closed-form optimum vs exact dual", check_kappa(rng, args.lp_instances),
            f"{args.lp_instances} instances")
-    failures, checked, catchable, _ = check_dominance(rng, args.instances, args.corrupt_f)
+    failures, checked, kept, catchable, _ = check_dominance(rng, args.instances, args.corrupt_f)
     report("exact reachability dominates the bound", failures,
-           f"{args.instances} instances, {checked} states, {catchable} catchable by --corrupt-f")
+           f"{args.instances} instances, {checked} states, {kept} kept actions, "
+           f"{catchable} catchable by --corrupt-f")
     report("sampled dynamics stay inside bounds", check_sampling(rng, 50), "50 instances")
     return 4 if failed else 0
 

@@ -31,17 +31,18 @@ by construction (exploring actions come from the pruned set);
 ``tests/test_learner.py::audit_shield_protocol`` audits the shield protocol
 over recorded steps.
 
-Q rows stay dicts by action (``RunResult.q`` is keyed by product state), but
-no step rescans one: ``learn`` updates per-id tables as it writes Q, each
-equal at every read to the scan it replaces.  ``greedy[i]`` is the first
-maximizer over the pruned set, unseen pairs worth 0 (the final policy): it
-stays when its value rises, is rescanned when it falls, and yields to another
-pruned action that beats it or ties it from earlier in the set.  ``top[i]`` is
-``max(row.values())`` to the bit; it is recomputed only when an entry at the
-maximum changes or another reaches it, since the first of tied entries gives
-the sign of a zero maximum.  ``boot[j]`` is the bootstrap value read at j: its
-maximum, or 0 for an empty row or a negative maximum while the row misses an
-enabled action.  Exploring draws use ``rng.choice(acts)``, one ``_randbelow``
+Q rows stay dicts by action (``RunResult.q`` is keyed by product state);
+``learn`` updates per-id tables as it writes Q, each equal at every read to
+the scan it replaces.  ``greedy[i]`` is the first maximizer over the pruned
+set, unseen pairs worth 0 (the final policy): it stays when its value rises,
+yields to another pruned action that beats it or ties it from earlier in the
+set, and is found by a scan of the set when its value falls.  ``top[i]`` is
+``max(row.values())`` to the bit, recomputed by a scan of the row when an
+entry at the maximum changes or another reaches it, since the first of tied
+entries gives the sign of a zero maximum (on the case study, about one step
+in five scans the set and one in four the row).  ``boot[j]`` is the bootstrap
+value read at j: its maximum, or 0 for an empty row or a negative maximum
+while the row misses an enabled action.  Exploring draws use ``rng.choice(acts)``, one ``_randbelow``
 call as in ``acts[rng.randrange(len(acts))]``, so actions, floats and files
 are unchanged.
 

@@ -23,10 +23,13 @@ horizon and shared by every layer (None for pairs seen only at the horizon).
 ``layers[t]`` the same as (s, q) tuples, and ``initial`` layer 0 as (s, q, 0)
 states.  Each enabled model row is read once, as stored: ``neighbours[s]``
 lists the distinct successors with hi > 0 over s's rows in first-seen order,
-and ``support_rows[s]`` per enabled action (a, the positions of its successors
-in that tuple, lower bounds, and the LP constants of :func:`mdp.interval_row`:
-rooms, remaining mass, infeasibility), only at states the pruning sweep
-solves: those paired with an undecided automaton state below the horizon.
+and ``support_rows[s]`` per enabled action (a, an ``itemgetter`` that picks
+the row's entries, as a tuple, out of one laid out as ``neighbours[s]``, lower
+bounds, and the LP constants of :func:`mdp.interval_row`: rooms, remaining
+mass, infeasibility), only at states the pruning sweep solves: those paired
+with an undecided automaton state below the horizon.  A pair's successor
+values are laid out so, since ``next_ids[i]`` follows ``neighbours[s]``.
+Each layer expands only the pairs numbered since the one before it.
 
 States are numbered layer by layer from ``offsets[t]``; ``states[n]`` (built on
 first read) is state n.  Pruning writes the shield into lists by state number:
@@ -46,6 +49,7 @@ import gc
 import json
 from functools import wraps
 from itertools import accumulate
+from operator import itemgetter
 
 from .automaton import TotalAutomaton, UnknownSymbolError
 from .mdp import LabeledIntervalMdp, interval_row
@@ -68,6 +72,13 @@ def _collector_paused(fn):
             if enabled:
                 gc.enable()
     return paused
+
+
+def _reader(pos):
+    """``itemgetter`` of the tuple of the entries at ``pos``; one or no position reads as a slice."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
 
 
 class TimeTotalProductMdp:
@@ -101,7 +112,8 @@ class TimeTotalProductMdp:
                 acts.append((a, pos, los, his))
             self.neighbours[s] = tuple(seen)
         solved = self._enumerate_layers()
-        self.support_rows = {s: [(a, pos, los, *interval_row(los, his)) for a, pos, los, his in rows[s]]
+        self.support_rows = {s: [(a, _reader(pos), los, *interval_row(los, his))
+                                 for a, pos, los, his in rows[s]]
                              for s in mdp.states if s in solved}
         self.f = self.kept = self.fallback = self._states = None
         self._tables = {}
@@ -147,19 +159,21 @@ class TimeTotalProductMdp:
 
         current = {number(index[s], q) for s, q in start}
         layer_ids = self.layer_ids = [sorted(current, key=reprs.__getitem__)]
+        fresh = 0                                   # ids below it have their successors
         for t in range(self.horizon):
-            for i in current:
-                if next_ids[i] is None:
-                    s, q = keys[i]
-                    if q not in terminal:
-                        solved.add(s)
-                    row = table[q]
-                    succ = []
-                    for k in near[where[i]]:
-                        q2 = row[masks[k]]
-                        j = ids.get(q2 * width + k)
-                        succ.append(number(k, q2) if j is None else j)
-                    next_ids[i] = tuple(succ)
+            numbered = len(keys)                    # ids from fresh on are layer t's new pairs
+            for i in range(fresh, numbered):
+                s, q = keys[i]
+                if q not in terminal:
+                    solved.add(s)
+                row = table[q]
+                succ = []
+                for k in near[where[i]]:
+                    q2 = row[masks[k]]
+                    j = ids.get(q2 * width + k)
+                    succ.append(number(k, q2) if j is None else j)
+                next_ids[i] = tuple(succ)
+            fresh = numbered
             current = set().union(*map(next_ids.__getitem__, current))
             layer_ids.append(sorted(current, key=reprs.__getitem__))
         self.layers = [tuple(map(keys.__getitem__, layer)) for layer in layer_ids]

@@ -94,7 +94,8 @@ def greedy_kappa(values, least, los, rooms, remaining):
             if remaining <= 0.0:
                 break
     kappa = math.fsum(map(mul, values, dist))
-    return min(max(kappa, 0.0), 1.0), dist
+    # min(max(kappa, 0.0), 1.0) to the bit, -0.0 and NaN included, without the calls
+    return 0.0 if kappa < 0.0 else 1.0 if kappa > 1.0 else kappa, dist
 
 
 def solve_kappa(values, los, his):
@@ -152,10 +153,10 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
                         keep = []
                         best = -1.0
                         best_a = acts[0]
-                        for a, pos, los, rooms, remaining, infeasible in support_rows[s]:
+                        for a, get, los, rooms, remaining, infeasible in support_rows[s]:
                             if infeasible is not None:
                                 raise InfeasibleIntervalError(infeasible, state=(s, q, t), action=a)
-                            values = [fvals[j] for j in pos]
+                            values = get(fvals)
                             least = min(values)
                             k = greedy_kappa(values, least, los, rooms, remaining)[0]
                             if least >= prune_below:

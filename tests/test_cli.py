@@ -816,7 +816,7 @@ class TestVerifyCommand:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
         assert re.search(r"dominates the bound  \(8 instances, [1-9]\d* states, "
-                         r"\d+ catchable by --corrupt-f\)", out)
+                         r"[1-9]\d* kept actions, \d+ catchable by --corrupt-f\)", out)
 
     def test_seed_pinned_report(self, capsys):
         main(["verify", "--instances", "5", "--lp-instances", "10", "--seed", "4"])
@@ -835,7 +835,7 @@ class TestVerifyCommand:
         assert main(["verify", "--instances", "0", "--lp-instances", "0"]) == 0
         out = capsys.readouterr().out
         assert "(0 instances)" in out
-        assert "(0 instances, 0 states, 0 catchable by --corrupt-f)" in out
+        assert "(0 instances, 0 states, 0 kept actions, 0 catchable by --corrupt-f)" in out
 
     def test_corrupted_bound_detected(self, capsys):
         assert main(["verify", "--instances", "5", "--lp-instances", "5",
@@ -849,7 +849,21 @@ class TestVerifyCommand:
         assert main(argv + ["30"]) == 4
         out = capsys.readouterr().out
         assert re.search(r"FAIL  exact reachability dominates the bound  "
-                         r"\(5 instances, \d+ states, [1-9]\d* catchable by --corrupt-f\)", out)
+                         r"\(5 instances, \d+ states, \d+ kept actions, [1-9]\d* catchable by --corrupt-f\)",
+                         out)
+
+    def test_check_dominance_reports_kept_actions_below_pr_des(self, monkeypatch):
+        # negative control for check 3's kept sets: pruned at 1e-9, the shield keeps actions
+        # whose exact value misses the drawn pr_des, and the check reads the drawn pr_des
+        failures, _, kept, _, _ = cli.check_dominance(random.Random(3), 30)
+        assert kept > 0 and failures == []
+        prune = cli.one_shot_prune
+        monkeypatch.setattr(cli, "one_shot_prune", lambda product, pr_des: prune(product, 1e-9))
+        failures, _, loose_kept, _, _ = cli.check_dominance(random.Random(3), 30)
+        assert loose_kept > kept
+        shortfalls = [f for f in failures if len(f) == 3]
+        assert shortfalls and shortfalls == failures
+        assert all(gap > 1e-12 for _, _, gap in shortfalls)
 
     def test_check_kappa_reports_an_offset_solver(self, monkeypatch):
         # negative control for check 2: a solver 1e-9 above the optimum fails on every instance

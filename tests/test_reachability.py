@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import random
 
 import pytest
@@ -204,7 +205,8 @@ BELOW_HALF = math.nextafter(0.5, 0.0)
 ABOVE_HALF = math.nextafter(0.5, 1.0)
 # (values, los, his): the fill's one-step case and the edges around it.  In the
 # four remaining_* rows lo_0 == 0, so the room at the minimum is his[0] exactly,
-# and the remaining mass is 0.5 exactly.
+# and the remaining mass is 0.5 exactly.  sum_above_one and nan_value reach the
+# clamp's upper branch and its NaN case.
 KERNEL_EDGE_ROWS = {
     "tie_first_takes_all": ([0.2, 0.2, 0.7], [0.1, 0.1, 0.1], [0.9, 0.9, 0.9]),
     "tie_first_too_small": ([0.2, 0.2, 0.7], [0.1, 0.1, 0.1], [0.5, 0.5, 0.9]),
@@ -213,11 +215,13 @@ KERNEL_EDGE_ROWS = {
     "zero_room_at_min": ([0.1, 0.5, 0.9], [0.4, 0.2, 0.1], [0.4, 0.9, 0.9]),
     "no_remaining": ([0.1, 0.6, 0.9], [0.5, 0.25, 0.25], [1.0, 1.0, 1.0]),
     "negative_remaining": ([0.1, 0.6, 0.9], [0.5, 0.5, 1e-12], [1.0, 1.0, 1.0]),
+    "sum_above_one": ([1.0, 1.0, 1.0], [0.5, 0.5, 1e-12], [1.0, 1.0, 1.0]),
     "remaining_equals_room": ([0.1, 0.6, 0.9], [0.0, 0.3, 0.2], [0.5, 1.0, 1.0]),
     "remaining_just_below_room": ([0.1, 0.6, 0.9], [0.0, 0.3, 0.2], [ABOVE_HALF, 1.0, 1.0]),
     "remaining_just_above_room": ([0.1, 0.6, 0.9], [0.0, 0.3, 0.2], [BELOW_HALF, 1.0, 1.0]),
     "remaining_above_room_by_ties": ([0.1, 0.1, 0.1], [0.0, 0.3, 0.2], [BELOW_HALF, 1.0, 1.0]),
     "single_successor": ([0.4], [0.0], [1.0]),
+    "nan_value": ([math.nan, 0.5], [0.0, 0.0], [1.0, 1.0]),
 }
 
 
@@ -242,6 +246,9 @@ class TestKernelArithmetic:
         assert case("remaining_just_above_room") == (0.5, BELOW_HALF)
         assert case("no_remaining")[0] == 0.0
         assert case("negative_remaining")[0] < 0.0
+        values, los, _ = KERNEL_EDGE_ROWS["sum_above_one"]
+        assert case("sum_above_one")[0] < 0.0
+        assert math.fsum(map(operator.mul, values, los)) == 1.0 + 1e-12     # the clamp's upper branch
         assert case("zero_room_at_min")[1] == 0.0
 
     def test_matches_reference(self):
@@ -281,13 +288,36 @@ class TestKernelArithmetic:
         assert solved and set(prod.support_rows) == solved
         at_zero = build_product(model, compile_formula(parse_formula("H^0 P", props), props), 0)
         assert at_zero.support_rows == {}
-        for s in solved:
-            assert [row[0] for row in prod.support_rows[s]] == list(model.enabled[s])
-            for a, pos, los, *constants in prod.support_rows[s]:
+        self.assert_rows(prod)
+
+    def test_random_product_rows_read_scattered_successors(self):
+        # a grid row's successors sit in order in neighbours[s]; a random model's often do not
+        rng = random.Random(8)
+        scattered = 0
+        for _ in range(20):
+            formula = oracle.random_formula(rng, 3)
+            prod = build_product(oracle.random_interval_mdp(rng, oracle.RandomInstanceSpec()),
+                                 compile_formula(formula, {"B", "C"}), time_bound(formula))
+            scattered += self.assert_rows(prod)
+        assert scattered > 0
+
+    @staticmethod
+    def assert_rows(prod):
+        """Each solved row reads its successors' entries in row order and holds ``interval_row``'s
+        constants; returns how many rows' successors are not consecutive in ``neighbours[s]``."""
+        model = prod.mdp
+        scattered = 0
+        for s, rows in prod.support_rows.items():
+            assert [row[0] for row in rows] == list(model.enabled[s])
+            for a, get, los, *constants in rows:
                 entries = model.support(s, a)
-                assert [prod.neighbours[s][i] for i in pos] == [s2 for s2, _, _, _ in entries]
+                succ = [s2 for s2, _, _, _ in entries]
+                assert list(get(prod.neighbours[s])) == succ
                 assert los == [lo for _, lo, _, _ in entries]
                 assert tuple(constants) == interval_row(los, [hi for _, _, hi, _ in entries])
+                pos = [prod.neighbours[s].index(s2) for s2 in succ]
+                scattered += pos != list(range(pos[0], pos[0] + len(pos)))
+        return scattered
 
 
 class TestBackwardPass:
@@ -529,6 +559,21 @@ class TestAgainstReference:
         assert err.value.state == ("u", 5, 1)
         assert err.value.action == "b"
         assert str(err.value).startswith("sum of lower bounds 2.400000000 exceeds 1 at state")
+
+    def test_row_without_successors_named_at_first_state(self):
+        # x's action b has no row, so its reader takes no successor values and the sweep,
+        # not the product build, reports it
+        model = LabeledIntervalMdp(["x", "y"], ["a", "b"], {"y": {"B"}},
+                                   {("x", "a"): (("y", 0.0, 1.0, None),),
+                                    ("y", "a"): (("y", 1.0, 1.0, None),),
+                                    ("y", "b"): (("y", 1.0, 1.0, None),)})
+        prod = build_product(model, compile_formula(parse_formula("[H^0 B]^[0,2]"), {"B"}), 2)
+        get = prod.support_rows["x"][1][1]
+        assert get(prod.neighbours["x"]) == ()
+        with pytest.raises(InfeasibleIntervalError) as err:
+            one_shot_prune(prod, 0.5)
+        assert (err.value.state[0], err.value.state[2], err.value.action) == ("x", 0, "b")
+        assert str(err.value).startswith("sum of upper bounds 0.000000000 is below 1 at state")
 
     @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (0.6, 0.5)])
     def test_infeasible_row_named_at_first_state_multi_shot(self, thresholds):

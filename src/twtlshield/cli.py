@@ -269,7 +269,7 @@ def _gate_initial(cfg: ExperimentConfig, product, violators):
     """Refuse a shield whose initial check failed (exit 3); ``allow_unsafe`` makes it a warning."""
     if not violators:
         return
-    worst = min(violators, key=lambda pv: pv[1])
+    worst = min(violators, key=lambda pv: (pv[1], repr(pv[0])))  # ties by repr, not state order
     failure = (f"{len(violators)} initial states fall below the required "
                f"{product.initial_threshold:.6f} (worst {worst[0]!r} at {worst[1]:.6f})")
     if not cfg.allow_unsafe:

@@ -142,7 +142,7 @@ class _Numbered:
     def __init__(self, product):
         self.product = weakref.proxy(product)
         self.index = {p: i for i, p in enumerate(product.states)}
-        # layer 0 is numbered in ``initial``'s order, one state per MDP state
+        # layer 0 is numbered in ``initial``'s order, one state per MDP state in model order
         self.starts = {s: n for n, (s, _, _) in enumerate(product.initial)}
         aut, horizon, reset_times = product.automaton, product.horizon, product.reset_times
         self.accepting = [q in aut.accepting for _, q, _ in product.states]

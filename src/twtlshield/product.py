@@ -19,17 +19,19 @@ index only counts steps.  So the enumeration gives each reachable (s, q) pair
 an integer id the first time it sees it: ``keys[i]`` is the pair and
 ``next_ids[i]`` the ids of its successors, computed once per pair below the
 horizon and shared by every layer (None for pairs seen only at the horizon).
-``layer_ids[t]`` lists layer t's ids in ``repr`` order of their pairs,
-``layers[t]`` the same as (s, q) tuples, and ``initial`` layer 0 as (s, q, 0)
-states.  Each enabled model row is read once, as stored: ``neighbours[s]``
-lists the distinct successors with hi > 0 over s's rows in first-seen order,
-and ``support_rows[s]`` per enabled action (a, an ``itemgetter`` that picks
-the row's entries, as a tuple, out of one laid out as ``neighbours[s]``, lower
-bounds, and the LP constants of :func:`mdp.interval_row`: rooms, remaining
-mass, infeasibility), only at states the pruning sweep solves: those paired
-with an undecided automaton state below the horizon.  A pair's successor
-values are laid out so, since ``next_ids[i]`` follows ``neighbours[s]``.
-Each layer expands only the pairs numbered since the one before it.
+Ids go in the order the enumeration finds pairs, from layer 0's one pair per
+MDP state in model order (``initial[k]`` starts at ``mdp.states[k]``); each
+layer expands the pairs numbered since the one before it.  ``layer_ids[t]``
+lists layer t's ids in ascending order, ``layers[t]`` the same as (s, q)
+tuples, and ``initial`` layer 0 as (s, q, 0) states.  Each enabled model row
+is read once, as stored: ``neighbours[s]`` lists the distinct successors with
+hi > 0 over s's rows in first-seen order, and ``support_rows[s]`` per enabled
+action (a, an ``itemgetter`` that picks the row's entries, as a tuple, out of
+one laid out as ``neighbours[s]``, lower bounds, and the LP constants of
+:func:`mdp.interval_row`: rooms, remaining mass, infeasibility), only at
+states the pruning sweep solves: those paired with an undecided automaton
+state below the horizon.  A pair's successor values are laid out so, since
+``next_ids[i]`` follows ``neighbours[s]``.
 
 States are numbered layer by layer from ``offsets[t]``; ``states[n]`` (built on
 first read) is state n.  Pruning writes the shield into lists by state number:
@@ -137,7 +139,6 @@ class TimeTotalProductMdp:
                 raise ProductError(f"label of state {s!r} is not in the automaton alphabet: {exc}")
         self._mask = dict(zip(states, masks))
         table = self._delta = aut.table
-        start = {(s, table[aut.initial][m]) for s, m in zip(states, masks)}
         index = {s: k for k, s in enumerate(states)}
         near = [tuple(map(index.__getitem__, self.neighbours[s])) for s in states]
         terminal = aut.accepting | {aut.trash}
@@ -145,7 +146,6 @@ class TimeTotalProductMdp:
         ids = {}                                    # q * width + MDP state index -> id
         keys = self.keys = []
         where = []
-        reprs = []
         next_ids = self.next_ids = []
         solved = set()
 
@@ -153,12 +153,11 @@ class TimeTotalProductMdp:
             i = ids[q * width + k] = len(keys)
             keys.append((states[k], q))
             where.append(k)
-            reprs.append(repr(keys[i]))
             next_ids.append(None)
             return i
 
-        current = {number(index[s], q) for s, q in start}
-        layer_ids = self.layer_ids = [sorted(current, key=reprs.__getitem__)]
+        current = [number(k, table[aut.initial][m]) for k, m in enumerate(masks)]
+        layer_ids = self.layer_ids = [current]
         fresh = 0                                   # ids below it have their successors
         for t in range(self.horizon):
             numbered = len(keys)                    # ids from fresh on are layer t's new pairs
@@ -175,7 +174,7 @@ class TimeTotalProductMdp:
                 next_ids[i] = tuple(succ)
             fresh = numbered
             current = set().union(*map(next_ids.__getitem__, current))
-            layer_ids.append(sorted(current, key=reprs.__getitem__))
+            layer_ids.append(sorted(current))
         self.layers = [tuple(map(keys.__getitem__, layer)) for layer in layer_ids]
         self.initial = tuple((s, q, 0) for s, q in self.layers[0])
         self.offsets = [0, *accumulate(map(len, layer_ids))]

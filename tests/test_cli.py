@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -558,6 +559,27 @@ class TestCheckInitialRefusal:
         assert capsys.readouterr().err == (
             "warning: [check-initial] 36 initial states fall below the required 0.974004 "
             "(worst ((0, 5), 1, 0) at 0.886392); the per-episode guarantee is void\n")
+
+    def test_worst_state_is_least_f_then_least_repr(self, capsys):
+        # the rule holds for any order of the violators; repr puts (0, 10) before (0, 5)
+        product = SimpleNamespace(initial_threshold=0.9)
+        refuse, warn = SimpleNamespace(allow_unsafe=False), SimpleNamespace(allow_unsafe=True)
+        tied = [(((0, 5), 1, 0), 0.5), (((0, 10), 1, 0), 0.5), (((1, 0), 2, 0), 0.5),
+                (((0, 1), 1, 0), 0.7)]
+        rng = random.Random(7)
+        for violators, worst in ((tied, "((0, 10), 1, 0) at 0.500000"),
+                                 (tied + [(((9, 9), 3, 0), 0.25)], "((9, 9), 3, 0) at 0.250000")):
+            failure = (f"{len(violators)} initial states fall below the required 0.900000 "
+                       f"(worst {worst})")
+            for _ in range(10):
+                violators = rng.sample(violators, len(violators))
+                with pytest.raises(cli.PipelineError) as err:
+                    cli._gate_initial(refuse, product, violators)
+                assert str(err.value) == (f"[check-initial] {failure}; "
+                                          "rerun with --allow-unsafe to proceed")
+                cli._gate_initial(warn, product, violators)
+                assert capsys.readouterr().err == (f"warning: [check-initial] {failure}; "
+                                                   "the per-episode guarantee is void\n")
 
 
 class TestEvalCommand:

@@ -1,13 +1,19 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from twtlshield import oracle
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
+from twtlshield.learner import _Numbered
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import ProductError, build_product
+from twtlshield.reachability import check_initial, one_shot_prune
 from twtlshield.twtl import parse_formula, time_bound
 from conftest import is_accepting, is_trash, successors
 
@@ -47,9 +53,9 @@ def reference_enumerate(mdp, automaton, horizon):
 
 def assert_matches_reference(prod):
     layers, initial, coerced, next_keys = reference_enumerate(prod.mdp, prod.automaton, prod.horizon)
-    assert prod.layers == layers
-    assert [tuple(prod.keys[i] for i in ids) for ids in prod.layer_ids] == layers
-    assert prod.initial == initial
+    assert [tuple(sorted(layer, key=repr)) for layer in prod.layers] == layers
+    assert [tuple(prod.keys[i] for i in ids) for ids in prod.layer_ids] == prod.layers
+    assert tuple(sorted(prod.initial, key=repr)) == initial
     assert prod.coerced == coerced
     keys = prod.keys
     assert {keys[i]: tuple(keys[j] for j in nxt)
@@ -142,6 +148,57 @@ class TestAgainstReference:
             model = oracle.random_interval_mdp(rng, spec)
             horizon = max(0, time_bound(formula) + horizon_offset)
             assert_matches_reference(build_product(model, compile_formula(formula, {"B", "C"}), horizon))
+
+
+class TestNumberingOrder:
+    """Pairs are numbered in the order the enumeration finds them, from layer 0 in model order."""
+
+    @staticmethod
+    def assert_found_order(prod):
+        mdp, aut = prod.mdp, prod.automaton
+        assert prod.layers[0] == tuple((s, aut.step(aut.initial, mdp.labels[s])) for s in mdp.states)
+        for ids in prod.layer_ids:
+            assert list(ids) == sorted(ids)
+        assert [p[0] for p in prod.initial] == list(mdp.states)
+        one_shot_prune(prod, 0.5)
+        assert _Numbered(prod).starts == {s: k for k, s in enumerate(mdp.states)}
+        violators = check_initial(prod, 1.0)
+        index = {s: k for k, s in enumerate(mdp.states)}
+        order = [index[p[0]] for p, _ in violators]
+        assert order == sorted(order)
+        return len(violators)
+
+    def test_case_study(self):
+        spec, formula = canonical_case_study()
+        prod = build_product(build_grid_mdp(spec), compile_formula(formula, sorted(spec.alphabet())),
+                             time_bound(formula))
+        assert self.assert_found_order(prod) == 36
+
+    def test_random_instances(self):
+        rng = random.Random(24)
+        spec = oracle.RandomInstanceSpec()
+        several = 0
+        for _ in range(20):
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            prod = build_product(model, compile_formula(formula, {"B", "C"}), time_bound(formula))
+            several += self.assert_found_order(prod) > 1
+        assert several >= 10
+
+    def test_pair_ids_do_not_depend_on_hash_seed(self):
+        # worst_case_toy names its states with strings, whose hashes vary with the seed
+        code = ("from conftest import worst_case_toy; prod = worst_case_toy(); "
+                "print(repr((prod.keys, prod.layer_ids, prod.next_ids)))")
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here), str(here.parent / "src")])
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestInvariants:

@@ -454,8 +454,8 @@ class TestAgainstReference:
         else:
             assert multi_shot_prune(prod, plan)[1] is prod.reset_times
         layers, f, act, pi_c, ref_times = expected
-        assert list(prod.layers) == layers
-        assert prod.initial == tuple(sorted(((s, q, 0) for s, q in layers[0]), key=repr))
+        assert [tuple(sorted(layer, key=repr)) for layer in prod.layers] == layers
+        assert sorted(prod.initial, key=repr) == [(s, q, 0) for s, q in layers[0]]
         assert {p: repr(v) for p, v in prod.f_values.items()} == {p: repr(v) for p, v in f.items()}
         assert prod.act_sets == act
         assert prod.pi_c == pi_c

@@ -33,12 +33,15 @@ bit-identical; a result is stored only once all its LPs solved, so an
 infeasible row still raises at its first state in layer order.  No layer or
 segment enters a result, so segments with one threshold share one memo.
 
-A sweep computes a *closed* pair once for all its layers.  A pair is closed
-if it is terminal, or if it is not a non-terminal pair of the segment's end
-layer and all its successors are closed: by induction down the layers, its
-successor values are then the same at each of its layers.  Every one-shot
-pair at the formula's time bound is closed; segment boundaries and coerced
-pairs keep their ancestors on the memo path.
+A sweep whose end layer holds only accepting and trash pairs is *closed*: it
+computes each pair once and reuses the result at the pair's other layers.
+Every path from a pair then meets a decided pair by the end layer, whichever
+layer of the sweep it starts from, and decided pairs keep their 0/1 values at
+every layer; so a pair's result is the same at each of its layers, with no
+induction down the layers to decide it.  With the horizon at the
+formula's time bound, the one-shot sweep and the last multi-shot segment are
+closed.  An open sweep reuses only accepting and trash pairs; every other
+state goes through the memo, which returns the same result tuple.
 
 The pruning pass runs with the cyclic garbage collector paused, as the product
 build does: its memo keys, value lists and result tuples form no reference
@@ -127,12 +130,8 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
     keys = product.keys
     next_ids = product.next_ids
     support_rows = product.support_rows
-    closed = [None] * len(keys)         # decided at a pair's highest layer in the sweep
-    for i in product.layer_ids[t_hi]:
-        closed[i] = keys[i][1] in terminal
-    if all(map(closed.__getitem__, product.layer_ids[t_hi])):
-        closed = [True] * len(keys)     # no open pair at the end layer, so none above it
-    cache = [None] * len(keys)          # (f, kept, fallback) of each closed pair
+    closed = all(keys[i][1] in terminal for i in product.layer_ids[t_hi])
+    cache = [None] * len(keys)          # (f, kept, fallback) of each pair whose result repeats
     for t in range(t_hi - 1, t_lo - 1, -1):
         fcur = [0.0] * len(keys)
         f_of = fnext.__getitem__
@@ -165,9 +164,7 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
                                 best = k
                                 best_a = a
                         hit = memo[(s, fvals)] = (best, tuple(keep), best_a)
-                if closed[i] is None:
-                    closed[i] = value is not None or all(map(closed.__getitem__, next_ids[i]))
-                if closed[i]:
+                if closed or value is not None:
                     cache[i] = hit
             fcur[i] = f[n] = hit[0]
             kept[n], fallback[n] = hit[1], hit[2]

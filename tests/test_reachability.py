@@ -575,6 +575,29 @@ class TestAgainstReference:
         assert (err.value.state[0], err.value.state[2], err.value.action) == ("x", 0, "b")
         assert str(err.value).startswith("sum of upper bounds 0.000000000 is below 1 at state")
 
+    @staticmethod
+    def stuck_z_model():
+        """x stays or moves to y, which is labelled B; z has no enabled action.  Not
+        validated, so the sweep is the first to meet z."""
+        return LabeledIntervalMdp(["x", "y", "z"], ["a"], {"y": {"B"}},
+                                  {("x", "a"): (("x", 0.0, 1.0, None), ("y", 0.0, 1.0, None)),
+                                   ("y", "a"): (("y", 1.0, 1.0, None),)},
+                                  enabled={"z": ()})
+
+    def test_state_without_enabled_actions_named(self):
+        aut = compile_formula(parse_formula("[H^0 B]^[0,2]"), {"B"})
+        with pytest.raises(ReachabilityError, match="state 'z' has no enabled actions"):
+            one_shot_prune(build_product(self.stuck_z_model(), aut, 2), 0.5)
+        # the first segment's end layer holds x undecided, so its sweep is open
+        prod = build_product(self.stuck_z_model(), aut, 2)
+        assert any(s == "x" and q not in aut.accepting | {aut.trash} for s, q in prod.layers[1])
+        with pytest.raises(ReachabilityError, match="state 'z' has no enabled actions"):
+            multi_shot_prune(prod, MultiShotPlan((0, 1, 2), (0.5, 0.5)))
+        # horizon 0 sweeps no layer, so z is never asked for an action
+        aut = compile_formula(parse_formula("H^0 B"), {"B"})
+        prod = one_shot_prune(build_product(self.stuck_z_model(), aut, 0), 0.5)
+        assert prod.f == [0.0, 1.0, 0.0]
+
     @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (0.6, 0.5)])
     def test_infeasible_row_named_at_first_state_multi_shot(self, thresholds):
         # the last segment sweeps layer 1 alone; the first sweeps layer 0 with
@@ -585,26 +608,28 @@ class TestAgainstReference:
         assert err.value.action == "b"
 
 
-def pair_results(prod):
-    """Each (s, q) pair's distinct (f as repr, kept set, fallback) over its layers below the horizon."""
+def pair_results(prod, t_lo=0, t_hi=None):
+    """Each (s, q) pair's distinct (f as repr, kept set, fallback) over layers t_lo to
+    t_hi - 1 (default: every layer below the horizon)."""
     seen = {}
-    for t, layer in enumerate(prod.layers[:-1]):
-        for s, q in layer:
+    for t in range(t_lo, prod.horizon if t_hi is None else t_hi):
+        for s, q in prod.layers[t]:
             p = (s, q, t)
             seen.setdefault((s, q), set()).add((repr(prod.f_values[p]), prod.act_sets[p],
                                                 prod.pi_c[p]))
     return seen
 
 
-def n_differing(prod):
-    return sum(len(results) > 1 for results in pair_results(prod).values())
+def n_differing(prod, t_lo=0, t_hi=None):
+    return sum(len(results) > 1 for results in pair_results(prod, t_lo, t_hi).values())
 
 
 class TestPairInvariant:
-    """At the formula's time bound, one-shot pruning gives each (s, q) pair one
-    result at every layer it appears in: time lives in the automaton state.
-    The controls show the rule is not vacuous: segment boundaries and coerced
-    pairs make a pair's result depend on its layer."""
+    """At the formula's time bound, one-shot pruning and the last multi-shot
+    segment give each (s, q) pair one result at every layer it appears in:
+    time lives in the automaton state.  The controls show the rule is not
+    vacuous: segment boundaries and coerced pairs make a pair's result depend
+    on its layer."""
 
     def test_one_shot_case_study(self, case_products):
         prod = case_products["one_shot"]
@@ -626,6 +651,38 @@ class TestPairInvariant:
 
     def test_multi_shot_case_study_differs(self, case_products):
         assert n_differing(case_products["multi_shot"]) == 475
+
+    def test_last_multi_shot_segment_case_study(self, case_products):
+        # the last segment ends at the time bound, where every pair is decided, so its
+        # sweep is closed; the earlier segments end at 0/1 boundaries of open pairs
+        prod = case_products["multi_shot"]
+        ts = cli.CASE_STUDY_TIMESTAMPS
+        assert len(pair_results(prod, ts[-2], ts[-1])) == 432
+        assert n_differing(prod, ts[-2], ts[-1]) == 0
+        assert [n_differing(prod, a, b) for a, b in zip(ts[:-2], ts[1:-1])] == [143, 375, 304]
+
+    def test_last_multi_shot_segment_random_instances(self):
+        # one cut, even thresholds, horizon at the time bound
+        rng = random.Random(5)
+        feasible = first_differs = 0
+        for _ in range(200):
+            spec = oracle.RandomInstanceSpec()
+            formula = oracle.random_formula(rng, spec.max_horizon)
+            model = oracle.random_interval_mdp(rng, spec)
+            aut = compile_formula(formula, {"B", "C"})
+            horizon = time_bound(formula)
+            if horizon < 2:
+                continue
+            cut = rng.randint(1, horizon - 1)
+            plan = MultiShotPlan.even(rng.uniform(0.2, 0.95), (0, cut, horizon))
+            try:
+                prod, _ = multi_shot_prune(build_product(model, aut, horizon), plan)
+            except MultiShotInfeasibleError:
+                continue
+            feasible += 1
+            assert n_differing(prod, cut, horizon) == 0
+            first_differs += n_differing(prod, 0, cut) > 0
+        assert feasible >= 100 and first_differs >= 1
 
     def test_below_time_bound_differs(self):
         spec, formula = canonical_case_study(assumed_uncertainty=0.08)

@@ -224,15 +224,18 @@ class TotalAutomaton:
         return syms
 
 
-def compile_formula(formula: Formula, alphabet, max_states=100000) -> TotalAutomaton:
+MAX_STATES = 100000     # compile_formula raises StateExplosionError beyond this many states
+
+
+def compile_formula(formula: Formula, alphabet) -> TotalAutomaton:
     """Compile into a total automaton over ``2**len(alphabet)`` symbols."""
     try:
-        return _compile(formula, alphabet, max_states)
+        return _compile(formula, alphabet)
     except RecursionError:      # each pass over the formula recurses once per level
         raise AutomatonError("formula is nested too deeply to compile") from None
 
 
-def _compile(formula, alphabet, max_states):
+def _compile(formula, alphabet):
     props = tuple(sorted(frozenset(alphabet)))
     used = propositions(formula)
     missing = used - frozenset(props)
@@ -250,8 +253,8 @@ def _compile(formula, alphabet, max_states):
         if state is None:
             state = ids[id(node)] = len(nodes)
             nodes.append(node)
-            if len(nodes) > max_states:
-                raise StateExplosionError(f"more than {max_states} automaton states")
+            if len(nodes) > MAX_STATES:
+                raise StateExplosionError(f"more than {MAX_STATES} automaton states")
         return state
 
     # States are numbered as the walk finds them and their rows filled in that

@@ -145,12 +145,12 @@ _CASE_REWARDS = {
 }
 
 
-def canonical_case_study(real_uncertainty=0.03, assumed_uncertainty=0.08):
+def canonical_case_study(assumed_uncertainty=0.08):
     """The packaged 6x6 pickup-and-delivery scenario and its constraint."""
     spec = GridSpec(
         width=6,
         height=6,
-        real_uncertainty=real_uncertainty,
+        real_uncertainty=0.03,
         assumed_uncertainty=assumed_uncertainty,
         labels={cell: frozenset(props) for cell, props in _CASE_LABELS.items()},
         reward_cells=dict(_CASE_REWARDS),

@@ -13,8 +13,8 @@ re-enables exploration between sub-tasks.  The product holds only the shield
 
 Both loops step the product themselves, on a numbered view of it built
 once per product: ids are the product's state numbers, the pruned sets and
-fallback actions its lists, and the view adds each id's flag reset,
-acceptance and enabled-action count in lists and each start state's id.
+fallback actions its lists, and the view adds each id's flag reset in a
+list and each start state's id.
 ``RunResult.policy`` is a list by state number too, which ``evaluate`` reads;
 only the report pairs it with ``product.states``.  The first time action a is
 taken at id i, its row is made: the ids of (s', delta(q, l(s')), t+1) for the
@@ -145,10 +145,8 @@ class _Numbered:
         # layer 0 is numbered in ``initial``'s order, one state per MDP state in model order
         self.starts = {s: n for n, (s, _, _) in enumerate(product.initial)}
         aut, horizon, reset_times = product.automaton, product.horizon, product.reset_times
-        self.accepting = [q in aut.accepting for _, q, _ in product.states]
         self.resets = [q in aut.accepting or q == aut.trash or t == horizon or t in reset_times
                        for _, q, t in product.states]
-        self.n_enabled = [len(product.mdp.enabled[p[0]]) for p in product.states]
         self.rows = [self.UNSEEN] * len(product.kept)
 
     def row(self, i, a):
@@ -172,8 +170,8 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
         raise LearnerError("product has no pruned action sets; run a pruning pass first")
     view = product.numbered = product.numbered or _Numbered(product)
     states, act_sets, pi_c, rows = product.states, product.kept, product.fallback, view.rows
-    resets, starts, n_enabled, new_row = view.resets, view.starts, view.n_enabled, view.row
-    horizon = product.horizon
+    resets, starts, new_row = view.resets, view.starts, view.row
+    horizon, accepting, enabled = product.horizon, product.automaton.accepting, product.mdp.enabled
 
     rng = random.Random(cfg.seed)
     rand, choice = rng.random, rng.choice
@@ -248,14 +246,14 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
                 best = top[i] = new
             elif old == best or new == best:    # a maximum fell, or a value met it
                 best = top[i] = max(row.values())
-            boot[i] = 0.0 if best < 0.0 and len(row) < n_enabled[i] else best
+            boot[i] = 0.0 if best < 0.0 and len(row) < len(enabled[states[i][0]]) else best
 
             i = j
             if resets[i]:
                 flag = False
 
         final = states[i]
-        logs.append(EpisodeLog(episode, view.accepting[i], cumulative, shield_entry,
+        logs.append(EpisodeLog(episode, final[1] in accepting, cumulative, shield_entry,
                                steps_shielded, violations, final))
         total_violations += violations
         s0 = final[0] if cfg.reset_mode == "carry_state" else start
@@ -277,6 +275,7 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
     view = product.numbered = product.numbered or _Numbered(product)
     states, act_sets, pi_c, rows = product.states, product.kept, product.fallback, view.rows
     resets, starts, new_row = view.resets, view.starts, view.row
+    accepting = product.automaton.accepting
     rand = random.Random(seed).random
     start = start_state if start_state is not None else product.mdp.states[0]
     s0 = start
@@ -297,7 +296,7 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
             total_reward += r
             if resets[i]:
                 flag = False
-        if view.accepting[i]:
+        if states[i][1] in accepting:
             successes += 1
         s0 = states[i][0] if reset_mode == "carry_state" else start
 
@@ -306,10 +305,11 @@ def evaluate(product, policy, n_episodes, seed, start_state=None,
                       wilson_halfwidth(successes, n_episodes), n_episodes)
 
 
-def wilson_halfwidth(successes, n, z=1.96):
+def wilson_halfwidth(successes, n):
     """Wilson 95% half-width; degenerate samples (all or none) report zero."""
     if n == 0 or successes in (0, n):
         return 0.0
+    z = 1.96
     phat = successes / n
     denom = 1.0 + z * z / n
     return z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom

@@ -43,7 +43,7 @@ def _no_reward(s, a):
 
 
 class LabeledIntervalMdp:
-    """States, actions, labels and ``rows``; ``bounds`` and ``true_dynamics`` are (s, a, s')-keyed views.
+    """States, actions, labels and ``rows``; ``bounds`` is their (s, a, s') -> (lo, hi) view.
 
     ``enabled`` restricts the action set per state (walls and one-way doors
     remove actions outright); states not listed keep the full action set.
@@ -65,8 +65,7 @@ class LabeledIntervalMdp:
         self._samplers = {}     # (s, a) -> (succs, cum), built by the first sampler() call
 
     @classmethod
-    def from_edges(cls, states, actions, labels, bounds, true_dynamics=None,
-                   reward_fn=None, enabled=None):
+    def from_edges(cls, states, actions, labels, bounds, true_dynamics=None):
         """The model of (s, a, s')-keyed ``bounds`` (lo, hi) and ``true_dynamics`` (p), grouped
         by row once; a probability on an edge without bounds gets [0, 0] (``validate`` says so)."""
         states = tuple(states)
@@ -79,18 +78,12 @@ class LabeledIntervalMdp:
             grouped.setdefault((s, a), {}).setdefault(s2, (s2, 0.0, 0.0, p))
         rows = {key: tuple(sorted(row.values(), key=lambda entry: order.get(entry[0], -1)))
                 for key, row in grouped.items()}
-        return cls(states, actions, labels, rows, reward_fn, enabled)
+        return cls(states, actions, labels, rows)
 
     @property
     def bounds(self):
         """(s, a, s') -> (lo, hi) for every row entry, a new dict per read."""
         return {(s, a, s2): (lo, hi) for (s, a), row in self.rows.items() for s2, lo, hi, _ in row}
-
-    @property
-    def true_dynamics(self):
-        """(s, a, s') -> p for every entry with a true probability; None without a true law."""
-        return {(s, a, s2): p for (s, a), row in self.rows.items()
-                for s2, _, _, p in row if p is not None} if self._lawful else None
 
     def support(self, s, a):
         """The entries of row (s, a) with positive upper bound."""

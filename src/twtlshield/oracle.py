@@ -76,9 +76,10 @@ def _ends_at(node, word, lo, hi):
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def enumerate_words(alphabet, length, cap=10 ** 6):
+def enumerate_words(alphabet, length):
     """All words of the given length over subsets of the alphabet."""
     props = tuple(sorted(alphabet))
+    cap = 10 ** 6
     n_syms = 1 << len(props)
     if n_syms ** length > cap:
         raise OracleError(f"{n_syms ** length} words exceed the cap of {cap}")
@@ -222,10 +223,13 @@ def random_formula(rng: random.Random, max_horizon: int):
             return formula
 
 
-def random_lp_instance(rng: random.Random, max_n=5):
+LP_MAX_N = 5    # random_lp_instance draws 1 to LP_MAX_N successors
+
+
+def random_lp_instance(rng: random.Random):
     """Random feasible interval-distribution problem: each interval reaches up
     to 0.5 either side of a random distribution."""
-    n = rng.randint(1, max_n)
+    n = rng.randint(1, LP_MAX_N)
     raw = [rng.random() + 1e-3 for _ in range(n)]
     total = sum(raw)
     values = [rng.random() for _ in range(n)]

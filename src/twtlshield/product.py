@@ -226,9 +226,9 @@ class TimeTotalProductMdp:
     def results_json(self) -> str:
         """f and pi_c keyed by (s, q, t) for offline inspection."""
         doc = {
-            "f": {repr(p): v for p, v in self.f_values.items()},
-            "pi_c": {repr(p): repr(a) for p, a in self.pi_c.items()},
-            "act_sets": {repr(p): [repr(a) for a in acts] for p, acts in self.act_sets.items()},
+            "f": {repr(p): v for p, v in zip(self.states, self.f)},
+            "pi_c": {repr(p): repr(a) for p, a in zip(self.states, self.fallback)},
+            "act_sets": {repr(p): [repr(a) for a in acts] for p, acts in zip(self.states, self.kept)},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .mdp import MissingDynamicsError, interval_row
+from .mdp import interval_row
 from .product import TimeTotalProductMdp, _collector_paused
 
 
@@ -195,9 +195,9 @@ class MultiShotPlan:
         if any(not (0.0 < x <= 1.0) for x in th):
             raise ValueError("thresholds must lie in (0, 1]")
 
-    def check_product(self, pr_des, tol=1e-12):
+    def check_product(self, pr_des):
         product = math.prod(self.thresholds)
-        if abs(product - pr_des) > tol:
+        if abs(product - pr_des) > 1e-12:
             raise ValueError(f"thresholds multiply to {product!r}, not {pr_des!r}")
 
     @classmethod
@@ -272,18 +272,15 @@ def check_initial(product: TimeTotalProductMdp, pr_des):
     return [(p, v) for p, v in zip(product.initial, product.f) if v < pr_des]
 
 
-def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics=None):
+def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics):
     """Exact accepting-reach probability under a fixed policy and known dynamics.
 
     Backward dynamic program over the true law ``true_dynamics``, (s, a, s') -> p, summed
-    in its order (default ``mdp.true_dynamics``); serves as the validation oracle for the
-    worst-case bound (it must dominate f pointwise).
+    in its order; serves as the validation oracle for the worst-case bound (it must
+    dominate f pointwise).
     """
-    dyn = true_dynamics if true_dynamics is not None else product.mdp.true_dynamics
-    if dyn is None:
-        raise MissingDynamicsError("exact reachability needs true dynamics")
     rows = {}
-    for (s, a, s2), p in dyn.items():
+    for (s, a, s2), p in true_dynamics.items():
         if p > 0.0:
             rows.setdefault((s, a), []).append((s2, p))
     after = product._after

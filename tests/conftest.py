@@ -39,6 +39,19 @@ def case_products():
     return {"one_shot": one, "multi_shot": multi}
 
 
+def model(states, actions, labels, bounds, true_dynamics=None, reward_fn=None, enabled=None):
+    """The model of (s, a, s')-keyed ``bounds`` and ``true_dynamics`` (``from_edges``'s
+    rows) with a reward function and per-state enabled actions."""
+    rows = LabeledIntervalMdp.from_edges(states, actions, labels, bounds, true_dynamics).rows
+    return LabeledIntervalMdp(states, actions, labels, rows, reward_fn, enabled)
+
+
+def law(mdp):
+    """The true law of ``mdp`` as (s, a, s') -> p over its rows; {} without one."""
+    return {(s, a, s2): p for (s, a), row in mdp.rows.items()
+            for s2, _, _, p in row if p is not None}
+
+
 def three_state_mdp(exact=True, slack=0.1):
     """Three states s0/s1/s2 with labels {}, {B}, {C} and two actions.
 
@@ -131,7 +144,7 @@ def worst_case_toy():
         ("m2", "a", "g"): 0.5, ("m2", "a", "l"): 0.5,
     }
     enabled = {"g": ("a",), "l": ("a",), "m1": ("a",), "m2": ("a",)}
-    mdp = LabeledIntervalMdp.from_edges(states, actions, labels, bounds, dynamics, None, enabled)
+    mdp = model(states, actions, labels, bounds, dynamics, None, enabled)
     formula = parse_formula("[H^0 G]^[0,2]", {"G"})
     automaton = compile_formula(formula, {"G"})
     return build_product(mdp, automaton, 2)

@@ -91,10 +91,11 @@ class TestCompile:
         assert accepts(aut, (E, E)) is True
         assert accepts(aut, (E, B)) is False
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(automaton, "MAX_STATES", 3)
         f = parse_formula("[H^1 B]^[0,8]", {"B"})
         with pytest.raises(StateExplosionError):
-            compile_formula(f, {"B"}, max_states=3)
+            compile_formula(f, {"B"})
 
     def test_unsatisfiable_window_goes_to_trash(self):
         f = parse_formula("[H^3 B]^[0,1]", {"B"})

@@ -8,9 +8,8 @@ import pytest
 from twtlshield.cli import _as_json, load_config
 from twtlshield.gridworld import (ACTIONS, CASE_STUDY_PROPS, GridError, GridSpec,
                                   build_grid_mdp, canonical_case_study, render_ascii)
-from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.twtl import time_bound
-from conftest import sample_next
+from conftest import law, model, sample_next
 
 
 def plain_grid(eps_real=0.03, eps=0.08):
@@ -21,7 +20,7 @@ class TestDynamics:
     def test_interior_cell_split(self):
         m = build_grid_mdp(plain_grid())
         cell = (2, 2)
-        row = {s2: p for (s, a, s2), p in m.true_dynamics.items()
+        row = {s2: p for (s, a, s2), p in law(m).items()
                if s == cell and a == "E"}
         assert row[(3, 2)] == pytest.approx(0.97, abs=1e-15)
         others = {s2: p for s2, p in row.items() if s2 != (3, 2)}
@@ -33,7 +32,7 @@ class TestDynamics:
         m = build_grid_mdp(plain_grid())
         for cell in m.states:
             assert m.bounds[(cell, "Stay", cell)] == (1.0, 1.0)
-            assert m.true_dynamics[(cell, "Stay", cell)] == 1.0
+            assert law(m)[(cell, "Stay", cell)] == 1.0
             assert len(m.support(cell, "Stay")) == 1
 
     def test_corner_cell_mass_conservation(self):
@@ -42,7 +41,7 @@ class TestDynamics:
         # at a corner only E, NE, N and Stay are feasible
         assert set(m.enabled[corner]) == {"N", "NE", "E", "Stay"}
         for a in m.enabled[corner]:
-            total = math.fsum(p for (s, a2, _), p in m.true_dynamics.items()
+            total = math.fsum(p for (s, a2, _), p in law(m).items()
                               if s == corner and a2 == a)
             assert abs(total - 1.0) <= 1e-15
 
@@ -50,7 +49,7 @@ class TestDynamics:
         m = build_grid_mdp(plain_grid())
         for cell in m.states:
             for a in m.enabled[cell]:
-                total = math.fsum(p for (s, a2, _), p in m.true_dynamics.items()
+                total = math.fsum(p for (s, a2, _), p in law(m).items()
                                   if s == cell and a2 == a)
                 assert abs(total - 1.0) <= 1e-15
 
@@ -126,14 +125,14 @@ def five_door_spec():
 class TestFractionShares:
     def test_case_study(self):
         spec, _ = canonical_case_study()
-        assert build_grid_mdp(spec).true_dynamics == fraction_dynamics(spec)
+        assert law(build_grid_mdp(spec)) == fraction_dynamics(spec)
 
     def test_doors_vary_alternative_counts(self):
         spec = five_door_spec()
         counts = {len(spec.feasible_moves(cell)) for cell in
                   [(x, y) for y in range(4) for x in range(5)]}
         assert len(counts) >= 5
-        assert build_grid_mdp(spec).true_dynamics == fraction_dynamics(spec)
+        assert law(build_grid_mdp(spec)) == fraction_dynamics(spec)
 
 
 ROW_SPECS = {
@@ -157,11 +156,10 @@ class TestRows:
             positions = [order[s2] for s2, _, _, _ in row]
             assert positions == sorted(set(positions))
         bounds, dynamics = declared_bounds(spec), fraction_dynamics(spec)
-        reference = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, dynamics,
-                                                  enabled=m.enabled)
+        reference = model(m.states, m.actions, m.labels, bounds, dynamics, enabled=m.enabled)
         assert m.rows == reference.rows
         assert m.bounds == bounds
-        assert m.true_dynamics == dynamics
+        assert law(m) == dynamics
         assert m.validate() == []
 
     def test_zero_width_alternatives_are_outside_the_support(self):
@@ -187,8 +185,8 @@ class TestDoors:
     def test_no_unintended_transition_through_door(self):
         spec, _ = canonical_case_study()
         m = build_grid_mdp(spec)
-        gate_targets = {s2 for (s, a, s2) in m.true_dynamics
-                        if s == (2, 2) and m.true_dynamics[(s, a, s2)] > 0}
+        gate_targets = {s2 for (s, a, s2) in law(m)
+                        if s == (2, 2) and law(m)[(s, a, s2)] > 0}
         assert not {(2, 1), (1, 1), (3, 1)} & gate_targets
 
     def test_stay_cannot_be_forbidden(self):
@@ -227,7 +225,7 @@ class TestCanonicalCaseStudy:
         assert ACTIONS == ("N", "NE", "E", "SE", "S", "SW", "W", "NW", "Stay")
 
     def test_uncertainty_override(self):
-        spec, _ = canonical_case_study(0.03, 0.13)
+        spec, _ = canonical_case_study(assumed_uncertainty=0.13)
         assert spec.assumed_uncertainty == 0.13
         assert spec.real_uncertainty == 0.03
 
@@ -240,8 +238,9 @@ class TestSerialization:
         assert loaded.reward_cells == spec.reward_cells
         assert loaded.one_way_doors == spec.one_way_doors
         a, b = build_grid_mdp(loaded), build_grid_mdp(spec)
-        for attr in ("states", "labels", "bounds", "true_dynamics", "enabled"):
+        for attr in ("states", "labels", "bounds", "enabled"):
             assert getattr(a, attr) == getattr(b, attr), attr
+        assert law(a) == law(b)
 
     def test_ascii_render(self):
         spec, _ = canonical_case_study()

@@ -8,7 +8,7 @@ import pytest
 from twtlshield import cli, oracle
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import GridSpec, build_grid_mdp, canonical_case_study
-from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
+from twtlshield.mdp import MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import (MultiShotInfeasibleError, MultiShotPlan, check_initial,
                                      exact_reach_probability, multi_shot_prune, one_shot_prune)
@@ -16,7 +16,7 @@ from twtlshield.learner import (CSV_COLUMNS, EpisodeLog, EvalResult, LearnerConf
                                 RunResult, _Numbered, episode_csv, evaluate, learn,
                                 wilson_halfwidth)
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import is_accepting, is_trash, resets_flag, sample_next, worst_case_toy
+from conftest import is_accepting, is_trash, law, model, resets_flag, sample_next, worst_case_toy
 
 E = frozenset()
 G = frozenset({"G"})
@@ -219,7 +219,7 @@ def corridor_product(pr_des=1.0, missing=(), law=True):
     }
     dynamics = {key: 1.0 for key in bounds if key not in missing} if law else None
     enabled = {"r": ("go", "stay"), "g": ("go", "stay")}
-    mdp = LabeledIntervalMdp.from_edges(states, actions, labels, bounds, dynamics, None, enabled)
+    mdp = model(states, actions, labels, bounds, dynamics, None, enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
     return one_shot_prune(build_product(mdp, aut, 2), pr_des)
 
@@ -254,8 +254,8 @@ def bootstrap_toy(reward_b, x_actions=("a", "b")):
               ("x", "b", "g"): (1.0, 1.0), ("g", "a", "g"): (1.0, 1.0)}
     enabled = {"r": ("go",), "x": x_actions, "g": ("a",)}
     pays = lambda s, a: reward_b if (s, a) == ("x", "b") else 0.0
-    mdp = LabeledIntervalMdp.from_edges(states, ["go", "a", "b"], {"g": G}, bounds,
-                                        {key: 1.0 for key in bounds}, pays, enabled)
+    mdp = model(states, ["go", "a", "b"], {"g": G}, bounds, {key: 1.0 for key in bounds}, pays,
+                enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
     prod = build_product(mdp, aut, 2)
     inner = prod.states[:prod.offsets[prod.horizon]]
@@ -374,7 +374,7 @@ class TestGuarantees:
 
     def test_model_without_dynamics_cannot_be_stepped(self):
         prod = corridor_product(1.0, law=False)
-        assert prod.mdp.true_dynamics is None
+        assert law(prod.mdp) == {}
         with pytest.raises(MissingDynamicsError):
             learn(prod, LearnerConfig(episodes=1, seed=19))
         with pytest.raises(MissingDynamicsError):
@@ -680,14 +680,13 @@ class TestSharedView:
 
 
 def assert_view_follows_rules(prod):
-    """The numbered view's start ids, flag resets and acceptance against the conftest
-    rules and against the start lookup the view made before it numbered layer 0."""
+    """The numbered view's start ids and flag resets against the conftest rules and
+    against the start lookup the view made before it numbered layer 0."""
     view = _Numbered(prod)
     index = {p: n for n, p in enumerate(prod.states)}
     assert view.starts == {s: index[(s, prod._after(prod.automaton.initial, s), 0)]
                            for s in prod.mdp.states}
     assert view.resets == [resets_flag(prod, p) for p in prod.states]
-    assert view.accepting == [is_accepting(prod, p) for p in prod.states]
     return view
 
 
@@ -697,7 +696,7 @@ class TestNumberedView:
         prod = case_products[mode]
         view = assert_view_follows_rules(prod)
         assert len(view.starts) == len(prod.initial) == len(prod.mdp.states)
-        assert any(view.accepting) and not all(view.resets)
+        assert any(is_accepting(prod, p) for p in prod.states) and not all(view.resets)
         assert (mode == "multi_shot") == bool(prod.reset_times)
 
     def test_random_instances(self):
@@ -737,7 +736,7 @@ class TestEvaluate:
 
     def test_matches_exact_reachability(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        exact = exact_reach_probability(prod, prod.pi_c)
+        exact = exact_reach_probability(prod, prod.pi_c, law(prod.mdp))
         root = next(p for p in prod.initial if p[0] == "r")
         result = evaluate(prod, prod.fallback, 5000, seed=16, start_state="r",
                           reset_mode="fixed_start")

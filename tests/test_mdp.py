@@ -11,7 +11,7 @@ from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import InfeasibleIntervalError, one_shot_prune
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import sample_next, three_state_mdp
+from conftest import law, model, sample_next, three_state_mdp
 
 
 class TestValidate:
@@ -21,7 +21,7 @@ class TestValidate:
     def test_no_information_bounds(self):
         m = three_state_mdp()
         bounds = {key: (0.0, 1.0) for key in m.bounds}
-        loose = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, m.true_dynamics)
+        loose = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, law(m))
         assert loose.validate() == []
 
     def test_exact_knowledge_bounds(self, labeled_mdp):
@@ -39,7 +39,7 @@ class TestValidate:
 
     def test_dynamics_outside_bounds(self):
         m = three_state_mdp()
-        dynamics = dict(m.true_dynamics)
+        dynamics = dict(law(m))
         dynamics[("s0", "a1", "s1")] = 0.7
         dynamics[("s0", "a1", "s2")] = 0.3
         bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds, dynamics)
@@ -53,8 +53,7 @@ class TestValidate:
         keys = [((x, 0), "N", (x, 1)) for x in range(5, -1, -1)]
         bounds = {key: b for key, b in m.bounds.items() if key not in keys}
         bounds.update((key, (0.5, 0.25)) for key in keys)
-        bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, m.true_dynamics,
-                                            m.reward_fn, m.enabled)
+        bad = model(m.states, m.actions, m.labels, bounds, law(m), m.reward_fn, m.enabled)
         problems = bad.validate()
         expected = [f"bounds out of order for (({x}, 0),'N',({x}, 1)): [0.5,0.25]"
                     for x in range(6)]
@@ -87,13 +86,13 @@ class TestValidate:
     def test_all_zero_dynamics_row_flagged(self):
         m = three_state_mdp()
         bounds = {**m.bounds, ("s2", "a1", "s2"): (0.0, 1.0)}
-        dynamics = {**m.true_dynamics, ("s2", "a1", "s2"): 0.0}
+        dynamics = {**law(m), ("s2", "a1", "s2"): 0.0}
         bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, bounds, dynamics)
         assert bad.validate() == ["true dynamics missing for ('s2','a1')"]
 
     def test_nonstochastic_dynamics(self):
         m = three_state_mdp(exact=False)
-        dynamics = dict(m.true_dynamics)
+        dynamics = dict(law(m))
         dynamics[("s0", "a1", "s1")] = 0.85
         bad = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds, dynamics)
         assert any("sum to" in p for p in bad.validate())
@@ -133,7 +132,7 @@ def defective_edges():
 class TestValidateReport:
     def test_every_defect_word_for_word_in_order(self):
         states, actions, bounds, dynamics, enabled, report = defective_edges()
-        m = LabeledIntervalMdp.from_edges(states, actions, {}, bounds, dynamics, enabled=enabled)
+        m = model(states, actions, {}, bounds, dynamics, enabled=enabled)
         assert m.validate() == report
         assert m.rows[("s1", "a")] == (("s0", 0.2, 0.0, None), ("s1", 1.0, 1.0, 1.0))
         assert m.support("s1", "a") == [("s1", 1.0, 1.0, 1.0)]
@@ -141,8 +140,8 @@ class TestValidateReport:
 
     def test_without_a_law_only_the_interval_defects(self):
         states, actions, bounds, _, enabled, report = defective_edges()
-        m = LabeledIntervalMdp.from_edges(states, actions, {}, bounds, None, enabled=enabled)
-        assert m.true_dynamics is None
+        m = model(states, actions, {}, bounds, None, enabled=enabled)
+        assert law(m) == {}
         assert m.validate() == report[:4]
 
 
@@ -175,8 +174,7 @@ class TestStep:
     def test_reward_passthrough(self):
         m = three_state_mdp()
         pays = lambda s, a: 2.5 if s == "s0" else 0.0
-        rewarding = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds,
-                                                  m.true_dynamics, pays)
+        rewarding = model(m.states, m.actions, m.labels, m.bounds, law(m), pays)
         assert rewarding.reward_fn is pays
         # a model without a reward source pays nothing, and still pickles
         assert all(m.reward_fn(s, a) == 0.0 for s in m.states for a in m.actions)
@@ -188,7 +186,7 @@ def eager_samplers(mdp):
     the row in dict order, stably sorted by successor state order, with running sums."""
     order = {s: i for i, s in enumerate(mdp.states)}
     rows = {}
-    for (s, a, s2), p in mdp.true_dynamics.items():
+    for (s, a, s2), p in law(mdp).items():
         if p > 0.0:
             rows.setdefault((s, a), []).append((s2, p))
     tables = {}
@@ -215,7 +213,7 @@ class TestSamplers:
 
     def test_missing_row(self):
         m = three_state_mdp()
-        dynamics = {key: p for key, p in m.true_dynamics.items() if key[:2] != ("s2", "a2")}
+        dynamics = {key: p for key, p in law(m).items() if key[:2] != ("s2", "a2")}
         gap = LabeledIntervalMdp.from_edges(m.states, m.actions, m.labels, m.bounds, dynamics)
         assert gap.sampler("s2", "a1") == (["s2"], [1.0])
         with pytest.raises(MdpError, match="no transitions defined for state 's2' action 'a2'"):

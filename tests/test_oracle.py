@@ -74,10 +74,11 @@ class TestExactMin:
         with pytest.raises(OracleError):
             lp_exact_min([0.1, 0.2], [0.7, 0.7], [1.0, 1.0])
 
-    def test_equals_vertex_enumeration_on_wide_instances(self):
+    def test_equals_vertex_enumeration_on_wide_instances(self, monkeypatch):
+        monkeypatch.setattr(oracle, "LP_MAX_N", 8)
         rng = random.Random(21)
         for _ in range(1000):
-            values, los, his = random_lp_instance(rng, max_n=8)
+            values, los, his = random_lp_instance(rng)
             assert lp_exact_min(values, los, his) == vertex_enumeration_min(values, los, his)
 
 

@@ -14,6 +14,8 @@ The 6x6 shield digests were recorded with the sweep that computed every
 product state and stored the shield in dicts keyed by (s, q, t), before the
 sweep computed a pair's result once for all of its layers where that result
 cannot depend on the layer.
+The CLI output files were recorded before exact reachability lost its default
+law and ``results_json`` read the shield lists instead of the dict views.
 """
 
 import hashlib
@@ -55,6 +57,38 @@ LEARNER = {
     ("one_shot", "inverse_visit"): "8cbfc00bc6501a5fa742ca5388d9165bc760d5fb87a979dd6f55f0e9080dbb69",
     ("multi_shot", "constant"): "c28b0a0af78a9350b4166ef67dfa4a22d59ea288319706f72d2bf8dfa1745614",
     ("multi_shot", "inverse_visit"): "5afea7ea13ac91fb2615b45f862accbf9594e1f528e651f751fe6cf4b254d6db",
+}
+
+# (command, mode) -> file name -> sha256 of each file the CLI writes on the case study
+# (``cli_runs``); the sweep runs both modes in two cells
+CLI_OUTPUTS = {
+    ("build", "one_shot"): {
+        "grid.json": "4027a09f5ce1a47f5f64268fbecd646615dc9d33011016079646d27b9642af94",
+        "product_summary.json": "5b529933f92b2330ec735eae49a662c5b5f529282840460272f83a3d41b89b1f"},
+    ("build", "multi_shot"): {
+        "grid.json": "4027a09f5ce1a47f5f64268fbecd646615dc9d33011016079646d27b9642af94",
+        "product_summary.json": "5b529933f92b2330ec735eae49a662c5b5f529282840460272f83a3d41b89b1f"},
+    ("prune", "one_shot"): {
+        "reachability.json": "2696c770cebfa406ab885053681f36bc4838bda17a2ae743a26a4739d3c8b619"},
+    ("prune", "multi_shot"): {
+        "reachability.json": "4ca6f8bd4c82a0963c3ac4cc1dda1dd052810b516af0102f3e8e44477bbd3055"},
+    ("learn", "one_shot"): {
+        "automaton.dot": "adaccd4555ef9389e514d1831efa077ee28358f85dc846085c18996abed6124e",
+        "automaton.json": "6945d62d30242522732873fa0b2d30a64e8fe802dcac8c1e720893069f25f17d",
+        "episodes.csv": "d371392a6c86cf904b5a2a5b6a7ac5c059c2a96a3511457e57e31734943bc06e",
+        "policy.json": "1c5aa25ee50328315821d6d1f954568ef2864d4609f2fa95f3a114c885748661",
+        "product_summary.json": "5b529933f92b2330ec735eae49a662c5b5f529282840460272f83a3d41b89b1f",
+        "summary.json": "1ab42ecdd78c75a75cf3fa3c77dee618f44d3861b20a3bcd9ebcba07d314c550"},
+    ("learn", "multi_shot"): {
+        "automaton.dot": "adaccd4555ef9389e514d1831efa077ee28358f85dc846085c18996abed6124e",
+        "automaton.json": "6945d62d30242522732873fa0b2d30a64e8fe802dcac8c1e720893069f25f17d",
+        "episodes.csv": "c8f7fa8744556cbd37c70031061c19caed27befd001c57f4f11cf979bb36cc5d",
+        "policy.json": "99f3cced3a532e162b2f059ebcfbfb8edf7e2a2b84e3da50e28cac4ef910fd97",
+        "product_summary.json": "5b529933f92b2330ec735eae49a662c5b5f529282840460272f83a3d41b89b1f",
+        "summary.json": "affa6cb84e032df56936f322f9c2bd64b82db69e0dbd124a9c00c20985d0acdc"},
+    ("sweep", "both"): {
+        "sweep.csv": "691315de37121f546a3fce1d01772eaa151f6646916830bda272e47424446e94",
+        "sweep.json": "992058ef5f0532f0140f42656bbafff2d2fbbbf43ef378fbf561dc3cbd692155"},
 }
 
 # FORMULA_CORPUS text -> sha256 of (to_json, to_dot) of its automaton over {B, C}
@@ -310,3 +344,25 @@ def learner_outcome(product, alpha_mode):
 @pytest.mark.parametrize("mode, alpha_mode", list(LEARNER))
 def test_learner_digest(case_products, mode, alpha_mode):
     assert sha256(learner_outcome(case_products[mode], alpha_mode)) == LEARNER[mode, alpha_mode]
+
+
+def cli_runs():
+    """(command, mode) -> the arguments of each pinned CLI run on the case study."""
+    cell = ["--eps", "0.08", "--pr-des", "0.9", "--seed", "3"]
+    episodes = ["--episodes", "300", "--eval-episodes", "100"]
+    runs = {(command, mode): [command, *cell, "--mode", mode]
+            for command in ("build", "prune", "learn") for mode in ("one_shot", "multi_shot")}
+    for mode in ("one_shot", "multi_shot"):
+        runs["learn", mode] += episodes
+    runs["sweep", "both"] = ["sweep", "--eps-list", "0.08", "--pr-list", "0.9", "--seed", "3", *episodes]
+    return runs
+
+
+def test_cli_output_files(tmp_path):
+    runs = cli_runs()
+    assert set(runs) == set(CLI_OUTPUTS)
+    for (command, mode), argv in runs.items():
+        out = tmp_path / f"{command}-{mode}"
+        assert cli.main([*argv, "--output-dir", str(out)]) == 0, argv
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert written == CLI_OUTPUTS[command, mode], argv

@@ -15,7 +15,7 @@ from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import ProductError, build_product
 from twtlshield.reachability import check_initial, one_shot_prune
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import is_accepting, is_trash, successors
+from conftest import is_accepting, is_trash, law, successors
 
 B = frozenset({"B"})
 E = frozenset()
@@ -117,7 +117,7 @@ class TestBuild:
     def test_alphabet_mismatch_names_first_state(self, labeled_mdp, order, first, props):
         m = labeled_mdp
         bad = LabeledIntervalMdp.from_edges(order, m.actions, {**m.labels, "s1": frozenset({"B", "D"})},
-                                            m.bounds, m.true_dynamics)
+                                            m.bounds, law(m))
         automaton = compile_formula(parse_formula("[H^0 B]^[0,1]", {"B"}), {"B"})
         with pytest.raises(ProductError) as err:
             build_product(bad, automaton, 1)

@@ -16,7 +16,7 @@ from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibl
                                      one_shot_prune, solve_kappa)
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield import oracle
-from conftest import is_accepting, is_trash, successors, worst_case_toy
+from conftest import is_accepting, is_trash, law, successors, worst_case_toy
 
 E = frozenset()
 
@@ -922,7 +922,7 @@ class TestCollectorPaused:
 class TestExactReachability:
     def test_toy_exact_values(self, toy_product):
         prod = one_shot_prune(toy_product, 0.5)
-        exact = exact_reach_probability(prod, prod.pi_c)
+        exact = exact_reach_probability(prod, prod.pi_c, law(prod.mdp))
         root = next(p for p in prod.initial if p[0] == "r")
         assert exact[root] == pytest.approx(0.95, abs=1e-12)
         for p, v in exact.items():
@@ -945,6 +945,6 @@ class TestExactReachability:
                                                 model.bounds, dynamics)
             assert sim.validate() == []
             prod_sim = build_product(sim, aut, prod.horizon)
-            exact = exact_reach_probability(prod_sim, prod.pi_c)
+            exact = exact_reach_probability(prod_sim, prod.pi_c, law(sim))
             for p, v in exact.items():
                 assert v >= prod.f_values[p] - 1e-12

@@ -6,9 +6,12 @@ read as an attribute somewhere in the program, ``src/`` and
 ``perfbench/worker.py``, outside its own definition.  Likewise every public
 function or class defined at the top level of a module in ``src/`` must be read,
 by name or as an attribute, outside its own definition; the console entry point
-in ``pyproject.toml`` counts as read.  Tests and docstrings do not count, so a
-helper that only tests call fails here; tests write such a rule out in
-``conftest.py`` instead.  The match is by name.
+in ``pyproject.toml`` counts as read.  And every defaulted parameter of a
+public function, method or constructor in ``src/`` must be set, by keyword or
+by position, by some call in the program; the entry point is exempt.  Tests
+and docstrings do not count, so a helper or an input that only tests use fails
+here; tests write such a rule or input out in ``conftest.py`` instead.  The
+match is by name.
 """
 
 import ast
@@ -128,3 +131,95 @@ def test_a_module_name_read_only_in_its_own_body_is_unread():
     # without n.py, ``used`` loses its only reader (through the alias)
     assert unread_module_names({"m.py": module}, ["m.py"]) == \
         ["used (m.py:1)", "lonely (m.py:3)", "main (m.py:9)"]
+
+
+def defaulted_parameters(tree):
+    """``(callee, qualname, name, position, line)`` for each defaulted parameter of the
+    public top-level functions, the public methods of public top-level classes and
+    their constructors in ``tree``.  ``callee`` is the name a call uses (the class
+    name for ``__init__``); ``position`` counts the call's positional arguments (the
+    method's first parameter is bound, so it has none), None for keyword-only ones."""
+    found = []
+
+    def scan(function, callee, qualname, bound):
+        args = function.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            found.append((callee, qualname, arg.arg, i - bound, arg.lineno))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((callee, qualname, arg.arg, None, arg.lineno))
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            scan(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if not isinstance(method, functions):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in method.decorator_list)
+                if method.name == "__init__":
+                    scan(method, node.name, f"{node.name}.__init__", 1)
+                elif not method.name.startswith("_"):
+                    scan(method, method.name, f"{node.name}.{method.name}", 0 if static else 1)
+    return found
+
+
+def unset_parameters(trees, defining, exempt=()):
+    """``qualname(name) (file:line)`` for each defaulted parameter of a public function,
+    method or constructor of the modules in ``defining`` that no call in ``trees``
+    (path -> module) sets, by keyword or by position.  Calls match by name, and
+    constructors by class name; a call with ``*args`` or ``**kwargs`` sets every
+    parameter.  Functions named in ``exempt`` are skipped."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, name, position):
+        if any(isinstance(arg, ast.Starred) for arg in call.args) \
+                or any(keyword.arg is None or keyword.arg == name for keyword in call.keywords):
+            return True
+        return position is not None and position < len(call.args)
+
+    unset = []
+    for path in defining:
+        for callee, qualname, name, position, line in defaulted_parameters(trees[path]):
+            if callee in exempt:
+                continue
+            if not any(sets(call, name, position) for call in calls.get(callee, ())):
+                unset.append(f"{qualname}({name}) ({path}:{line})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set(trees):
+    src = [path for path in trees if path.parts[0] == "src"]
+    assert unset_parameters(trees, src, entry_points()) == []
+
+
+def test_a_parameter_set_only_by_tests_is_unset():
+    module = ast.parse("def solve(x, tol=1e-9, cap=10, *, fast=False):\n    return x\n"
+                       "class Model:\n"
+                       "    def __init__(self, rows, law=None):\n        pass\n"
+                       "    def step(self, s, n=1):\n        return solve(s, 1e-6)\n"
+                       "    @staticmethod\n    def make(rows, law=None):\n        return Model(rows)\n"
+                       "    def _hidden(self, k=0):\n        pass\n"
+                       "def main(argv=None):\n    return Model.make([], law={})\n")
+    other = ast.parse("from m import Model\nModel([]).step(0, 2)\n")
+    spread = ast.parse("from m import solve\nsolve(*args)\n")
+    trees = {"m.py": module, "n.py": other}
+    assert unset_parameters(trees, ["m.py"], {"main"}) == \
+        ["solve(cap) (m.py:1)", "solve(fast) (m.py:1)", "Model.__init__(law) (m.py:4)"]
+    # a call through ``*args`` may set every parameter
+    assert unset_parameters({**trees, "o.py": spread}, ["m.py"], {"main"}) == \
+        ["Model.__init__(law) (m.py:4)"]
+    # without n.py, ``step(n)`` loses its only setter; without the exemption, ``main`` is listed
+    assert unset_parameters({"m.py": module}, ["m.py"]) == \
+        ["solve(cap) (m.py:1)", "solve(fast) (m.py:1)", "Model.__init__(law) (m.py:4)",
+         "Model.step(n) (m.py:6)", "main(argv) (m.py:13)"]

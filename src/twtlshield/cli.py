@@ -209,12 +209,10 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         raise ConfigError(f"config {path} must be a JSON object, not {doc!r}")
     doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
 
-    # A grid is a spec file path or an inline spec; keys GridSpec does not declare are ignored.
+    # A grid is a spec file path or an inline spec.
     grid = doc.get("grid")
     if isinstance(grid, str):
         grid = _read_json(grid, "grid")
-    if isinstance(grid, dict):
-        grid = {f.name: grid[f.name] for f in fields(GridSpec) if f.name in grid}
     doc["grid"] = grid
 
     values = _checked(doc, _config_schema())

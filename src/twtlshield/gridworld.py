@@ -161,7 +161,7 @@ def canonical_case_study(assumed_uncertainty=0.08):
 
 
 def render_ascii(spec: GridSpec) -> str:
-    """Map with labels, reward shading (., :, *, #) and door markers."""
+    """Map with labels, reward shading (., :, *, #; -- for a negative reward) and door markers."""
     rows = []
     shades = " .:*#"
     max_reward = max(spec.reward_cells.values(), default=0.0)
@@ -172,6 +172,8 @@ def render_ascii(spec: GridSpec) -> str:
             props = sorted(spec.labels.get(cell, ()))
             if props:
                 text = props[0][:4]
+            elif spec.reward_cells.get(cell, 0.0) < 0:
+                text = "--"
             elif cell in spec.reward_cells and max_reward > 0:
                 level = spec.reward_cells[cell] / max_reward
                 text = shades[min(4, 1 + int(level * 3.999))] * 2

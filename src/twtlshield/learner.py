@@ -102,8 +102,6 @@ class EpisodeLog:
     cumulative_reward: float
     shield_entry_time: int | None
     steps_shielded: int
-    legality_violations: int
-    final_state: tuple
 
 
 @dataclass
@@ -181,7 +179,7 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
     boot = [0.0] * len(states)          # the bootstrap value of each id's row
     visits = {} if cfg.alpha_mode == "inverse_visit" else None
     logs = []
-    total_violations = 0
+    violations = 0
     gamma = cfg.gamma
     alpha = cfg.alpha
 
@@ -195,7 +193,6 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
         cumulative = 0.0
         shield_entry = None
         steps_shielded = 0
-        violations = 0
 
         for t in range(horizon):
             acts = act_sets[i]
@@ -254,15 +251,14 @@ def learn(product, cfg: LearnerConfig) -> RunResult:
 
         final = states[i]
         logs.append(EpisodeLog(episode, final[1] in accepting, cumulative, shield_entry,
-                               steps_shielded, violations, final))
-        total_violations += violations
+                               steps_shielded))
         s0 = final[0] if cfg.reset_mode == "carry_state" else start
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
     # the greedy policy by state number: argmax Q over the pruned set, fallback where it is empty
     policy = [g if acts else a for g, acts, a in zip(greedy, act_sets, pi_c)]
     q = {states[i]: row for i, row in enumerate(qs) if row is not None}
-    return RunResult(policy=policy, logs=logs, q=q, legality_violations=total_violations)
+    return RunResult(policy=policy, logs=logs, q=q, legality_violations=violations)
 
 
 def evaluate(product, policy, n_episodes, seed, start_state=None,

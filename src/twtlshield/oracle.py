@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .twtl import And, Concat, Formula, Hold, Not, Or, Within, parse_formula, time_bound
@@ -104,7 +103,7 @@ def lp_exact_min(values, los, his):
                for lam in v)
 
 
-def sample_true_dynamics(bounds, seed):
+def sample_true_dynamics(bounds, rng: random.Random):
     """A stochastic matrix inside the given interval bounds.
 
     Per (state, action) row present in ``bounds``: start from the lower
@@ -112,7 +111,6 @@ def sample_true_dynamics(bounds, seed):
     proportions, iteratively clipping at the upper bounds.  Feasible bounds
     always admit a solution; point intervals are returned verbatim.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     rows = {}
     for (s, a, s2), (lo, hi) in bounds.items():
         if hi > 0.0:
@@ -166,16 +164,13 @@ def _spread(mass, caps, rng):
     return out
 
 
-@dataclass(frozen=True)
 class RandomInstanceSpec:
-    max_states: int = 6
-    max_actions: int = 3
-    max_horizon: int = 6
-    interval_width: float = 0.4
+    """The size of a random instance: small enough to verify exhaustively."""
 
-    def __post_init__(self):
-        if self.max_states * self.max_horizon > 200:
-            raise ValueError("instance too large for exhaustive verification")
+    max_states = 6
+    max_actions = 3
+    max_horizon = 6
+    interval_width = 0.4
 
 
 # Compilable formulas over at most two propositions with small time bounds,

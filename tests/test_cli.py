@@ -375,9 +375,20 @@ class TestGridSchema:
         with pytest.raises(ConfigError, match="is not an \"x,y\" cell"):
             load_config(None, {"grid": {**self.SMALL, "labels": {key: ["P"]}}})
 
-    def test_unknown_grid_keys_ignored(self, tmp_path):
-        path = self.write_grid(tmp_path / "grid.json", start_cell=[0, 0], colour="red")
-        assert load_config(None, {"grid": path}).grid == canonical_case_study()[0]
+    def test_unknown_grid_keys_rejected(self, tmp_path, capsys):
+        path = self.write_grid(tmp_path / "grid.json", reward_cell={"3,0": 2.0})
+        with pytest.raises(ConfigError, match="bad grid config: unknown key 'reward_cell'"):
+            load_config(None, {"grid": path})
+        assert main(["build", "--grid", path]) == 2
+        assert "bad grid config: unknown key 'reward_cell'" in capsys.readouterr().err
+        inline = {**self.SMALL, "colour": "red", "start_cell": [0, 0]}
+        with pytest.raises(ConfigError, match="bad grid config: unknown key 'colour'"):
+            load_config(None, {"grid": inline})
+
+    def test_negative_reward_grid_builds(self, tmp_path, capsys):
+        path = self.write_grid(tmp_path / "grid.json", reward_cells={"3,0": 2.0, "0,2": -10.0})
+        assert main(["build", "--grid", path, "--output-dir", str(tmp_path / "out")]) == 0
+        assert "| -- |" in capsys.readouterr().out
 
     def test_build_rewrites_its_grid_file_unchanged(self, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"

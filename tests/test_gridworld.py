@@ -251,6 +251,16 @@ class TestSerialization:
             assert prop[:4] in art
         assert "=" in art   # door marker
 
+    def test_ascii_reward_shades(self):
+        # the shade grows with the reward's share of the largest; a negative reward is "--"
+        rewards = {(0, 0): 10.0, (1, 0): 6.0, (2, 0): 4.0, (3, 0): 0.0, (0, 1): -1.0,
+                   (1, 1): -2.5, (2, 1): -10.0, (3, 1): -50.0}
+        spec = GridSpec(4, 2, 0.0, 0.1, reward_cells=rewards)
+        rows = [line.split("|")[1:-1] for line in render_ascii(spec).splitlines()[1::2]]
+        assert rows == [[" -- "] * 4, [" ## ", " ** ", " :: ", " .. "]]
+        assert render_ascii(GridSpec(2, 1, 0.0, 0.1, reward_cells={(0, 0): -3.0})) == \
+            "+----+----+\n| -- |    |\n+----+----+"
+
 
 class TestStep:
     def test_empirical_intended_rate(self):

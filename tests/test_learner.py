@@ -68,7 +68,7 @@ def reference_learn(product, cfg: LearnerConfig, steps=None) -> RunResult:
     q = {}
     visits = {} if cfg.alpha_mode == "inverse_visit" else None
     logs = []
-    total_violations = 0
+    violations = 0
     gamma = cfg.gamma
     alpha_const = cfg.alpha
 
@@ -82,7 +82,6 @@ def reference_learn(product, cfg: LearnerConfig, steps=None) -> RunResult:
         cumulative = 0.0
         shield_entry = None
         steps_shielded = 0
-        violations = 0
 
         for t in range(horizon):
             acts = act_sets[p]
@@ -135,15 +134,12 @@ def reference_learn(product, cfg: LearnerConfig, steps=None) -> RunResult:
             cumulative_reward=cumulative,
             shield_entry_time=shield_entry,
             steps_shielded=steps_shielded,
-            legality_violations=violations,
-            final_state=p,
         ))
-        total_violations += violations
         s0 = p[0] if cfg.reset_mode == "carry_state" else start
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
     policy = reference_policy(product, q)
-    return RunResult(policy=policy, logs=logs, q=q, legality_violations=total_violations)
+    return RunResult(policy=policy, logs=logs, q=q, legality_violations=violations)
 
 
 def reference_policy(product, q):
@@ -324,7 +320,7 @@ def audit_shield_protocol(product, steps, logs):
 
     A step taken while the derived flag is up must be the fallback action, any
     other step an action of the pruned set; the shield entry time, the count of
-    shielded steps and the final state must match what the log reports.
+    shielded steps and whether the final state accepts must match what the log reports.
     """
     violations = 0
     flag = False
@@ -344,8 +340,8 @@ def audit_shield_protocol(product, steps, logs):
             if resets_flag(product, landing):
                 flag = False
         entry = shielded_at[0] if shielded_at else None
-        if (entry, len(shielded_at), final) != (log.shield_entry_time, log.steps_shielded,
-                                                log.final_state):
+        if (entry, len(shielded_at), is_accepting(product, final)) != \
+                (log.shield_entry_time, log.steps_shielded, log.satisfied):
             violations += 1
     return violations
 
@@ -360,16 +356,19 @@ class TestGuarantees:
 
     def test_satisfied_matches_final_automaton_state(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
-        result = learn(prod, LearnerConfig(episodes=300, seed=2))
-        for log in result.logs:
-            assert log.satisfied == is_accepting(prod, log.final_state)
+        steps, result = learned_and_recorded(prod, LearnerConfig(episodes=300, seed=2))
+        finals = [final for _, final in episodes(prod, steps)]
+        assert len(finals) == len(result.logs)
+        for final, log in zip(finals, result.logs):
+            assert log.satisfied == is_accepting(prod, final)
 
     def test_trajectory_length_is_horizon(self):
         prod = one_shot_prune(worst_case_toy(), 0.5)
         steps, result = learned_and_recorded(prod, LearnerConfig(episodes=20, seed=3))
         assert len(steps) == 20 * prod.horizon
         rebuilt = episodes(prod, steps)
-        assert [final for _, final in rebuilt] == [log.final_state for log in result.logs]
+        assert len(rebuilt) == len(result.logs)
+        assert all(final[2] == prod.horizon for _, final in rebuilt)
 
 
     def test_model_without_dynamics_cannot_be_stepped(self):
@@ -493,10 +492,11 @@ class TestResets:
         prod = one_shot_prune(worst_case_toy(), 1e-9)
         steps, result = learned_and_recorded(prod, LearnerConfig(episodes=100, seed=11,
                                                                  reset_mode="carry_state"))
-        starts = [taken[0][0] for taken, _ in episodes(prod, steps)]
+        rebuilt = episodes(prod, steps)
+        starts = [taken[0][0] for taken, _ in rebuilt]
         assert all(p in prod.initial and p in result.q for p in starts)
-        for prev, start in zip(result.logs, starts[1:]):
-            assert start[0] == prev.final_state[0]
+        for (_, final), start in zip(rebuilt, starts[1:]):
+            assert start[0] == final[0]
 
     def test_fixed_start(self):
         prod = one_shot_prune(worst_case_toy(), 1e-9)

@@ -85,13 +85,13 @@ class TestExactMin:
 class TestSampledDynamics:
     def test_point_intervals_returned_exactly(self):
         bounds = {("s", "a", "x"): (0.25, 0.25), ("s", "a", "y"): (0.75, 0.75)}
-        dyn = sample_true_dynamics(bounds, 0)
+        dyn = sample_true_dynamics(bounds, random.Random(0))
         assert dyn[("s", "a", "x")] == 0.25
         assert dyn[("s", "a", "y")] == 0.75
 
     def test_unconstrained_row_is_stochastic(self):
         bounds = {("s", "a", i): (0.0, 1.0) for i in range(4)}
-        dyn = sample_true_dynamics(bounds, 1)
+        dyn = sample_true_dynamics(bounds, random.Random(1))
         assert math.fsum(dyn.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_validation_sweep(self):
@@ -105,7 +105,8 @@ class TestSampledDynamics:
 
     def test_deterministic_given_seed(self):
         bounds = {("s", "a", i): (0.05, 0.8) for i in range(3)}
-        assert sample_true_dynamics(bounds, 42) == sample_true_dynamics(bounds, 42)
+        assert (sample_true_dynamics(bounds, random.Random(42))
+                == sample_true_dynamics(bounds, random.Random(42)))
 
 
 class TestBruteEvaluator:
@@ -140,10 +141,6 @@ class TestGenerators:
             assert math.fsum(los) <= 1.0 + 1e-9
             assert math.fsum(his) >= 1.0 - 1e-9
             assert all(0 <= lo <= hi <= 1 for lo, hi in zip(los, his))
-
-    def test_instance_spec_cap(self):
-        with pytest.raises(ValueError):
-            RandomInstanceSpec(max_states=50, max_horizon=50)
 
 
 class TestIndependence:

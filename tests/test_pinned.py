@@ -9,7 +9,12 @@ The front-end digest was recorded when one operator table, one scanner regex
 and one error path replaced the per-level parser methods, and the parser
 before them gives the same digest.  The learner digests were recorded with
 the learner that rescanned a Q row on every greedy pick and bootstrap, before
-per-state caches of the greedy action and the row maximum replaced the scans.
+per-state caches of the greedy action and the row maximum replaced the scans,
+and re-recorded over the log fields the program reads (index, satisfaction,
+reward, shield entry and shielded steps) before the logs lost their final
+state and per-episode legality count; both learners give the same digests.
+The random-instance inputs were recorded before the law sampler lost its
+integer-seed form and ``RandomInstanceSpec`` its constructor fields.
 The 6x6 shield digests were recorded with the sweep that computed every
 product state and stored the shield in dicts keyed by (s, q, t), before the
 sweep computed a pair's result once for all of its layers where that result
@@ -50,13 +55,17 @@ SHIELD_6X6_BELOW_BOUND = "8e1739ccce166e323372c071d4cbb9f995c3e229a80985e412b591
 # sha256 over the result digests of the one-shot shields of 200 random_interval_mdp
 # instances (seed 2718), whose wide rows reach both branches of the interval-LP fill
 RANDOM_SHIELDS = "10677e89fc0f68525f96fe13301e33f7abf0154125bcbcbb5837d77efdeff996"
+# sha256 over the formula text, model and sampled law of 300 instances drawn as
+# ``perfbench/worker.py::random_instances`` draws them (seed 1618): the inputs of the
+# ``random-small`` benchmark workload
+RANDOM_INPUTS = "909640881b7efbe8206c8e965542850b26a015aba87a7238b5e7d813f8f8803e"
 
 # (mode, alpha_mode) -> sha256 of learner_outcome on the case study
 LEARNER = {
-    ("one_shot", "constant"): "081679d494ae20771cf8fcf815a219bee90029a6e00f9495c8fb2c2637c1c9cb",
-    ("one_shot", "inverse_visit"): "8cbfc00bc6501a5fa742ca5388d9165bc760d5fb87a979dd6f55f0e9080dbb69",
-    ("multi_shot", "constant"): "c28b0a0af78a9350b4166ef67dfa4a22d59ea288319706f72d2bf8dfa1745614",
-    ("multi_shot", "inverse_visit"): "5afea7ea13ac91fb2615b45f862accbf9594e1f528e651f751fe6cf4b254d6db",
+    ("one_shot", "constant"): "084a04e70de5b7de47b4a2bbd8b4c7fecf669ff7b757fddf084ce98718525395",
+    ("one_shot", "inverse_visit"): "5a2e6ddbf0cf737c54c3330a7bcaf4c58b9d4426b0867ccbe519792c21e880bd",
+    ("multi_shot", "constant"): "4baa67ace5b657f2cf16f1d2d66447c437b6c57f89b4cf3dd6a17975da261506",
+    ("multi_shot", "inverse_visit"): "d91cfe8e9b2805b74c986a5df21ee080d9f0677e1b811f1aefe81399c418cea0",
 }
 
 # (command, mode) -> file name -> sha256 of each file the CLI writes on the case study
@@ -235,6 +244,20 @@ def test_random_interval_shields_digest(worker):
     assert h.hexdigest() == RANDOM_SHIELDS
 
 
+def test_random_instance_inputs():
+    rng = random.Random(1618)
+    spec = oracle.RandomInstanceSpec()
+    h = hashlib.sha256()
+    for _ in range(300):
+        formula = oracle.random_formula(rng, spec.max_horizon)
+        model = oracle.random_interval_mdp(rng, spec)
+        dynamics = oracle.sample_true_dynamics(model.bounds, rng)
+        labels = [sorted(model.labels[s]) for s in model.states]
+        h.update(repr((format_formula(formula), model.states, labels,
+                       sorted(model.rows.items()), sorted(dynamics.items()))).encode())
+    assert h.hexdigest() == RANDOM_INPUTS
+
+
 def test_corpus_listings():
     assert set(CORPUS) == set(oracle.FORMULA_CORPUS)
     for text in oracle.FORMULA_CORPUS:
@@ -337,7 +360,9 @@ def learner_outcome(product, alpha_mode):
     result = learn(product, LearnerConfig(episodes=2000, seed=7, alpha_mode=alpha_mode))
     policy = sorted(zip(product.states, result.policy))
     q = sorted((p, sorted(row.items())) for p, row in result.q.items())
-    return repr((policy, q, result.logs, result.legality_violations,
+    logs = [(log.index, log.satisfied, log.cumulative_reward, log.shield_entry_time,
+             log.steps_shielded) for log in result.logs]
+    return repr((policy, q, logs, result.legality_violations,
                  evaluate(product, result.policy, 1000, seed=8)))
 
 

@@ -1,17 +1,17 @@
-"""No test-only helpers on the core model classes or at module level.
+"""No test-only helpers, fields or inputs in ``src/``.
 
-Every public class-level member (method, property or class attribute) of
-``TimeTotalProductMdp``, ``LabeledIntervalMdp`` and ``TotalAutomaton`` must be
-read as an attribute somewhere in the program, ``src/`` and
-``perfbench/worker.py``, outside its own definition.  Likewise every public
-function or class defined at the top level of a module in ``src/`` must be read,
-by name or as an attribute, outside its own definition; the console entry point
-in ``pyproject.toml`` counts as read.  And every defaulted parameter of a
-public function, method or constructor in ``src/`` must be set, by keyword or
-by position, by some call in the program; the entry point is exempt.  Tests
-and docstrings do not count, so a helper or an input that only tests use fails
-here; tests write such a rule or input out in ``conftest.py`` instead.  The
-match is by name.
+Every public class-level member (method, property, class attribute or dataclass
+field) of every public top-level class in ``src/`` must be read as an attribute
+somewhere in the program, ``src/`` and ``perfbench/worker.py``, outside its own
+definition.  Likewise every public function or class defined at the top level
+of a module in ``src/`` must be read, by name or as an attribute, outside its
+own definition; the console entry point in ``pyproject.toml`` counts as read.
+And every defaulted parameter of a public function, method or constructor in
+``src/`` must be set, by keyword or by position, by some call in the program;
+a dataclass field with a default is a parameter of the constructor
+``@dataclass`` writes, and the entry point is exempt.  Tests and docstrings do
+not count, so a helper or an input that only tests use fails here; tests write
+such a rule or input out in ``conftest.py`` instead.  The match is by name.
 """
 
 import ast
@@ -21,12 +21,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = [*sorted((ROOT / "src").rglob("*.py")), ROOT / "perfbench" / "worker.py"]
-CLASSES = ("TimeTotalProductMdp", "LabeledIntervalMdp", "TotalAutomaton")
 
 
 @pytest.fixture(scope="module")
 def trees():
     return {path.relative_to(ROOT): ast.parse(path.read_text(), str(path)) for path in PROGRAM}
+
+
+def source(trees):
+    """The modules of ``trees`` (path -> module) under ``src/``."""
+    return [path for path in trees if path.parts[0] == "src"]
+
+
+def public_classes(trees, defining):
+    """The names of the public top-level classes of the modules in ``defining``."""
+    return [node.name for path in defining for node in trees[path].body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
 
 
 def public_members(tree, name):
@@ -56,7 +66,6 @@ def unread_members(trees, classes):
                  if any(isinstance(n, ast.ClassDef) and n.name == cls for n in ast.walk(tree))]
         assert len(found) == 1, f"class {cls} should be defined once"
         path, members = found[0]
-        assert members, f"{cls} has no public members to check"
         for member, definition in members.items():
             inside = {id(n) for n in ast.walk(definition)}
             if not any(node.attr == member and id(node) not in inside for node in reads):
@@ -65,7 +74,9 @@ def unread_members(trees, classes):
 
 
 def test_every_public_member_has_a_reader(trees):
-    assert unread_members(trees, CLASSES) == []
+    classes = public_classes(trees, source(trees))
+    assert {"TimeTotalProductMdp", "LabeledIntervalMdp", "EpisodeLog"} <= set(classes)
+    assert unread_members(trees, classes) == []
 
 
 def test_a_member_read_only_in_its_own_body_is_unread():
@@ -74,8 +85,13 @@ def test_a_member_read_only_in_its_own_body_is_unread():
                      "    def used(self):\n        return self.size\n"
                      "    def lonely(self):\n        return self.lonely()\n"
                      "    def _private(self):\n        pass\n"
-                     "def caller(c):\n    return c.used()\n")
-    assert unread_members({"m.py": tree}, ["C"]) == ["C.lonely (m.py:5)"]
+                     "@dataclass\nclass Log:\n"
+                     "    index: int\n    final: tuple = ()\n"
+                     "class _Hidden:\n    spare = 0\n"
+                     "def caller(c, log):\n    return c.used(), log.index\n")
+    trees = {"m.py": tree}
+    assert public_classes(trees, ["m.py"]) == ["C", "Log"]
+    assert unread_members(trees, ["C", "Log"]) == ["C.lonely (m.py:5)", "Log.final (m.py:12)"]
 
 
 def entry_points():
@@ -115,8 +131,7 @@ def unread_module_names(trees, defining, called=()):
 
 def test_every_public_module_name_has_a_reader(trees):
     assert "main" in entry_points()
-    src = [path for path in trees if path.parts[0] == "src"]
-    assert unread_module_names(trees, src, entry_points()) == []
+    assert unread_module_names(trees, source(trees), entry_points()) == []
 
 
 def test_a_module_name_read_only_in_its_own_body_is_unread():
@@ -133,12 +148,20 @@ def test_a_module_name_read_only_in_its_own_body_is_unread():
         ["used (m.py:1)", "lonely (m.py:3)", "main (m.py:9)"]
 
 
+def is_dataclass(node):
+    """Whether the class ``node`` is decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any((getattr(t, "id", None) or getattr(t, "attr", None)) == "dataclass" for t in targets)
+
+
 def defaulted_parameters(tree):
     """``(callee, qualname, name, position, line)`` for each defaulted parameter of the
     public top-level functions, the public methods of public top-level classes and
     their constructors in ``tree``.  ``callee`` is the name a call uses (the class
     name for ``__init__``); ``position`` counts the call's positional arguments (the
-    method's first parameter is bound, so it has none), None for keyword-only ones."""
+    method's first parameter is bound, so it has none), None for keyword-only ones.
+    The constructor of a ``@dataclass`` takes the fields of the class body in order,
+    and a field with a default is a defaulted parameter at its field's position."""
     found = []
 
     def scan(function, callee, qualname, bound):
@@ -156,6 +179,13 @@ def defaulted_parameters(tree):
         if isinstance(node, functions) and not node.name.startswith("_"):
             scan(node, node.name, node.name, 0)
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if is_dataclass(node):
+                fields = [stmt for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+                for i, stmt in enumerate(fields):
+                    if stmt.value is not None:
+                        found.append((node.name, f"{node.name}.__init__", stmt.target.id, i,
+                                      stmt.lineno))
             for method in node.body:
                 if not isinstance(method, functions):
                     continue
@@ -199,8 +229,7 @@ def unset_parameters(trees, defining, exempt=()):
 
 
 def test_every_defaulted_parameter_is_set(trees):
-    src = [path for path in trees if path.parts[0] == "src"]
-    assert unset_parameters(trees, src, entry_points()) == []
+    assert unset_parameters(trees, source(trees), entry_points()) == []
 
 
 def test_a_parameter_set_only_by_tests_is_unset():
@@ -210,16 +239,22 @@ def test_a_parameter_set_only_by_tests_is_unset():
                        "    def step(self, s, n=1):\n        return solve(s, 1e-6)\n"
                        "    @staticmethod\n    def make(rows, law=None):\n        return Model(rows)\n"
                        "    def _hidden(self, k=0):\n        pass\n"
-                       "def main(argv=None):\n    return Model.make([], law={})\n")
-    other = ast.parse("from m import Model\nModel([]).step(0, 2)\n")
+                       "def main(argv=None):\n    return Model.make([], law={})\n"
+                       "@dataclass(frozen=True)\nclass Spec:\n"
+                       "    size: int\n    width: float = 0.4\n    depth: int = 6\n"
+                       "    cells: dict = field(default_factory=dict)\n")
+    other = ast.parse("from m import Model, Spec\nModel([]).step(0, 2)\nSpec(3, 0.5, cells={})\n")
     spread = ast.parse("from m import solve\nsolve(*args)\n")
     trees = {"m.py": module, "n.py": other}
     assert unset_parameters(trees, ["m.py"], {"main"}) == \
-        ["solve(cap) (m.py:1)", "solve(fast) (m.py:1)", "Model.__init__(law) (m.py:4)"]
+        ["solve(cap) (m.py:1)", "solve(fast) (m.py:1)", "Model.__init__(law) (m.py:4)",
+         "Spec.__init__(depth) (m.py:19)"]
     # a call through ``*args`` may set every parameter
     assert unset_parameters({**trees, "o.py": spread}, ["m.py"], {"main"}) == \
-        ["Model.__init__(law) (m.py:4)"]
-    # without n.py, ``step(n)`` loses its only setter; without the exemption, ``main`` is listed
+        ["Model.__init__(law) (m.py:4)", "Spec.__init__(depth) (m.py:19)"]
+    # without n.py, ``step(n)`` and the fields lose their only setter; without the
+    # exemption, ``main`` is listed
     assert unset_parameters({"m.py": module}, ["m.py"]) == \
         ["solve(cap) (m.py:1)", "solve(fast) (m.py:1)", "Model.__init__(law) (m.py:4)",
-         "Model.step(n) (m.py:6)", "main(argv) (m.py:13)"]
+         "Model.step(n) (m.py:6)", "main(argv) (m.py:13)", "Spec.__init__(width) (m.py:18)",
+         "Spec.__init__(depth) (m.py:19)", "Spec.__init__(cells) (m.py:20)"]

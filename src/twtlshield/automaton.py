@@ -56,7 +56,7 @@ class _Residuals:
     ``text`` maps a node's id to its canonical text, which orders the operands
     of And and Or and annotates the automaton's states; a new node's text is
     formatted over its children's, not by walking its subtree.  ``bound`` keeps
-    the time bound of each node a window was asked about, computed the same way.
+    the time bound of each node a window was asked about.
     ``bit`` maps each proposition to its bit in a label mask, and ``bits`` a
     node's id to the bits its progression reads: a hold's own, a concatenation's
     left operand's (the right one waits until the left is done), and the OR of
@@ -119,7 +119,7 @@ class _Residuals:
 
     def within(self, child, low, high):
         if child is not _FALSE and id(child) not in self.bound:
-            self.bound[id(child)] = time_bound(child, self.bound)
+            self.bound[id(child)] = time_bound(child)
         if child is _FALSE or high < low or self.bound[id(child)] > high - low:
             return _FALSE
         return self._made((Within, id(child), low, high), self.bits[id(child)],

@@ -112,9 +112,8 @@ def build_grid_mdp(spec: GridSpec) -> LabeledIntervalMdp:
             else:
                 rows[(cell, a)] = tuple(on if b == a else off for b, off, on in entries)
 
-    rewards = dict(spec.reward_cells)
-    reward_fn = lambda s, a: rewards.get(s, 0.0)
-    return LabeledIntervalMdp(states, ACTIONS, labels, rows, reward_fn, enabled)
+    rewards = {(cell, a): r for cell, r in spec.reward_cells.items() for a in enabled[cell]}
+    return LabeledIntervalMdp(states, ACTIONS, labels, rows, rewards, enabled)
 
 
 # Canonical six-by-six pickup-and-delivery layout.  The coordinates, door

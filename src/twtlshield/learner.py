@@ -19,10 +19,10 @@ list and each start state's id.
 only the report pairs it with ``product.states``.  The first time action a is
 taken at id i, its row is made: the ids of (s', delta(q, l(s')), t+1) for the
 successors s' of the model's sampler at (s, a), that sampler's cumulative
-table (shared, not copied) and ``reward_fn(s, a)``; a row with one successor
-keeps its id and no table.  This is exact: a successor's automaton state and
-time depend only on (q, s', t), a validated model's true successors lie in
-the product's layers, the reward is a function of (s, a), and the loops make
+table (shared, not copied) and ``rewards.get((s, a), 0.0)``; a row with one
+successor keeps its id and no table.  This is exact: a successor's automaton
+state and time depend only on (q, s', t), a validated model's true successors
+lie in the product's layers, the reward is keyed by (s, a), and the loops make
 the same random draws as sampling by state (``rng.random()`` only where a row
 has several successors).  Later calls reuse the view (``product.numbered``;
 the product is read-only, a row depends only on (id, action)), which holds
@@ -91,8 +91,9 @@ class LearnerConfig:
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if self.reset_mode not in ("carry_state", "fixed_start"):
             raise ValueError(f"unknown reset_mode {self.reset_mode!r}")
-        if min(self.alpha, self.epsilon, self.epsilon_decay, self.epsilon_floor) < 0:
-            raise ValueError("schedules must be nonnegative")
+        for name in ("alpha", "epsilon", "epsilon_decay", "epsilon_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass
@@ -155,7 +156,7 @@ class _Numbered:
         after = self.product._after
         succs, cum = mdp.sampler(s, a)
         ids = [self.index[(s2, after(q, s2), t + 1)] for s2 in succs]
-        reward = mdp.reward_fn(s, a)
+        reward = mdp.rewards.get((s, a), 0.0)
         if self.rows[i] is self.UNSEEN:
             self.rows[i] = {}
         row = self.rows[i][a] = (ids, cum, reward) if len(ids) > 1 else (ids[0], None, reward)

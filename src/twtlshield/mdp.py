@@ -3,7 +3,7 @@
 ``rows[(s, a)]`` lists the successors of action a at state s in state order, as
 (s', lo, hi, p) tuples, p None where the model has no true law; a successor not
 listed is impossible ([0, 0]).  The shield reads the intervals; only the episode
-loops in :mod:`learner` read the law (:meth:`LabeledIntervalMdp.sampler`) and ``reward_fn``.
+loops in :mod:`learner` read the law (:meth:`LabeledIntervalMdp.sampler`) and ``rewards``.
 """
 
 from __future__ import annotations
@@ -38,25 +38,21 @@ def interval_row(los, his):
             row_infeasibility(lo_sum, math.fsum(his)))
 
 
-def _no_reward(s, a):
-    return 0.0      # a module function, not a lambda, so that models pickle
-
-
 class LabeledIntervalMdp:
     """States, actions, labels and ``rows``; ``bounds`` is their (s, a, s') -> (lo, hi) view.
 
     ``enabled`` restricts the action set per state (walls and one-way doors
     remove actions outright); states not listed keep the full action set.
-    ``reward_fn(s, a)`` is read only by the episode loops; without one a model pays 0.0.
+    ``rewards[(s, a)]`` is read only by the episode loops; a move not in it pays 0.0.
     """
 
-    def __init__(self, states, actions, labels, rows, reward_fn=None, enabled=None):
+    def __init__(self, states, actions, labels, rows, rewards=None, enabled=None):
         self.states = tuple(states)
         self.actions = tuple(actions)
         self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
         self.rows = rows
         self._lawful = any(p is not None for row in rows.values() for _, _, _, p in row)
-        self.reward_fn = reward_fn or _no_reward
+        self.rewards = rewards or {}
         self.enabled = dict.fromkeys(self.states, self.actions)
         for s, acts in (enabled or {}).items():
             if s not in self.enabled:

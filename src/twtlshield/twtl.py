@@ -119,19 +119,16 @@ class Within(Formula):
             raise ValueError(f"within window must satisfy 0 <= a <= b, got [{self.low},{self.high}]")
 
 
-def time_bound(formula: Formula, known=None) -> int:
-    """Maximum number of time steps needed to decide the formula.  ``known`` maps
-    the ids of subtrees already bounded to their bounds, used instead of a walk."""
-    if known and id(formula) in known:
-        return known[id(formula)]
+def time_bound(formula: Formula) -> int:
+    """Maximum number of time steps needed to decide the formula."""
     if isinstance(formula, Hold):
         return formula.duration
     if isinstance(formula, (And, Or)):
-        return max(time_bound(formula.left, known), time_bound(formula.right, known))
+        return max(time_bound(formula.left), time_bound(formula.right))
     if isinstance(formula, Not):
-        return time_bound(formula.child, known)
+        return time_bound(formula.child)
     if isinstance(formula, Concat):
-        return time_bound(formula.left, known) + time_bound(formula.right, known) + 1
+        return time_bound(formula.left) + time_bound(formula.right) + 1
     if isinstance(formula, Within):
         return formula.high
     raise TypeError(f"not a formula node: {formula!r}")

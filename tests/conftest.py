@@ -5,7 +5,7 @@ import pytest
 from twtlshield import cli
 from twtlshield.twtl import parse_formula, time_bound
 from twtlshield.automaton import compile_formula
-from twtlshield.gridworld import build_grid_mdp, canonical_case_study
+from twtlshield.gridworld import GridSpec, build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
 from twtlshield.product import build_product
 from twtlshield.reachability import MultiShotPlan, multi_shot_prune, one_shot_prune
@@ -39,11 +39,20 @@ def case_products():
     return {"one_shot": one, "multi_shot": multi}
 
 
-def model(states, actions, labels, bounds, true_dynamics=None, reward_fn=None, enabled=None):
+def signed_grid():
+    """A 4x4 grid whose reward cells pay negative, tied and -0.0 rewards, and the least
+    subnormal (-5e-324, whose updates underflow to zero)."""
+    return GridSpec(4, 4, 0.05, 0.1, labels={(1, 2): frozenset({"P"}), (3, 3): frozenset({"B"})},
+                    reward_cells={(0, 0): -1.0, (1, 0): -1.0, (2, 0): 2.0, (3, 0): 2.0,
+                                  (0, 1): -0.0, (1, 1): -0.5, (2, 1): -5e-324, (3, 1): -2.0,
+                                  (2, 2): 0.5, (0, 3): -0.0, (1, 3): -5e-324, (3, 3): 1.0})
+
+
+def model(states, actions, labels, bounds, true_dynamics=None, rewards=None, enabled=None):
     """The model of (s, a, s')-keyed ``bounds`` and ``true_dynamics`` (``from_edges``'s
-    rows) with a reward function and per-state enabled actions."""
+    rows) with an (s, a) reward table and per-state enabled actions."""
     rows = LabeledIntervalMdp.from_edges(states, actions, labels, bounds, true_dynamics).rows
-    return LabeledIntervalMdp(states, actions, labels, rows, reward_fn, enabled)
+    return LabeledIntervalMdp(states, actions, labels, rows, rewards, enabled)
 
 
 def law(mdp):

@@ -154,6 +154,12 @@ class TestConfig:
     @pytest.mark.parametrize("doc, message", [
         ({"learner": [], "episodes": 5}, "learner config must be a JSON object"),
         ({"learner": {"start_state": 5}}, "bad learner config"),
+        ({"learner": {"epsilon": 2}, "episodes": 1, "eval_episodes": 1},
+         "bad learner config: epsilon must lie in [0, 1]"),
+        ({"learner": {"alpha": 1e308}, "episodes": 50, "eval_episodes": 1},
+         "bad learner config: alpha must lie in [0, 1]"),
+        ({"learner": {"epsilon_decay": 1.5}}, "bad learner config: epsilon_decay must lie in [0, 1]"),
+        ({"learner": {"epsilon_floor": -0.1}}, "bad learner config: epsilon_floor must lie in [0, 1]"),
     ])
     def test_bad_learner_block(self, tmp_path, capsys, doc, message):
         path = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from twtlshield.cli import _as_json, load_config
 from twtlshield.gridworld import (ACTIONS, CASE_STUDY_PROPS, GridError, GridSpec,
                                   build_grid_mdp, canonical_case_study, render_ascii)
 from twtlshield.twtl import time_bound
-from conftest import law, model, sample_next
+from conftest import law, model, sample_next, signed_grid
 
 
 def plain_grid(eps_real=0.03, eps=0.08):
@@ -270,8 +270,11 @@ class TestStep:
         assert abs(hits / 20000 - 0.97) < 0.005
 
     def test_reward_on_occupancy(self):
-        spec, _ = canonical_case_study()
-        m = build_grid_mdp(spec)
-        cell = max(spec.reward_cells, key=spec.reward_cells.get)
-        assert m.reward_fn(cell, "Stay") == spec.reward_cells[cell]
-        assert m.reward_fn((0, 0), "Stay") == 0.0
+        # one entry per enabled action of each reward cell, that cell's reward to the bit
+        for spec in (canonical_case_study()[0], signed_grid()):
+            m = build_grid_mdp(spec)
+            assert set(m.rewards) == {(cell, a) for cell in spec.reward_cells
+                                      for a in spec.feasible_moves(cell)}
+            for (cell, a), r in m.rewards.items():
+                want = spec.reward_cells[cell]
+                assert r == want and math.copysign(1.0, r) == math.copysign(1.0, want)

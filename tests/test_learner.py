@@ -1,5 +1,6 @@
 import csv
 import io
+import pickle
 import random
 import weakref
 
@@ -7,7 +8,7 @@ import pytest
 
 from twtlshield import cli, oracle
 from twtlshield.automaton import compile_formula
-from twtlshield.gridworld import GridSpec, build_grid_mdp, canonical_case_study
+from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import (MultiShotInfeasibleError, MultiShotPlan, check_initial,
@@ -16,7 +17,8 @@ from twtlshield.learner import (CSV_COLUMNS, EpisodeLog, EvalResult, LearnerConf
                                 RunResult, _Numbered, episode_csv, evaluate, learn,
                                 wilson_halfwidth)
 from twtlshield.twtl import parse_formula, time_bound
-from conftest import is_accepting, is_trash, law, model, resets_flag, sample_next, worst_case_toy
+from conftest import (is_accepting, is_trash, law, model, resets_flag, sample_next, signed_grid,
+                      worst_case_toy)
 
 E = frozenset()
 G = frozenset({"G"})
@@ -25,8 +27,8 @@ G = frozenset({"G"})
 # Slow, independent oracle for the numbered loops of ``learner``: the same episode
 # loops written over (s, q, t) product keys, drawing each successor with
 # ``conftest.sample_next``, stepping the automaton with ``automaton.step`` on its
-# label, reading the flag rule from ``conftest.resets_flag`` and calling
-# ``reward_fn`` on every step.  It shares no stepping code with ``learner``.
+# label, and reading the flag rule from ``conftest.resets_flag`` and the reward
+# table on every step.  It shares no stepping code with ``learner``.
 
 def reference_greedy(row, actions):
     """First maximizer over ``actions`` with unseen pairs worth 0."""
@@ -54,7 +56,7 @@ def reference_learn(product, cfg: LearnerConfig, steps=None) -> RunResult:
     """Shielded Q-learning stepping the product by (s, q, t) keys; appends every
     (s, a, s') it samples to ``steps`` if given.  Its policy is a dict keyed by state."""
     mdp = product.mdp
-    reward = mdp.reward_fn
+    rewards = mdp.rewards
     step, labels = product.automaton.step, mdp.labels
     q_init = product.automaton.initial
     horizon = product.horizon
@@ -108,7 +110,7 @@ def reference_learn(product, cfg: LearnerConfig, steps=None) -> RunResult:
             if steps is not None:
                 steps.append((s, a, s2))
             p2 = (s2, step(q_aut, labels[s2]), t + 1)
-            r = reward(s, a)
+            r = rewards.get((s, a), 0.0)
             cumulative += r
 
             if visits is not None:
@@ -158,7 +160,7 @@ def reference_evaluate(product, policy, n_episodes, seed, start_state=None,
     """Greedy rollout with the shield active, stepping the product by (s, q, t) keys;
     ``policy`` is a dict keyed by state."""
     mdp = product.mdp
-    reward = mdp.reward_fn
+    rewards = mdp.rewards
     step, labels = product.automaton.step, mdp.labels
     q_init = product.automaton.initial
     act_sets = product.act_sets
@@ -182,7 +184,7 @@ def reference_evaluate(product, policy, n_episodes, seed, start_state=None,
             s, q_aut, _ = p
             s2 = sample_next(mdp, s, a, rng)
             p = (s2, step(q_aut, labels[s2]), t + 1)
-            total_reward += reward(s, a)
+            total_reward += rewards.get((s, a), 0.0)
             if resets_flag(product, p):
                 flag = False
         if is_accepting(product, p):
@@ -249,7 +251,7 @@ def bootstrap_toy(reward_b, x_actions=("a", "b")):
     bounds = {("r", "go", "x"): (1.0, 1.0), ("x", "a", "g"): (1.0, 1.0),
               ("x", "b", "g"): (1.0, 1.0), ("g", "a", "g"): (1.0, 1.0)}
     enabled = {"r": ("go",), "x": x_actions, "g": ("a",)}
-    pays = lambda s, a: reward_b if (s, a) == ("x", "b") else 0.0
+    pays = {("x", "b"): reward_b}
     mdp = model(states, ["go", "a", "b"], {"g": G}, bounds, {key: 1.0 for key in bounds}, pays,
                 enabled)
     aut = compile_formula(parse_formula("[H^0 G]^[0,2]", {"G"}), {"G"})
@@ -310,7 +312,7 @@ def replay_q(product, steps, cfg):
                 best = max(nxt.values())
                 bootstrap = 0.0 if (len(nxt) < len(product.mdp.enabled[p2[0]])
                                     and best < 0.0) else best
-            r = product.mdp.reward_fn(p[0], a)
+            r = product.mdp.rewards.get((p[0], a), 0.0)
             row[a] = (1.0 - alpha) * row.get(a, 0.0) + alpha * (r + cfg.gamma * bootstrap)
     return q
 
@@ -468,7 +470,7 @@ class TestQLearning:
 
     def test_rewards_accumulate(self):
         prod = corridor_product(1.0)
-        prod.mdp.reward_fn = lambda s, a: 1.0 if s == "g" else 0.0
+        prod.mdp.rewards = {("g", "go"): 1.0, ("g", "stay"): 1.0}
         result = learn(prod, LearnerConfig(episodes=50, seed=10))
         assert all(0.0 <= log.cumulative_reward <= prod.horizon for log in result.logs)
         assert result.average_reward > 0.0
@@ -476,13 +478,14 @@ class TestQLearning:
     def test_env_reward_passes_through_unchanged(self):
         # the product never alters rewards: each step pays exactly R(s, a)
         prod = corridor_product(1.0)
-        prod.mdp.reward_fn = lambda s, a: {"r": 0.25, "g": 2.0}[s] + (0.5 if a == "go" else 0.0)
+        prod.mdp.rewards = {("r", "go"): 0.75, ("r", "stay"): 0.25, ("g", "go"): 2.5,
+                            ("g", "stay"): 2.0}
         steps, result = learned_and_recorded(prod, LearnerConfig(episodes=50, seed=10,
                                                                  epsilon=0.5))
         for log, i in zip(result.logs, range(0, len(steps), prod.horizon)):
             paid = 0.0
             for s, a, _ in steps[i:i + prod.horizon]:
-                paid += prod.mdp.reward_fn(s, a)
+                paid += prod.mdp.rewards.get((s, a), 0.0)
             assert log.cumulative_reward == paid
         assert {(s, a) for s, a, _ in steps} >= {("r", "go"), ("g", "go"), ("g", "stay")}
 
@@ -588,12 +591,8 @@ class TestAgainstReference:
 
 @pytest.fixture(scope="module")
 def signed_products():
-    """A 4x4 grid whose reward cells pay negative, tied and -0.0 rewards, and the least
-    subnormal (-5e-324, whose updates underflow to zero), pruned in each mode."""
-    spec = GridSpec(4, 4, 0.05, 0.1, labels={(1, 2): frozenset({"P"}), (3, 3): frozenset({"B"})},
-                    reward_cells={(0, 0): -1.0, (1, 0): -1.0, (2, 0): 2.0, (3, 0): 2.0,
-                                  (0, 1): -0.0, (1, 1): -0.5, (2, 1): -5e-324, (3, 1): -2.0,
-                                  (2, 2): 0.5, (0, 3): -0.0, (1, 3): -5e-324, (3, 3): 1.0})
+    """``conftest.signed_grid`` pruned in each mode."""
+    spec = signed_grid()
     formula = parse_formula("[H^1 P]^[0,6] . [H^0 B]^[0,5]", {"P", "B"})
     aut = compile_formula(formula, {"P", "B"})
     horizon = time_bound(formula)
@@ -677,6 +676,20 @@ class TestSharedView:
             assert (evaluate(prod, listed, 300, 33)
                     == reference_evaluate(prod, keyed, 300, 33))
         assert prod.numbered is view
+
+    def test_pickled_model_and_shield_learn_the_same(self):
+        # the case-study model and its shield are data: they round-trip through pickle
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+        mdp = build_grid_mdp(spec)
+        copy = pickle.loads(pickle.dumps(mdp))
+        assert (copy.states, copy.labels, copy.rows, copy.rewards, copy.enabled) == \
+            (mdp.states, mdp.labels, mdp.rows, mdp.rewards, mdp.enabled)
+        aut = compile_formula(formula, sorted(spec.alphabet()))
+        prod = one_shot_prune(build_product(mdp, aut, time_bound(formula)), 0.9)
+        unpickled = pickle.loads(pickle.dumps(prod))
+        cfg = LearnerConfig(episodes=300, seed=35, epsilon=0.5)
+        result, again = learn(prod, cfg), learn(unpickled, cfg)
+        assert (again.policy, again.logs, again.q) == (result.policy, result.logs, result.q)
 
 
 def assert_view_follows_rules(prod):

@@ -53,7 +53,7 @@ class TestValidate:
         keys = [((x, 0), "N", (x, 1)) for x in range(5, -1, -1)]
         bounds = {key: b for key, b in m.bounds.items() if key not in keys}
         bounds.update((key, (0.5, 0.25)) for key in keys)
-        bad = model(m.states, m.actions, m.labels, bounds, law(m), m.reward_fn, m.enabled)
+        bad = model(m.states, m.actions, m.labels, bounds, law(m), m.rewards, m.enabled)
         problems = bad.validate()
         expected = [f"bounds out of order for (({x}, 0),'N',({x}, 1)): [0.5,0.25]"
                     for x in range(6)]
@@ -173,12 +173,12 @@ class TestStep:
 
     def test_reward_passthrough(self):
         m = three_state_mdp()
-        pays = lambda s, a: 2.5 if s == "s0" else 0.0
+        pays = {("s0", a): 2.5 for a in m.actions}
         rewarding = model(m.states, m.actions, m.labels, m.bounds, law(m), pays)
-        assert rewarding.reward_fn is pays
-        # a model without a reward source pays nothing, and still pickles
-        assert all(m.reward_fn(s, a) == 0.0 for s in m.states for a in m.actions)
-        assert pickle.loads(pickle.dumps(m)).reward_fn("s0", "a1") == 0.0
+        assert rewarding.rewards is pays
+        # a model without a reward table pays nothing, and still pickles
+        assert all(m.rewards.get((s, a), 0.0) == 0.0 for s in m.states for a in m.actions)
+        assert pickle.loads(pickle.dumps(m)).rewards.get(("s0", "a1"), 0.0) == 0.0
 
 
 def eager_samplers(mdp):

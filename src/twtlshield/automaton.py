@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from .twtl import (And, Concat, Formula, Hold, Not, Or, Within, Word,
                    format_formula, propositions, time_bound,
@@ -310,11 +311,15 @@ def to_dot(automaton: TotalAutomaton) -> str:
 
 
 def to_json(automaton: TotalAutomaton) -> str:
-    alphabet = automaton.alphabet()
-    delta = []
-    for q in range(automaton.n_states):
-        for sym in alphabet:
-            delta.append([q, sorted(sym), automaton.step(q, sym)])
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of the automaton, its ``delta`` rows
+    [q, sorted symbol, successor] joined as text with each symbol's block rendered once;
+    the other members are ``json.dumps``'s, one level deeper (it escapes every newline)."""
+    blocks = []
+    for sym in automaton.alphabet():
+        names = ",\n        ".join(map(encode_basestring_ascii, sorted(sym)))
+        blocks.append((f"[\n        {names}\n      ]" if names else "[]", automaton.symbol_mask(sym)))
+    delta = ",\n".join(f"    [\n      {q},\n      {block},\n      {automaton.table[q][mask]}\n    ]"
+                        for q in range(automaton.n_states) for block, mask in blocks)
     doc = {
         "props": list(automaton.props),
         "states": list(range(automaton.n_states)),
@@ -323,6 +328,9 @@ def to_json(automaton: TotalAutomaton) -> str:
         "accepting": sorted(automaton.accepting),
         "trash": automaton.trash,
         "annotations": {str(q): a for q, a in automaton.annotations.items()},
-        "delta": delta,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    members = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+               for key, value in doc.items()}
+    members["delta"] = f"[\n{delta}\n  ]" if delta else "[]"
+    return "{\n  " + ",\n  ".join(f"{encode_basestring_ascii(key)}: {members[key]}"
+                                 for key in sorted(members)) + "\n}"

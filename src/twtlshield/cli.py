@@ -20,6 +20,7 @@ import random
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
+from json.encoder import encode_basestring_ascii as quoted
 
 from . import __version__
 from .twtl import TwtlError, parse_formula, propositions, time_bound, format_formula
@@ -325,12 +326,11 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     paths = {}
     out = cfg.output_dir
     if out:
-        policy = {repr(p): repr(a) for p, a in zip(product.states, result.policy)}
         paths["summary"] = _write(out, "summary.json", _json_text(summary))
         paths["automaton_json"] = _write(out, "automaton.json", automaton_json(automaton))
         paths["automaton_dot"] = _write(out, "automaton.dot", to_dot(automaton))
         paths["product_summary"] = _write(out, "product_summary.json", product.summary_json())
-        paths["policy"] = _write(out, "policy.json", _json_text(policy))
+        paths["policy"] = _write(out, "policy.json", _policy_text(product, result.policy))
         paths["episodes"] = _write(out, "episodes.csv", episode_csv(result.logs))
     return ReportBundle(summary=summary, paths=paths)
 
@@ -355,6 +355,16 @@ def _check_finite(part, figures):
 
 def _json_text(doc):
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _policy_text(product, policy):
+    """``_json_text`` of {state key: ``repr`` of its action} over ``policy``, a list by state
+    number, each sorted line written directly; keys are ``product.state_keys()``."""
+    names = {a: quoted(repr(a)) for a in set(policy)}
+    table = dict(zip(product.state_keys(), map(names.__getitem__, policy)))
+    if not table:
+        return "{}\n"
+    return "{\n  " + ",\n  ".join([f"{quoted(key)}: {table[key]}" for key in sorted(table)]) + "\n}\n"
 
 
 def _write(out, name, text):
@@ -473,8 +483,8 @@ def cmd_eval(args):
     if not isinstance(raw, dict):
         raise ConfigError(f"policy {args.policy} is not a JSON object")
     actions = {repr(a): a for a in product.mdp.actions}
-    inner = product.states[:len(product.fallback)]
-    numbers = {repr(p): n for n, p in enumerate(inner)}
+    states = product.states
+    numbers = dict(zip(product.state_keys(), range(len(product.fallback))))
     stray = sorted(raw.keys() - numbers.keys())
     if stray:
         raise ConfigError(f"policy key {stray[0]!r} is not a state of this product "
@@ -485,10 +495,10 @@ def cmd_eval(args):
         if name is None:
             continue
         if not isinstance(name, str) or name not in actions:
-            raise ConfigError(f"policy action {name!r} at {inner[n]!r} is not an action of the model")
+            raise ConfigError(f"policy action {name!r} at {states[n]!r} is not an action of the model")
         a = policy[n] = actions[name]
         if product.kept[n] and a not in product.kept[n]:
-            raise PipelineError("eval", f"policy action {name} at {inner[n]!r} is pruned by the "
+            raise PipelineError("eval", f"policy action {name} at {states[n]!r} is pruned by the "
                                 f"shield at pr_des {cfg.pr_des}; refusing to bypass it")
     testing = _evaluate(cfg, product, policy)
     print(f"satisfaction: {testing['satisfaction_rate']:.4f} +/- "

@@ -55,8 +55,6 @@ available as an option.  Q-values default to zero for unseen pairs.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 import weakref
@@ -316,16 +314,12 @@ CSV_COLUMNS = ("episode", "satisfied", "cum_reward", "shield_entry_t", "steps_sh
 
 
 def episode_csv(logs):
-    """The per-episode CSV text, one row per log under a ``CSV_COLUMNS`` header."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(CSV_COLUMNS)
+    """The per-episode CSV text, one row per log under a ``CSV_COLUMNS`` header, as
+    ``csv.writer`` writes it: rows end in ``\\r\\n`` and no field needs quotes."""
+    rows = [",".join(CSV_COLUMNS)]
     for log in logs:
-        writer.writerow([
-            log.index,
-            int(log.satisfied),
-            repr(log.cumulative_reward),
-            "" if log.shield_entry_time is None else log.shield_entry_time,
-            log.steps_shielded,
-        ])
-    return text.getvalue()
+        entry = log.shield_entry_time
+        rows.append(f"{log.index},{int(log.satisfied)},{log.cumulative_reward!r},"
+                    f"{'' if entry is None else entry},{log.steps_shielded}")
+    rows.append("")
+    return "\r\n".join(rows)

@@ -34,11 +34,13 @@ state below the horizon.  A pair's successor values are laid out so, since
 ``next_ids[i]`` follows ``neighbours[s]``.
 
 States are numbered layer by layer from ``offsets[t]``; ``states[n]`` (built on
-first read) is state n.  Pruning writes the shield into lists by state number:
-``f`` over all states, ``kept`` and ``fallback`` below the horizon; ``f_values``,
-``act_sets`` and ``pi_c`` are the same as dicts keyed by state, built on the
-first read after pruning (empty before).  The episode loops in :mod:`learner`
-state and apply the fallback flag's reset rule on their numbered view.
+first read) is state n, and ``state_keys()[n]`` its ``repr``, the key that the
+output files (``policy.json``, ``reachability.json``) and ``eval`` use.  Pruning
+writes the shield into lists by state number: ``f`` over all states, ``kept``
+and ``fallback`` below the horizon; ``f_values``, ``act_sets`` and ``pi_c`` are
+the same as dicts keyed by state, built on the first read after pruning (empty
+before).  The episode loops in :mod:`learner` state and apply the fallback
+flag's reset rule on their numbered view.
 
 The build and the pruning sweep run with the cyclic garbage collector paused
 (:func:`_collector_paused`): they allocate tens of thousands of tuples, lists
@@ -90,7 +92,8 @@ class TimeTotalProductMdp:
     ``fallback``, ``initial_threshold`` and ``reset_times`` (the interior
     segment layers where the fallback flag resets; empty for one-shot).
     Afterwards the object is treated as read-only; ``numbered`` keeps the
-    learner's view of it until a caller done with rollouts drops it.
+    learner's view of it until a caller done with rollouts drops it, and a
+    pickled copy leaves it out.
     """
 
     def __init__(self, mdp: LabeledIntervalMdp, automaton: TotalAutomaton, horizon: int):
@@ -183,11 +186,21 @@ class TimeTotalProductMdp:
                                  if q not in accepting and q != self.automaton.trash)
         return solved
 
+    def __getstate__(self):
+        """The product without ``numbered``, which holds a weak proxy; the learner rebuilds it."""
+        return {**self.__dict__, "numbered": None}
+
     @property
     def states(self):
         if self._states is None:
             self._states = [(s, q, t) for t, layer in enumerate(self.layers) for s, q in layer]
         return self._states
+
+    def state_keys(self):
+        """``repr(p)`` of each state p in state order, from one ``repr`` per MDP state:
+        a tuple's ``repr`` is its items' joined by ", " in parentheses."""
+        text = {s: repr(s) for s in self.mdp.states}
+        return [f"({text[s]}, {q!r}, {t!r})" for t, layer in enumerate(self.layers) for s, q in layer]
 
     def _table(self, name, values):
         """``values`` keyed by state: built on the first read after pruning, empty before."""
@@ -225,10 +238,11 @@ class TimeTotalProductMdp:
 
     def results_json(self) -> str:
         """f and pi_c keyed by (s, q, t) for offline inspection."""
+        keys = self.state_keys()
         doc = {
-            "f": {repr(p): v for p, v in zip(self.states, self.f)},
-            "pi_c": {repr(p): repr(a) for p, a in zip(self.states, self.fallback)},
-            "act_sets": {repr(p): [repr(a) for a in acts] for p, acts in zip(self.states, self.kept)},
+            "f": dict(zip(keys, self.f)),
+            "pi_c": {key: repr(a) for key, a in zip(keys, self.fallback)},
+            "act_sets": {key: [repr(a) for a in acts] for key, acts in zip(keys, self.kept)},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 

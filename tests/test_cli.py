@@ -601,13 +601,17 @@ class TestCheckInitialRefusal:
 
 class TestEvalCommand:
     def test_round_trip(self, tmp_path, capsys):
+        # eval reads back every key learn wrote: the same rollouts give the same figures
         out = tmp_path / "run"
         assert main(["learn", "--pr-des", "0.7", "--eps", "0.08", "--episodes", "150",
                      "--eval-episodes", "50", "--seed", "5", "--output-dir", str(out)]) == 0
-        capsys.readouterr()
+        learned = re.search(r"testing satisfaction: (\S+) \+/- (\S+), avg reward (\S+)",
+                            capsys.readouterr().out).groups()
         assert main(["eval", "--policy", str(out / "policy.json"), "--pr-des", "0.7",
                      "--eps", "0.08", "--eval-episodes", "50", "--seed", "5"]) == 0
-        assert "satisfaction" in capsys.readouterr().out
+        evaluated = re.search(r"satisfaction: (\S+) \+/- (\S+) over 50 episodes, avg reward (\S+)",
+                              capsys.readouterr().out).groups()
+        assert evaluated == learned
 
     @pytest.fixture(scope="class")
     def loose_policy(self, tmp_path_factory):

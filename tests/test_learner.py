@@ -678,7 +678,8 @@ class TestSharedView:
         assert prod.numbered is view
 
     def test_pickled_model_and_shield_learn_the_same(self):
-        # the case-study model and its shield are data: they round-trip through pickle
+        # the case-study model and its shield are data: they round-trip through pickle,
+        # before learning and after it, when the product holds the learner's view
         spec, formula = canonical_case_study(assumed_uncertainty=0.08)
         mdp = build_grid_mdp(spec)
         copy = pickle.loads(pickle.dumps(mdp))
@@ -690,6 +691,11 @@ class TestSharedView:
         cfg = LearnerConfig(episodes=300, seed=35, epsilon=0.5)
         result, again = learn(prod, cfg), learn(unpickled, cfg)
         assert (again.policy, again.logs, again.q) == (result.policy, result.logs, result.q)
+        view = prod.numbered
+        learned = pickle.loads(pickle.dumps(prod))
+        assert prod.numbered is view and learned.numbered is None
+        after = learn(learned, cfg)
+        assert (after.policy, after.logs, after.q) == (result.policy, result.logs, result.q)
 
 
 def assert_view_follows_rules(prod):

@@ -20,12 +20,18 @@ product state and stored the shield in dicts keyed by (s, q, t), before the
 sweep computed a pair's result once for all of its layers where that result
 cannot depend on the layer.
 The CLI output files were recorded before exact reachability lost its default
-law and ``results_json`` read the shield lists instead of the dict views.
+law and ``results_json`` read the shield lists instead of the dict views, and
+before ``policy.json``, ``automaton.json`` and ``episodes.csv`` were written as
+text instead of through ``json.dumps`` and ``csv.writer``; they are checked under
+two hash seeds.
 """
 
 import hashlib
 import importlib.util
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -384,10 +390,20 @@ def cli_runs():
 
 
 def test_cli_output_files(tmp_path):
+    # every run in one fresh interpreter per hash seed, which orders sets of strings
     runs = cli_runs()
     assert set(runs) == set(CLI_OUTPUTS)
-    for (command, mode), argv in runs.items():
-        out = tmp_path / f"{command}-{mode}"
-        assert cli.main([*argv, "--output-dir", str(out)]) == 0, argv
-        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-        assert written == CLI_OUTPUTS[command, mode], argv
+    code = ("import json, sys; from twtlshield.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("0", "1"):
+        argvs = [[*argv, "--output-dir", str(tmp_path / seed / f"{command}-{mode}")]
+                 for (command, mode), argv in runs.items()]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                             text=True, env=env, timeout=600)
+        assert run.returncode == 0, run.stderr
+        for command, mode in runs:
+            out = tmp_path / seed / f"{command}-{mode}"
+            written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+            assert written == CLI_OUTPUTS[command, mode], (seed, command, mode)

@@ -182,6 +182,8 @@ class TotalAutomaton:
     residual it stands for.  The accepting state self-loops on every symbol
     and the trash state is absorbing; the trash state exists even when it is
     unreachable so that downstream constructions can rely on it.
+    ``decided`` maps the states that decide the formula to their worth, trash 0.0 and
+    the accepting state 1.0; at a horizon the rest count as trash (``decided.get(q, 0.0)``).
     ``table[q][mask]`` is q's successor on the symbols numbered ``mask``
     (:meth:`symbol_mask`: ``bit[name]`` for each proposition the formula uses).
     """
@@ -192,6 +194,7 @@ class TotalAutomaton:
         self.initial = initial
         self.accepting = frozenset(accepting)
         self.trash = trash
+        self.decided = {trash: 0.0, **dict.fromkeys(self.accepting, 1.0)}
         self.annotations = dict(annotations)
         self.n_states = len(annotations)
         self.reachable = frozenset(reachable)

@@ -5,11 +5,11 @@ is down, actions come epsilon-greedily from the pruned action set; the moment
 the set is empty (or the flag is up) the agent takes the worst-case-optimal
 fallback action and keeps doing so until the flag resets.  This module states
 and applies the flag rule: the flag resets on reaching (s, q, t) with q
-accepting or trash, at the horizon (where the rest counts as trash), and at a
-multi-shot shield's interior segment layers ``product.reset_times``, which
-re-enables exploration between sub-tasks.  The product holds only the shield
-(pruned sets, fallback policy, initial threshold and reset layers), so
-``learn`` and ``evaluate`` take only the product.
+decided (``automaton.decided``: accepting or trash), at the horizon (where the
+rest counts as trash), and at a multi-shot shield's interior segment layers
+``product.reset_times``, which re-enables exploration between sub-tasks.
+The product holds only the shield (pruned sets, fallback policy, initial
+threshold and reset layers), so ``learn`` and ``evaluate`` take only the product.
 
 Both loops step the product themselves, on a numbered view of it built
 once per product: ids are the product's state numbers, the pruned sets and
@@ -142,7 +142,7 @@ class _Numbered:
         # layer 0 is numbered in ``initial``'s order, one state per MDP state in model order
         self.starts = {s: n for n, (s, _, _) in enumerate(product.initial)}
         aut, horizon, reset_times = product.automaton, product.horizon, product.reset_times
-        self.resets = [q in aut.accepting or q == aut.trash or t == horizon or t in reset_times
+        self.resets = [q in aut.decided or t == horizon or t in reset_times
                        for _, q, t in product.states]
         self.rows = [self.UNSEEN] * len(product.kept)
 

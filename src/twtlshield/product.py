@@ -10,9 +10,9 @@ order, so a label outside the alphabet fails at the first state that has one.
 
 A product edge carries the interval of its MDP edge unchanged, and its
 automaton move is the one the successor's label selects.  Every reachable
-state at the final layer must be accepting or trash; non-accepting leftovers
-(possible only when the horizon undershoots the formula's time bound) are
-coerced to trash and reported in ``coerced``.
+state at the final layer should be decided (``automaton.decided``); undecided
+leftovers (possible only when the horizon undershoots the formula's time
+bound) count as trash and are reported in ``coerced``.
 
 Where a move can lead depends only on (s, q), never on t, because the time
 index only counts steps.  So the enumeration gives each reachable (s, q) pair
@@ -144,7 +144,7 @@ class TimeTotalProductMdp:
         table = self._delta = aut.table
         index = {s: k for k, s in enumerate(states)}
         near = [tuple(map(index.__getitem__, self.neighbours[s])) for s in states]
-        terminal = aut.accepting | {aut.trash}
+        decided = aut.decided
         width = len(states)
         ids = {}                                    # q * width + MDP state index -> id
         keys = self.keys = []
@@ -166,7 +166,7 @@ class TimeTotalProductMdp:
             numbered = len(keys)                    # ids from fresh on are layer t's new pairs
             for i in range(fresh, numbered):
                 s, q = keys[i]
-                if q not in terminal:
+                if q not in decided:
                     solved.add(s)
                 row = table[q]
                 succ = []
@@ -181,9 +181,7 @@ class TimeTotalProductMdp:
         self.layers = [tuple(map(keys.__getitem__, layer)) for layer in layer_ids]
         self.initial = tuple((s, q, 0) for s, q in self.layers[0])
         self.offsets = [0, *accumulate(map(len, layer_ids))]
-        accepting = self.automaton.accepting
-        self.coerced = frozenset((s, q) for s, q in self.layers[self.horizon]
-                                 if q not in accepting and q != self.automaton.trash)
+        self.coerced = frozenset(pair for pair in self.layers[self.horizon] if pair[1] not in decided)
         return solved
 
     def __getstate__(self):
@@ -216,15 +214,12 @@ class TimeTotalProductMdp:
         return self.offsets[-1]
 
     def summary(self) -> dict:
-        accepting = self.automaton.accepting
-        trash = self.automaton.trash
+        accepting, trash = self.automaton.accepting, self.automaton.trash
         per_layer = []
-        for t, layer in enumerate(self.layers):
-            n_acc = sum(1 for _, q in layer if q in accepting)
-            n_trash = sum(1 for s, q in layer
-                          if q == trash or (t == self.horizon and q not in accepting))
-            per_layer.append({"t": t, "states": len(layer),
-                              "accepting": n_acc, "trash": n_trash})
+        for t, layer in enumerate(self.layers):    # at the horizon the rest count as trash
+            n_acc = sum(q in accepting for _, q in layer)
+            n_trash = len(layer) - n_acc if t == self.horizon else sum(q == trash for _, q in layer)
+            per_layer.append({"t": t, "states": len(layer), "accepting": n_acc, "trash": n_trash})
         return {
             "horizon": self.horizon,
             "total_states": self.n_states(),
@@ -235,16 +230,6 @@ class TimeTotalProductMdp:
 
     def summary_json(self) -> str:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
-
-    def results_json(self) -> str:
-        """f and pi_c keyed by (s, q, t) for offline inspection."""
-        keys = self.state_keys()
-        doc = {
-            "f": dict(zip(keys, self.f)),
-            "pi_c": {key: repr(a) for key, a in zip(keys, self.fallback)},
-            "act_sets": {key: [repr(a) for a in acts] for key, acts in zip(keys, self.kept)},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 @_collector_paused

@@ -33,15 +33,15 @@ bit-identical; a result is stored only once all its LPs solved, so an
 infeasible row still raises at its first state in layer order.  No layer or
 segment enters a result, so segments with one threshold share one memo.
 
-A sweep whose end layer holds only accepting and trash pairs is *closed*: it
-computes each pair once and reuses the result at the pair's other layers.
-Every path from a pair then meets a decided pair by the end layer, whichever
-layer of the sweep it starts from, and decided pairs keep their 0/1 values at
-every layer; so a pair's result is the same at each of its layers, with no
-induction down the layers to decide it.  With the horizon at the
-formula's time bound, the one-shot sweep and the last multi-shot segment are
-closed.  An open sweep reuses only accepting and trash pairs; every other
-state goes through the memo, which returns the same result tuple.
+A sweep whose end layer holds only decided pairs (``automaton.decided``:
+accepting or trash) is *closed*: it computes each pair once and reuses the
+result at the pair's other layers.  Every path from a pair then meets a
+decided pair by the end layer, whichever layer of the sweep it starts from,
+and decided pairs keep their 0/1 values at every layer; so a pair's result is
+the same at each of its layers, with no induction down the layers to decide
+it.  With the horizon at the formula's time bound, the one-shot sweep and the
+last multi-shot segment are closed.  An open sweep reuses only decided pairs;
+every other state goes through the memo, which returns the same result tuple.
 
 The pruning pass runs with the cyclic garbage collector paused, as the product
 build does: its memo keys, value lists and result tuples form no reference
@@ -120,17 +120,17 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
     the bounds, kept actions and fallback actions of the layers below it go
     into ``f``, ``kept`` and ``fallback`` by state number, and layer ``t_lo``'s
     values are returned by pair id.  An action is kept where every possible
-    successor has f >= ``prune_below``.  Accepting and trash states keep their
-    0/1 values and full action sets at every layer.  The maximization for f
-    and the fallback runs over all enabled actions, pruned or not.  ``memo``
+    successor has f >= ``prune_below``.  Decided states (``automaton.decided``)
+    keep their 0/1 values and full action sets at every layer.  The maximization
+    for f and the fallback runs over all enabled actions, pruned or not.  ``memo``
     maps (s, successor f-values) to (f, kept, fallback) for ``prune_below``.
     """
     enabled = product.mdp.enabled
-    terminal = {product.automaton.trash: 0.0, **dict.fromkeys(product.automaton.accepting, 1.0)}
+    decided = product.automaton.decided
     keys = product.keys
     next_ids = product.next_ids
     support_rows = product.support_rows
-    closed = all(keys[i][1] in terminal for i in product.layer_ids[t_hi])
+    closed = all(keys[i][1] in decided for i in product.layer_ids[t_hi])
     cache = [None] * len(keys)          # (f, kept, fallback) of each pair whose result repeats
     for t in range(t_hi - 1, t_lo - 1, -1):
         fcur = [0.0] * len(keys)
@@ -142,7 +142,7 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
                 acts = enabled[s]
                 if not acts:
                     raise ReachabilityError(f"state {s!r} has no enabled actions")
-                value = terminal.get(q)
+                value = decided.get(q)
                 if value is not None:
                     hit = (value, acts, acts[0])
                 else:
@@ -211,7 +211,7 @@ class MultiShotPlan:
 def _prune_segments(product, timestamps, thresholds):
     """Prune segment by segment, last to first, and write the shield into ``product`` once.
 
-    The final layer is 1 on accepting states and 0 elsewhere.  Before each
+    The final layer is worth ``automaton.decided.get(q, 0.0)``.  Before each
     earlier segment, its end layer is turned into 0/1 by the later segment's
     threshold: accepting (1) where the later segment's bound meets it, trash
     (0) elsewhere.  Each layer's f is the bound of the segment it starts, so
@@ -221,13 +221,13 @@ def _prune_segments(product, timestamps, thresholds):
     """
     if product.f is not None:
         raise ReachabilityError("product already holds pruning results; rebuild it first")
-    accepting = product.automaton.accepting
+    decided = product.automaton.decided
     keys = product.keys
     fnext = [0.0] * len(keys)
     inner = product.offsets[-2]         # states below timestamps[-1], the horizon
     f, kept, fallback = [None] * product.n_states(), [None] * inner, [None] * inner
     for n, i in enumerate(product.layer_ids[-1], inner):
-        fnext[i] = f[n] = 1.0 if keys[i][1] in accepting else 0.0
+        fnext[i] = f[n] = decided.get(keys[i][1], 0.0)
     memos = {}
     for i in range(len(thresholds), 0, -1):
         if i < len(thresholds):
@@ -283,24 +283,16 @@ def exact_reach_probability(product: TimeTotalProductMdp, policy, true_dynamics)
     for (s, a, s2), p in true_dynamics.items():
         if p > 0.0:
             rows.setdefault((s, a), []).append((s2, p))
-    after = product._after
-    accepting = product.automaton.accepting
-    trash = product.automaton.trash
-
+    after, decided = product._after, product.automaton.decided
     states, offsets = product.states, product.offsets
-    values = {}
-    for p in states[offsets[-2]:]:
-        values[p] = 1.0 if p[1] in accepting else 0.0
+    values = {p: decided.get(p[1], 0.0) for p in states[offsets[-2]:]}
     for t in range(product.horizon - 1, -1, -1):
         for p in states[offsets[t]:offsets[t + 1]]:
             s, q, _ = p
-            if q in accepting:
-                values[p] = 1.0
-            elif q == trash:
-                values[p] = 0.0
-            else:
-                total = 0.0
+            value = decided.get(q)
+            if value is None:
+                value = 0.0
                 for s2, pr in rows[(s, policy[p])]:
-                    total += pr * values[(s2, after(q, s2), t + 1)]
-                values[p] = total
+                    value += pr * values[(s2, after(q, s2), t + 1)]
+            values[p] = value
     return values

@@ -156,13 +156,28 @@ class TestProperties:
         assert len(aut.table) == aut.n_states == len(aut.annotations)
         assert {len(row) for row in aut.table} == {1 << len(propositions(f))}
 
-    @pytest.mark.parametrize("text", FORMULA_CORPUS)
-    def test_absorption(self, text):
-        f = parse_formula(text, {"B", "C"})
-        aut = compile_formula(f, {"B", "C"})
-        for q in list(aut.accepting) + [aut.trash]:
+    @staticmethod
+    def assert_decided(aut):
+        """``decided`` is 1.0 on exactly the accepting state (the residual TRUE), 0.0 on
+        trash (FALSE), and holds nothing else; each decided state absorbs every symbol."""
+        assert aut.trash in aut.decided and len(aut.accepting) <= 1
+        for q, value in aut.decided.items():
+            assert type(value) is float
+            assert value == (1.0 if q in aut.accepting else 0.0)
+            assert (q == aut.trash) == (value == 0.0)
+            assert aut.annotations[q] == ("TRUE" if value else "FALSE")
             for sym in aut.alphabet():
                 assert aut.step(q, sym) == q
+        assert aut.accepting <= aut.decided.keys()
+
+    @pytest.mark.parametrize("text", FORMULA_CORPUS)
+    def test_absorption(self, text):
+        self.assert_decided(compile_formula(parse_formula(text, {"B", "C"}), {"B", "C"}))
+
+    def test_absorption_random_formulas(self):
+        rng = random.Random(30)
+        for _ in range(200):
+            self.assert_decided(compile_formula(random_formula(rng, 6), {"B", "C"}))
 
     @pytest.mark.parametrize("text", FORMULA_CORPUS)
     def test_oracle_equivalence_full_length(self, text):

@@ -440,7 +440,7 @@ class TestRunExperiment:
 
         policy = dict(zip(product.states, result.policy))
         assert (tmp_path / "policy.json").read_text() == cli._json_text(rendered(policy, repr))
-        assert product.results_json() == json.dumps({
+        assert cli._results_text(product) == json.dumps({
             "f": rendered(product.f_values, float),
             "pi_c": rendered(product.pi_c, repr),
             "act_sets": rendered(product.act_sets, lambda acts: [repr(a) for a in acts]),
@@ -856,7 +856,7 @@ class TestVerifyCommand:
     def test_battery_passes(self, capsys):
         assert main(["verify", "--instances", "8", "--lp-instances", "20", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 3
         assert "FAIL" not in out
         assert re.search(r"dominates the bound  \(8 instances, [1-9]\d* states, "
                          r"[1-9]\d* kept actions, \d+ catchable by --corrupt-f\)", out)
@@ -907,6 +907,32 @@ class TestVerifyCommand:
         shortfalls = [f for f in failures if len(f) == 3]
         assert shortfalls and shortfalls == failures
         assert all(gap > 1e-12 for _, _, gap in shortfalls)
+
+    def test_check_dominance_reports_a_law_outside_bounds(self, monkeypatch, capsys):
+        # negative control for check 3's law check: the second instance's sampled law puts
+        # one edge above its upper bound, so that instance fails with its validate problems
+        sample = cli.oracle.sample_true_dynamics
+        draws = []
+
+        def pushed(bounds, rng):
+            dynamics = sample(bounds, rng)
+            draws.append(dynamics)
+            if len(draws) == 2:
+                edge = next(iter(dynamics))
+                dynamics[edge] = bounds[edge][1] + 1e-6
+            return dynamics
+
+        _, checked, kept, _, _ = cli.check_dominance(random.Random(3), 4)
+        monkeypatch.setattr(cli.oracle, "sample_true_dynamics", pushed)
+        failures, pushed_checked, pushed_kept, _, _ = cli.check_dominance(random.Random(3), 4)
+        (s, a, s2), p = next(iter(draws[1].items()))
+        problems, = failures
+        assert f"true probability {p:.6f} outside bounds" in problems[0]
+        assert problems[0].endswith(f"for ({s!r},{a!r},{s2!r})")
+        assert 0 < pushed_checked < checked and pushed_kept <= kept
+        draws.clear()
+        assert main(["verify", "--instances", "2", "--lp-instances", "2", "--seed", "3"]) == 4
+        assert "FAIL  exact reachability dominates the bound  (2 instances" in capsys.readouterr().out
 
     def test_check_kappa_reports_an_offset_solver(self, monkeypatch):
         # negative control for check 2: a solver 1e-9 above the optimum fails on every instance

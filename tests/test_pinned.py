@@ -21,9 +21,9 @@ sweep computed a pair's result once for all of its layers where that result
 cannot depend on the layer.
 The CLI output files were recorded before exact reachability lost its default
 law and ``results_json`` read the shield lists instead of the dict views, and
-before ``policy.json``, ``automaton.json`` and ``episodes.csv`` were written as
-text instead of through ``json.dumps`` and ``csv.writer``; they are checked under
-two hash seeds.
+before ``policy.json``, ``automaton.json``, ``episodes.csv`` and then
+``reachability.json`` were written as text instead of through ``json.dumps`` and
+``csv.writer``; they are checked under two hash seeds.
 """
 
 import hashlib

@@ -1,10 +1,10 @@
 """The output writers against the encoders they replace, byte for byte.
 
-``policy.json``, ``automaton.json`` and ``episodes.csv`` are written as text
-by the package.  The references here are the library encoders that wrote them
-before: ``json.dumps(..., indent=2, sort_keys=True)`` (plus the trailing newline
-of ``policy.json``) over ``repr`` keys, and ``csv.writer``.  ``results_json``
-still goes through ``json.dumps`` and is checked for its keys.
+``policy.json``, ``reachability.json``, ``automaton.json`` and ``episodes.csv``
+are written as text by the package.  The references here are the library
+encoders that wrote them before: ``json.dumps(..., indent=2, sort_keys=True)``
+(plus the trailing newline of ``policy.json``) over ``repr`` keys, and
+``csv.writer``.
 """
 
 import csv
@@ -66,7 +66,7 @@ def assert_writers_match(product, episodes, seed):
     """Every writer of ``product``'s files agrees with its reference after a short run."""
     result = learn(product, LearnerConfig(episodes=episodes, seed=seed, epsilon=0.5))
     assert cli._policy_text(product, result.policy) == reference_policy(product, result.policy)
-    assert product.results_json() == reference_results(product)
+    assert cli._results_text(product) == reference_results(product)
     assert to_json(product.automaton) == reference_automaton(product.automaton)
     assert episode_csv(result.logs) == reference_csv(result.logs)
     assert product.state_keys() == list(map(repr, product.states))

@@ -329,7 +329,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         paths["summary"] = _write(out, "summary.json", _json_text(summary))
         paths["automaton_json"] = _write(out, "automaton.json", automaton_json(automaton))
         paths["automaton_dot"] = _write(out, "automaton.dot", to_dot(automaton))
-        paths["product_summary"] = _write(out, "product_summary.json", product.summary_json())
+        paths["product_summary"] = _write(out, "product_summary.json",
+                                          json.dumps(summary["product"], indent=2, sort_keys=True))
         paths["policy"] = _write(out, "policy.json", _policy_text(product, result.policy))
         paths["episodes"] = _write(out, "episodes.csv", episode_csv(result.logs))
     return ReportBundle(summary=summary, paths=paths)
@@ -455,7 +456,7 @@ def cmd_build(args):
           f"{len(product.initial)} initial, {len(product.coerced)} coerced at the boundary")
     out = cfg.output_dir
     if out:
-        _write(out, "product_summary.json", product.summary_json())
+        _write(out, "product_summary.json", json.dumps(product.summary(), indent=2, sort_keys=True))
         _write(out, "grid.json", json.dumps(_as_json(cfg.grid), indent=2, sort_keys=True))
         print(f"wrote {out}/product_summary.json and {out}/grid.json")
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .twtl import parse_formula
+from .twtl import PROP_RE, parse_formula
 from .mdp import LabeledIntervalMdp
 
 ACTIONS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW", "Stay")
@@ -57,6 +57,9 @@ class GridSpec:
         for cell in list(self.labels) + list(self.reward_cells) + list(self.one_way_doors):
             if not self.in_bounds(cell):
                 raise GridError(f"cell {cell} is outside the {self.width}x{self.height} grid")
+        for cell, name in sorted((cell, name) for cell, props in self.labels.items() for name in props):
+            if not PROP_RE.match(name) or name == "TRUE":
+                raise GridError(f"invalid proposition name {name!r} at cell {cell}")
         for cell, forbidden in self.one_way_doors.items():
             for action in sorted(forbidden):
                 if action not in MOVES or action == "Stay":

@@ -32,10 +32,16 @@ def row_infeasibility(lo_sum, hi_sum):
 
 
 def interval_row(los, his):
-    """An (s, a) row's LP constants: rooms hi - lo, mass 1 - fsum(los), None or why infeasible."""
+    """An (s, a) row's LP constants: rooms hi - lo, mass 1 - fsum(los), None or why infeasible,
+    and (t, los[t], los[t] + mass) if only los[t] is nonzero, (-1, 0.0, mass) if none, else None."""
     lo_sum = math.fsum(los)
-    return ([hi - lo for lo, hi in zip(los, his)], 1.0 - lo_sum,
-            row_infeasibility(lo_sum, math.fsum(his)))
+    remaining = 1.0 - lo_sum
+    lone = None
+    if los.count(0.0) + 1 >= len(los):             # at most one nonzero lower bound
+        lo_t = next(filter(None, los), 0.0)
+        lone = (los.index(lo_t) if lo_t else -1, lo_t, lo_t + remaining)
+    return ([hi - lo for lo, hi in zip(los, his)], remaining,
+            row_infeasibility(lo_sum, math.fsum(his)), lone)
 
 
 class LabeledIntervalMdp:

@@ -28,9 +28,10 @@ is read once, as stored: ``neighbours[s]`` lists the distinct successors with
 hi > 0 over s's rows in first-seen order, and ``support_rows[s]`` per enabled
 action (a, an ``itemgetter`` that picks the row's entries, as a tuple, out of
 one laid out as ``neighbours[s]``, lower bounds, and the LP constants of
-:func:`mdp.interval_row`: rooms, remaining mass, infeasibility), only at
-states the pruning sweep solves: those paired with an undecided automaton
-state below the horizon.  A pair's successor values are laid out so, since
+:func:`mdp.interval_row`), only at states the pruning sweep solves: those
+paired with an undecided automaton state below the horizon.  A run of rows
+that read the same positions (a grid cell's moves) shares one reader, which
+the sweep reads once.  A pair's successor values are laid out so, since
 ``next_ids[i]`` follows ``neighbours[s]``.
 
 States are numbered layer by layer from ``offsets[t]``; ``states[n]`` (built on
@@ -50,7 +51,6 @@ and dicts but no reference cycles, so a collection there would only rescan them.
 from __future__ import annotations
 
 import gc
-import json
 from functools import wraps
 from itertools import accumulate
 from operator import itemgetter
@@ -117,9 +117,13 @@ class TimeTotalProductMdp:
                 acts.append((a, pos, los, his))
             self.neighbours[s] = tuple(seen)
         solved = self._enumerate_layers()
-        self.support_rows = {s: [(a, _reader(pos), los, *interval_row(los, his))
-                                 for a, pos, los, his in rows[s]]
-                             for s in mdp.states if s in solved}
+        self.support_rows = {s: [] for s in mdp.states if s in solved}
+        for s, lps in self.support_rows.items():
+            read = None                             # a run of rows with one pos shares a reader
+            for a, pos, los, his in rows[s]:
+                if pos != read:
+                    read, get = pos, _reader(pos)
+                lps.append((a, get, los, *interval_row(los, his)))
         self.f = self.kept = self.fallback = self._states = None
         self._tables = {}
         self.initial_threshold = None
@@ -227,9 +231,6 @@ class TimeTotalProductMdp:
             "coerced_terminal": len(self.coerced),
             "layers": per_layer,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
 @_collector_paused

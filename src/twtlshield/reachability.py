@@ -19,10 +19,10 @@ wherever some possible successor falls below its segment's threshold.
 One-shot pruning is the one-segment plan at the desired probability, so both
 modes run one segment loop.
 
-A row's LP constants (rooms, remaining mass, feasibility) depend only on the
-model row, so ``mdp.interval_row`` computes them once per (s, a) into
-``product.support_rows``; the sweep and :func:`solve_kappa` run one kernel,
-:func:`greedy_kappa`, on them: the same arithmetic gives the same bits.
+A row's LP constants (rooms, remaining mass, feasibility, a lone nonzero lower
+bound) depend only on the model row, so ``mdp.interval_row`` computes them once
+per (s, a) into ``product.support_rows``; the sweep and :func:`solve_kappa` run
+one kernel, :func:`greedy_kappa`, on them: the same arithmetic, the same bits.
 
 A non-terminal state's bound, kept actions and fallback action depend only on
 its MDP state s, the f-values of its successors (``product.next_ids``) and
@@ -80,10 +80,9 @@ class MultiShotInfeasibleError(ReachabilityError):
         self.segment = segment
 
 
-def greedy_kappa(values, least, los, rooms, remaining):
-    """:func:`solve_kappa` from the row's constants (``mdp.interval_row``); ``least`` is min(values)."""
+def greedy_fill(values, j, los, rooms, remaining):
+    """The minimizing distribution; ``j`` = values.index(min(values)) is the fill's first visit."""
     dist = list(los)
-    j = values.index(least)             # the first successor the sorted fill visits
     if 0.0 < remaining <= rooms[j]:
         dist[j] += remaining
     elif remaining > 0.0:
@@ -96,9 +95,24 @@ def greedy_kappa(values, least, los, rooms, remaining):
             remaining -= add
             if remaining <= 0.0:
                 break
-    kappa = math.fsum(map(mul, values, dist))
+    return dist
+
+
+def greedy_kappa(values, least, j, los, rooms, remaining, lone):
+    """fsum(values * :func:`greedy_fill`) in [0, 1].  Given ``lone`` = (t, lo_t, lo_t + remaining)
+    and a fill of one step or none, only lo_t at t and the mass at j are nonzero.  Zero products
+    add nothing to fsum and fsum of two products is one float addition, so for finite values,
+    as the sweep's f-values are, the forms below give fsum's bits."""
+    if lone is None or remaining > 0.0 and not remaining <= rooms[j]:
+        kappa = math.fsum(map(mul, values, greedy_fill(values, j, los, rooms, remaining)))
+    elif not remaining > 0.0:           # so t >= 0: with every lower bound 0 the mass is 1
+        kappa = values[lone[0]] * lone[1]
+    elif lone[0] == j:
+        kappa = least * lone[2]
+    else:                               # with no nonzero bound, t = -1 and lo_t = 0.0 add 0.0
+        kappa = values[lone[0]] * lone[1] + least * remaining
     # min(max(kappa, 0.0), 1.0) to the bit, -0.0 and NaN included, without the calls
-    return 0.0 if kappa < 0.0 else 1.0 if kappa > 1.0 else kappa, dist
+    return 0.0 if kappa < 0.0 else 1.0 if kappa > 1.0 else kappa
 
 
 def solve_kappa(values, los, his):
@@ -107,10 +121,12 @@ def solve_kappa(values, los, his):
     Returns (kappa, minimizing distribution).  Ties in ``values`` are broken
     by index order; the optimum value does not depend on tie order.
     """
-    rooms, remaining, infeasible = interval_row(los, his)
+    rooms, remaining, infeasible, lone = interval_row(los, his)
     if infeasible is not None:
         raise InfeasibleIntervalError(infeasible)
-    return greedy_kappa(values, min(values), los, rooms, remaining)
+    j = values.index(min(values))
+    return (greedy_kappa(values, values[j], j, los, rooms, remaining, lone),
+            greedy_fill(values, j, los, rooms, remaining))
 
 
 def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
@@ -152,12 +168,15 @@ def _sweep(product, t_hi, t_lo, fnext, prune_below, memo, f, kept, fallback):
                         keep = []
                         best = -1.0
                         best_a = acts[0]
-                        for a, get, los, rooms, remaining, infeasible in support_rows[s]:
+                        get = None
+                        for a, row_get, los, rooms, remaining, infeasible, lone in support_rows[s]:
                             if infeasible is not None:
                                 raise InfeasibleIntervalError(infeasible, state=(s, q, t), action=a)
-                            values = get(fvals)
-                            least = min(values)
-                            k = greedy_kappa(values, least, los, rooms, remaining)[0]
+                            if row_get is not get:  # a run of rows with one reader reads once
+                                get, values = row_get, row_get(fvals)
+                                least = min(values)
+                                j = values.index(least)
+                            k = greedy_kappa(values, least, j, los, rooms, remaining, lone)
                             if least >= prune_below:
                                 keep.append(a)
                             if k > best:

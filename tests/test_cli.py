@@ -348,6 +348,14 @@ class TestGridSchema:
         assert main(["build", "--grid", path]) == 2
         assert "invalid proposition name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["TRUE", "", "a-b"])
+    def test_bad_label_name_is_named_at_its_cell(self, tmp_path, capsys, name):
+        # the grid config names the cell, not the formula parser's alphabet check
+        path = self.write_grid(tmp_path / "grid.json", labels={"1,3": ["P", name]})
+        assert main(["build", "--grid", path]) == 2
+        assert capsys.readouterr().err == (f"config error: bad grid config: invalid proposition "
+                                           f"name {name!r} at cell (1, 3)\n")
+
     def test_out_of_range_grid_value_is_config_error(self, tmp_path, capsys):
         # eps 1.5 used to fail as an infeasibility, and an unknown door action was skipped
         assert main(["build", "--eps", "1.5"]) == 2

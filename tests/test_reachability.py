@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import operator
@@ -30,7 +31,7 @@ def action_kappa(prod, p, a):
 
 
 def reference_solve_kappa(values, los, his):
-    """The scalar interval LP written out on its own: the arithmetic oracle for ``greedy_kappa``."""
+    """The scalar interval LP written out on its own: the arithmetic oracle for ``solve_kappa``."""
     n = len(values)
     lo_sum = math.fsum(los)
     hi_sum = math.fsum(his)
@@ -177,7 +178,8 @@ class TestSolveKappa:
 
 def kernel_rows(rng):
     """Seeded LP rows: general ones, and rows with tied values that have zero-room
-    entries (lo == hi), no mass above the lower bounds, or infeasible bounds."""
+    entries (lo == hi), no mass above the lower bounds, or infeasible bounds; then
+    rows with at most one nonzero lower bound, as every grid row has."""
     for _ in range(300):
         yield oracle.random_lp_instance(rng)
         n = rng.randint(1, 7)
@@ -193,6 +195,17 @@ def kernel_rows(rng):
         yield ties, exact, [min(1.0, lo + rng.choice((0.0, 0.3))) for lo in exact]
         yield ties + [0.5], [rng.uniform(0.3, 0.9) for _ in range(n + 1)], [1.0] * (n + 1)
         yield ties, [0.0] * n, [rng.uniform(0.0, 0.9 / n) for _ in range(n)]
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        values = [rng.choice((0.0, 0.25, 0.5, 0.9, 1.0, rng.random())) for _ in range(n)]
+        los = [0.0] * n
+        if rng.random() < 0.75:     # 1.0 and just above it leave no mass to fill
+            lo = rng.uniform(0.05, 0.95)
+            los[rng.randrange(n)] = rng.choice((lo, lo, 1.0, 1.0 + 5e-10))
+        mass = max(0.0, 1.0 - sum(los))
+        big = mass + rng.uniform(0.0, 0.2)
+        rooms = [rng.choice((0.0, rng.uniform(0.0, mass), big, big)) for _ in range(n)]
+        yield values, los, [lo + room for lo, room in zip(los, rooms)]
 
 
 def bits(result):
@@ -206,7 +219,9 @@ ABOVE_HALF = math.nextafter(0.5, 1.0)
 # (values, los, his): the fill's one-step case and the edges around it.  In the
 # four remaining_* rows lo_0 == 0, so the room at the minimum is his[0] exactly,
 # and the remaining mass is 0.5 exactly.  sum_above_one and nan_value reach the
-# clamp's upper branch and its NaN case.
+# clamp's upper branch and its NaN case.  The lone_* rows have at most one
+# nonzero lower bound, as grid rows do; each is named after the kernel branch
+# it takes (``kernel_case``), with ties or negative mass where the name says.
 KERNEL_EDGE_ROWS = {
     "tie_first_takes_all": ([0.2, 0.2, 0.7], [0.1, 0.1, 0.1], [0.9, 0.9, 0.9]),
     "tie_first_too_small": ([0.2, 0.2, 0.7], [0.1, 0.1, 0.1], [0.5, 0.5, 0.9]),
@@ -222,24 +237,58 @@ KERNEL_EDGE_ROWS = {
     "remaining_above_room_by_ties": ([0.1, 0.1, 0.1], [0.0, 0.3, 0.2], [BELOW_HALF, 1.0, 1.0]),
     "single_successor": ([0.4], [0.0], [1.0]),
     "nan_value": ([math.nan, 0.5], [0.0, 0.0], [1.0, 1.0]),
+    "lone_at_argmin": ([0.1, 0.6, 0.9], [0.3, 0.0, 0.0], [1.0, 0.5, 0.5]),
+    "lone_elsewhere": ([0.1, 0.6, 0.9], [0.0, 0.7, 0.0], [0.5, 1.0, 0.5]),
+    "lone_none": ([0.4, 0.2, 0.9], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+    "lone_no_remaining": ([0.3, 0.8], [0.0, 1.0], [0.2, 1.0]),
+    "lone_no_remaining_negative": ([0.3, 0.8], [0.0, 1.0 + 5e-10], [0.2, 1.0 + 5e-10]),
+    "lone_sort_path": ([0.1, 0.6, 0.9], [0.0, 0.5, 0.0], [0.2, 1.0, 1.0]),
+    "lone_elsewhere_tied_minima": ([0.2, 0.7, 0.2], [0.0, 0.6, 0.0], [0.5, 1.0, 0.5]),
+    "lone_elsewhere_tied_with_bound": ([0.2, 0.2, 0.7], [0.0, 0.6, 0.0], [0.5, 1.0, 0.5]),
+    "lone_at_argmin_tied_minima": ([0.2, 0.7, 0.2], [0.6, 0.0, 0.0], [1.0, 0.5, 0.5]),
 }
 
 
+def kernel_case(values, los, his):
+    """The branch of ``greedy_kappa`` a feasible row takes, read off its bounds: the fill's
+    sort path, several nonzero lower bounds without it, or one of the lone bound's forms."""
+    nonzero = [t for t, lo in enumerate(los) if lo != 0.0]
+    remaining = 1.0 - math.fsum(los)
+    j = values.index(min(values))
+    if remaining > 0.0 and not remaining <= his[j] - los[j]:
+        return "lone_sort_path" if len(nonzero) < 2 else "sorted"
+    if len(nonzero) > 1:
+        return "several"
+    if not remaining > 0.0:
+        return "lone_no_remaining"
+    if not nonzero:
+        return "lone_none"
+    return "lone_at_argmin" if nonzero[0] == j else "lone_elsewhere"
+
+
+def fsum_kappa(values, los, his):
+    """``greedy_kappa`` without the row's lone lower bound: kappa from the fill's fsum."""
+    rooms, remaining, _, _ = interval_row(los, his)
+    least = min(values)
+    return greedy_kappa(values, least, values.index(least), los, rooms, remaining, None)
+
+
 class TestKernelArithmetic:
-    """``greedy_kappa`` on ``interval_row`` constants against ``reference_solve_kappa``, bit for bit."""
+    """``solve_kappa`` (``greedy_kappa`` and ``greedy_fill`` on ``interval_row`` constants)
+    against ``reference_solve_kappa``, bit for bit."""
 
     @pytest.mark.parametrize("row", list(KERNEL_EDGE_ROWS.values()), ids=list(KERNEL_EDGE_ROWS))
     def test_edge_rows(self, row):
         values, los, his = row
-        rooms, remaining, infeasible = interval_row(los, his)
-        assert infeasible is None
-        assert bits(greedy_kappa(values, min(values), los, rooms, remaining)) == \
-            bits(reference_solve_kappa(values, los, his))
+        assert interval_row(los, his)[2] is None
+        expected = bits(reference_solve_kappa(values, los, his))
+        assert bits(solve_kappa(values, los, his)) == expected
+        assert fsum_kappa(values, los, his).hex() == expected[0]
 
     def test_edge_rows_reach_their_case(self):
         def case(name):
             values, los, his = KERNEL_EDGE_ROWS[name]
-            rooms, remaining, _ = interval_row(los, his)
+            rooms, remaining, _, _ = interval_row(los, his)
             return remaining, rooms[values.index(min(values))]
         assert case("remaining_equals_room") == (0.5, 0.5)
         assert case("remaining_just_below_room") == (0.5, ABOVE_HALF)
@@ -250,12 +299,22 @@ class TestKernelArithmetic:
         assert case("sum_above_one")[0] < 0.0
         assert math.fsum(map(operator.mul, values, los)) == 1.0 + 1e-12     # the clamp's upper branch
         assert case("zero_room_at_min")[1] == 0.0
+        lone = {name: row for name, row in KERNEL_EDGE_ROWS.items() if name.startswith("lone_")}
+        for name, row in lone.items():
+            assert name.startswith(kernel_case(*row)), name
+        assert case("lone_no_remaining")[0] == 0.0
+        assert case("lone_no_remaining_negative")[0] < 0.0
+        for name in ("lone_elsewhere_tied_minima", "lone_at_argmin_tied_minima",
+                     "lone_elsewhere_tied_with_bound"):
+            values = lone[name][0]
+            assert values.count(min(values)) == 2
 
     def test_matches_reference(self):
         cases = {"tied": 0, "zero_room": 0, "no_remaining": 0, "infeasible": 0,
-                 "one_step": 0, "sorted": 0}
+                 "one_step": 0, "sorted": 0, "lone_at_argmin": 0, "lone_elsewhere": 0,
+                 "lone_none": 0, "lone_no_remaining": 0, "lone_sort_path": 0, "lone_tied_minima": 0}
         for values, los, his in kernel_rows(random.Random(41)):
-            rooms, remaining, infeasible = interval_row(los, his)
+            rooms, remaining, infeasible, _ = interval_row(los, his)
             try:
                 expected = reference_solve_kappa(values, los, his)
             except InfeasibleIntervalError as exc:
@@ -266,14 +325,18 @@ class TestKernelArithmetic:
                 assert str(err.value) == str(exc)
                 continue
             assert infeasible is None
-            assert bits(greedy_kappa(values, min(values), los, rooms, remaining)) == bits(expected)
             assert bits(solve_kappa(values, los, his)) == bits(expected)
+            assert fsum_kappa(values, los, his).hex() == bits(expected)[0]
             cases["tied"] += len(set(values)) < len(values)
             cases["zero_room"] += 0.0 in rooms
             cases["no_remaining"] += remaining == 0.0
             one_step = 0.0 < remaining <= rooms[values.index(min(values))]
             cases["one_step"] += one_step
             cases["sorted"] += remaining > 0.0 and not one_step
+            case = kernel_case(values, los, his)
+            if case.startswith("lone_"):
+                cases[case] += 1
+                cases["lone_tied_minima"] += values.count(min(values)) > 1
         assert min(cases.values()) >= 50, cases
 
     def test_product_rows_hold_interval_row_constants(self):
@@ -300,6 +363,21 @@ class TestKernelArithmetic:
                                  compile_formula(formula, {"B", "C"}), time_bound(formula))
             scattered += self.assert_rows(prod)
         assert scattered > 0
+
+    @pytest.mark.parametrize("size, rows, readers", [(6, 251, 72), (16, 2111, 512)])
+    def test_grid_rows_take_the_lone_bound_forms(self, size, rows, readers):
+        # every solved grid row has one nonzero lower bound, and a cell's moves share one
+        # reader and Stay has its own: a grid change that loses either fails here
+        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
+        spec = dataclasses.replace(spec, width=size, height=size)
+        aut = compile_formula(formula, sorted(spec.alphabet()))
+        prod = build_product(build_grid_mdp(spec), aut, time_bound(formula))
+        lps = [row for state_rows in prod.support_rows.values() for row in state_rows]
+        assert len(lps) == rows
+        assert all(lone is not None and lone[0] >= 0 for *_, lone in lps)
+        per_cell = [len({id(get) for _, get, *_ in state_rows})
+                    for state_rows in prod.support_rows.values()]
+        assert max(per_cell) == 2 and sum(per_cell) == readers
 
     @staticmethod
     def assert_rows(prod):
@@ -463,12 +541,13 @@ class TestAgainstReference:
         return True
 
     def test_case_study_both_modes(self):
-        spec, formula = canonical_case_study(assumed_uncertainty=0.08)
-        model = build_grid_mdp(spec)
-        aut = compile_formula(formula, sorted(spec.alphabet()))
-        horizon = time_bound(formula)
-        self.assert_same(model, aut, horizon, MultiShotPlan((0, horizon), (0.9,)))
-        self.assert_same(model, aut, horizon, MultiShotPlan.even(0.9, (0, 8, 15, 22, 35)))
+        for eps in (0.03, 0.08, 0.13):
+            spec, formula = canonical_case_study(assumed_uncertainty=eps)
+            model = build_grid_mdp(spec)
+            aut = compile_formula(formula, sorted(spec.alphabet()))
+            horizon = time_bound(formula)
+            self.assert_same(model, aut, horizon, MultiShotPlan((0, horizon), (0.9,)))
+            self.assert_same(model, aut, horizon, MultiShotPlan.even(0.9, (0, 8, 15, 22, 35)))
 
     @pytest.mark.parametrize("thresholds", [
         (0.97, 0.99, 0.97, 0.98),       # segments 1 and 3 share a threshold, hence a memo

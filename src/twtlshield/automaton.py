@@ -18,10 +18,8 @@ Only the grammar fragment without negation of compound formulas is compiled;
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from itertools import combinations
-from json.encoder import encode_basestring_ascii
 
 from .twtl import (And, Concat, Formula, Hold, Not, Or, Within, Word,
                    format_formula, propositions, time_bound,
@@ -285,55 +283,3 @@ def _compile(formula, alphabet):
 
 def accepts(automaton: TotalAutomaton, word: Word) -> bool:
     return automaton.run(word) in automaton.accepting
-
-
-def to_dot(automaton: TotalAutomaton) -> str:
-    """Graph description with merged edge labels between identical endpoints."""
-    lines = ["digraph twtl {", "  rankdir=LR;", '  __init [shape=point, label=""];']
-    for q in range(automaton.n_states):
-        if q in automaton.accepting:
-            shape = "doublecircle"
-        elif q == automaton.trash:
-            shape = "box"
-        else:
-            shape = "circle"
-        label = automaton.annotations[q].replace('"', '\\"')
-        lines.append(f'  q{q} [shape={shape}, label="q{q}: {label}"];')
-    lines.append(f"  __init -> q{automaton.initial};")
-    merged = {}
-    for sym in automaton.alphabet():
-        text = "{" + ",".join(sorted(sym)) + "}"
-        for q in range(automaton.n_states):
-            dst = automaton.step(q, sym)
-            merged.setdefault((q, dst), []).append(text)
-    for (src, dst), labels in sorted(merged.items()):
-        joined = ", ".join(labels).replace('"', '\\"')
-        lines.append(f'  q{src} -> q{dst} [label="{joined}"];')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def to_json(automaton: TotalAutomaton) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` of the automaton, its ``delta`` rows
-    [q, sorted symbol, successor] joined as text with each symbol's block rendered once;
-    the other members are ``json.dumps``'s, one level deeper (it escapes every newline)."""
-    blocks = []
-    for sym in automaton.alphabet():
-        names = ",\n        ".join(map(encode_basestring_ascii, sorted(sym)))
-        blocks.append((f"[\n        {names}\n      ]" if names else "[]", automaton.symbol_mask(sym)))
-    delta = ",\n".join(f"    [\n      {q},\n      {block},\n      {automaton.table[q][mask]}\n    ]"
-                        for q in range(automaton.n_states) for block, mask in blocks)
-    doc = {
-        "props": list(automaton.props),
-        "states": list(range(automaton.n_states)),
-        "n_reachable": len(automaton.reachable),
-        "initial": automaton.initial,
-        "accepting": sorted(automaton.accepting),
-        "trash": automaton.trash,
-        "annotations": {str(q): a for q, a in automaton.annotations.items()},
-    }
-    members = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-               for key, value in doc.items()}
-    members["delta"] = f"[\n{delta}\n  ]" if delta else "[]"
-    return "{\n  " + ",\n  ".join(f"{encode_basestring_ascii(key)}: {members[key]}"
-                                 for key in sorted(members)) + "\n}"

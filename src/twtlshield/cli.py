@@ -23,8 +23,8 @@ from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 from json.encoder import encode_basestring_ascii as quoted
 
 from . import __version__
-from .twtl import TwtlError, parse_formula, propositions, time_bound, format_formula
-from .automaton import AutomatonError, accepts, compile_formula, to_dot, to_json as automaton_json
+from .twtl import TwtlError, parse_formula, propositions, segment_ends, time_bound, format_formula
+from .automaton import AutomatonError, accepts, compile_formula
 from .mdp import LabeledIntervalMdp, MdpError
 from .product import ProductError, build_product
 from .reachability import (MultiShotPlan, ReachabilityError, check_initial, multi_shot_prune,
@@ -35,7 +35,8 @@ from .gridworld import (CASE_STUDY_FORMULA, GridError, GridSpec, build_grid_mdp,
 from . import oracle
 
 OUTPUT_ENV_VAR = "TWTLSHIELD_OUTPUT_DIR"
-CASE_STUDY_TIMESTAMPS = (0, 8, 15, 22, 35)
+# Read only by perfbench/worker.py; a config takes its formula's own segment_ends.
+CASE_STUDY_TIMESTAMPS = segment_ends(parse_formula(CASE_STUDY_FORMULA))
 
 # One learner serves both modes.  run_experiment still calls it under a
 # per-mode name because perfbench/worker.py times learning by replacing
@@ -72,7 +73,7 @@ class ExperimentConfig:
     formula: str = CASE_STUDY_FORMULA
     pr_des: float = 0.9
     mode: str = "one_shot"                      # "one_shot" | "multi_shot"
-    multishot_timestamps: tuple[int, ...] = None
+    multishot_timestamps: tuple[int, ...] = None    # default: the formula's segment_ends
     multishot_thresholds: tuple[float, ...] = None  # default: even N-th roots of pr_des
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     eval_episodes: int = 10000
@@ -82,20 +83,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.grid is None:
             self.grid, _ = canonical_case_study()
-        if self.formula == CASE_STUDY_FORMULA and self.multishot_timestamps is None:
-            self.multishot_timestamps = CASE_STUDY_TIMESTAMPS
         if self.eval_episodes < 0:
             raise ConfigError("eval_episodes must be nonnegative")
         if not (0.0 < self.pr_des <= 1.0):
             raise ConfigError("pr_des must lie in (0, 1]")
         if self.mode not in ("one_shot", "multi_shot"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == "multi_shot" and self.multishot_timestamps is None:
-            raise ConfigError("multi_shot mode needs multishot_timestamps")
+        ends = segment_ends(parse_formula(self.formula))
+        self._horizon = ends[-1]
+        if self.multishot_timestamps is None:
+            self.multishot_timestamps = ends
 
-    def plan(self, horizon):
-        if not self.multishot_timestamps or self.multishot_timestamps[-1] != horizon:
-            raise ConfigError(f"multishot timestamps must end at the time bound {horizon}")
+    def plan(self):
+        if not self.multishot_timestamps or self.multishot_timestamps[-1] != self._horizon:
+            raise ConfigError(f"multishot timestamps must end at the time bound {self._horizon}")
         try:
             if self.multishot_thresholds is not None:
                 plan = MultiShotPlan(self.multishot_timestamps, self.multishot_thresholds)
@@ -260,7 +261,7 @@ def _prune(cfg: ExperimentConfig, product):
     if cfg.mode == "one_shot":
         one_shot_prune(product, cfg.pr_des)
     else:
-        multi_shot_prune(product, cfg.plan(product.horizon))
+        multi_shot_prune(product, cfg.plan())
     return check_initial(product, product.initial_threshold)
 
 
@@ -328,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     if out:
         paths["summary"] = _write(out, "summary.json", _json_text(summary))
         paths["automaton_json"] = _write(out, "automaton.json", automaton_json(automaton))
-        paths["automaton_dot"] = _write(out, "automaton.dot", to_dot(automaton))
+        paths["automaton_dot"] = _write(out, "automaton.dot", automaton_dot(automaton))
         paths["product_summary"] = _write(out, "product_summary.json",
                                           json.dumps(summary["product"], indent=2, sort_keys=True))
         paths["policy"] = _write(out, "policy.json", _policy_text(product, result.policy))
@@ -365,8 +366,8 @@ def _object_text(keys, values, depth=1):
     if not table:
         return "{}"
     pad = "\n" + "  " * depth
-    lines = [f"{quoted(key)}: {table[key]}" for key in sorted(table)]
-    return "{" + pad + ("," + pad).join(lines) + pad[:-2] + "}"
+    body = ("," + pad).join([f"{quoted(key)}: {table[key]}" for key in sorted(table)])
+    return f"{{{pad}{body}{pad[:-2]}}}"     # copies body once; a + chain copies it at each step
 
 
 def _policy_text(product, policy):
@@ -386,6 +387,56 @@ def _results_text(product):
     members = (map(repr, product.f), map(names.__getitem__, product.fallback),
                map(lists.__getitem__, product.kept))
     return _object_text(("f", "pi_c", "act_sets"), [_object_text(keys, m, 2) for m in members])
+
+
+def automaton_dot(automaton):
+    """``automaton.dot``: the graph, with merged edge labels between identical endpoints."""
+    lines = ["digraph twtl {", "  rankdir=LR;", '  __init [shape=point, label=""];']
+    for q in range(automaton.n_states):
+        if q in automaton.accepting:
+            shape = "doublecircle"
+        elif q == automaton.trash:
+            shape = "box"
+        else:
+            shape = "circle"
+        label = automaton.annotations[q].replace('"', '\\"')
+        lines.append(f'  q{q} [shape={shape}, label="q{q}: {label}"];')
+    lines.append(f"  __init -> q{automaton.initial};")
+    merged = {}
+    for sym in automaton.alphabet():
+        text = "{" + ",".join(sorted(sym)) + "}"
+        for q in range(automaton.n_states):
+            dst = automaton.step(q, sym)
+            merged.setdefault((q, dst), []).append(text)
+    for (src, dst), labels in sorted(merged.items()):
+        joined = ", ".join(labels).replace('"', '\\"')
+        lines.append(f'  q{src} -> q{dst} [label="{joined}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def automaton_json(automaton):
+    """``automaton.json``: ``json.dumps(..., indent=2, sort_keys=True)`` of the automaton, its ``delta``
+    rows [q, sorted symbol, successor] joined as text, each symbol's block rendered once."""
+    blocks = []
+    for sym in automaton.alphabet():
+        names = ",\n        ".join(map(quoted, sorted(sym)))
+        blocks.append((f"[\n        {names}\n      ]" if names else "[]", automaton.symbol_mask(sym)))
+    delta = ",\n".join(f"    [\n      {q},\n      {block},\n      {automaton.table[q][mask]}\n    ]"
+                        for q in range(automaton.n_states) for block, mask in blocks)
+    doc = {
+        "props": list(automaton.props),
+        "states": list(range(automaton.n_states)),
+        "n_reachable": len(automaton.reachable),
+        "initial": automaton.initial,
+        "accepting": sorted(automaton.accepting),
+        "trash": automaton.trash,
+        "annotations": {str(q): a for q, a in automaton.annotations.items()},
+    }
+    members = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+               for key, value in doc.items()}
+    members["delta"] = f"[\n{delta}\n  ]" if delta else "[]"
+    return _object_text(members.keys(), members.values())
 
 
 def _write(out, name, text):
@@ -442,7 +493,7 @@ def cmd_compile(args):
           f"{len(automaton.accepting)} accepting, trash={automaton.trash}")
     if out:
         _write(out, "automaton.json", automaton_json(automaton))
-        _write(out, "automaton.dot", to_dot(automaton))
+        _write(out, "automaton.dot", automaton_dot(automaton))
         print(f"wrote {out}/automaton.json and {out}/automaton.dot")
     return 0
 
@@ -540,7 +591,7 @@ def cmd_sweep(args):
                 # the sweep writes its tables to the loaded output_dir, no cell its own files
                 out, cfg.output_dir = cfg.output_dir, None
                 if mode == "multi_shot":    # a bad plan exits 2 before any cell is learned
-                    cfg.plan(time_bound(parse_formula(cfg.formula, sorted(cfg.grid.alphabet()))))
+                    cfg.plan()
                 cells.append(({"mode": mode, "eps": eps, "pr_des": pr}, cfg))
     rows = [row for row, _ in cells]
     for row, cfg in cells:

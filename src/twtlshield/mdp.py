@@ -24,10 +24,10 @@ class MissingDynamicsError(MdpError):
 
 def row_infeasibility(lo_sum, hi_sum):
     """None if a row whose bounds sum to ``lo_sum``/``hi_sum`` admits a distribution, else why not."""
-    if lo_sum > 1.0 + FEASIBILITY_TOL:
-        return f"sum of lower bounds {lo_sum:.9f} exceeds 1"
-    if hi_sum < 1.0 - FEASIBILITY_TOL:
-        return f"sum of upper bounds {hi_sum:.9f} is below 1"
+    if not lo_sum <= 1.0 + FEASIBILITY_TOL:     # written so that a NaN sum fails
+        return f"sum of lower bounds {lo_sum:.9f} exceeds 1" if lo_sum > 1.0 else "a lower bound is nan"
+    if not hi_sum >= 1.0 - FEASIBILITY_TOL:
+        return f"sum of upper bounds {hi_sum:.9f} is below 1" if hi_sum < 1.0 else "an upper bound is nan"
     return None
 
 

@@ -134,6 +134,18 @@ def time_bound(formula: Formula) -> int:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
+def segment_ends(formula: Formula) -> tuple[int, ...]:
+    """Where a multi-shot shield splits the horizon: 0, then the time bounds of phi1, phi1 . phi2,
+    ..., phi for the top-level phi = phi1 . phi2 . ... (its right spine), skipping an end of 0."""
+    ends, end = [], -1
+    while isinstance(formula, Concat):
+        end += time_bound(formula.left) + 1
+        ends.append(end)
+        formula = formula.right
+    ends.append(end + time_bound(formula) + 1)
+    return (0, *filter(None, ends))
+
+
 def propositions(formula: Formula) -> frozenset[str]:
     """All proposition names appearing in the formula."""
     if isinstance(formula, Hold):

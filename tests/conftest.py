@@ -2,8 +2,7 @@ import bisect
 
 import pytest
 
-from twtlshield import cli
-from twtlshield.twtl import parse_formula, time_bound
+from twtlshield.twtl import parse_formula, segment_ends, time_bound
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import GridSpec, build_grid_mdp, canonical_case_study
 from twtlshield.mdp import LabeledIntervalMdp
@@ -35,7 +34,7 @@ def case_products():
     horizon = time_bound(formula)
     one = one_shot_prune(build_product(build_grid_mdp(spec), aut, horizon), 0.9)
     multi, _ = multi_shot_prune(build_product(build_grid_mdp(spec), aut, horizon),
-                                MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
+                                MultiShotPlan.even(0.9, segment_ends(formula)))
     return {"one_shot": one, "multi_shot": multi}
 
 

@@ -20,7 +20,8 @@ from twtlshield.cli import (check_automata, check_dominance, check_kappa, load_c
                             run_experiment)
 from twtlshield.product import build_product
 from twtlshield.reachability import MultiShotPlan, multi_shot_prune, one_shot_prune, solve_kappa
-from twtlshield.twtl import parse_formula, time_bound
+from twtlshield.gridworld import CASE_STUDY_FORMULA
+from twtlshield.twtl import parse_formula, segment_ends, time_bound
 from twtlshield import oracle
 
 LEARNING_EPISODES = 50000
@@ -28,7 +29,7 @@ EVAL_EPISODES = 10000
 EPS_GRID = (0.03, 0.08, 0.13)
 PR_GRID = (0.5, 0.7, 0.9)
 REAL_UNCERTAINTY = 0.03
-TIMESTAMPS = (0, 8, 15, 22, 35)
+TIMESTAMPS = segment_ends(parse_formula(CASE_STUDY_FORMULA))
 
 B = frozenset({"B"})
 E = frozenset()

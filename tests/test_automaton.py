@@ -10,8 +10,8 @@ from twtlshield.gridworld import CASE_STUDY_FORMULA, CASE_STUDY_PROPS
 from twtlshield.twtl import (Concat, Hold, Not, format_formula, parse_formula, propositions,
                              time_bound)
 from twtlshield.automaton import (AutomatonError, StateExplosionError, UnknownSymbolError,
-                                  UnsupportedConstructError, accepts,
-                                  compile_formula, to_dot, to_json)
+                                  UnsupportedConstructError, accepts, compile_formula)
+from twtlshield.cli import automaton_dot, automaton_json
 from twtlshield.oracle import FORMULA_CORPUS, enumerate_words, random_formula, word_satisfies_brute
 from test_twtl import random_tree
 
@@ -201,7 +201,7 @@ class TestProperties:
 
 class TestExport:
     def test_dot_structure(self, window_automaton):
-        dot = to_dot(window_automaton)
+        dot = automaton_dot(window_automaton)
         assert dot.startswith("digraph")
         assert dot.rstrip().endswith("}")
         assert dot.count("{") == dot.count("}")
@@ -213,11 +213,11 @@ class TestExport:
 
     def test_dot_two_state(self):
         aut = compile_formula(parse_formula("H^0 TRUE"), {"B"})
-        dot = to_dot(aut)
+        dot = automaton_dot(aut)
         assert len(re.findall(r"^  q\d+ \[shape", dot, re.M)) == aut.n_states
 
     def test_json_round_structure(self, window_automaton):
-        doc = json.loads(to_json(window_automaton))
+        doc = json.loads(automaton_json(window_automaton))
         assert doc["initial"] == window_automaton.initial
         assert doc["trash"] == window_automaton.trash
         assert set(doc["accepting"]) == set(window_automaton.accepting)

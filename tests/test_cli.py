@@ -21,7 +21,7 @@ from twtlshield.learner import LearnerConfig
 from twtlshield.mdp import LabeledIntervalMdp, MdpError
 from twtlshield.product import ProductError
 from twtlshield.reachability import MultiShotPlan, ReachabilityError
-from twtlshield.twtl import TwtlError
+from twtlshield.twtl import TwtlError, parse_formula, segment_ends
 from conftest import worst_case_toy
 
 
@@ -323,7 +323,22 @@ class TestConfig:
         cfg = load_config(None, {"mode": "multi_shot", "pr_des": 0.9,
                                  "multishot_thresholds": [0.9, 0.9, 0.9, 0.9]})
         with pytest.raises(ConfigError):
-            cfg.plan(35)
+            cfg.plan()
+
+    def test_spaceless_case_formula_prunes_as_the_case_study(self, tmp_path):
+        # the segment ends come from the parsed formula, not from its text
+        cell = ["prune", "--eps", "0.08", "--pr-des", "0.9", "--mode", "multi_shot"]
+        assert main([*cell, "--output-dir", str(tmp_path / "case")]) == 0
+        assert main([*cell, "--formula", CASE_STUDY_FORMULA.replace(" ", ""),
+                     "--output-dir", str(tmp_path / "spaceless")]) == 0
+        assert ((tmp_path / "spaceless" / "reachability.json").read_bytes()
+                == (tmp_path / "case" / "reachability.json").read_bytes())
+
+    def test_other_formula_runs_multi_shot_without_timestamps(self, tmp_path):
+        assert main(["learn", "--mode", "multi_shot", "--formula", "[H^1 P]^[0,8] . [H^1 Base]^[0,12]",
+                     "--episodes", "20", "--eval-episodes", "10", "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["multishot_timestamps"] == [0, 8, 21]
 
 
 class TestGridSchema:
@@ -779,7 +794,7 @@ class TestSweepCommand:
         monkeypatch.delenv(cli.OUTPUT_ENV_VAR, raising=False)
         out = tmp_path / "from-file"
         cfg = tmp_path / "cfg.json"
-        # every cell overrides the file's mode; alone it would need multishot timestamps
+        # every cell overrides the file's mode; alone it would fail, as H^0 TRUE has no segment
         cfg.write_text(json.dumps({"output_dir": str(out), "formula": "H^0 TRUE",
                                    "mode": "multi_shot", "episodes": 1, "eval_episodes": 1}))
         assert main(["sweep", "--config", str(cfg), "--eps-list", "0.08",
@@ -983,7 +998,7 @@ class TestBenchmarkHooks:
             cfg = cli.load_config(None, fast_overrides(mode=mode, episodes=20, eval_episodes=10))
             cli.run_experiment(cfg)
         assert set(calls) == set(self.HOOKS) | {"validate"}
-        assert cli.CASE_STUDY_TIMESTAMPS[-1] == 35
+        assert cli.CASE_STUDY_TIMESTAMPS == segment_ends(parse_formula(CASE_STUDY_FORMULA))
 
     def test_directly_called_shapes(self):
         # the worker also calls these itself: `product, _ = multi_shot_prune(...)`,

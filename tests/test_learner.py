@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from twtlshield import cli, oracle
+from twtlshield import oracle
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import MdpError, MissingDynamicsError
@@ -16,7 +16,7 @@ from twtlshield.reachability import (MultiShotInfeasibleError, MultiShotPlan, ch
 from twtlshield.learner import (CSV_COLUMNS, EpisodeLog, EvalResult, LearnerConfig, LearnerError,
                                 RunResult, _Numbered, episode_csv, evaluate, learn,
                                 wilson_halfwidth)
-from twtlshield.twtl import parse_formula, time_bound
+from twtlshield.twtl import parse_formula, segment_ends, time_bound
 from conftest import (is_accepting, is_trash, law, model, resets_flag, sample_next, signed_grid,
                       worst_case_toy)
 
@@ -668,7 +668,7 @@ class TestSharedView:
         if mode == "one_shot":
             one_shot_prune(prod, 0.9)
         else:
-            multi_shot_prune(prod, MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
+            multi_shot_prune(prod, MultiShotPlan.even(0.9, segment_ends(formula)))
         result = learn(prod, LearnerConfig(episodes=200, seed=32, epsilon=0.5))
         view = prod.numbered
         for listed, keyed in ((result.policy, by_state(prod, result.policy)),

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from collections import Counter
@@ -82,6 +83,13 @@ class TestValidate:
         with pytest.raises(cli.PipelineError) as err:
             cli.run_experiment(cli.load_config(None, {"episodes": 1, "eval_episodes": 1}))
         assert str(err.value) == f"[validate] infeasible bounds at ('s2','a1'): {why}"
+
+    def test_nan_lower_bound_listed_as_infeasible(self):
+        bad = LabeledIntervalMdp(["z", "g"], ["a"], {"g": {"B"}},
+                                 {("z", "a"): (("g", math.nan, 1.0, None),),
+                                  ("g", "a"): (("g", 1.0, 1.0, None),)})
+        assert bad.validate() == ["bounds out of order for ('z','a','g'): [nan,1.0]",
+                                  "infeasible bounds at ('z','a'): a lower bound is nan"]
 
     def test_all_zero_dynamics_row_flagged(self):
         m = three_state_mdp()

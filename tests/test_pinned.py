@@ -38,12 +38,13 @@ from pathlib import Path
 import pytest
 
 from twtlshield import automaton as automaton_module, cli, oracle
-from twtlshield.automaton import compile_formula, to_dot, to_json
+from twtlshield.automaton import compile_formula
+from twtlshield.cli import automaton_dot, automaton_json
 from twtlshield.gridworld import CASE_STUDY_FORMULA, build_grid_mdp, canonical_case_study
 from twtlshield.learner import LearnerConfig, evaluate, learn
 from twtlshield.product import build_product
 from twtlshield.reachability import one_shot_prune
-from twtlshield.twtl import TwtlError, format_formula, parse_formula, time_bound
+from twtlshield.twtl import TwtlError, format_formula, parse_formula, segment_ends, time_bound
 from test_automaton import FOUR_PROPS, four_proposition_trees
 
 SHIELD_16X16 = {
@@ -106,7 +107,7 @@ CLI_OUTPUTS = {
         "sweep.json": "992058ef5f0532f0140f42656bbafff2d2fbbbf43ef378fbf561dc3cbd692155"},
 }
 
-# FORMULA_CORPUS text -> sha256 of (to_json, to_dot) of its automaton over {B, C}
+# FORMULA_CORPUS text -> sha256 of (automaton_json, automaton_dot) of its automaton over {B, C}
 CORPUS = {
     '[H^1 B]^[0,2]': (
         "52420257539e44d2a19e0cf90664dbfe9466b295780645b266d5a35c3495361f",
@@ -160,15 +161,15 @@ CORPUS = {
 CASE_STUDY = (
     "6945d62d30242522732873fa0b2d30a64e8fe802dcac8c1e720893069f25f17d",
     "adaccd4555ef9389e514d1831efa077ee28358f85dc846085c18996abed6124e")
-# sha256 over to_json then to_dot of 200 random_formula draws (seed 0, horizon 8)
+# sha256 over automaton_json then automaton_dot of 200 random_formula draws (seed 0, horizon 8)
 RANDOM_200 = "0c692bc61476690844a615e1a738b8808c8c1df81afd54593454bdd0165bc9b9"
-# sha256 over to_json then to_dot of 1,000 random_formula draws over {B, C} (seed 1,
-# horizons drawn from 1 to 10), recorded before progression ran on label masks
-# and the transition table was filled in state order
+# sha256 over automaton_json then automaton_dot of 1,000 random_formula draws over
+# {B, C} (seed 1, horizons drawn from 1 to 10), recorded before progression ran on
+# label masks and the transition table was filled in state order
 RANDOM_1000 = "1b1a261bb609a928e72f2a5c4337e2312697a73a86fe6f1235685af5543ba25a"
-# sha256 over to_json then to_dot of test_automaton.four_proposition_trees() compiled
-# over their four propositions, recorded before progression was memoized on each
-# residual's own label bits instead of the whole label mask
+# sha256 over automaton_json then automaton_dot of test_automaton.four_proposition_trees()
+# compiled over their four propositions, recorded before progression was memoized on
+# each residual's own label bits instead of the whole label mask
 FOUR_PROPOSITIONS = "a90b7ffa6e708c779dc89789b6c12a7f0c850524f55f51dbd2b06e968c02f158"
 # progression-memo entries the case-study compile leaves: 4,640 keyed on the whole label
 # mask, 1,118 on the bits of each residual's propositions, 378 on the bits it reads
@@ -200,7 +201,7 @@ def sha256(text):
 
 
 def listings(automaton):
-    return sha256(to_json(automaton)), sha256(to_dot(automaton))
+    return sha256(automaton_json(automaton)), sha256(automaton_dot(automaton))
 
 
 @pytest.fixture()
@@ -218,7 +219,7 @@ def test_16x16_shield_digest(worker, mode):
     grid = worker.grid16_spec()
     _, product, _ = worker.shield(worker.Tracer("test", enabled=False), CASE_STUDY_FORMULA,
                                   sorted(grid.alphabet()), grid, mode, worker.PR_DES,
-                                  cli.CASE_STUDY_TIMESTAMPS)
+                                  segment_ends(parse_formula(CASE_STUDY_FORMULA)))
     assert worker.result_digest(product) == SHIELD_16X16[mode]
 
 
@@ -282,8 +283,8 @@ def test_random_formula_listings():
     h = hashlib.sha256()
     for _ in range(200):
         automaton = compile_formula(oracle.random_formula(rng, 8), {"B", "C"})
-        h.update(to_json(automaton).encode())
-        h.update(to_dot(automaton).encode())
+        h.update(automaton_json(automaton).encode())
+        h.update(automaton_dot(automaton).encode())
     assert h.hexdigest() == RANDOM_200
 
 
@@ -292,8 +293,8 @@ def test_random_automata_digest():
     h = hashlib.sha256()
     for _ in range(1000):
         automaton = compile_formula(oracle.random_formula(rng, rng.randint(1, 10)), {"B", "C"})
-        h.update(to_json(automaton).encode())
-        h.update(to_dot(automaton).encode())
+        h.update(automaton_json(automaton).encode())
+        h.update(automaton_dot(automaton).encode())
     assert h.hexdigest() == RANDOM_1000
 
 
@@ -301,8 +302,8 @@ def test_four_proposition_automata_digest():
     h = hashlib.sha256()
     for tree in four_proposition_trees():
         automaton = compile_formula(tree, FOUR_PROPS)
-        h.update(to_json(automaton).encode())
-        h.update(to_dot(automaton).encode())
+        h.update(automaton_json(automaton).encode())
+        h.update(automaton_dot(automaton).encode())
     assert h.hexdigest() == FOUR_PROPOSITIONS
 
 

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from twtlshield import cli
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
 from twtlshield.mdp import FEASIBILITY_TOL, LabeledIntervalMdp, interval_row
@@ -15,7 +14,7 @@ from twtlshield.reachability import (InfeasibleIntervalError, MultiShotInfeasibl
                                      MultiShotPlan, ReachabilityError, check_initial,
                                      exact_reach_probability, greedy_kappa, multi_shot_prune,
                                      one_shot_prune, solve_kappa)
-from twtlshield.twtl import parse_formula, time_bound
+from twtlshield.twtl import parse_formula, segment_ends, time_bound
 from twtlshield import oracle
 from conftest import is_accepting, is_trash, law, successors, worst_case_toy
 
@@ -654,6 +653,18 @@ class TestAgainstReference:
         assert (err.value.state[0], err.value.state[2], err.value.action) == ("x", 0, "b")
         assert str(err.value).startswith("sum of upper bounds 0.000000000 is below 1 at state")
 
+    def test_nan_lower_bound_named_at_its_state(self):
+        # not validated, so the sweep is the first to meet the NaN; a feasibility test
+        # that NaN passed would leave z's bound at the sweep's initial best, -1.0
+        model = LabeledIntervalMdp(["z", "g"], ["a"], {"g": {"B"}},
+                                   {("z", "a"): (("g", math.nan, 1.0, None),),
+                                    ("g", "a"): (("g", 1.0, 1.0, None),)})
+        prod = build_product(model, compile_formula(parse_formula("[H^0 B]^[0,2]"), {"B"}), 3)
+        with pytest.raises(InfeasibleIntervalError) as err:
+            one_shot_prune(prod, 0.5)
+        assert (err.value.state, err.value.action) == (("z", 1, 0), "a")
+        assert str(err.value).startswith("a lower bound is nan at state")
+
     @staticmethod
     def stuck_z_model():
         """x stays or moves to y, which is labelled B; z has no enabled action.  Not
@@ -735,7 +746,7 @@ class TestPairInvariant:
         # the last segment ends at the time bound, where every pair is decided, so its
         # sweep is closed; the earlier segments end at 0/1 boundaries of open pairs
         prod = case_products["multi_shot"]
-        ts = cli.CASE_STUDY_TIMESTAMPS
+        ts = segment_ends(canonical_case_study()[1])
         assert len(pair_results(prod, ts[-2], ts[-1])) == 432
         assert n_differing(prod, ts[-2], ts[-1]) == 0
         assert [n_differing(prod, a, b) for a, b in zip(ts[:-2], ts[1:-1])] == [143, 375, 304]
@@ -953,6 +964,7 @@ class TestCollectorPaused:
     @pytest.mark.parametrize("mode", ["one_shot", "multi_shot"])
     def test_no_collection_inside_build_or_prune(self, collections, mode):
         model, aut, horizon = self.case_study()
+        plan = MultiShotPlan.even(0.9, segment_ends(canonical_case_study()[1]))
         gc.collect()
         collections.clear()
         prod = build_product(model, aut, horizon)
@@ -962,7 +974,7 @@ class TestCollectorPaused:
         if mode == "one_shot":
             one_shot_prune(prod, 0.9)
         else:
-            multi_shot_prune(prod, MultiShotPlan.even(0.9, cli.CASE_STUDY_TIMESTAMPS))
+            multi_shot_prune(prod, plan)
         assert collections == [] and gc.isenabled()
         gc.collect()
         assert collections != []        # the callback does see collections outside

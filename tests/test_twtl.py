@@ -6,8 +6,8 @@ import pytest
 from twtlshield.automaton import accepts, compile_formula
 from twtlshield.twtl import (And, Concat, Formula, Hold, Not, Or, TwtlError, TwtlSyntaxError,
                              UnknownPropositionError, Within, format_formula,
-                             parse_formula, propositions, time_bound)
-from twtlshield.oracle import enumerate_words, word_satisfies_brute
+                             parse_formula, propositions, segment_ends, time_bound)
+from twtlshield.oracle import FORMULA_CORPUS, enumerate_words, random_formula, word_satisfies_brute
 
 B = frozenset({"B"})
 C = frozenset({"C"})
@@ -152,6 +152,28 @@ class TestTimeBound:
         bounds = [time_bound(Within(inner, 0, b)) for b in range(1, 8)]
         assert bounds == sorted(bounds)
 
+
+
+class TestSegmentEnds:
+    @pytest.mark.parametrize("text, ends", [
+        (TASK_TEXT, (0, 8, 15, 22, 35)),
+        ("H^0 B . H^0 C", (0, 1)),
+        ("[H^0 B]^[0,2] . [H^0 C]^[0,2]", (0, 2, 5)),
+        ("(H^0 B . H^1 C) . H^0 B", (0, 2, 3)),
+        ("(H^0 B . H^0 C) & [H^1 C]^[0,3]", (0, 3)),
+    ], ids=["case_study", "end_0_skipped", "two_windows", "left_concat_not_split", "no_top_concat"])
+    def test_hand_cases(self, text, ends):
+        assert segment_ends(parse_formula(text)) == ends
+
+    def test_corpus_and_random_formulas(self):
+        rng = random.Random(0)
+        formulas = [parse_formula(text) for text in FORMULA_CORPUS]
+        formulas += [random_formula(rng, 12) for _ in range(300)]
+        for formula in formulas:
+            ends, tb = segment_ends(formula), time_bound(formula)
+            assert ends[0] == 0 and ends[-1] == tb, formula
+            assert len(ends) >= 2 or tb == 0, formula
+            assert all(a < b for a, b in zip(ends, ends[1:])), formula
 
 def nested_parens(n):
     return "(" * n + "H^0 B" + ")" * n

@@ -15,7 +15,8 @@ import random
 import pytest
 
 from twtlshield import cli, oracle
-from twtlshield.automaton import compile_formula, to_json
+from twtlshield.automaton import compile_formula
+from twtlshield.cli import automaton_json
 from twtlshield.learner import CSV_COLUMNS, EpisodeLog, LearnerConfig, episode_csv, learn
 from twtlshield.product import build_product
 from twtlshield.reachability import one_shot_prune
@@ -67,7 +68,7 @@ def assert_writers_match(product, episodes, seed):
     result = learn(product, LearnerConfig(episodes=episodes, seed=seed, epsilon=0.5))
     assert cli._policy_text(product, result.policy) == reference_policy(product, result.policy)
     assert cli._results_text(product) == reference_results(product)
-    assert to_json(product.automaton) == reference_automaton(product.automaton)
+    assert automaton_json(product.automaton) == reference_automaton(product.automaton)
     assert episode_csv(result.logs) == reference_csv(result.logs)
     assert product.state_keys() == list(map(repr, product.states))
     return result
@@ -125,7 +126,7 @@ def test_empty_policy():
 @pytest.mark.parametrize("alphabet", [set(), {"B", "C"}])
 def test_zero_proposition_automaton(alphabet):
     automaton = compile_formula(parse_formula("H^1 TRUE", alphabet), alphabet)
-    text = to_json(automaton)
+    text = automaton_json(automaton)
     assert text == reference_automaton(automaton)
     assert json.loads(text)["delta"][0][1] == []
 
@@ -133,7 +134,7 @@ def test_zero_proposition_automaton(alphabet):
 def test_corpus_automata():
     for formula in oracle.FORMULA_CORPUS:
         automaton = compile_formula(parse_formula(formula, {"B", "C"}), {"B", "C"})
-        assert to_json(automaton) == reference_automaton(automaton), formula
+        assert automaton_json(automaton) == reference_automaton(automaton), formula
 
 
 def test_csv_edge_values():

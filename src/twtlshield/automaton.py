@@ -5,8 +5,9 @@ residual formula (what still has to be observed), reading a symbol rewrites
 the residual, and syntactically identical residuals are merged.  A symbol is
 a label mask throughout: bit ``bit[name]`` for each proposition the formula
 uses.  Residuals are hash-consed within one compilation, so identical
-residuals are one node and merge by identity; each node's text is formatted
-once, and progression is memoized per node and the label bits it reads.
+residuals are one node and merge by identity; each node's text is assembled
+from its children's when it is made, and progression is memoized per node and
+the label bits it reads.
 States are numbered in the order the breadth-first walk finds them, and
 ``table[q]`` is filled in that order.  A residual of true maps to the single
 accepting state, which self-loops on every symbol; a residual of false maps to
@@ -21,9 +22,8 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 
-from .twtl import (And, Concat, Formula, Hold, Not, Or, Within, Word,
-                   format_formula, propositions, time_bound,
-                   UnknownPropositionError)
+from .twtl import (_BINARY, _LEVEL, And, Concat, Formula, Hold, Not, Or, Within, Word,
+                   propositions, time_bound, UnknownPropositionError)
 
 
 class AutomatonError(Exception):
@@ -53,8 +53,9 @@ class _Residuals:
 
     A node's key is its type, its plain fields and its children's ids.
     ``text`` maps a node's id to its canonical text, which orders the operands
-    of And and Or and annotates the automaton's states; a new node's text is
-    formatted over its children's, not by walking its subtree.  ``bound`` keeps
+    of And and Or and annotates the automaton's states.  A node's key is looked
+    up first; only a new node is built, and its text assembled from its
+    children's stored texts, the way ``format_formula`` prints it.  ``bound`` keeps
     the time bound of each node a window was asked about.
     ``bit`` maps each proposition to its bit in a label mask, and ``bits`` a
     node's id to the bits its progression reads: a hold's own, a concatenation's
@@ -70,17 +71,35 @@ class _Residuals:
         self.bits = {}
         self.bound = {}
 
-    def _made(self, key, bits, cls, *fields):
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = cls(*fields)
-            self.text[id(node)] = format_formula(node, self.text)
-            self.bits[id(node)] = bits
+    def _made(self, key, node, text, bits):
+        self._nodes[key] = node
+        self.text[id(node)] = text
+        self.bits[id(node)] = bits
         return node
 
     def hold(self, duration, prop, negated):
-        return self._made((Hold, duration, prop, negated), self.bit.get(prop, 0),
-                          Hold, duration, prop, negated)
+        key = (Hold, duration, prop, negated)
+        node = self._nodes.get(key)
+        if node is None:
+            body = "TRUE" if prop is None else ("!" + prop if negated else prop)
+            node = self._made(key, Hold(duration, prop, negated), f"H^{duration} {body}",
+                              self.bit.get(prop, 0))
+        return node
+
+    def _link(self, cls, left, right, bits):
+        """The chain link ``left op right``.  An operand of a looser level is parenthesized;
+        a canonical chain's left operand is never of the link's type, so nothing else is."""
+        key = (cls, id(left), id(right))
+        node = self._nodes.get(key)
+        if node is None:
+            level = _LEVEL[cls]
+            text = f"{self._operand(left, level)} {_BINARY[level][1]} {self._operand(right, level)}"
+            node = self._made(key, cls(left, right), text, bits)
+        return node
+
+    def _operand(self, node, level):
+        text = self.text[id(node)]
+        return f"({text})" if _LEVEL.get(type(node), level) < level else text
 
     def join(self, cls, items):
         """Flat, deduplicated, text-ordered And or Or chain of ``items``."""
@@ -95,14 +114,13 @@ class _Residuals:
                 unique[id(item.left)] = item.left
                 item = item.right
             unique[id(item)] = item
-        if not unique:
-            return unit
+        if len(unique) < 2:
+            return next(iter(unique.values()), unit)
         ordered = sorted(unique.values(), key=lambda node: self.text[id(node)])
         bits = self.bits
         node = ordered[-1]
         for item in reversed(ordered[:-1]):
-            node = self._made((cls, id(item), id(node)), bits[id(item)] | bits[id(node)],
-                              cls, item, node)
+            node = self._link(cls, item, node, bits[id(item)] | bits[id(node)])
         return node
 
     def concat(self, left, right):
@@ -114,15 +132,19 @@ class _Residuals:
             return left
         if isinstance(left, Concat):
             left, right = left.left, self.concat(left.right, right)
-        return self._made((Concat, id(left), id(right)), self.bits[id(left)], Concat, left, right)
+        return self._link(Concat, left, right, self.bits[id(left)])
 
     def within(self, child, low, high):
-        if child is not _FALSE and id(child) not in self.bound:
-            self.bound[id(child)] = time_bound(child)
-        if child is _FALSE or high < low or self.bound[id(child)] > high - low:
-            return _FALSE
-        return self._made((Within, id(child), low, high), self.bits[id(child)],
-                          Within, child, low, high)
+        key = (Within, id(child), low, high)
+        node = self._nodes.get(key)
+        if node is None:
+            if child is not _FALSE and id(child) not in self.bound:
+                self.bound[id(child)] = time_bound(child)
+            if child is _FALSE or high < low or self.bound[id(child)] > high - low:
+                return _FALSE
+            node = self._made(key, Within(child, low, high), f"[{self.text[id(child)]}]^[{low},{high}]",
+                              self.bits[id(child)])
+        return node
 
     def canonical(self, node):
         """The node of ``node``'s canonical shape."""

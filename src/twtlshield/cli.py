@@ -95,6 +95,9 @@ class ExperimentConfig:
             self.multishot_timestamps = ends
 
     def plan(self):
+        if self._horizon == 0:
+            raise ConfigError("the formula's time bound is 0, so multi-shot has no segment to split;"
+                              " use one_shot")
         if not self.multishot_timestamps or self.multishot_timestamps[-1] != self._horizon:
             raise ConfigError(f"multishot timestamps must end at the time bound {self._horizon}")
         try:

@@ -165,101 +165,84 @@ _BINARY = ((Concat, "."), (Or, "|"), (And, "&"))
 _LEVEL = {cls: level for level, (cls, _) in enumerate(_BINARY)}
 
 
-def format_formula(formula: Formula, known=None) -> str:
-    """Render to the concrete ASCII grammar; parse(format(f)) == f.  ``known`` maps
-    the ids of subtrees already rendered to their texts, used instead of a walk."""
-    return _format(formula, 0, known or {})
+def format_formula(formula: Formula) -> str:
+    """Render to the concrete ASCII grammar; parse(format(f)) == f."""
+    return _format(formula, 0)
 
 
-def _format(node, parent_level, known):
-    text = known.get(id(node))
-    if text is not None:
-        pass
-    elif isinstance(node, Hold):
+def _format(node, parent_level):
+    if isinstance(node, Hold):
         body = "TRUE" if node.prop is None else ("!" + node.prop if node.negated else node.prop)
         text = f"H^{node.duration} {body}"
     elif isinstance(node, Within):
-        text = f"[{_format(node.child, 0, known)}]^[{node.low},{node.high}]"
+        text = f"[{_format(node.child, 0)}]^[{node.low},{node.high}]"
     elif isinstance(node, Not):
-        text = f"!({_format(node.child, 0, known)})"
+        text = f"!({_format(node.child, 0)})"
     elif type(node) in _LEVEL:
         level = _LEVEL[type(node)]
         # The parser folds to the right, so a left child with the same operator
         # needs parentheses to round-trip structurally.
-        left = _format(node.left, level + (type(node.left) is type(node)), known)
-        text = f"{left} {_BINARY[level][1]} {_format(node.right, level, known)}"
+        left = _format(node.left, level + (type(node.left) is type(node)))
+        text = f"{left} {_BINARY[level][1]} {_format(node.right, level)}"
     else:
         raise TypeError(f"not a formula node: {node!r}")
     return f"({text})" if _LEVEL.get(type(node), parent_level) < parent_level else text
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+# A token is an integer (any Unicode digits), an identifier or one operator character;
+# whitespace separates tokens, and any other character is an error.
+_SCAN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[\^\[\],()&|.!]")
+_BAD = re.compile(r"[^\d\sA-Za-z_\^\[\],()&|.!]")
 
 
-_SCAN = re.compile(r"(?P<INT>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[\^\[\],()&|.!])"
-                   r"|(?P<NEWLINE>\n)|(?P<SPACE>[^\S\n]+)|(?P<BAD>.)", re.DOTALL)
-
-
-def _tokenize(text):
-    """Tokens ending in EOF.  Columns count characters from 1, so a tab is one column."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _SCAN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-        elif kind == "BAD":
-            raise TwtlSyntaxError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
-        elif kind != "SPACE":
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+def _position(text, offset):
+    """Line and column of ``offset``, both from 1; a column counts characters, so a tab is one."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
-    """Recursive descent over the levels of ``_BINARY``, then (hold | within | !unary | parens)."""
+    """Recursive descent over the levels of ``_BINARY``, then (hold | within | !unary | parens).
 
-    def __init__(self, tokens, alphabet):
-        self.tokens = tokens
+    ``tokens`` are the texts of one scan, ended by "" for the end of input.  A token's
+    kind is read from its text, and its line and column are worked out only for an error.
+    """
+
+    def __init__(self, text, alphabet):
+        bad = _BAD.search(text)
+        if bad:
+            raise TwtlSyntaxError(f"unexpected character {bad.group()!r}", *_position(text, bad.start()))
+        self.text = text
+        self.tokens = _SCAN.findall(text) + [""]
         self.pos = 0
         self.alphabet = alphabet
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def where(self, pos):
+        """Line and column of token ``pos``."""
+        starts = [m.start() for m in _SCAN.finditer(self.text)] + [len(self.text)]
+        return _position(self.text, starts[pos])
 
     def fail(self, what):
-        tok = self.peek()
-        found = "end of input" if tok.kind == "EOF" else repr(tok.value)
-        raise TwtlSyntaxError(f"expected {what}, found {found}", tok.line, tok.column)
+        tok = self.tokens[self.pos]
+        found = repr(tok) if tok else "end of input"
+        raise TwtlSyntaxError(f"expected {what}, found {found}", *self.where(self.pos))
 
     def expect(self, value):
-        if self.peek().value != value:
+        if self.tokens[self.pos] != value:
             self.fail(repr(value))
-        return self.advance()
+        self.pos += 1
 
     def expect_int(self, what):
-        if self.peek().kind != "INT":
+        tok = self.tokens[self.pos]
+        if not tok[:1].isdecimal():
             self.fail(what)
-        return int(self.advance().value)
+        self.pos += 1
+        return int(tok)
 
     def parse(self):
         node = self.binary()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise TwtlSyntaxError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
+        if self.tokens[self.pos]:
+            raise TwtlSyntaxError(f"unexpected trailing input {self.tokens[self.pos]!r}",
+                                  *self.where(self.pos))
         return node
 
     def binary(self, level=0):
@@ -268,51 +251,50 @@ class _Parser:
         parts = []
         while True:
             parts.append(self.unary() if level + 1 == len(_BINARY) else self.binary(level + 1))
-            if self.peek().value != op:
+            if self.tokens[self.pos] != op:
                 break
-            self.advance()
+            self.pos += 1
         node = parts.pop()
         for part in reversed(parts):
             node = cls(part, node)
         return node
 
     def unary(self):
-        tok = self.peek()
-        if tok.value == "!":
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok == "!":
+            self.pos += 1
             return Not(self.unary())
-        if tok.value == "(":
-            self.advance()
+        if tok == "(":
+            self.pos += 1
             node = self.binary()
             self.expect(")")
             return node
-        if tok.value == "[":
+        if tok == "[":
             return self.within()
-        if tok.kind == "IDENT" and tok.value == "H":
+        if tok == "H":
             return self.hold()
         self.fail("a formula")
 
     def hold(self):
-        self.advance()  # H
+        self.pos += 1  # H
         self.expect("^")
         duration = self.expect_int("hold duration")
-        negated = self.peek().value == "!"
-        if negated:
-            self.advance()
-        tok = self.peek()
-        if tok.kind != "IDENT":
+        negated = self.tokens[self.pos] == "!"
+        self.pos += negated
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():      # an integer, an operator or the end is not
             self.fail("a proposition")
-        self.advance()
-        if tok.value == "TRUE":
+        self.pos += 1
+        if tok == "TRUE":
             if negated:
-                raise TwtlSyntaxError("TRUE cannot be negated inside a hold", tok.line, tok.column)
+                raise TwtlSyntaxError("TRUE cannot be negated inside a hold", *self.where(self.pos - 1))
             return Hold(duration, None)
-        if self.alphabet is not None and tok.value not in self.alphabet:
-            raise UnknownPropositionError(tok.value, tok.line, tok.column)
-        return Hold(duration, tok.value, negated)
+        if self.alphabet is not None and tok not in self.alphabet:
+            raise UnknownPropositionError(tok, *self.where(self.pos - 1))
+        return Hold(duration, tok, negated)
 
     def within(self):
-        self.expect("[")
+        self.pos += 1  # [
         child = self.binary()
         self.expect("]")
         self.expect("^")
@@ -320,9 +302,10 @@ class _Parser:
         low = self.expect_int("window start")
         self.expect(",")
         high = self.expect_int("window end")
-        tok = self.expect("]")
+        self.expect("]")
         if low > high:
-            raise TwtlSyntaxError(f"window start {low} exceeds window end {high}", tok.line, tok.column)
+            raise TwtlSyntaxError(f"window start {low} exceeds window end {high}",
+                                  *self.where(self.pos - 1))
         return Within(child, low, high)
 
 
@@ -330,13 +313,13 @@ def parse_formula(text: str, alphabet: Iterable[str] | None = None) -> Formula:
     """Parse the ASCII grammar.  ``alphabet`` of None accepts any identifier."""
     if alphabet is not None:
         alphabet = frozenset(alphabet)
-        for name in alphabet:
-            if not PROP_RE.match(name) or name == "TRUE":
-                raise TwtlError(f"invalid proposition name in alphabet: {name!r}")
+        bad = [name for name in alphabet if not PROP_RE.match(name) or name == "TRUE"]
+        if bad:
+            raise TwtlError(f"invalid proposition name in alphabet: {min(bad)!r}")
     # The parser and every pass over the tree recurse once per level, so a
     # formula nested past the recursion limit is refused here, in one walk.
     try:
-        formula = _Parser(_tokenize(text), alphabet).parse()
+        formula = _Parser(text, alphabet).parse()
         time_bound(formula)
     except RecursionError:
         raise TwtlError("formula is nested too deeply") from None

@@ -118,8 +118,9 @@ class TestCompile:
 
 
 class TestResidualTexts:
-    """A new residual's text is formatted over its children's stored texts; it must
-    equal the text of the whole node formatted from scratch."""
+    """A new residual's text is assembled from its children's stored texts; it must
+    equal the text of the whole node formatted from scratch.  The four-proposition
+    trees nest And, Or and Concat in each other more than random_formula's pool does."""
 
     def test_stored_texts_equal_full_format(self, monkeypatch):
         made = []
@@ -133,6 +134,7 @@ class TestResidualTexts:
         cases = [(parse_formula(text, {"B", "C"}), {"B", "C"}) for text in FORMULA_CORPUS]
         cases.append((parse_formula(CASE_STUDY_FORMULA, CASE_STUDY_PROPS), CASE_STUDY_PROPS))
         cases += [(random_formula(rng, rng.randint(1, 10)), {"B", "C"}) for _ in range(2000)]
+        cases += [(tree, FOUR_PROPS) for tree in four_proposition_trees()]
         checked = 0
         for formula, props in cases:
             compile_formula(formula, props)

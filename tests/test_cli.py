@@ -334,6 +334,19 @@ class TestConfig:
         assert ((tmp_path / "spaceless" / "reachability.json").read_bytes()
                 == (tmp_path / "case" / "reachability.json").read_bytes())
 
+    @pytest.mark.parametrize("command, flags", [
+        ("prune", ["--mode", "multi_shot"]),
+        ("sweep", ["--modes", "multi_shot", "--eps-list", "0.08", "--pr-list", "0.5",
+                   "--episodes", "1", "--eval-episodes", "1"]),
+    ])
+    def test_time_bound_0_refuses_multi_shot(self, tmp_path, capsys, command, flags):
+        # the message once named timestamps, which the user never gave
+        out = tmp_path / "out"
+        assert main([command, *flags, "--formula", "H^0 TRUE", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: the formula's time bound is 0, so "
+                                           "multi-shot has no segment to split; use one_shot\n")
+        assert not out.exists()
+
     def test_other_formula_runs_multi_shot_without_timestamps(self, tmp_path):
         assert main(["learn", "--mode", "multi_shot", "--formula", "[H^1 P]^[0,8] . [H^1 Base]^[0,12]",
                      "--episodes", "20", "--eval-episodes", "10", "--output-dir", str(tmp_path)]) == 0

@@ -176,6 +176,9 @@ FOUR_PROPOSITIONS = "a90b7ffa6e708c779dc89789b6c12a7f0c850524f55f51dbd2b06e968c0
 CASE_STUDY_PROGRESSIONS = 378
 # sha256 over the front-end outcomes of front_end_corpus() under both alphabets
 FRONT_END = "59878c58c08679b304fd65af342447d81ab8bf03045cd8542c8295b91deb9b07"
+# sha256 over the front-end outcomes of wide_front_end_corpus() under both alphabets,
+# recorded with the tokenizer that scanned token objects with their line and column
+FRONT_END_WIDE = "e93dcd4b6b8e2493e13753e638979cbd0df2061e7bac258a2bd1ceae9d02f271"
 # (text, alphabet, error class, exact message): each error site, and line and column
 MESSAGES = [
     ("[H^1 B", None, "TwtlSyntaxError", "expected ']', found end of input (line 1, column 7)"),
@@ -339,6 +342,24 @@ def front_end_corpus():
     return texts
 
 
+# characters the grammar does not name: other whitespace, which separates tokens and is
+# one column wide; Unicode digits, which are numbers; and non-ASCII letters, which are not
+FRONT_END_EXTRA = "\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\u0663\uff15\u00e9\u03a3"
+
+
+def wide_front_end_corpus():
+    """5,000 random strings over FRONT_END_CHARS and FRONT_END_EXTRA, then one character
+    of FRONT_END_EXTRA inserted into each of 3,000 random_formula texts (seed 1)."""
+    rng = random.Random(1)
+    chars = FRONT_END_CHARS + FRONT_END_EXTRA
+    texts = ["".join(rng.choice(chars) for _ in range(rng.randint(0, 30))) for _ in range(5000)]
+    for _ in range(3000):
+        text = format_formula(oracle.random_formula(rng, rng.randint(1, 10)))
+        i = rng.randint(0, len(text))
+        texts.append(text[:i] + rng.choice(FRONT_END_EXTRA) + text[i:])
+    return texts
+
+
 def front_end_outcome(text, alphabet):
     """The printed formula, or the error's class, message, line and column."""
     try:
@@ -353,6 +374,14 @@ def test_front_end_corpus():
         for alphabet in (None, {"B", "C"}):
             h.update(repr(front_end_outcome(text, alphabet)).encode())
     assert h.hexdigest() == FRONT_END
+
+
+def test_wide_front_end_corpus():
+    h = hashlib.sha256()
+    for text in wide_front_end_corpus():
+        for alphabet in (None, {"B", "C"}):
+            h.update(repr(front_end_outcome(text, alphabet)).encode())
+    assert h.hexdigest() == FRONT_END_WIDE
 
 
 @pytest.mark.parametrize("text, alphabet, cls, message", MESSAGES)

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,18 @@ class TestParser:
     def test_bad_window(self):
         with pytest.raises(TwtlSyntaxError):
             parse_formula("[H^0 B]^[3,1]", {"B"})
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_least_bad_alphabet_name_is_reported(self, seed):
+        # the alphabet is a frozenset of strings, whose order once picked the name reported
+        code = ("from twtlshield.twtl import parse_formula\n"
+                "try:\n    parse_formula('H^0 B', ['1x', '2y', '3z', 'TRUE'])\n"
+                "except Exception as exc:\n    print(exc)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.stdout == "invalid proposition name in alphabet: '1x'\n", run.stderr
 
 
 class TestPrinting:

@@ -100,7 +100,6 @@ def build_grid_mdp(spec: GridSpec) -> LabeledIntervalMdp:
     p_intended = float(1 - eps_real)
     shares = [float(eps_real / n) if n else 0.0 for n in range(len(ACTIONS))]
     states = [(x, y) for y in range(spec.height) for x in range(spec.width)]
-    labels = {cell: frozenset(spec.labels.get(cell, ())) for cell in states}
     rows = {}
     enabled = {}
     for cell in states:
@@ -116,7 +115,7 @@ def build_grid_mdp(spec: GridSpec) -> LabeledIntervalMdp:
                 rows[(cell, a)] = tuple(on if b == a else off for b, off, on in entries)
 
     rewards = {(cell, a): r for cell, r in spec.reward_cells.items() for a in enabled[cell]}
-    return LabeledIntervalMdp(states, ACTIONS, labels, rows, rewards, enabled)
+    return LabeledIntervalMdp(states, ACTIONS, spec.labels, rows, rewards, enabled)
 
 
 # Canonical six-by-six pickup-and-delivery layout.  The coordinates, door

@@ -94,7 +94,7 @@ class LearnerConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeLog:
     index: int
     satisfied: bool

@@ -44,18 +44,33 @@ def interval_row(los, his):
             row_infeasibility(lo_sum, math.fsum(his)), lone)
 
 
+_LABEL_SETS = {}     # one frozenset per distinct label set, shared by every model: they are immutable
+
+
 class LabeledIntervalMdp:
     """States, actions, labels and ``rows``; ``bounds`` is their (s, a, s') -> (lo, hi) view.
 
+    ``labels`` maps a state to its set of proposition names; a state not in it has none.
+    Equal label sets are one shared frozenset, within a model and across models.
     ``enabled`` restricts the action set per state (walls and one-way doors
     remove actions outright); states not listed keep the full action set.
     ``rewards[(s, a)]`` is read only by the episode loops; a move not in it pays 0.0.
     """
 
+    __slots__ = ("states", "actions", "labels", "rows", "_lawful", "rewards", "enabled", "_samplers")
+
     def __init__(self, states, actions, labels, rows, rewards=None, enabled=None):
         self.states = tuple(states)
         self.actions = tuple(actions)
-        self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
+        self.labels = dict.fromkeys(self.states, frozenset())
+        unknown = labels.keys() - self.labels.keys()
+        if unknown:
+            raise MdpError(f"label for unknown state {min(unknown, key=repr)!r}")
+        for s, names in labels.items():
+            if isinstance(names, str):
+                raise MdpError(f"the label of state {s!r} is the string {names!r}, not a set of names")
+            names = frozenset(names)
+            self.labels[s] = _LABEL_SETS.setdefault(names, names)
         self.rows = rows
         self._lawful = any(p is not None for row in rows.values() for _, _, _, p in row)
         self.rewards = rewards or {}

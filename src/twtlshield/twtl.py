@@ -44,9 +44,9 @@ class UnknownPropositionError(TwtlError):
         self.name = name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
-    """Base class for formula nodes: immutable, and equal and hashed by structure
+    """Base class for formula nodes: immutable and slotted, and equal and hashed by structure
     through :meth:`_flat`, which walks a tree without recursion."""
 
     def _flat(self):
@@ -68,7 +68,7 @@ class Formula:
         return hash(self._flat())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Hold(Formula):
     """H^d x or H^d !x.  ``prop`` of None stands for the true constant."""
 
@@ -85,30 +85,30 @@ class Hold(Formula):
             raise ValueError(f"invalid proposition name: {self.prop!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Concat(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Within(Formula):
     child: Formula
     low: int

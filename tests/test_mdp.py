@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -8,10 +9,11 @@ import pytest
 from twtlshield import cli
 from twtlshield.automaton import compile_formula
 from twtlshield.gridworld import build_grid_mdp, canonical_case_study
+from twtlshield.learner import EpisodeLog
 from twtlshield.mdp import LabeledIntervalMdp, MdpError, MissingDynamicsError
 from twtlshield.product import build_product
 from twtlshield.reachability import InfeasibleIntervalError, one_shot_prune
-from twtlshield.twtl import parse_formula, time_bound
+from twtlshield.twtl import Formula, format_formula, parse_formula, time_bound
 from conftest import law, model, sample_next, three_state_mdp
 
 
@@ -187,6 +189,74 @@ class TestStep:
         # a model without a reward table pays nothing, and still pickles
         assert all(m.rewards.get((s, a), 0.0) == 0.0 for s in m.states for a in m.actions)
         assert pickle.loads(pickle.dumps(m)).rewards.get(("s0", "a1"), 0.0) == 0.0
+
+    def test_slotted_formulas_and_logs_pickle(self):
+        formula = parse_formula("[H^1 B]^[0,4] . (H^0 C | !(H^2 B & H^1 !C)) . [H^0 TRUE]^[1,2]",
+                                ["B", "C"])
+        copy = pickle.loads(pickle.dumps(formula))
+        assert copy == formula and hash(copy) == hash(formula)
+        assert format_formula(copy) == format_formula(formula)
+        assert time_bound(copy) == time_bound(formula)
+        assert all(not hasattr(node, "__dict__") for node in formula_nodes(copy))
+        logs = [EpisodeLog(0, True, 1.5, None, 0), EpisodeLog(1, False, -0.25, 3, 7)]
+        copies = pickle.loads(pickle.dumps(logs))
+        assert [dataclasses.asdict(log) for log in copies] == [dataclasses.asdict(log) for log in logs]
+        assert not any(hasattr(log, "__dict__") for log in copies)
+
+
+def formula_nodes(formula):
+    """Every node of a formula tree, the root first."""
+    nodes, stack = [], [formula]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack += [getattr(node, f.name) for f in dataclasses.fields(node)
+                  if isinstance(getattr(node, f.name), Formula)]
+    return nodes
+
+
+class TestLabels:
+    def test_label_for_an_unknown_state_is_refused(self):
+        bounds = {(0, "a", 1): (1.0, 1.0), (1, "a", 1): (1.0, 1.0)}
+        with pytest.raises(MdpError, match="label for unknown state 2"):
+            LabeledIntervalMdp.from_edges([0, 1], ["a"], {2: {"B"}}, bounds)
+        # the least unknown state by repr is named: '10' sorts before '2'
+        with pytest.raises(MdpError, match="label for unknown state 10$"):
+            LabeledIntervalMdp.from_edges([0, 1], ["a"], {2: {"B"}, 1: {"C"}, 10: set()}, bounds)
+
+    def test_label_given_as_a_string_is_refused(self):
+        m = three_state_mdp()
+        with pytest.raises(MdpError, match="label of state 's1' is the string 'BC', not a set"):
+            LabeledIntervalMdp(m.states, m.actions, {"s1": "BC"}, m.rows)
+
+    def test_unlabeled_states_have_the_empty_set(self):
+        m = three_state_mdp()
+        bare = LabeledIntervalMdp(m.states, m.actions, {"s1": ["B", "C"]}, m.rows)
+        assert bare.labels == {"s0": frozenset(), "s1": frozenset({"B", "C"}), "s2": frozenset()}
+        assert list(bare.labels) == list(m.states)
+
+
+class TestCompactLayout:
+    def test_models_formulas_and_logs_have_no_instance_dict(self):
+        assert not hasattr(three_state_mdp(), "__dict__")
+        formula = parse_formula("[H^1 B]^[0,3] . !(H^0 C | H^1 !B) & H^2 TRUE", ["B", "C"])
+        assert {type(node).__name__ for node in formula_nodes(formula)} == \
+            {"Hold", "And", "Or", "Not", "Concat", "Within"}
+        assert not any(hasattr(node, "__dict__") for node in formula_nodes(formula))
+        assert not hasattr(EpisodeLog(0, True, 0.0, None, 0), "__dict__")
+
+    def test_equal_label_sets_are_one_object(self):
+        m = three_state_mdp()
+        first = LabeledIntervalMdp(m.states, m.actions, {"s0": {"B"}, "s1": ["B"], "s2": {"C", "B"}},
+                                   m.rows)
+        second = LabeledIntervalMdp(m.states, m.actions, {"s0": ("C", "B"), "s2": {"B"}}, m.rows)
+        assert first.labels["s0"] is first.labels["s1"] is second.labels["s2"]
+        assert first.labels["s2"] is second.labels["s0"]
+        one, two = pickle.loads(pickle.dumps([first, second]))
+        assert (one.labels, two.labels) == (first.labels, second.labels)
+        assert one.labels["s0"] is one.labels["s1"] is two.labels["s2"]
+        assert one.labels["s2"] is two.labels["s0"]
+        assert not hasattr(one, "__dict__")
 
 
 def eager_samplers(mdp):
